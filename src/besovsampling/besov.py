@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -80,11 +81,8 @@ class LittlewoodPaleyWindow:
     """Dyadic frequency window rho supported in {1/2 < |y| < 2}.
 
     rho(y) = theta(|y|) - theta(2|y|) telescopes exactly: sum_j rho(2^-j y) = 1
-    for y != 0.  A tabulation on a log-frequency grid is kept for inspection.
+    for y != 0.
     """
-
-    log2_y: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
 
     def rho(self, abs_y) -> np.ndarray:
         t = np.abs(np.asarray(abs_y, dtype=float))
@@ -99,11 +97,8 @@ class LittlewoodPaleyWindow:
         return float(np.max(np.abs(total - 1.0)))
 
 
-def make_lp_window(n_tab: int = 2049) -> LittlewoodPaleyWindow:
-    log2_y = np.linspace(-1.0, 1.0, n_tab)
-    w = LittlewoodPaleyWindow(log2_y, np.zeros(n_tab))
-    w.values = w.rho(2.0**log2_y)
-    return w
+def make_lp_window() -> LittlewoodPaleyWindow:
+    return LittlewoodPaleyWindow()
 
 
 def besov_norm_wavelet(c: WaveletCoefficients, params: BesovParams) -> float:
@@ -143,14 +138,9 @@ class SpectralCoverageError(ValueError):
 
 def default_scale_range(f: GridFunction) -> tuple[int, int]:
     """Dyadic bands covering every representable frequency except the DC bin."""
-    if f.ndim == 1:
-        g = f.grid
-        fund = 1.0 / (g.count * g.spacing)
-        top = g.nyquist
-    else:
-        gx, gy = f.grid.gx, f.grid.gy
-        fund = min(1.0 / (gx.count * gx.spacing), 1.0 / (gy.count * gy.spacing))
-        top = math.hypot(gx.nyquist, gy.nyquist)
+    axes = f.grid.axes
+    fund = min(1.0 / (g.count * g.spacing) for g in axes)
+    top = math.hypot(*(g.nyquist for g in axes))
     j_lo = math.floor(math.log2(fund) + 1e-9)
     j_hi = math.ceil(math.log2(top) - 1e-9)
     return j_lo, j_hi
@@ -225,12 +215,11 @@ def default_wavelet_scales(f: GridFunction) -> tuple[int, int]:
     nothing there), which keeps truncated homogeneous norms dilation-invariant
     to ~1e-5; in 2D the 4x-length rule is used as is.
     """
-    g = f.grid if f.ndim == 1 else f.grid.gx
-    length = g.length if f.ndim == 1 else max(g.length, f.grid.gy.length)
-    j_min = math.floor(-math.log2(4.0 * length))
+    axes = f.grid.axes
+    j_min = math.floor(-math.log2(4.0 * max(g.length for g in axes)))
     if f.ndim == 1:
         j_min = min(j_min, -16)
-    j_max = g.resolution_exponent - 2
+    j_max = min(g.resolution_exponent for g in axes) - 2
     return j_min, j_max
 
 
@@ -258,12 +247,8 @@ def pw_membership(f: GridFunction, b: float, tol: float = 1e-6):
     F = fourier(f)
     energy = F.energy()
     total = float(energy.sum())
-    if f.ndim == 1:
-        outside = np.abs(F.freqs) > b * (1 + 1e-12)
-    else:
-        fx, fy = F.freqs
-        outside = (np.abs(fx)[:, None] > b * (1 + 1e-12)) | (
-            np.abs(fy)[None, :] > b * (1 + 1e-12))
+    outside = reduce(np.logical_or.outer,
+                     [np.abs(fz) > b * (1 + 1e-12) for fz in F.axis_freqs])
     leak = float(energy[outside].sum() / total) if total > 0 else 0.0
     report = {"b": b, "tol": tol, "leak_fraction": leak, "total_energy": total}
     return leak <= tol, report

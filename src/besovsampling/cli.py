@@ -33,7 +33,14 @@ from .geometry import (
     geometry_to_json_dict,
     random_sequence,
 )
-from .grid import GridFunction, default_grid_1d, load_csv, lp_norm, save_csv
+from .grid import (
+    GridFunction,
+    default_grid_1d,
+    default_grid_2d,
+    load_csv,
+    lp_norm,
+    save_csv,
+)
 from .inequalities import (
     heisenberg_product,
     intB_diagnostic,
@@ -47,8 +54,8 @@ from .reconstruct import (
     full_pipeline,
     interp_pl,
 )
-from .wavelets import build_basis, coeffs_to_json_dict
-from .zoo import ZooSpec, make
+from .wavelets import coeffs_to_json_dict, default_basis
+from .zoo import ZooSpec, bandlimited_field_2d, make
 
 CSV_SCHEMA_VERSION = 1
 
@@ -57,7 +64,11 @@ CSV_SCHEMA_VERSION = 1
 # shared plumbing
 
 def parse_value_list(text: str) -> list[float]:
-    """Parse '2^-3..2^-7' (halving range), comma lists, and dyadic atoms."""
+    """Parse '2^-3..2^-7' (halving range), comma lists, and dyadic atoms.
+
+    A range runs from its larger end down to its smaller one by halving, in
+    whichever order the ends are written; they must be a power of two apart.
+    """
     def atom(tok: str) -> float:
         tok = tok.strip()
         if "^" in tok:
@@ -67,14 +78,14 @@ def parse_value_list(text: str) -> list[float]:
 
     text = text.strip()
     if ".." in text:
-        lo_s, hi_s = text.split("..")
-        start, stop = atom(lo_s), atom(hi_s)
-        vals = [start]
-        while vals[-1] > stop * 1.5:
-            vals.append(vals[-1] / 2.0)
-        if abs(vals[-1] - stop) > 1e-12 * abs(stop):
-            vals.append(stop)
-        return vals
+        lo, hi = sorted(atom(t) for t in text.split(".."))
+        ok = 0 < lo and math.isfinite(hi)
+        halvings = round(math.log2(hi / lo)) if ok else 0
+        if not ok or abs(hi / 2.0**halvings - lo) > 1e-9 * lo:
+            raise ValueError(
+                f"range {text!r} is not a halving range: its ends must be positive "
+                "and a power of two apart, as in '2^-3..2^-7'")
+        return [hi / 2.0**i for i in range(halvings + 1)]
     return [atom(t) for t in text.split(",") if t.strip()]
 
 
@@ -139,10 +150,6 @@ def _load_geometry_or_sequence(path, default_b: float, seed: int):
         return geometry_from_json_dict(json.load(fh))
 
 
-def _basis_from(family: str, order: int):
-    return build_basis(family, None if family == "haar" else order)
-
-
 # ---------------------------------------------------------------------------
 # sweep pipelines (top-level functions so --jobs can pickle them)
 
@@ -150,16 +157,18 @@ def _seq_for_tuple(b: float, seed: int, grid) -> SamplingSequence1D:
     return random_sequence(b, (grid.x[0], grid.x[-1]), seed, strict=True)
 
 
-def _geometry_for_tuple(geom_path: str, b: float):
+def _field_on_geometry(geom_path: str, b: float, seed: int):
+    """The 2D pipelines' input: a seeded bandlimited field and the geometry."""
     with open(geom_path, encoding="utf-8") as fh:
         d = json.load(fh)
     d["b"] = b  # sweeps override the spec's gap bound per tuple
-    return geometry_from_json_dict(d)
+    return (bandlimited_field_2d(default_grid_2d(), 1.0, seed),
+            geometry_from_json_dict(d))
 
 
 def run_sampling_tuple(args) -> dict:
     b, p, s_idx, seed, geom_path = args
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     if geom_path is None:
         grid = default_grid_1d()
         zf = make(ZooSpec("bandlimited-random", band=1.0, seed=seed), grid,
@@ -167,11 +176,7 @@ def run_sampling_tuple(args) -> dict:
         f = zf.f
         sset = _seq_for_tuple(b, seed + 1, grid)
     else:
-        from .grid import default_grid_2d
-        from .zoo import bandlimited_field_2d
-        grid = default_grid_2d()
-        f = bandlimited_field_2d(grid, 1.0, seed)
-        sset = _geometry_for_tuple(geom_path, b)
+        f, sset = _field_on_geometry(geom_path, b, seed)
     rep = sampling_ratio(f, sset, p, basis)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
     # the cell form carries a cell-geometry factor, so the b^(m/p)-weighted
@@ -185,13 +190,9 @@ def run_sampling_tuple(args) -> dict:
 
 
 def run_uncertainty_tuple(args) -> dict:
-    b, p, s_idx, seed, geom_path = args
-    if geom_path is not None:
-        raise ValueError(
-            "pipeline uncertainty is one-dimensional; "
-            "--geometry is not supported here")
+    b, p, s_idx, seed, _geometry = args
     grid = default_grid_1d()
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     seq = _seq_for_tuple(b, seed, grid)
     zf = make(ZooSpec("gap-spline", sequence_b=b, sequence_seed=seed,
                       seed=seed + 7), grid, basis)
@@ -202,14 +203,10 @@ def run_uncertainty_tuple(args) -> dict:
 
 
 def run_heisenberg_tuple(args) -> dict:
-    b, p, s_val, seed, geom_path = args
-    if geom_path is not None:
-        raise ValueError(
-            "pipeline heisenberg is one-dimensional; "
-            "--geometry is not supported here")
+    b, p, s_val, seed, _geometry = args
     alpha = s_val if s_val is not None else 1.0
     grid = default_grid_1d()
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     width = 0.5 + (seed % 5) * 0.5
     zf = make(ZooSpec("compact-bump", width=width), grid, basis)
     prod = heisenberg_product(zf.f, alpha, p, basis)
@@ -218,13 +215,9 @@ def run_heisenberg_tuple(args) -> dict:
 
 
 def run_intb_tuple(args) -> dict:
-    b, p, s_idx, seed, geom_path = args
-    if geom_path is not None:
-        raise ValueError(
-            "pipeline intb is one-dimensional; "
-            "--geometry is not supported here")
+    b, p, s_idx, seed, _geometry = args
     grid = default_grid_1d()
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     zf = make(ZooSpec("bandlimited-random", band=2.0, seed=seed + 3), grid, basis)
     seq = _seq_for_tuple(b, seed, grid)
     lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p, basis)
@@ -233,13 +226,9 @@ def run_intb_tuple(args) -> dict:
 
 
 def run_pl_tuple(args) -> dict:
-    b, p, s_val, seed, geom_path = args
-    if geom_path is not None:
-        raise ValueError(
-            "pipeline pl is one-dimensional; "
-            "--geometry is not supported here")
+    b, p, s_val, seed, _geometry = args
     grid = default_grid_1d()
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     s = s_val if s_val is not None else 0.5
     zf = make(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=8,
                       seed=seed + 11), grid, basis)
@@ -250,13 +239,9 @@ def run_pl_tuple(args) -> dict:
 
 
 def run_split_tuple(args) -> dict:
-    b, p, s_val, seed, geom_path = args
-    if geom_path is not None:
-        raise ValueError(
-            "pipeline split is one-dimensional; "
-            "--geometry is not supported here")
+    b, p, s_val, seed, _geometry = args
     grid = default_grid_1d()
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     s = s_val if s_val is not None else 0.6
     zf = make(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=8,
                       seed=seed + 11), grid, basis)
@@ -268,7 +253,7 @@ def run_split_tuple(args) -> dict:
 
 def run_reconstruct_tuple(args) -> dict:
     b, p, s_val, seed, geom_path = args
-    basis = _basis_from("daubechies", 4)
+    basis = default_basis()
     s = s_val if s_val is not None else 0.9
     if geom_path is None:
         grid = default_grid_1d()
@@ -277,11 +262,7 @@ def run_reconstruct_tuple(args) -> dict:
         f = zf.f
         sset = _seq_for_tuple(b, seed, grid)
     else:
-        from .grid import default_grid_2d
-        from .zoo import bandlimited_field_2d
-        grid = default_grid_2d()
-        f = bandlimited_field_2d(grid, 1.0, seed)
-        sset = _geometry_for_tuple(geom_path, b)
+        f, sset = _field_on_geometry(geom_path, b, seed)
     cfg = ReconstructionConfig(c_factor=0.25, n_iter=12, p=p)
     rep = full_pipeline(f, sset, cfg)
     return {"b": b, "p": p, "s": s, "seed": seed,
@@ -299,6 +280,8 @@ PIPELINES = {
     "split": run_split_tuple,
     "reconstruct": run_reconstruct_tuple,
 }
+# pipelines that run on the default 1D grid only and take no --geometry
+ONE_DIMENSIONAL = frozenset({"uncertainty", "heisenberg", "intb", "pl", "split"})
 
 
 @dataclass
@@ -339,6 +322,10 @@ def execute_sweep(cfg: RunConfig):
     if cfg.command not in PIPELINES:
         raise ValueError(f"unknown pipeline {cfg.command!r}; "
                          f"choose from {sorted(PIPELINES)}")
+    if cfg.geometry is not None and cfg.command in ONE_DIMENSIONAL:
+        raise ValueError(
+            f"pipeline {cfg.command} is one-dimensional; --geometry is not "
+            f"supported here (only {sorted(set(PIPELINES) - ONE_DIMENSIONAL)} take it)")
     packed = [(cfg.command, t) for t in cfg.tuples()]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -427,7 +414,7 @@ def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max,
     f = load_csv(input_path)
     params = BesovParams(s=s, p=p, q=qv, d=f.ndim)
     if definition == "wavelet":
-        basis = _basis_from(family, order)
+        basis = default_basis(family, order)
         norm, coeffs = besov_norm_via_analyze(f, params, basis, j_min, j_max)
         result = {"norm": norm, "truncation_residual": coeffs.residual_l2,
                   "j_range": [coeffs.j_min, coeffs.j_max],
@@ -453,7 +440,7 @@ def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max,
 @click.option("--order", default=4, show_default=True)
 def besov_filters_cmd(family, order):
     """Print the scaling filter for external validation."""
-    basis = _basis_from(family, order)
+    basis = default_basis(family, order)
     for k, h in enumerate(basis.scaling_filter):
         click.echo(f"{k},{h:.17g}")
 
@@ -471,7 +458,7 @@ def zoo_make_cmd(spec_path, out):
     with open(spec_path, encoding="utf-8") as fh:
         spec = ZooSpec.from_dict(json.load(fh))
     grid = default_grid_1d()
-    zf = make(spec, grid, _basis_from("daubechies", 4))
+    zf = make(spec, grid, default_basis())
     save_csv(zf.f, out)
     click.echo(json.dumps({"out": out, "meta": zf.meta}, default=str,
                           sort_keys=True))
@@ -674,7 +661,7 @@ def coeff_dump_cmd(input_path, j_min, j_max, order, out):
     """Analyze a CSV grid function and dump the coefficient JSON."""
     from .wavelets import analyze
     f = load_csv(input_path)
-    basis = _basis_from("daubechies", order)
+    basis = default_basis("daubechies", order)
     c = analyze(f, basis, j_min, j_max)
     write_json(out, coeffs_to_json_dict(c, threshold=1e-14))
     click.echo(f"wrote {out}")

@@ -15,8 +15,10 @@ Conventions:
 
 from __future__ import annotations
 
-import json
+import itertools
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -74,8 +76,14 @@ class Grid1D:
         """Largest j with 2^-j <= spacing (exact for dyadic spacings)."""
         return int(round(-np.log2(self.spacing)))
 
-    def index_of(self, x: float) -> float:
-        return (x - self.origin) / self.spacing
+    @property
+    def axes(self) -> tuple["Grid1D", ...]:
+        """A 1D grid is the one-axis case of a tensor grid."""
+        return (self,)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.count,)
 
 
 @dataclass
@@ -86,12 +94,12 @@ class Grid2D:
     gy: Grid1D
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.gx.count, self.gy.count)
+    def axes(self) -> tuple[Grid1D, Grid1D]:
+        return (self.gx, self.gy)
 
     @property
-    def spacings(self) -> tuple[float, float]:
-        return (self.gx.spacing, self.gy.spacing)
+    def shape(self) -> tuple[int, int]:
+        return (self.gx.count, self.gy.count)
 
 
 def default_grid_1d() -> Grid1D:
@@ -117,18 +125,12 @@ class GridFunction:
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
-        if isinstance(grid, Grid1D):
-            if values.shape != (grid.count,):
-                raise ValueError(
-                    f"value shape {values.shape} does not match 1D grid count {grid.count}"
-                )
-        elif isinstance(grid, Grid2D):
-            if values.shape != grid.shape:
-                raise ValueError(
-                    f"value shape {values.shape} does not match 2D grid shape {grid.shape}"
-                )
-        else:
+        if not isinstance(grid, (Grid1D, Grid2D)):
             raise TypeError(f"unsupported grid type {type(grid)!r}")
+        if values.shape != grid.shape:
+            raise ValueError(
+                f"value shape {values.shape} does not match grid shape {grid.shape}"
+            )
         if not np.all(np.isfinite(values)):
             bad = int(np.count_nonzero(~np.isfinite(values)))
             raise ValueError(f"grid function has {bad} non-finite values")
@@ -137,31 +139,27 @@ class GridFunction:
 
     @property
     def ndim(self) -> int:
-        return 1 if isinstance(self.grid, Grid1D) else 2
-
-    def copy_with(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
+        return len(self.grid.axes)
 
     def significant_support(self) -> tuple[tuple[float, float], ...]:
         """Per-axis hull of points where |f| exceeds 1e-12 * max|f|."""
         v = np.abs(self.values)
         peak = v.max()
-        axes = (self.grid,) if self.ndim == 1 else (self.grid.gx, self.grid.gy)
+        axes = self.grid.axes
         if peak == 0.0:
             return tuple((g.x[0], g.x[0]) for g in axes)
         mask = v > _SUPPORT_RTOL * peak
         hulls = []
         for axis, g in enumerate(axes):
-            proj = mask if self.ndim == 1 else mask.any(axis=1 - axis)
-            idx = np.nonzero(proj)[0]
+            others = tuple(a for a in range(len(axes)) if a != axis)
+            idx = np.nonzero(mask.any(axis=others))[0]
             hulls.append((g.x[idx[0]], g.x[idx[-1]]))
         return tuple(hulls)
 
     @property
     def support_margin(self) -> float:
-        axes = (self.grid,) if self.ndim == 1 else (self.grid.gx, self.grid.gy)
         margins = []
-        for (lo, hi), g in zip(self.significant_support(), axes):
+        for (lo, hi), g in zip(self.significant_support(), self.grid.axes):
             margins.append(min(lo - g.x[0], g.x[-1] - hi))
         return float(min(margins))
 
@@ -177,26 +175,21 @@ class GridFunction:
                 raise ValueError("interpolation point outside grid domain")
             return np.interp(pts, g.x, self.values)
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        out = np.empty(len(pts))
-        gx, gy = self.grid.gx, self.grid.gy
-        ix = (pts[:, 0] - gx.origin) / gx.spacing
-        iy = (pts[:, 1] - gy.origin) / gy.spacing
-        if ix.min() < -1e-9 or ix.max() > gx.count - 1 + 1e-9:
-            raise ValueError("interpolation point outside grid domain (x)")
-        if iy.min() < -1e-9 or iy.max() > gy.count - 1 + 1e-9:
-            raise ValueError("interpolation point outside grid domain (y)")
-        i0 = np.clip(np.floor(ix).astype(int), 0, gx.count - 2)
-        j0 = np.clip(np.floor(iy).astype(int), 0, gy.count - 2)
-        tx = np.clip(ix - i0, 0.0, 1.0)
-        ty = np.clip(iy - j0, 0.0, 1.0)
+        cells = []
+        for axis, (name, g) in enumerate(zip("xy", self.grid.axes)):
+            t = (pts[:, axis] - g.origin) / g.spacing
+            if t.min() < -1e-9 or t.max() > g.count - 1 + 1e-9:
+                raise ValueError(f"interpolation point outside grid domain ({name})")
+            i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
+            cells.append((i, np.clip(t - i, 0.0, 1.0)))
+        (i0, tx), (j0, ty) = cells
         v = self.values
-        out = (
+        return (
             v[i0, j0] * (1 - tx) * (1 - ty)
             + v[i0 + 1, j0] * tx * (1 - ty)
             + v[i0, j0 + 1] * (1 - tx) * ty
             + v[i0 + 1, j0 + 1] * tx * ty
         )
-        return out
 
 
 class SpectrumFunction:
@@ -209,37 +202,32 @@ class SpectrumFunction:
 
     @property
     def ndim(self) -> int:
-        return 1 if isinstance(self.grid, Grid1D) else 2
+        return len(self.grid.axes)
+
+    @property
+    def axis_freqs(self) -> tuple[np.ndarray, ...]:
+        """Per-axis frequency vectors (`freqs` itself is a bare array in 1D)."""
+        return (self.freqs,) if self.ndim == 1 else tuple(self.freqs)
 
     def energy(self) -> np.ndarray:
         """|F|^2 times the frequency cell volume (discrete Plancherel weights)."""
-        if self.ndim == 1:
-            dz = 1.0 / (self.grid.count * self.grid.spacing)
-        else:
-            dz = 1.0 / (
-                self.grid.gx.count
-                * self.grid.gx.spacing
-                * self.grid.gy.count
-                * self.grid.gy.spacing
-            )
+        dz = 1.0 / math.prod(g.count * g.spacing for g in self.grid.axes)
         return np.abs(self.values) ** 2 * dz
 
     def abs_freq(self) -> np.ndarray:
-        """|zeta| per bin (euclidean norm in 2D)."""
-        if self.ndim == 1:
-            return np.abs(self.freqs)
-        fx, fy = self.freqs
-        return np.sqrt(fx[:, None] ** 2 + fy[None, :] ** 2)
+        """|zeta| per bin (euclidean norm over the axes)."""
+        return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.axis_freqs]))
 
 
 def quad_weights(grid) -> np.ndarray:
-    """Composite-trapezoid weights (endpoints halved); outer product in 2D."""
-    if isinstance(grid, Grid1D):
-        w = np.full(grid.count, grid.spacing)
+    """Composite-trapezoid weights (endpoints halved), outer product over axes."""
+    per_axis = []
+    for g in grid.axes:
+        w = np.full(g.count, g.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
-    return np.outer(quad_weights(grid.gx), quad_weights(grid.gy))
+        per_axis.append(w)
+    return reduce(np.multiply.outer, per_axis)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -255,11 +243,8 @@ def weighted_lp_norm(f: GridFunction, weight, p: float) -> float:
     if not (1.0 <= p < np.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
     if callable(weight):
-        if f.ndim == 1:
-            wv = np.asarray(weight(f.grid.x), dtype=float)
-        else:
-            X, Y = np.meshgrid(f.grid.gx.x, f.grid.gy.x, indexing="ij")
-            wv = np.asarray(weight(X, Y), dtype=float)
+        coords = np.meshgrid(*(g.x for g in f.grid.axes), indexing="ij")
+        wv = np.asarray(weight(*coords), dtype=float)
     else:
         wv = np.asarray(weight, dtype=float)
     if wv.shape != f.values.shape:
@@ -275,46 +260,32 @@ def _check_pow2(n: int, what: str):
         raise ValueError(f"{what} count must be a power of two for the fast transform, got {n}")
 
 
+def _origin_phase(grid, freqs, sign: int) -> np.ndarray:
+    """exp(sign * 2*pi*i * sum_a z_a * origin_a) over the frequency grid."""
+    shift = reduce(np.add.outer, [fz * g.origin for fz, g in zip(freqs, grid.axes)])
+    return np.exp(sign * 2j * np.pi * shift)
+
+
 def fourier(f: GridFunction) -> SpectrumFunction:
     """Discrete approximation of the continuous transform (2*pi convention).
 
     Includes the spacing factor and the origin phase, so values approximate
     F(z) = integral f exp(-2*pi*i*x*z) dx at the fft frequency bins.
     """
-    if f.ndim == 1:
-        g = f.grid
+    axes = f.grid.axes
+    for g in axes:
         _check_pow2(g.count, "grid")
-        freqs = np.fft.fftfreq(g.count, g.spacing)
-        vals = g.spacing * np.exp(-2j * np.pi * freqs * g.origin) * np.fft.fft(f.values)
-        return SpectrumFunction(g, freqs, vals)
-    gx, gy = f.grid.gx, f.grid.gy
-    _check_pow2(gx.count, "x grid")
-    _check_pow2(gy.count, "y grid")
-    fx = np.fft.fftfreq(gx.count, gx.spacing)
-    fy = np.fft.fftfreq(gy.count, gy.spacing)
-    phase = np.exp(-2j * np.pi * (fx[:, None] * gx.origin + fy[None, :] * gy.origin))
-    vals = gx.spacing * gy.spacing * phase * np.fft.fft2(f.values)
-    return SpectrumFunction(f.grid, (fx, fy), vals)
+    freqs = tuple(np.fft.fftfreq(g.count, g.spacing) for g in axes)
+    volume = math.prod(g.spacing for g in axes)
+    vals = volume * _origin_phase(f.grid, freqs, -1) * np.fft.fftn(f.values)
+    return SpectrumFunction(f.grid, freqs[0] if len(axes) == 1 else freqs, vals)
 
 
-def inverse_fourier(F: SpectrumFunction, assume_real: bool = True) -> GridFunction:
-    """Invert `fourier`. With assume_real the (tiny) imaginary part is dropped."""
-    if F.ndim == 1:
-        g = F.grid
-        spec = np.exp(2j * np.pi * F.freqs * g.origin) * F.values / g.spacing
-        vals = np.fft.ifft(spec)
-    else:
-        gx, gy = F.grid.gx, F.grid.gy
-        fx, fy = F.freqs
-        phase = np.exp(2j * np.pi * (fx[:, None] * gx.origin + fy[None, :] * gy.origin))
-        vals = np.fft.ifft2(phase * F.values / (gx.spacing * gy.spacing))
-    if assume_real:
-        vals = np.real(vals)
-    else:
-        vals = np.real_if_close(vals, tol=1e6)
-        if np.iscomplexobj(vals):
-            raise ValueError("inverse transform is substantially complex; spectrum lacks conjugate symmetry")
-    return GridFunction(F.grid, np.real(vals))
+def inverse_fourier(F: SpectrumFunction) -> GridFunction:
+    """Invert `fourier`; the (tiny) imaginary part is dropped."""
+    volume = math.prod(g.spacing for g in F.grid.axes)
+    spec = _origin_phase(F.grid, F.axis_freqs, 1) * F.values / volume
+    return GridFunction(F.grid, np.real(np.fft.ifftn(spec)))
 
 
 def smooth_ramp01(t) -> np.ndarray:
@@ -340,19 +311,12 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     """Multiply the spectrum by the C-infinity low-pass profile (per axis in 2D)."""
     if not (0 < inner < outer):
         raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
+    nyq = min(g.nyquist for g in f.grid.axes)
+    if outer >= nyq * (1 + 1e-12):
+        raise ValueError(f"outer={outer} exceeds Nyquist frequency {nyq}")
     F = fourier(f)
-    if f.ndim == 1:
-        if outer >= f.grid.nyquist * (1 + 1e-12):
-            raise ValueError(f"outer={outer} exceeds Nyquist frequency {f.grid.nyquist}")
-        mult = lowpass_profile(np.abs(F.freqs), inner, outer)
-    else:
-        nyq = min(f.grid.gx.nyquist, f.grid.gy.nyquist)
-        if outer >= nyq * (1 + 1e-12):
-            raise ValueError(f"outer={outer} exceeds Nyquist frequency {nyq}")
-        fx, fy = F.freqs
-        mult = lowpass_profile(np.abs(fx), inner, outer)[:, None] * lowpass_profile(
-            np.abs(fy), inner, outer
-        )[None, :]
+    mult = reduce(np.multiply.outer, [lowpass_profile(np.abs(fz), inner, outer)
+                                      for fz in F.axis_freqs])
     return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
 
 
@@ -361,71 +325,41 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
 
 def save_csv(f: GridFunction, path):
     """CSV dump: header `x,value` (1D) or `x,y,value` (2D), 17 significant digits."""
+    points = itertools.product(*(g.x for g in f.grid.axes))
     with open(path, "w", encoding="utf-8") as fh:
-        if f.ndim == 1:
-            fh.write("x,value\n")
-            for xi, vi in zip(f.grid.x, f.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs, ys = f.grid.gx.x, f.grid.gy.x
-            for i, xi in enumerate(xs):
-                for j, yj in enumerate(ys):
-                    fh.write(f"{xi:.17g},{yj:.17g},{f.values[i, j]:.17g}\n")
+        fh.write(",".join(("x", "y")[: f.ndim] + ("value",)) + "\n")
+        for point, v in zip(points, f.values.reshape(-1)):
+            fh.write(",".join(f"{c:.17g}" for c in (*point, v)) + "\n")
 
 
 def load_csv(path) -> GridFunction:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
-    if data.shape[1] == 2:
-        x, v = data[:, 0], data[:, 1]
-        spacing = float(x[1] - x[0])
-        grid = Grid1D(float(x[0]), spacing, len(x))
-        return GridFunction(grid, v)
-    if data.shape[1] == 3:
-        xs = np.unique(data[:, 0])
-        ys = np.unique(data[:, 1])
-        gx = Grid1D(float(xs[0]), float(xs[1] - xs[0]), len(xs))
-        gy = Grid1D(float(ys[0]), float(ys[1] - ys[0]), len(ys))
-        vals = data[:, 2].reshape(len(xs), len(ys))
-        return GridFunction(Grid2D(gx, gy), vals)
-    raise ValueError(f"unrecognized CSV layout with {data.shape[1]} columns")
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    d = data.shape[1] - 1
+    if d not in (1, 2):
+        raise ValueError(f"unrecognized CSV layout with {data.shape[1]} columns")
+    axes = []
+    for coords in data[:, :d].T:
+        xs = np.unique(coords)
+        axes.append(Grid1D(float(xs[0]), float(xs[1] - xs[0]), len(xs)))
+    grid = _grid_from_axes(axes)
+    return GridFunction(grid, data[:, d].reshape(grid.shape))
 
 
 def to_json_dict(f: GridFunction) -> dict:
-    if f.ndim == 1:
-        g = f.grid
-        return {
-            "grid": {"origin": g.origin, "spacing": g.spacing, "count": g.count},
-            "values": f.values.tolist(),
-        }
-    gx, gy = f.grid.gx, f.grid.gy
-    return {
-        "grid": {
-            "x": {"origin": gx.origin, "spacing": gx.spacing, "count": gx.count},
-            "y": {"origin": gy.origin, "spacing": gy.spacing, "count": gy.count},
-        },
-        "values": f.values.reshape(-1).tolist(),
-    }
+    axes = [{"origin": g.origin, "spacing": g.spacing, "count": g.count}
+            for g in f.grid.axes]
+    # the 1D format keeps its one axis flat; 2D names the axes x and y
+    grid = axes[0] if f.ndim == 1 else dict(zip("xy", axes))
+    return {"grid": grid, "values": f.values.reshape(-1).tolist()}
 
 
 def from_json_dict(d: dict) -> GridFunction:
     g = d["grid"]
-    if "origin" in g:
-        grid = Grid1D(g["origin"], g["spacing"], g["count"])
-        return GridFunction(grid, np.asarray(d["values"]))
-    gx = Grid1D(g["x"]["origin"], g["x"]["spacing"], g["x"]["count"])
-    gy = Grid1D(g["y"]["origin"], g["y"]["spacing"], g["y"]["count"])
-    vals = np.asarray(d["values"]).reshape(gx.count, gy.count)
-    return GridFunction(Grid2D(gx, gy), vals)
+    specs = [g] if "origin" in g else [g["x"], g["y"]]
+    grid = _grid_from_axes([Grid1D(a["origin"], a["spacing"], a["count"]) for a in specs])
+    return GridFunction(grid, np.asarray(d["values"]).reshape(grid.shape))
 
 
-def save_json(f: GridFunction, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(f), fh)
-
-
-def load_json(path) -> GridFunction:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+def _grid_from_axes(axes: list[Grid1D]):
+    """The grid with these axes; a lone axis is its own Grid1D."""
+    return axes[0] if len(axes) == 1 else Grid2D(*axes)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
+from functools import reduce
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -119,13 +120,10 @@ class PartitionOfUnity:
 
     def interior_mask(self) -> np.ndarray:
         """Grid points within `radius` of some node on every side."""
-        if isinstance(self.grid, Grid1D):
-            x = self.grid.x
-            return (x >= self.nodes.min()) & (x <= self.nodes.max())
-        gx, gy = self.grid.gx, self.grid.gy
-        mx = (gx.x >= self.nodes[:, 0].min()) & (gx.x <= self.nodes[:, 0].max())
-        my = (gy.x >= self.nodes[:, 1].min()) & (gy.x <= self.nodes[:, 1].max())
-        return mx[:, None] & my[None, :]
+        nodes = self.nodes.reshape(len(self.nodes), -1)
+        return reduce(np.logical_and.outer,
+                      [(g.x >= nodes[:, a].min()) & (g.x <= nodes[:, a].max())
+                       for a, g in enumerate(self.grid.axes)])
 
 
 def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
@@ -357,8 +355,7 @@ def neumann_reconstruct(t: TraceValues, sampling_set, cfg: ReconstructionConfig,
     """
     b = t.b
     nodes = reconstruction_nodes(sampling_set)
-    pou = cfg.pou or build_partition(
-        nodes if nodes.ndim == 2 else nodes, b, grid)
+    pou = cfg.pou or build_partition(nodes, b, grid)
     pchi = cfg.multiplier(b)
     if cfg.contraction is not None and cfg.contraction >= 1.0 \
             and not cfg.allow_noncontractive:

@@ -22,15 +22,15 @@ reproduce the Haar integral identities exactly.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import Grid1D, Grid2D, GridFunction, lp_norm
+from .grid import Grid1D, GridFunction, lp_norm
 
 __all__ = [
     "WaveletBasis",
@@ -46,7 +46,6 @@ __all__ = [
     "coeffs_from_json_dict",
 ]
 
-TENSOR_TYPES = ((0, 1), (1, 0), (1, 1))  # L^2 = {0,1}^2 minus (0,0)
 _MAX_ABS_SCALE = 60
 
 
@@ -246,6 +245,26 @@ def default_basis(family: str = "daubechies", order: int = 4,
 # coefficient container
 
 
+def _unpack(dim: int, entry, coarse: bool = False) -> dict:
+    """{tensor type: (per-axis first translates, values)} of one stored entry.
+
+    With `_pack`, the only code that knows the public layouts: a 1D scale
+    entry is the bare (k0, values) block of type (1,), a 2D one maps each type
+    to (k1_0, k2_0, values); the coarse entry is one block of type (0,...,0).
+    """
+    if coarse or dim == 1:
+        entry = {(0,) * dim if coarse else (1,): entry}
+    return {l: (tuple(block[:-1]), block[-1]) for l, block in entry.items()}
+
+
+def _pack(dim: int, blocks: dict, coarse: bool = False):
+    """Inverse of `_unpack`."""
+    entry = {l: (*k0s, vals) for l, (k0s, vals) in blocks.items()}
+    if coarse or dim == 1:
+        (entry,) = entry.values()
+    return entry
+
+
 @dataclass(eq=False)
 class WaveletCoefficients:
     """Sparse-by-scale coefficient map c_{j,lambda}.
@@ -268,30 +287,26 @@ class WaveletCoefficients:
     def scale_range(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    def blocks(self, j: int) -> dict:
+        """{tensor type: (per-axis first translates, values)} at scale j."""
+        return _unpack(self.dim, self.scales[j]) if j in self.scales else {}
+
     def per_scale_p_sum(self, j: int, p: float) -> float:
         """(sum over lambda at scale j of |c|^p)^(1/p); 0 for empty scales.
 
         Max-normalized so extreme coefficient magnitudes cannot underflow or
         overflow the p-th powers.
         """
-        if j not in self.scales:
-            return 0.0
-        if self.dim == 1:
-            blocks = [self.scales[j][1]]
-        else:
-            blocks = [vals for *_ks, vals in self.scales[j].values()]
-        peak = max(float(np.max(np.abs(v))) for v in blocks)
+        blocks = [vals for _k0s, vals in self.blocks(j).values()]
+        peak = max((float(np.max(np.abs(v))) for v in blocks), default=0.0)
         if peak == 0.0:
             return 0.0
         tot = sum(float(np.sum((np.abs(v) / peak) ** p)) for v in blocks)
         return peak * tot ** (1.0 / p)
 
     def per_scale_sup(self, j: int) -> float:
-        if j not in self.scales:
-            return 0.0
-        if self.dim == 1:
-            return float(np.max(np.abs(self.scales[j][1])))
-        return max(float(np.max(np.abs(v))) for *_ks, v in self.scales[j].values())
+        return max((float(np.max(np.abs(v))) for _k0s, v in self.blocks(j).values()),
+                   default=0.0)
 
     def total_energy(self) -> float:
         tot = 0.0
@@ -302,51 +317,35 @@ class WaveletCoefficients:
     def coarse_energy(self) -> float:
         if self.coarse is None:
             return 0.0
-        vals = self.coarse[1] if self.dim == 1 else self.coarse[2]
+        ((_k0s, vals),) = _unpack(self.dim, self.coarse, coarse=True).values()
         return float(np.sum(np.asarray(vals) ** 2))
 
     def get(self, j: int, k, l=None) -> float:
-        if j not in self.scales:
-            return 0.0
-        if self.dim == 1:
-            k0, vals = self.scales[j]
-            idx = int(k) - k0
-            return float(vals[idx]) if 0 <= idx < len(vals) else 0.0
-        block = self.scales[j].get(tuple(l))
+        """c_{j,k} of tensor type l (the wavelet type (1,) when l is None)."""
+        block = self.blocks(j).get((1,) if l is None else tuple(l))
         if block is None:
             return 0.0
-        k10, k20, vals = block
-        i, jdx = int(k[0]) - k10, int(k[1]) - k20
-        if 0 <= i < vals.shape[0] and 0 <= jdx < vals.shape[1]:
-            return float(vals[i, jdx])
+        k0s, vals = block
+        idx = tuple(int(ki) - k0 for ki, k0 in zip(np.atleast_1d(k), k0s))
+        if all(0 <= i < n for i, n in zip(idx, vals.shape)):
+            return float(vals[idx])
         return 0.0
 
     def nnz(self) -> int:
-        n = 0
-        for j in self.scales:
-            if self.dim == 1:
-                n += len(self.scales[j][1])
-            else:
-                n += sum(v.size for *_ks, v in self.scales[j].values())
-        return n
+        return sum(vals.size for j in self.scales
+                   for _k0s, vals in self.blocks(j).values())
 
 
 def coeffs_to_json_dict(c: WaveletCoefficients, threshold: float = 0.0) -> dict:
     entries = []
     for j in sorted(c.scales):
-        if c.dim == 1:
-            k0, vals = c.scales[j]
-            for i, v in enumerate(vals):
-                if abs(v) > threshold:
-                    entries.append({"j": j, "k": k0 + i, "value": float(v)})
-        else:
-            for l, (k10, k20, vals) in sorted(c.scales[j].items()):
-                idx = np.argwhere(np.abs(vals) > threshold)
-                for i1, i2 in idx:
-                    entries.append(
-                        {"j": j, "k": [int(k10 + i1), int(k20 + i2)],
-                         "l": list(l), "value": float(vals[i1, i2])}
-                    )
+        for l, (k0s, vals) in sorted(c.blocks(j).items()):
+            for idx in np.argwhere(np.abs(vals) > threshold):
+                k = [int(k0 + i) for k0, i in zip(k0s, idx)]
+                entry = {"j": j, "value": float(vals[tuple(idx)])}
+                # the 1D format has a scalar k and no type
+                entry.update({"k": k[0]} if c.dim == 1 else {"k": k, "l": list(l)})
+                entries.append(entry)
     return {
         "d": c.dim,
         "j_min": c.j_min,
@@ -362,34 +361,19 @@ def coeffs_from_json_dict(d: dict, basis: WaveletBasis | None = None) -> Wavelet
     dim = int(d["d"])
     per_scale: dict = {}
     for e in d["entries"]:
-        j = int(e["j"])
-        if dim == 1:
-            per_scale.setdefault(j, {})[int(e["k"])] = float(e["value"])
-        else:
-            key = (tuple(e["l"]), tuple(int(k) for k in e["k"]))
-            per_scale.setdefault(j, {})[key] = float(e["value"])
+        l = tuple(e.get("l", (1,)))
+        k = tuple(int(ki) for ki in np.atleast_1d(e["k"]))
+        per_scale.setdefault(int(e["j"]), {}).setdefault(l, {})[k] = float(e["value"])
     scales: dict = {}
-    for j, entries in per_scale.items():
-        if dim == 1:
-            ks = sorted(entries)
-            k0 = ks[0]
-            vals = np.zeros(ks[-1] - k0 + 1)
-            for k, v in entries.items():
-                vals[k - k0] = v
-            scales[j] = (k0, vals)
-        else:
-            by_type: dict = {}
-            for (l, k), v in entries.items():
-                by_type.setdefault(l, {})[k] = v
-            scales[j] = {}
-            for l, sub in by_type.items():
-                k1s = sorted(k[0] for k in sub)
-                k2s = sorted(k[1] for k in sub)
-                k10, k20 = k1s[0], k2s[0]
-                vals = np.zeros((k1s[-1] - k10 + 1, k2s[-1] - k20 + 1))
-                for (k1, k2), v in sub.items():
-                    vals[k1 - k10, k2 - k20] = v
-                scales[j][l] = (k10, k20, vals)
+    for j, by_type in per_scale.items():
+        blocks = {}
+        for l, sub in by_type.items():
+            ks = np.array(list(sub))
+            k0s = ks.min(axis=0)
+            vals = np.zeros(tuple(ks.max(axis=0) - k0s + 1))
+            vals[tuple((ks - k0s).T)] = list(sub.values())
+            blocks[l] = (tuple(int(k0) for k0 in k0s), vals)
+        scales[j] = _pack(dim, blocks)
     return WaveletCoefficients(dim, int(d["j_min"]), int(d["j_max"]), scales, basis)
 
 
@@ -518,8 +502,39 @@ def _trim_translates(k0: int, nk: int, support_hull: tuple[float, float],
 
 
 def _admissible_jmax(grid) -> int:
-    g = grid if isinstance(grid, Grid1D) else grid.gx
-    return g.resolution_exponent - 2
+    return min(g.resolution_exponent for g in grid.axes) - 2
+
+
+def _tensor_correlate(f: GridFunction, basis: WaveletBasis, j: int, types,
+                      hull) -> dict:
+    """<f, psi^l_{j,k}> for each tensor type l in `types`, one axis at a time.
+
+    The partial correlation of a type prefix is shared by every type that
+    starts with it, so in 2D the detail types take two correlations along
+    axis 0 and three along axis 1.  Translates are trimmed to the significant
+    support `hull`; types trimmed to nothing are left out.  Returns
+    {type: (per-axis first translates, values)}.
+    """
+    axes = f.grid.axes
+    fac = 2.0 ** (j * len(axes) / 2.0) * prod(g.spacing for g in axes)
+    partial = {(): ((), f.values)}
+    for axis, g in enumerate(axes):
+        last = axis == len(axes) - 1
+        nxt = {}
+        for prefix, (k0s, vals) in partial.items():
+            for which in (0, 1):
+                key = prefix + (which,)
+                if not any(l[: axis + 1] == key for l in types):
+                    continue
+                k0, corr = _axis_correlate(vals, g, basis, j, which, axis=axis)
+                i_lo, i_hi = _trim_translates(k0, corr.shape[axis], hull[axis],
+                                              basis, j)
+                if i_hi <= i_lo:
+                    continue
+                kept = corr[(slice(None),) * axis + (slice(i_lo, i_hi),)]
+                nxt[key] = (k0s + (k0 + i_lo,), fac * kept if last else kept)
+        partial = nxt
+    return partial
 
 
 def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
@@ -540,47 +555,15 @@ def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
             "(four points per wavelet oscillation)"
         )
     hull = f.significant_support()
-    if f.ndim == 1:
-        g = f.grid
-        scales = {}
-        for j in range(j_min, j_max + 1):
-            k0, corr = _axis_correlate(f.values, g, basis, j, which=1)
-            i_lo, i_hi = _trim_translates(k0, len(corr), hull[0], basis, j)
-            if i_hi <= i_lo:
-                continue
-            vals = 2.0 ** (j / 2.0) * g.spacing * corr[i_lo:i_hi]
-            scales[j] = (k0 + i_lo, vals)
-        coarse = None
-        if with_coarse:
-            k0c, cvals = _scaling_axis(f, basis, j_min)
-            coarse = (k0c, cvals)
-        out = WaveletCoefficients(1, j_min, j_max, scales, basis, coarse=coarse)
-    else:
-        gx, gy = f.grid.gx, f.grid.gy
-        scales = {}
-        for j in range(j_min, j_max + 1):
-            rows = {}
-            for l1 in (0, 1):
-                k10, part = _axis_correlate(f.values, gx, basis, j, which=l1, axis=0)
-                i_lo, i_hi = _trim_translates(k10, part.shape[0], hull[0], basis, j)
-                rows[l1] = (k10 + i_lo, part[i_lo:i_hi])
-            blocks = {}
-            for l1, l2 in TENSOR_TYPES:
-                k10, part = rows[l1]
-                if part.shape[0] == 0:
-                    continue
-                k20, full = _axis_correlate(part, gy, basis, j, which=l2, axis=1)
-                i_lo, i_hi = _trim_translates(k20, full.shape[1], hull[1], basis, j)
-                if i_hi <= i_lo:
-                    continue
-                vals = 2.0**j * gx.spacing * gy.spacing * full[:, i_lo:i_hi]
-                blocks[(l1, l2)] = (k10, k20 + i_lo, vals)
-            if blocks:
-                scales[j] = blocks
-        coarse = None
-        if with_coarse:
-            coarse = _scaling_2d(f, basis, j_min)
-        out = WaveletCoefficients(2, j_min, j_max, scales, basis, coarse=coarse)
+    d = f.ndim
+    details = [l for l in itertools.product((0, 1), repeat=d) if any(l)]
+    scales = {}
+    for j in range(j_min, j_max + 1):
+        blocks = _tensor_correlate(f, basis, j, details, hull)
+        if blocks:
+            scales[j] = _pack(d, blocks)
+    coarse = scaling_coefficients(f, basis, j_min) if with_coarse else None
+    out = WaveletCoefficients(d, j_min, j_max, scales, basis, coarse=coarse)
     l2 = lp_norm(f, 2.0)
     if l2 > 0:
         captured = out.total_energy() + out.coarse_energy()
@@ -590,31 +573,10 @@ def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
     return out
 
 
-def _scaling_axis(f: GridFunction, basis: WaveletBasis, j: int):
-    g = f.grid
-    hull = f.significant_support()[0]
-    k0, corr = _axis_correlate(f.values, g, basis, j, which=0)
-    i_lo, i_hi = _trim_translates(k0, len(corr), hull, basis, j)
-    return k0 + i_lo, 2.0 ** (j / 2.0) * g.spacing * corr[i_lo:i_hi]
-
-
-def _scaling_2d(f: GridFunction, basis: WaveletBasis, j: int):
-    gx, gy = f.grid.gx, f.grid.gy
-    hull = f.significant_support()
-    k10, part = _axis_correlate(f.values, gx, basis, j, which=0, axis=0)
-    i_lo, i_hi = _trim_translates(k10, part.shape[0], hull[0], basis, j)
-    k10, part = k10 + i_lo, part[i_lo:i_hi]
-    k20, full = _axis_correlate(part, gy, basis, j, which=0, axis=1)
-    i_lo, i_hi = _trim_translates(k20, full.shape[1], hull[1], basis, j)
-    vals = 2.0**j * gx.spacing * gy.spacing * full[:, i_lo:i_hi]
-    return (k10, k20 + i_lo, vals)
-
-
 def scaling_coefficients(f: GridFunction, basis: WaveletBasis, j: int):
-    """<f, phi_{j,k}> for all overlapping translates; (k0, values) layout."""
-    if f.ndim == 1:
-        return _scaling_axis(f, basis, j)
-    return _scaling_2d(f, basis, j)
+    """<f, phi_{j,k}> for all overlapping translates, in the coarse-block layout."""
+    blocks = _tensor_correlate(f, basis, j, [(0,) * f.ndim], f.significant_support())
+    return _pack(f.ndim, blocks, coarse=True)
 
 
 def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> GridFunction:
@@ -624,33 +586,22 @@ def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> Gri
     `analyze` with with_coarse), it is placed as well, so the round trip
     misses only the energy above j_max plus quadrature error.
     """
-    if c.dim == 1:
-        if not isinstance(grid, Grid1D):
-            raise ValueError("1D coefficients need a Grid1D")
-        if c.j_max > grid.resolution_exponent:
-            raise ValueError(f"grid does not resolve scale {c.j_max}")
-        out = np.zeros(grid.count)
-        for j, (k0, vals) in c.scales.items():
-            out += 2.0 ** (j / 2.0) * _axis_place(vals, k0, grid, c.basis, j, which=1)
-        if include_coarse and c.coarse is not None:
-            k0, vals = c.coarse
-            out += 2.0 ** (c.j_min / 2.0) * _axis_place(vals, k0, grid, c.basis,
-                                                        c.j_min, which=0)
-        return GridFunction(grid, out)
-    if not isinstance(grid, Grid2D):
-        raise ValueError("2D coefficients need a Grid2D")
-    if c.j_max > grid.gx.resolution_exponent:
+    axes = grid.axes
+    if len(axes) != c.dim:
+        raise ValueError(f"{c.dim}D coefficients need a {c.dim}D grid")
+    if c.j_max > min(g.resolution_exponent for g in axes):
         raise ValueError(f"grid does not resolve scale {c.j_max}")
-    out = np.zeros(grid.shape)
-    for j, blocks in c.scales.items():
-        for (l1, l2), (k10, k20, vals) in blocks.items():
-            part = _axis_place(vals, k20, grid.gy, c.basis, j, which=l2, axis=1)
-            out += 2.0**j * _axis_place(part, k10, grid.gx, c.basis, j, which=l1, axis=0)
+    terms = [(j, c.blocks(j)) for j in c.scales]
     if include_coarse and c.coarse is not None:
-        k10, k20, vals = c.coarse
-        part = _axis_place(vals, k20, grid.gy, c.basis, c.j_min, which=0, axis=1)
-        out += 2.0**c.j_min * _axis_place(part, k10, grid.gx, c.basis, c.j_min,
-                                          which=0, axis=0)
+        terms.append((c.j_min, _unpack(c.dim, c.coarse, coarse=True)))
+    out = np.zeros(grid.shape)
+    for j, blocks in terms:
+        for l, (k0s, vals) in blocks.items():
+            part = vals
+            for axis in reversed(range(c.dim)):
+                part = _axis_place(part, k0s[axis], axes[axis], c.basis, j,
+                                   which=l[axis], axis=axis)
+            out += 2.0 ** (j * c.dim / 2.0) * part
     return GridFunction(grid, out)
 
 
@@ -660,21 +611,14 @@ def dilate_coeffs(c: WaveletCoefficients, m: int) -> WaveletCoefficients:
     if not (abs(c.j_min + m) <= _MAX_ABS_SCALE and abs(c.j_max + m) <= _MAX_ABS_SCALE):
         raise ValueError(f"dilation by m={m} pushes scales outside +-{_MAX_ABS_SCALE}")
     fac = 2.0 ** (-m * c.dim / 2.0)
-    scales = {}
-    for j, entry in c.scales.items():
-        if c.dim == 1:
-            k0, vals = entry
-            scales[j + m] = (k0, fac * vals)
-        else:
-            scales[j + m] = {
-                l: (k10, k20, fac * vals) for l, (k10, k20, vals) in entry.items()
-            }
-    coarse = None
-    if c.coarse is not None:
-        if c.dim == 1:
-            coarse = (c.coarse[0], fac * c.coarse[1])
-        else:
-            coarse = (c.coarse[0], c.coarse[1], fac * c.coarse[2])
+
+    def scaled(entry, coarse=False):
+        blocks = _unpack(c.dim, entry, coarse)
+        return _pack(c.dim, {l: (k0s, fac * v) for l, (k0s, v) in blocks.items()},
+                     coarse)
+
+    scales = {j + m: scaled(entry) for j, entry in c.scales.items()}
+    coarse = None if c.coarse is None else scaled(c.coarse, coarse=True)
     return WaveletCoefficients(c.dim, c.j_min + m, c.j_max + m, scales, c.basis,
                                coarse=coarse, residual_l2=c.residual_l2)
 
@@ -710,7 +654,3 @@ def pyramid_details(s_fine: np.ndarray, k0: int, basis: WaveletBasis,
         s, k0 = new_s, k_lo
     return details, (k0, s)
 
-
-def coeffs_to_json(c: WaveletCoefficients, path, threshold: float = 0.0):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coeffs_to_json_dict(c, threshold), fh)

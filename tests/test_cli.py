@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from besovsampling.cli import (
+    PIPELINES,
     RunConfig,
     execute_sweep,
     fit_slope,
@@ -40,6 +42,13 @@ class TestParsing:
 
     def test_single(self):
         assert parse_value_list("2") == [2.0]
+
+    def test_range_either_order(self):
+        assert parse_value_list("2^-7..2^-3") == parse_value_list("2^-3..2^-7")
+
+    def test_range_ends_not_power_of_two_apart(self):
+        with pytest.raises(ValueError, match=re.escape("'2^-3..2^-7'")):
+            parse_value_list("2^-3..0.1")
 
 
 class TestFitSlope:
@@ -215,3 +224,21 @@ class TestSweeps:
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError, match="pipeline"):
             execute_sweep(RunConfig(command="frobnicate"))
+
+    def test_geometry_rejected_before_any_tuple(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setitem(PIPELINES, "intb", calls.append)
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "curve-family", "b": 0.125}))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            execute_sweep(RunConfig("intb", geometry=str(spec), jobs=2))
+        assert calls == []
+
+    def test_verify_uncertainty_rejects_geometry(self, tmp_path):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "curve-family", "b": 0.125}))
+        res = CliRunner().invoke(main, ["verify", "uncertainty", "--geometry",
+                                        str(spec), "--out-dir", str(tmp_path)])
+        assert res.exit_code != 0
+        assert "one-dimensional" in str(res.exception)
+        assert not (tmp_path / "sweep_uncertainty.csv").exists()
