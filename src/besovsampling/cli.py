@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .besov import (
     besov_norm_via_analyze,
 )
 from .geometry import (
+    MIN_PROBES,
     SamplingSequence1D,
     check_conditions,
     geometry_from_json_dict,
@@ -385,6 +387,16 @@ def sweep_outputs(cfg: RunConfig, rows: list[dict]):
 # ---------------------------------------------------------------------------
 # click commands
 
+@contextmanager
+def _input_errors():
+    """Report a ValueError about the command's input as a usage error (exit
+    code 2, no traceback)."""
+    try:
+        yield
+    except ValueError as err:
+        raise click.UsageError(str(err)) from err
+
+
 @click.group()
 def main():
     """Wavelet Besov norms and sampling-inequality verification."""
@@ -471,12 +483,13 @@ def geometry():
 
 @geometry.command("check")
 @click.option("--geometry", "geom_path", type=click.Path(exists=True), required=True)
-@click.option("--probes", default=1000, show_default=True)
+@click.option("--probes", type=click.IntRange(min=MIN_PROBES), default=1000,
+              show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def geometry_check_cmd(geom_path, probes, seed, out):
     """Empirical covering/measure condition report for a geometry spec."""
-    with open(geom_path, encoding="utf-8") as fh:
+    with open(geom_path, encoding="utf-8") as fh, _input_errors():
         g = geometry_from_json_dict(json.load(fh))
     rep = check_conditions(g, n_probes=probes, seed=seed)
     payload = {"geometry": geometry_to_json_dict(g), "report": rep.to_dict(),
@@ -505,16 +518,19 @@ def geometry_check_cmd(geom_path, probes, seed, out):
 def verify_cmd(pipeline, p_list, b_list, sweep_range, seed, geom_path, out,
                out_dir, jobs):
     """Measured-ratio verification runs; CSV + JSON reports."""
-    cfg = RunConfig(
-        command=pipeline,
-        b_list=parse_value_list(sweep_range or b_list),
-        p_list=parse_value_list(p_list),
-        seeds=[int(t) for t in str(seed).split(",")],
-        geometry=geom_path,
-        out_dir=out_dir,
-        jobs=jobs,
-    )
-    rows = execute_sweep(cfg)
+    # execute_sweep checks its config before any tuple runs; a failing tuple
+    # raises RuntimeError, so only input errors arrive here as ValueError
+    with _input_errors():
+        cfg = RunConfig(
+            command=pipeline,
+            b_list=parse_value_list(sweep_range or b_list),
+            p_list=parse_value_list(p_list),
+            seeds=[int(t) for t in str(seed).split(",")],
+            geometry=geom_path,
+            out_dir=out_dir,
+            jobs=jobs,
+        )
+        rows = execute_sweep(cfg)
     csv_path, json_path, ok = sweep_outputs(cfg, rows)
     if out:
         write_json(out, {"rows": rows,
@@ -612,21 +628,22 @@ def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, o
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def sweep_cmd(pipeline, b_list, p_list, s_list, seed, out_dir, jobs, config_path):
     """Parameter sweep over (b, p, s, seed) tuples for a named pipeline."""
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = RunConfig(**raw)
-    else:
-        cfg = RunConfig(
-            command=pipeline,
-            b_list=parse_value_list(b_list),
-            p_list=parse_value_list(p_list),
-            s_list=([None] if s_list is None else parse_value_list(s_list)),
-            seeds=[int(t) for t in str(seed).split(",")],
-            out_dir=out_dir,
-            jobs=jobs,
-        )
-    rows = execute_sweep(cfg)
+    with _input_errors():  # as in verify_cmd
+        if config_path:
+            with open(config_path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+            cfg = RunConfig(**raw)
+        else:
+            cfg = RunConfig(
+                command=pipeline,
+                b_list=parse_value_list(b_list),
+                p_list=parse_value_list(p_list),
+                s_list=([None] if s_list is None else parse_value_list(s_list)),
+                seeds=[int(t) for t in str(seed).split(",")],
+                out_dir=out_dir,
+                jobs=jobs,
+            )
+        rows = execute_sweep(cfg)
     csv_path, json_path, ok = sweep_outputs(cfg, rows)
     click.echo(f"wrote {csv_path} and {json_path}")
     if not ok:

@@ -235,10 +235,23 @@ def build_basis(family: str, order: int | None = None, depth: int = 12) -> Wavel
 
 
 @lru_cache(maxsize=8)
+def _cached_basis(family: str, order: int | None, depth: int) -> WaveletBasis:
+    return build_basis(family, order, depth)
+
+
 def default_basis(family: str = "daubechies", order: int = 4,
                   depth: int = 12) -> WaveletBasis:
-    """Cached basis for the common Daubechies-4 workhorse configuration."""
-    return build_basis(family, order if family != "haar" else None, depth)
+    """Cached basis for the common Daubechies-4 workhorse configuration.
+
+    The cache key is the basis, not the call: `default_basis()` and
+    `default_basis("daubechies", 4, 12)` return the same object.
+    """
+    family = family.lower()
+    return _cached_basis(family, None if family == "haar" else order, depth)
+
+
+default_basis.cache_info = _cached_basis.cache_info
+default_basis.cache_clear = _cached_basis.cache_clear
 
 
 # ---------------------------------------------------------------------------

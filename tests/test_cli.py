@@ -239,6 +239,44 @@ class TestSweeps:
         spec.write_text(json.dumps({"variant": "curve-family", "b": 0.125}))
         res = CliRunner().invoke(main, ["verify", "uncertainty", "--geometry",
                                         str(spec), "--out-dir", str(tmp_path)])
-        assert res.exit_code != 0
-        assert "one-dimensional" in str(res.exception)
+        assert res.exit_code == 2
+        assert "one-dimensional" in res.output
+        assert "Traceback" not in res.output
         assert not (tmp_path / "sweep_uncertainty.csv").exists()
+
+
+class TestUsageErrors:
+    """Input errors end as click usage errors: exit code 2, no traceback."""
+
+    @staticmethod
+    def _usage_error(args, *needles):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        for needle in needles:
+            assert needle in res.output
+        return res
+
+    def test_verify_bad_sweep_range(self, tmp_path):
+        self._usage_error(["verify", "sampling", "--sweep", "2^-3..0.1",
+                           "--out-dir", str(tmp_path)], "'2^-3..0.1'")
+        assert not (tmp_path / "sweep_sampling.csv").exists()
+
+    def test_sweep_bad_range_and_unknown_pipeline(self, tmp_path):
+        self._usage_error(["sweep", "intb", "--b", "2^-3..0.1",
+                           "--out-dir", str(tmp_path)], "power of two")
+        self._usage_error(["sweep", "frobnicate", "--out-dir", str(tmp_path)],
+                          "unknown pipeline")
+
+    def test_geometry_check_too_few_probes(self, tmp_path):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "curve-family", "b": 0.25}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec),
+                           "--probes", "5"], "--probes", "x>=10")
+
+    def test_geometry_check_bad_spec(self, tmp_path):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "moebius", "b": 0.25}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec)],
+                          "unknown geometry variant")

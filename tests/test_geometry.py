@@ -3,12 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovsampling.geometry import (
+    VARIANTS,
+    SamplingGeometry2D,
     SamplingSequence1D,
+    _gauss_segment_integral,
+    _gauss_square_integral,
     build_geometry,
+    carrier_measure,
     cell_measures,
     check_conditions,
+    cover_multiplicity,
+    equiv_lhs_for_probe,
     equiv_ratio_for_probe,
     geometry_from_json_dict,
     geometry_to_json_dict,
@@ -189,6 +198,115 @@ class TestConditions:
         big = check_conditions(g, n_probes=10000, seed=11)
         rel = abs(big.mes_C0 - small.mes_C0) / small.mes_C0
         assert rel < 0.2
+
+
+@pytest.fixture(scope="module")
+def geometry_of():
+    """variant -> its b=2^-3 geometry, built on first use and freed with the
+    module (the spiral alone holds ~0.5M anchors)."""
+    built = {}
+
+    def get(variant):
+        if variant not in built:
+            built[variant] = build_geometry(
+                variant, {"b": 2.0**-3, "seed": 1, "window": WIN})
+        return built[variant]
+    return get
+
+
+def _full_scan_lhs(g, c, w):
+    """The probe integral over every cell, without the index."""
+    c = np.asarray(c, dtype=float)
+    if g.m == 1:
+        vals = _gauss_segment_integral(g.cell_a, g.cell_b, c, w)
+    else:
+        vals = _gauss_square_integral(g.cell_centers, g.cell_radius, c, w)
+    return float(np.sum(g.anchor_weights * g.phi * vals))
+
+
+def _full_scan_carrier_measure(g, x, R):
+    inside = np.linalg.norm(g.anchors - x[None, :], axis=1) <= R
+    if g.m == 1:
+        return float(np.sum(g.anchor_weights[inside]))
+    return float(np.count_nonzero(inside))
+
+
+def _full_scan_multiplicity(g, pts):
+    mult = np.zeros(len(pts), dtype=int)
+    for e in g.anchors:
+        mult += ((np.abs(pts[:, 0] - e[0]) <= g.b)
+                 & (np.abs(pts[:, 1] - e[1]) <= g.b))
+    return mult
+
+
+IN_WIN = st.floats(min_value=WIN[0], max_value=WIN[1])
+
+
+class TestSpatialIndex:
+    @settings(deadline=None, max_examples=60)
+    @given(variant=st.sampled_from(VARIANTS), cx=IN_WIN, cy=IN_WIN,
+           scale=st.floats(min_value=1.0, max_value=4.0))
+    def test_probe_integral_matches_full_scan(self, geometry_of, variant, cx,
+                                              cy, scale):
+        g = geometry_of(variant)
+        w = scale * g.b
+        fast = equiv_lhs_for_probe(g, (cx, cy), w)
+        slow = _full_scan_lhs(g, (cx, cy), w)
+        # the cells left out are beyond 7w, where the probe is < exp(-49 pi)
+        dropped = math.exp(-49 * math.pi) * float(
+            np.sum(g.anchor_weights * cell_measures(g)))
+        assert abs(fast - slow) <= 1e-12 * slow + dropped
+
+    def test_cell_reaching_far_from_its_anchor(self):
+        # one anchor at the foot of a 10-long cell; the probe sits at the
+        # cell's far end, 10 away from the anchor and 100 widths
+        g = SamplingGeometry2D(
+            "hyperplane-union", 1, 1.0, 10.0, 4.0, (-16.0, 16.0),
+            anchors=np.array([[0.0, 0.0]]), anchor_weights=np.array([1.0]),
+            cell_a=np.array([[0.0, 0.0]]), cell_b=np.array([[0.0, 10.0]]))
+        probe, w = (0.0, 10.0), 0.1
+        assert equiv_lhs_for_probe(g, probe, w) == pytest.approx(
+            _full_scan_lhs(g, probe, w), rel=1e-12)
+        assert _full_scan_lhs(g, probe, w) > 0.4 * w
+
+    @settings(deadline=None, max_examples=60)
+    @given(variant=st.sampled_from(VARIANTS), cx=IN_WIN, cy=IN_WIN,
+           log_r=st.floats(min_value=math.log(2.0**-4), max_value=math.log(4.0)))
+    def test_carrier_measure_matches_full_scan(self, geometry_of, variant, cx,
+                                               cy, log_r):
+        g = geometry_of(variant)
+        x = np.array([cx, cy])
+        R = math.exp(log_r)
+        assert carrier_measure(g, x, R) == _full_scan_carrier_measure(g, x, R)
+
+    def test_multiplicity_matches_full_scan(self, geometry_of):
+        g = geometry_of("curve-family")
+        pts = np.random.default_rng(3).uniform(WIN[0], WIN[1], size=(500, 2))
+        assert np.array_equal(cover_multiplicity(g, pts),
+                              _full_scan_multiplicity(g, pts))
+
+    def test_multiplicity_counts_cube_boundary(self):
+        # straight curves: anchors (b k, y_j) on a dyadic lattice, so these
+        # points sit at l-inf distance exactly b from anchors
+        g = build_geometry("curve-family", {"b": 2.0**-3, "seed": 0,
+                                            "straight": True, "window": WIN})
+        b = g.b
+        e = g.anchors[len(g.anchors) // 2]
+        pts = np.array([e + (b, 0.0), e + (b / 2, b), e + (-b, -b)])
+        strict = np.array([np.count_nonzero(np.max(np.abs(g.anchors - p), axis=1) < b)
+                           for p in pts])
+        mult = cover_multiplicity(g, pts)
+        assert np.array_equal(mult, _full_scan_multiplicity(g, pts))
+        assert np.all(mult > strict)
+
+    @pytest.mark.parametrize("variant", ["curve-family", "concentric-circles"])
+    def test_empty_neighbourhoods(self, geometry_of, variant):
+        g = geometry_of(variant)
+        far = np.array([100.0, -100.0])
+        assert equiv_lhs_for_probe(g, far, g.b) == 0.0
+        assert equiv_ratio_for_probe(g, far, g.b) == 0.0
+        assert carrier_measure(g, far, 1.0) == 0.0
+        assert cover_multiplicity(g, far[None, :]).tolist() == [0]
 
 
 class TestGeometryJson:

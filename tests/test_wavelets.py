@@ -11,6 +11,7 @@ from besovsampling.wavelets import (
     build_basis,
     coeffs_from_json_dict,
     coeffs_to_json_dict,
+    default_basis,
     dilate_coeffs,
     pyramid_details,
     scaling_coefficients,
@@ -33,6 +34,15 @@ class TestBasisConstruction:
         assert np.allclose(haar.eval(1, x_in), 1.0)
         assert np.allclose(haar.eval(1, x_in + 0.5), -1.0)
         assert haar.eval(1, np.array([1.3]))[0] == 0.0
+
+    def test_default_basis_one_object_per_basis(self):
+        default_basis.cache_clear()
+        spellings = [default_basis(), default_basis("daubechies", 4),
+                     default_basis("daubechies", 4, 12)]
+        assert all(b is spellings[0] for b in spellings)
+        info = default_basis.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert default_basis("haar", 4) is default_basis("Haar", 2)
 
     def test_filter_identities(self, db4):
         v = db4.validate()
