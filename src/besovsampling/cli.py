@@ -15,7 +15,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import click
@@ -301,6 +301,17 @@ class RunConfig:
         return [(b, p, s, seed, self.geometry) for b in self.b_list
                 for p in self.p_list for s in self.s_list
                 for seed in self.seeds]
+
+
+def _config_from_dict(raw: dict) -> RunConfig:
+    """The RunConfig of a `sweep --config` file, with its keys checked."""
+    accepted = [f.name for f in fields(RunConfig)]
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown or "command" not in raw:
+        problem = f"unknown key(s) {unknown}" if unknown else "no 'command' key"
+        raise ValueError(f"sweep config has {problem}; accepted fields: {accepted} "
+                         "('command' is required)")
+    return RunConfig(**raw)
 
 
 @dataclass
@@ -601,7 +612,8 @@ def approx_split_cmd(input_path, b, mode, out):
 def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, out):
     """Neumann-series reconstruction of a grid function from its trace."""
     f = load_csv(input_path)
-    sset = _load_geometry_or_sequence(geom_path, b, seed)
+    with _input_errors():
+        sset = _load_geometry_or_sequence(geom_path, b, seed)
     cfg = ReconstructionConfig(c_factor=c_factor, a_factor=a_factor,
                                n_iter=iters)
     rep = full_pipeline(f, sset, cfg)
@@ -632,7 +644,7 @@ def sweep_cmd(pipeline, b_list, p_list, s_list, seed, out_dir, jobs, config_path
         if config_path:
             with open(config_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            cfg = RunConfig(**raw)
+            cfg = _config_from_dict(raw)
         else:
             cfg = RunConfig(
                 command=pipeline,

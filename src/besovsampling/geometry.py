@@ -763,6 +763,9 @@ def geometry_to_json_dict(g: SamplingGeometry2D) -> dict:
 
 
 def geometry_from_json_dict(d: dict) -> SamplingGeometry2D:
+    missing = [key for key in ("variant", "b") if key not in d]
+    if missing:
+        raise ValueError(f"geometry spec lacks the required key(s) {missing}")
     params = dict(d.get("params", {}))
     if "seed" in d:
         params.setdefault("seed", d["seed"])

@@ -261,9 +261,13 @@ def _check_pow2(n: int, what: str):
 
 
 def _origin_phase(grid, freqs, sign: int) -> np.ndarray:
-    """exp(sign * 2*pi*i * sum_a z_a * origin_a) over the frequency grid."""
-    shift = reduce(np.add.outer, [fz * g.origin for fz, g in zip(freqs, grid.axes)])
-    return np.exp(sign * 2j * np.pi * shift)
+    """exp(sign * 2*pi*i * sum_a z_a * origin_a) over the frequency grid.
+
+    The phase factors over the axes, so it costs one exponential per
+    frequency of each axis and one outer product.
+    """
+    return reduce(np.multiply.outer, [np.exp(sign * 2j * np.pi * (fz * g.origin))
+                                      for fz, g in zip(freqs, grid.axes)])
 
 
 def fourier(f: GridFunction) -> SpectrumFunction:

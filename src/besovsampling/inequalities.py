@@ -124,10 +124,11 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     if np_norm == 0.0:
         raise ValueError("cannot form sampling ratios: ||f||_p = 0")
     m = 1 if isinstance(sampling_set, SamplingSequence1D) else sampling_set.m
+    # the trace checks the sampling set, so a bad one fails before the analysis
+    tr = trace(f, sampling_set)
     if besov_norm is None:
         params = BesovParams(s=m / p, p=p, q=1.0, d=f.ndim)
         besov_norm, _ = besov_norm_via_analyze(f, params, basis or default_basis())
-    tr = trace(f, sampling_set)
     b = tr.b
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N

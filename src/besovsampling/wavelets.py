@@ -9,9 +9,22 @@ dyadic points by cascade refinement of the two-scale relation, starting from
 the eigenvector of the integer-point transfer matrix.
 
 Coefficients c_{j,k} = integral f * psi_{j,k} are computed by quadrature of f
-against the tabulated wavelets on the fine grid (strided FFT correlation),
-not by the pyramid filter bank; `pyramid_details` provides the filter-bank
-recursion as an independent cross-check for dyadically sampled inputs.
+against the tabulated wavelets on the fine grid, not by the pyramid filter
+bank; `pyramid_details` provides the filter-bank recursion as an independent
+cross-check for dyadically sampled inputs.  Along each axis the sampled
+kernel spans M = (hi - lo) * 2^(res - j) grid steps, and the quadrature takes
+one of two routes:
+
+- M < n (fine scales, many translates): one FFT correlation of the axis with
+  the kernel, read at every stride-th lag.
+- M >= n (coarse scales, a few translates): the polyphase split.  The axis is
+  cut into stride-sample blocks aligned with the translates; each block meets
+  at most P + 1 translates (P = hi - lo), so one matrix product per block,
+  with the kernel sampled only at that block's grid points, gives every
+  coefficient.  Nothing is padded to the kernel length, which at the coarse
+  2D scales would be several times the axis.
+
+Synthesis places coefficients with the transposed operator on the same route.
 
 Supports: the Daubechies tables are recentred by an integer shift (a pure
 relabeling of translates) so phi and psi share the support [-(K-1), K] and
@@ -425,36 +438,60 @@ def _axis_kernel(g: Grid1D, basis: WaveletBasis, j: int, which: int) -> np.ndarr
     return basis.eval(which, pts)
 
 
+def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
+                      k_lo: int, k_hi: int):
+    """Kernel blocks of the polyphase split, for kernels at least as long as the axis.
+
+    Grid index m sits at lattice position m + base = u*stride + r: block u,
+    offset r.  Translate k meets block u only for u - P <= k <= u, where
+    P = hi - lo is the support length in strides, so each block couples to at
+    most P + 1 translates and the kernel is evaluated only at the block's grid
+    points.  Yields (grid slice, first translate k_a, W) for each block with
+    W[i, m - start] = w(2^j x_m - (k_a + i)), translates kept to [k_lo, k_hi].
+    """
+    stride, base, _M = _axis_setup(g, basis, j)
+    n = g.count
+    lo, hi = basis.support
+    s = 2.0 ** (j - g.resolution_exponent)
+    for u in range(base // stride, (base + n - 1) // stride + 1):
+        m_lo, m_hi = max(0, u * stride - base), min(n, (u + 1) * stride - base)
+        k_a, k_b = max(u - (hi - lo), k_lo), min(u, k_hi)
+        if k_a > k_b:
+            continue
+        pos = np.arange(m_lo, m_hi) + base
+        # one `eval` call per translate keeps its temporaries in cache; one
+        # call over the whole block took twice as long per point in 1D
+        W = np.stack([basis.eval(which, lo + s * (pos - k * stride))
+                      for k in range(k_a, k_b + 1)])
+        yield slice(m_lo, m_hi), k_a, W
+
+
 def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
                     which: int, axis: int = 0):
     """All-translate correlations along one axis.
 
     Returns (k0, out) where out[i, ...] = sum_m values[m, ...] * w(2^j x_m - (k0+i)).
-    Fine scales go through one FFT correlation; at very coarse scales (kernel
-    much longer than the signal, only a handful of translates) the sums are
-    taken directly, which keeps memory flat.
+    A kernel shorter than the axis (M < n) goes through one FFT correlation.
+    A longer one, with only a few translates, goes through the polyphase
+    blocks: one product per block of `stride` samples against the at most
+    P + 1 translates that meet it, so nothing is padded to the kernel length.
     """
     stride, base, M = _axis_setup(g, basis, j)
     n = values.shape[axis]
     k_min = int(np.ceil((base - M) / stride))
     k_max = int(np.floor((base + n - 1) / stride))
-    ks = np.arange(k_min, k_max + 1)
-    if M > 4 * n:
-        lo, _hi = basis.support
-        s = 2.0 ** (j - g.resolution_exponent)
+    if M >= n:
         vals_mv = np.moveaxis(values, axis, -1)
-        rows = []
-        for k in ks:
-            args = lo + s * (np.arange(n) - (k * stride - base))
-            rows.append(vals_mv @ basis.eval(which, args))
-        out = np.moveaxis(np.stack(rows, axis=-1), -1, axis)
-        return k_min, out
+        out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
+            out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
+        return k_min, np.moveaxis(out, -1, axis)
     kern = _axis_kernel(g, basis, j, which)
     shape = [1] * values.ndim
     shape[axis] = len(kern)
     conv = fftconvolve(values, kern[::-1].reshape(shape), mode="full", axes=axis)
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
-    idx = M - base + ks * stride
+    idx = M - base + np.arange(k_min, k_max + 1) * stride
     out = np.take(conv, idx, axis=axis)
     return k_min, out
 
@@ -465,15 +502,11 @@ def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: 
     stride, base, M = _axis_setup(g, basis, j)
     nk = coeffs.shape[axis]
     n = g.count
-    if M > 4 * n:
-        lo, _hi = basis.support
-        s = 2.0 ** (j - g.resolution_exponent)
+    if M >= n:
         c_mv = np.moveaxis(coeffs, axis, -1)
         out_mv = np.zeros(c_mv.shape[:-1] + (n,))
-        for i in range(nk):
-            k = k0 + i
-            args = lo + s * (np.arange(n) - (k * stride - base))
-            out_mv += c_mv[..., i, None] * basis.eval(which, args)
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1):
+            out_mv[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
         return np.moveaxis(out_mv, -1, axis)
     kern = _axis_kernel(g, basis, j, which)
     # impulse at lattice position k*stride - base for each translate

@@ -280,3 +280,22 @@ class TestUsageErrors:
         spec.write_text(json.dumps({"variant": "moebius", "b": 0.25}))
         self._usage_error(["geometry", "check", "--geometry", str(spec)],
                           "unknown geometry variant")
+
+    @pytest.mark.parametrize("spec, missing", [({"variant": "spiral"}, "'b'"),
+                                               ({"b": 0.25}, "'variant'")])
+    def test_geometry_spec_missing_key(self, tmp_path, gauss_csv, spec, missing):
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps(spec))
+        self._usage_error(["geometry", "check", "--geometry", str(path)],
+                          "required key", missing)
+        self._usage_error(["reconstruct", "--input", gauss_csv,
+                           "--geometry", str(path)], "required key", missing)
+
+    def test_sweep_config_unknown_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "intb", "b_lst": [0.25]}))
+        self._usage_error(["sweep", "intb", "--config", str(cfg)],
+                          "unknown key(s) ['b_lst']", "'b_list'")
+        cfg.write_text(json.dumps({"b_list": [0.25]}))
+        self._usage_error(["sweep", "intb", "--config", str(cfg)],
+                          "no 'command' key", "'b_list'")

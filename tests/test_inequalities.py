@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from besovsampling import besov
 from besovsampling.besov import BesovParams, besov_norm_via_analyze, besov_norm_wavelet
 from besovsampling.geometry import (
     SamplingSequence1D,
     build_geometry,
     random_sequence,
     regular_sequence,
+    window_for_grid,
 )
 from besovsampling.grid import GridFunction, lp_norm
 from besovsampling.inequalities import (
@@ -87,6 +89,20 @@ class TestSamplingRatio:
         seq = random_sequence(0.25, (grid.x[0], grid.x[-1]), 1)
         with pytest.raises(ValueError):
             sampling_ratio(f, seq, 2.0, db4)
+
+    def test_bad_geometry_fails_before_the_analysis(self, small_grid2d, db4,
+                                                    monkeypatch):
+        # window trimming leaves perturbed-graph cells of zero measure
+        geo = build_geometry("perturbed-graph", {
+            "b": 2.0**-3, "seed": 1, "window": window_for_grid(small_grid2d)})
+        f = GridFunction(small_grid2d, np.ones(small_grid2d.shape))
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analyze ran before the trace check")
+
+        monkeypatch.setattr(besov, "analyze", no_analysis)
+        with pytest.raises(ValueError, match="trace weights must be positive"):
+            sampling_ratio(f, geo, 2.0, db4)
 
     def test_sample_removal_monotonicity(self, grid, db4):
         zf = make(ZooSpec("bandlimited-random", band=1.0, seed=8), grid, db4)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from besovsampling.grid import Grid1D, GridFunction, lp_norm
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.wavelets import (
     WaveletCoefficients,
+    _axis_correlate,
+    _axis_place,
     analyze,
     build_basis,
     coeffs_from_json_dict,
@@ -247,6 +249,62 @@ class TestTensor2D:
         rel = lp_norm(GridFunction(small_grid2d, back.values - f2.values), 2.0) \
             / lp_norm(f2, 2.0)
         assert rel < 1e-2
+
+
+# (basis, j) on grids of 1024 points at h = 2^-6: the kernel spans
+# M = (hi - lo) * 2^(6 - j) samples, so Haar has M > n, M = n, M < n at
+# j = -6, -4, -3 and D4 (P = 7) has M = 28672, 1792, 896 at j = -6, -2, -1.
+AXIS_CASES = [("haar", -6), ("haar", -4), ("haar", -3),
+              ("db4", -6), ("db4", -2), ("db4", -1)]
+
+
+class TestAxisCorrelation:
+    """`_axis_correlate`/`_axis_place` against the direct double sum
+    sum_m f_m w(2^j x_m - k), on both sides of M = n."""
+
+    @staticmethod
+    def _cases(small_grid):
+        rng = np.random.default_rng(5)
+        # a 2D grid whose second axis has an origin off every dyadic block
+        g2 = Grid2D(Grid1D(-3.0, 2.0**-5, 64), Grid1D(-323 / 64, 2.0**-6, 1024))
+        return [(small_grid, rng.normal(size=small_grid.count), 0),
+                (g2.gy, rng.normal(size=g2.shape), 1)]
+
+    @staticmethod
+    def _kernel(g, basis, j, which, ks):
+        return basis.eval(which, 2.0**j * g.x[None, :] - ks[:, None])
+
+    @pytest.mark.parametrize("name, j", AXIS_CASES)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_correlate_matches_double_sum(self, request, small_grid, name, j, which):
+        basis = request.getfixturevalue(name)
+        for g, values, axis in self._cases(small_grid):
+            k0, out = _axis_correlate(values, g, basis, j, which, axis=axis)
+            # two translates past each end must have no support on the grid
+            ks = np.arange(k0 - 2, k0 + out.shape[axis] + 2)
+            W = self._kernel(g, basis, j, which, ks)
+            ref = np.moveaxis(np.tensordot(W, values, axes=(1, axis)), 0, axis)
+            assert not np.any(np.take(ref, [0, 1, -2, -1], axis=axis))
+            ref = np.take(ref, np.arange(2, len(ks) - 2), axis=axis)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name, j", AXIS_CASES)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_place_matches_double_sum(self, request, small_grid, name, j, which):
+        basis = request.getfixturevalue(name)
+        rng = np.random.default_rng(6)
+        for g, values, axis in self._cases(small_grid):
+            k0, corr = _axis_correlate(values, g, basis, j, which, axis=axis)
+            # translates beyond both ends of the grid's reach are placed as zeros
+            shape = list(corr.shape)
+            shape[axis] += 6
+            coeffs = rng.normal(size=shape)
+            out = _axis_place(coeffs, k0 - 3, g, basis, j, which, axis=axis)
+            ks = np.arange(k0 - 3, k0 - 3 + shape[axis])
+            W = self._kernel(g, basis, j, which, ks)
+            ref = np.moveaxis(np.tensordot(W.T, coeffs, axes=(1, axis)), 0, axis)
+            assert out.shape == values.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestPyramidCrossCheck:
