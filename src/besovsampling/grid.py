@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -260,14 +260,28 @@ def _check_pow2(n: int, what: str):
         raise ValueError(f"{what} count must be a power of two for the fast transform, got {n}")
 
 
-def _origin_phase(grid, freqs, sign: int) -> np.ndarray:
-    """exp(sign * 2*pi*i * sum_a z_a * origin_a) over the frequency grid.
+@lru_cache(maxsize=8)
+def _axis_phase(origin: float, spacing: float, count: int, sign: int) -> np.ndarray:
+    """exp(sign * 2*pi*i * z * origin) at the fft frequencies z of one axis.
 
-    The phase factors over the axes, so it costs one exponential per
-    frequency of each axis and one outer product.
+    Cached read-only: a transform pair on the same axis reuses it.
     """
-    return reduce(np.multiply.outer, [np.exp(sign * 2j * np.pi * (fz * g.origin))
-                                      for fz, g in zip(freqs, grid.axes)])
+    fz = np.fft.fftfreq(count, spacing)
+    phase = np.exp(sign * 2j * np.pi * (fz * origin))
+    phase.flags.writeable = False
+    return phase
+
+
+def _origin_phase(grid, sign: int) -> np.ndarray:
+    """exp(sign * 2*pi*i * sum_a z_a * origin_a) over the fft frequency grid.
+
+    The phase factors over the axes: the per-axis factors come from the
+    `_axis_phase` cache, so a 1D transform takes no exponential once its
+    axis has been seen, and 2D takes one outer product of two cached
+    factors.  In 1D the result is the cached (read-only) factor itself.
+    """
+    return reduce(np.multiply.outer, [_axis_phase(g.origin, g.spacing, g.count, sign)
+                                      for g in grid.axes])
 
 
 def fourier(f: GridFunction) -> SpectrumFunction:
@@ -281,14 +295,14 @@ def fourier(f: GridFunction) -> SpectrumFunction:
         _check_pow2(g.count, "grid")
     freqs = tuple(np.fft.fftfreq(g.count, g.spacing) for g in axes)
     volume = math.prod(g.spacing for g in axes)
-    vals = volume * _origin_phase(f.grid, freqs, -1) * np.fft.fftn(f.values)
+    vals = volume * _origin_phase(f.grid, -1) * np.fft.fftn(f.values)
     return SpectrumFunction(f.grid, freqs[0] if len(axes) == 1 else freqs, vals)
 
 
 def inverse_fourier(F: SpectrumFunction) -> GridFunction:
     """Invert `fourier`; the (tiny) imaginary part is dropped."""
     volume = math.prod(g.spacing for g in F.grid.axes)
-    spec = _origin_phase(F.grid, F.axis_freqs, 1) * F.values / volume
+    spec = _origin_phase(F.grid, 1) * F.values / volume
     return GridFunction(F.grid, np.real(np.fft.ifftn(spec)))
 
 

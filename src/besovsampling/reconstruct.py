@@ -88,31 +88,38 @@ def _bump01(t: np.ndarray) -> np.ndarray:
 class PartitionOfUnity:
     """Shepard-normalized smooth bumps on B(x_j, 2b) over the node set.
 
-    1D keeps per-node index windows; 2D requires lattice-snapped nodes and
-    evaluates through one FFT convolution with the common bump kernel.
+    1D stores the bump windows flattened in node order: `_idx` holds the grid
+    index of every window sample, `_vals` the bump value there and `_lens`
+    the samples per node, so one `np.bincount` evaluates the sum.  It adds
+    in input order, the node order of a per-node loop, so the sums are the
+    loop's to the last bit.  2D requires lattice-snapped nodes, keeps their
+    lattice positions in `_idx` and evaluates through one FFT convolution
+    with the common bump kernel.
     """
 
     nodes: np.ndarray
     radius: float
     grid: object
-    _rows: list = field(default_factory=list, repr=False)
     _total: np.ndarray | None = field(default=None, repr=False)
+    _idx: np.ndarray | tuple | None = field(default=None, repr=False)
+    _vals: np.ndarray | None = field(default=None, repr=False)
+    _lens: np.ndarray | None = field(default=None, repr=False)
     _kernel: np.ndarray | None = field(default=None, repr=False)
-    _idx: tuple | None = field(default=None, repr=False)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if len(coeffs) != len(self.nodes):
             raise ValueError("one coefficient per node required")
         if isinstance(self.grid, Grid1D):
-            out = np.zeros(self.grid.count)
-            for cj, (lo, hi, vals) in zip(coeffs, self._rows):
-                out[lo:hi] += cj * vals
-            return out / self._total
+            return self._window_sum(np.repeat(coeffs, self._lens) * self._vals) / self._total
         imp = np.zeros(self.grid.shape)
         np.add.at(imp, self._idx, coeffs)
         num = fftconvolve(imp, self._kernel, mode="same")
         return num / self._total
+
+    def _window_sum(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of the flattened 1D window samples `weights` onto the grid."""
+        return np.bincount(self._idx, weights=weights, minlength=self.grid.count)
 
     def partition_sum(self) -> np.ndarray:
         """sum_j beta_j on the grid (1 wherever nodes cover)."""
@@ -130,17 +137,16 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
     radius = 2.0 * b
     nodes = np.asarray(nodes, dtype=float)
     if isinstance(grid, Grid1D):
-        pou = PartitionOfUnity(nodes, radius, grid)
-        x = grid.x
-        total = np.zeros(grid.count)
-        for xj in nodes:
-            lo = max(0, int(math.ceil((xj - radius - grid.origin) / grid.spacing)))
-            hi = min(grid.count,
-                     int(math.floor((xj + radius - grid.origin) / grid.spacing)) + 1)
-            vals = _bump01((x[lo:hi] - xj) / radius)
-            pou._rows.append((lo, hi, vals))
-            total[lo:hi] += vals
-        pou._total = np.maximum(total, 1e-300)
+        lo = np.maximum(0, np.ceil((nodes - radius - grid.origin) / grid.spacing)
+                        .astype(np.intp))
+        hi = np.minimum(grid.count, np.floor((nodes + radius - grid.origin) / grid.spacing)
+                        .astype(np.intp) + 1)
+        lens = np.maximum(hi - lo, 0)
+        # window samples of node j run lo_j, lo_j + 1, ..., hi_j - 1
+        idx = np.arange(lens.sum()) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        vals = _bump01((grid.x[idx] - np.repeat(nodes, lens)) / radius)
+        pou = PartitionOfUnity(nodes, radius, grid, _idx=idx, _vals=vals, _lens=lens)
+        pou._total = np.maximum(pou._window_sum(vals), 1e-300)
         return pou
     gx, gy = grid.gx, grid.gy
     ix = np.round((nodes[:, 0] - gx.origin) / gx.spacing).astype(int)

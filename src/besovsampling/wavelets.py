@@ -178,17 +178,31 @@ class WaveletBasis:
 
     def eval(self, which: int, y) -> np.ndarray:
         """psi^0 / psi^1 at arbitrary points: exact on the dyadic table lattice,
-        linear interpolation off-lattice."""
+        linear interpolation off-lattice, 0 outside the support (and at NaN).
+
+        The value is tab[ti] * (1 - fr) + tab[ti + 1] * fr at table position
+        t = ti + fr, computed in place over the whole array: points outside
+        the support read table node 0 and are zeroed afterwards, so there are
+        no masked copies and four temporaries in all.
+        """
         y = np.asarray(y, dtype=float)
-        lo, hi = self.support
-        t = (y - lo) * 2.0**self.depth
+        lo, _hi = self.support
         tab = self.table(which)
-        out = np.zeros(y.shape)
-        m = (t >= 0) & (t <= len(tab) - 1)
-        ti = np.clip(np.floor(t[m]).astype(int), 0, len(tab) - 2)
-        fr = t[m] - ti
-        out[m] = tab[ti] * (1.0 - fr) + tab[ti + 1] * fr
-        return out
+        t = y.reshape(-1) - lo
+        t *= 2.0**self.depth
+        outside = ~((t >= 0) & (t <= len(tab) - 1))
+        t[outside] = 0.0
+        ti = t.astype(np.intp)  # t >= 0, so truncation is floor
+        np.minimum(ti, len(tab) - 2, out=ti)
+        t -= ti  # t is now fr
+        nxt = tab[1:].take(ti)
+        nxt *= t
+        np.subtract(1.0, t, out=t)
+        out = tab.take(ti)
+        out *= t
+        out += nxt
+        out[outside] = 0.0
+        return out.reshape(y.shape)
 
     def validate(self) -> dict:
         """Residuals of the defining identities; all should be ~1e-12 or below."""

@@ -8,6 +8,8 @@ from besovsampling.grid import (
     Grid1D,
     Grid2D,
     GridFunction,
+    _axis_phase,
+    _origin_phase,
     fourier,
     from_json_dict,
     inverse_fourier,
@@ -126,6 +128,46 @@ class TestFourier:
         f = GridFunction(small_grid2d, rng.standard_normal(small_grid2d.shape))
         back = inverse_fourier(fourier(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-10
+
+
+class TestOriginPhaseCache:
+    """The per-axis origin phases are cached read-only and stay bounded."""
+
+    def test_writes_into_a_spectrum_do_not_reach_later_transforms(self, small_grid):
+        f = gaussian(small_grid, center=0.3)
+        F_ref = fourier(f).values.copy()
+        back_ref = inverse_fourier(fourier(f)).values.copy()
+        F = fourier(f)
+        F.values *= 3.0
+        F.values[:5] = 7.0
+        inverse_fourier(F)
+        assert np.array_equal(fourier(f).values, F_ref)
+        assert np.array_equal(inverse_fourier(fourier(f)).values, back_ref)
+
+    def test_cached_factors_are_read_only(self, small_grid):
+        fourier(gaussian(small_grid))
+        g = small_grid
+        phase = _axis_phase(g.origin, g.spacing, g.count, -1)
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError):
+            phase[0] = 0.0
+        assert not _origin_phase(g, 1).flags.writeable
+
+    def test_phase_is_the_product_of_axis_exponentials(self, small_grid2d):
+        for sign in (-1, 1):
+            direct = [np.exp(sign * 2j * np.pi
+                             * (np.fft.fftfreq(g.count, g.spacing) * g.origin))
+                      for g in small_grid2d.axes]
+            assert np.array_equal(_origin_phase(small_grid2d, sign),
+                                  np.multiply.outer(*direct))
+            assert np.array_equal(_origin_phase(small_grid2d.gx, sign), direct[0])
+
+    def test_cache_size_stays_bounded(self):
+        maxsize = _axis_phase.cache_info().maxsize
+        for i in range(maxsize + 3):
+            g = Grid1D(-1.0 - i, 2.0**-4, 64)
+            inverse_fourier(fourier(GridFunction(g, np.ones(64))))
+        assert _axis_phase.cache_info().currsize <= maxsize
 
 
 class TestSmoothLowpass:

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.inequalities import trace
 from besovsampling.reconstruct import (
     ReconstructionConfig,
+    _bump01,
     averaging_V,
     bandlimited_split,
     build_partition,
@@ -115,6 +120,59 @@ class TestBandlimitedSplit:
         for b in (2.0**-3, 0.1, 0.07):
             j0 = math.floor(math.log2(1.0 / b) + 1e-12)
             assert 2.0**j0 <= 1.0 / b <= 2.0 ** (j0 + 1)
+
+
+def looped_partition(nodes, b, grid, coeffs):
+    """sum_j c_j beta_j on the grid, as a per-node loop over index windows."""
+    radius = 2.0 * b
+    x = grid.x
+    rows = []
+    total = np.zeros(grid.count)
+    for xj in nodes:
+        lo = max(0, int(math.ceil((xj - radius - grid.origin) / grid.spacing)))
+        hi = min(grid.count,
+                 int(math.floor((xj + radius - grid.origin) / grid.spacing)) + 1)
+        vals = _bump01((x[lo:hi] - xj) / radius)
+        rows.append((lo, hi, vals))
+        total[lo:hi] += vals
+    total = np.maximum(total, 1e-300)
+    out = np.zeros(grid.count)
+    for cj, (lo, hi, vals) in zip(coeffs, rows):
+        out[lo:hi] += cj * vals
+    return out / total
+
+
+class TestPartitionLoop:
+    """The flattened 1D partition equals the per-node loop bit for bit."""
+
+    GRID = Grid1D(-4.0, 2.0**-6, 512)
+
+    @settings(deadline=None, max_examples=40)
+    @given(b=st.sampled_from([2.0**-3, 2.0**-5, 0.07]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_random=st.integers(min_value=0, max_value=60))
+    def test_apply_and_partition_sum_match_loop(self, b, seed, n_random):
+        g = self.GRID
+        rng = np.random.default_rng(seed)
+        nodes = np.concatenate([
+            rng.uniform(-5.0, 5.0, n_random),  # overlapping, some clipped
+            [g.x[0], g.x[-1], g.x[0] - b, g.x[-1] + b],  # clipped at both ends
+            [-10.0, 20.0],  # windows that miss the grid
+            g.x[rng.integers(0, g.count, 3)],  # window ends on grid points
+        ])
+        nodes = np.append(nodes, nodes[0])  # a repeated node
+        rng.shuffle(nodes)
+        pou = build_partition(nodes, b, g)
+        for _ in range(2):  # a second apply on the same partition
+            c = rng.normal(size=len(nodes))
+            assert np.array_equal(pou.apply(c), looped_partition(nodes, b, g, c))
+        assert np.array_equal(pou.partition_sum(),
+                              looped_partition(nodes, b, g, np.ones(len(nodes))))
+
+    def test_no_node_meets_the_grid(self):
+        g = self.GRID
+        pou = build_partition(np.array([-30.0, 40.0]), 2.0**-4, g)
+        assert np.array_equal(pou.apply(np.array([1.0, -2.0])), np.zeros(g.count))
 
 
 class TestPartitionAndOperators:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
@@ -109,6 +111,58 @@ class TestBasisConstruction:
         W = np.array(rows)
         G = g.spacing * (W @ W.T)
         assert np.max(np.abs(G - np.eye(len(rows)))) < 1e-6
+
+
+def masked_eval(basis, which, y):
+    """`WaveletBasis.eval` in its masked form: interpolate the points inside
+    the support only, through boolean-index copies, and leave the rest 0."""
+    y = np.asarray(y, dtype=float)
+    lo, _hi = basis.support
+    t = (y - lo) * 2.0**basis.depth
+    tab = basis.table(which)
+    out = np.zeros(y.shape)
+    m = (t >= 0) & (t <= len(tab) - 1)
+    ti = np.clip(np.floor(t[m]).astype(int), 0, len(tab) - 2)
+    fr = t[m] - ti
+    out[m] = tab[ti] * (1.0 - fr) + tab[ti + 1] * fr
+    return out
+
+
+class TestKernelEvaluation:
+    """`eval` equals the masked form bit for bit, wherever it is evaluated."""
+
+    @staticmethod
+    def _points(basis, rng, extra):
+        lo, hi = basis.support
+        step = 2.0**-basis.depth
+        n_tab = (hi - lo) * 2**basis.depth + 1
+        return np.concatenate([
+            rng.uniform(lo - 1.0, hi + 1.0, 200),
+            lo + step * rng.integers(0, n_tab, 50),  # exact table nodes
+            [lo, hi, lo + step, hi - step],
+            [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - step, hi + step],
+            [np.nan, np.inf, -np.inf],
+            extra,
+        ])
+
+    @settings(deadline=None, max_examples=60)
+    @given(name=st.sampled_from(["haar", "daubechies"]), which=st.sampled_from([0, 1]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    def test_matches_masked_form_bit_for_bit(self, name, which, seed, extra):
+        basis = default_basis(name)
+        y = self._points(basis, np.random.default_rng(seed), extra)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = basis.eval(which, y)
+            ref = masked_eval(basis, which, y)
+        assert got.shape == y.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_shapes(self, db4):
+        y = np.linspace(-4.0, 5.0, 12).reshape(3, 4)
+        assert np.array_equal(db4.eval(1, y), masked_eval(db4, 1, y))
+        assert db4.eval(0, 0.25).shape == ()
+        assert db4.eval(0, 0.25) == masked_eval(db4, 0, 0.25)
 
 
 class TestAnalyze:
