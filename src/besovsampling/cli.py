@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
+from functools import lru_cache
 from pathlib import Path
 
 import click
@@ -53,8 +54,10 @@ from .inequalities import (
 from .reconstruct import (
     ReconstructionConfig,
     bandlimited_split,
+    build_partition,
     full_pipeline,
     interp_pl,
+    reconstruction_nodes,
 )
 from .wavelets import coeffs_to_json_dict, default_basis
 from .zoo import ZooSpec, bandlimited_field_2d, make
@@ -159,6 +162,25 @@ def _seq_for_tuple(b: float, seed: int, grid) -> SamplingSequence1D:
     return random_sequence(b, (grid.x[0], grid.x[-1]), seed, strict=True)
 
 
+@lru_cache(maxsize=256)
+def _critical_norm(spec: ZooSpec, p: float) -> float:
+    """||f||_B(1/p, p, 1) of the 1D zoo function `spec`, memoized.
+
+    The key is (spec, p) alone: the grid and basis are always the defaults,
+    `default_grid_1d()` and `default_basis()`.  The norm does not depend on
+    b, so a sweep over b analyzes each function once; a hit returns the
+    float the same call made before, bit for bit.  The memo holds floats
+    only, at most 256 of them, least recently used first out.  A b-major
+    sweep visits every (seed, p) pair before the next b, so it needs one
+    entry per (seed, p) pair to hit: past 256 pairs it analyzes at every b.
+    """
+    basis = default_basis()
+    f = make(spec, default_grid_1d(), basis).f
+    norm, _ = besov_norm_via_analyze(f, BesovParams(s=1.0 / p, p=p, q=1.0, d=1),
+                                     basis)
+    return norm
+
+
 def _field_on_geometry(geom_path: str, b: float, seed: int):
     """The 2D pipelines' input: a seeded bandlimited field and the geometry."""
     with open(geom_path, encoding="utf-8") as fh:
@@ -173,13 +195,14 @@ def run_sampling_tuple(args) -> dict:
     basis = default_basis()
     if geom_path is None:
         grid = default_grid_1d()
-        zf = make(ZooSpec("bandlimited-random", band=1.0, seed=seed), grid,
-                  basis)
-        f = zf.f
+        spec = ZooSpec("bandlimited-random", band=1.0, seed=seed)
+        f = make(spec, grid, basis).f
         sset = _seq_for_tuple(b, seed + 1, grid)
+        norm = _critical_norm(spec, p)
     else:
         f, sset = _field_on_geometry(geom_path, b, seed)
-    rep = sampling_ratio(f, sset, p, basis)
+        norm = None
+    rep = sampling_ratio(f, sset, p, basis, besov_norm=norm)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
     # the cell form carries a cell-geometry factor, so the b^(m/p)-weighted
     # trace ratio is the asserted quantity
@@ -209,9 +232,9 @@ def run_heisenberg_tuple(args) -> dict:
     alpha = s_val if s_val is not None else 1.0
     grid = default_grid_1d()
     basis = default_basis()
-    width = 0.5 + (seed % 5) * 0.5
-    zf = make(ZooSpec("compact-bump", width=width), grid, basis)
-    prod = heisenberg_product(zf.f, alpha, p, basis)
+    spec = ZooSpec("compact-bump", width=0.5 + (seed % 5) * 0.5)
+    prod = heisenberg_product(make(spec, grid, basis).f, alpha, p, basis,
+                              besov_norm=_critical_norm(spec, p))
     return {"b": b, "p": p, "alpha": alpha, "seed": seed, "product": prod,
             "ok": prod > 0}
 
@@ -220,9 +243,10 @@ def run_intb_tuple(args) -> dict:
     b, p, s_idx, seed, _geometry = args
     grid = default_grid_1d()
     basis = default_basis()
-    zf = make(ZooSpec("bandlimited-random", band=2.0, seed=seed + 3), grid, basis)
+    spec = ZooSpec("bandlimited-random", band=2.0, seed=seed + 3)
     seq = _seq_for_tuple(b, seed, grid)
-    lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p, basis)
+    lhs, rhs, ratio = intB_diagnostic(make(spec, grid, basis).f, seq, p, basis,
+                                      besov_norm=_critical_norm(spec, p))
     return {"b": b, "p": p, "seed": seed, "lhs": lhs, "rhs": rhs,
             "ratio": ratio, "ok": math.isfinite(ratio)}
 
@@ -614,8 +638,11 @@ def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, o
     f = load_csv(input_path)
     with _input_errors():
         sset = _load_geometry_or_sequence(geom_path, b, seed)
+        # nodes off the 2D grid lattice are an input error, found before the
+        # reconstruction starts
+        pou = build_partition(reconstruction_nodes(sset), sset.b, f.grid)
     cfg = ReconstructionConfig(c_factor=c_factor, a_factor=a_factor,
-                               n_iter=iters)
+                               n_iter=iters, pou=pou)
     rep = full_pipeline(f, sset, cfg)
     payload = {"report": rep.to_dict(), "fingerprint": environment_fingerprint(
         {"cmd": "reconstruct", "b": b, "c": c_factor, "iters": iters,

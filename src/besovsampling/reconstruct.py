@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict, replace
 from functools import reduce
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .besov import BesovParams, besov_norm_via_analyze
 from .geometry import SamplingGeometry2D, SamplingSequence1D
@@ -94,7 +94,7 @@ class PartitionOfUnity:
     in input order, the node order of a per-node loop, so the sums are the
     loop's to the last bit.  2D requires lattice-snapped nodes, keeps their
     lattice positions in `_idx` and evaluates through one FFT convolution
-    with the common bump kernel.
+    with the common bump kernel, whose spectrum is taken once at build time.
     """
 
     nodes: np.ndarray
@@ -105,6 +105,8 @@ class PartitionOfUnity:
     _vals: np.ndarray | None = field(default=None, repr=False)
     _lens: np.ndarray | None = field(default=None, repr=False)
     _kernel: np.ndarray | None = field(default=None, repr=False)
+    _kernel_spectrum: np.ndarray | None = field(default=None, repr=False)
+    _fft_shape: tuple | None = field(default=None, repr=False)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -112,10 +114,21 @@ class PartitionOfUnity:
             raise ValueError("one coefficient per node required")
         if isinstance(self.grid, Grid1D):
             return self._window_sum(np.repeat(coeffs, self._lens) * self._vals) / self._total
+        return self._convolve(coeffs) / self._total
+
+    def _convolve(self, coeffs: np.ndarray) -> np.ndarray:
+        """2D: the node impulses `coeffs` convolved with the bump kernel.
+
+        The same transforms, padding and centred slice as
+        `fftconvolve(impulses, _kernel, mode="same")`, so the same bits, with
+        the kernel's spectrum taken once in `build_partition`.
+        """
         imp = np.zeros(self.grid.shape)
         np.add.at(imp, self._idx, coeffs)
-        num = fftconvolve(imp, self._kernel, mode="same")
-        return num / self._total
+        full = irfftn(rfftn(imp, self._fft_shape) * self._kernel_spectrum,
+                      self._fft_shape)
+        lo = [(k - 1) // 2 for k in self._kernel.shape]
+        return full[lo[0]:lo[0] + imp.shape[0], lo[1]:lo[1] + imp.shape[1]]
 
     def _window_sum(self, weights: np.ndarray) -> np.ndarray:
         """Sum of the flattened 1D window samples `weights` onto the grid."""
@@ -164,12 +177,12 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
     ty = np.arange(-nk, nk + 1) * gy.spacing / radius
     kern = np.sqrt(tx[:, None] ** 2 + ty[None, :] ** 2)
     kern = _bump01(kern)
-    pou = PartitionOfUnity(nodes, radius, grid)
-    pou._kernel = kern
-    pou._idx = (ix, iy)
-    imp = np.zeros(grid.shape)
-    np.add.at(imp, (ix, iy), 1.0)
-    pou._total = np.maximum(fftconvolve(imp, kern, mode="same"), 1e-300)
+    # fftconvolve's padded shape: the full linear size, rounded up per axis
+    fshape = tuple(next_fast_len(n + k - 1, True)
+                   for n, k in zip(grid.shape, kern.shape))
+    pou = PartitionOfUnity(nodes, radius, grid, _idx=(ix, iy), _kernel=kern,
+                           _kernel_spectrum=rfftn(kern, fshape), _fft_shape=fshape)
+    pou._total = np.maximum(pou._convolve(np.ones(len(nodes))), 1e-300)
     return pou
 
 
@@ -481,12 +494,13 @@ def full_pipeline(f: GridFunction, sampling_set, cfg: ReconstructionConfig,
     ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||."""
     b = sampling_set.b
     m = 1 if isinstance(sampling_set, SamplingSequence1D) else sampling_set.m
-    pchi = cfg.multiplier(b)
-    g = pchi.apply(f)
-    h = GridFunction(f.grid, f.values - g.values)
+    # the partition checks the node set, so a bad one fails before P runs
     nodes = reconstruction_nodes(sampling_set)
     run_cfg = cfg if cfg.pou is not None else replace(
         cfg, pou=build_partition(nodes, b, f.grid))
+    pchi = cfg.multiplier(b)
+    g = pchi.apply(f)
+    h = GridFunction(f.grid, f.values - g.values)
     recon_f, rep = neumann_reconstruct(trace(f, sampling_set), sampling_set,
                                        run_cfg, f.grid)
     recon_g, _ = neumann_reconstruct(trace(g, sampling_set), sampling_set,

@@ -25,8 +25,10 @@ KINDS = ("gaussian", "compact-bump", "bandlimited-random", "gap-spline",
          "gap-sine", "besov-random", "dilate", "translate", "tensor2d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZooSpec:
+    """The parameters of one zoo function; hashable, so it can key a memo."""
+
     kind: str
     center: float = 0.0
     width: float = 1.0

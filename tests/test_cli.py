@@ -6,17 +6,31 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from besovsampling import cli
 from besovsampling.cli import (
     PIPELINES,
     RunConfig,
+    _critical_norm,
     execute_sweep,
     fit_slope,
     main,
     parse_value_list,
     sweep_outputs,
 )
-from besovsampling.grid import default_grid_1d, save_csv
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, default_grid_1d, save_csv
+from besovsampling.reconstruct import LowpassMultiplier
 from besovsampling.zoo import ZooSpec, make
+
+# the pipelines that take their Besov norm from the (spec, p) memo
+MEMOIZED = ("sampling", "heisenberg", "intb")
+
+
+@pytest.fixture(autouse=True)
+def fresh_norm_memo():
+    """No test sees a norm that another test left in the memo."""
+    _critical_norm.cache_clear()
+    yield
+    _critical_norm.cache_clear()
 
 
 @pytest.fixture()
@@ -201,11 +215,13 @@ class TestSweeps:
         assert outs[0] == outs[1]
 
     def test_parallel_matches_serial(self, tmp_path):
-        base = dict(command="intb", b_list=[2.0**-4, 2.0**-5], p_list=[2.0],
-                    seeds=[1])
-        serial = execute_sweep(RunConfig(**base, jobs=1))
-        parallel = execute_sweep(RunConfig(**base, jobs=2))
-        assert serial == parallel
+        for command in MEMOIZED:
+            base = dict(command=command, b_list=[2.0**-4, 2.0**-5],
+                        p_list=[2.0], seeds=[1])
+            # parallel first: forked workers must not inherit a warm memo
+            parallel = execute_sweep(RunConfig(**base, jobs=2))
+            serial = execute_sweep(RunConfig(**base, jobs=1))
+            assert serial == parallel, command
 
     def test_config_file_cli(self, tmp_path):
         from click.testing import CliRunner
@@ -243,6 +259,55 @@ class TestSweeps:
         assert "one-dimensional" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "sweep_uncertainty.csv").exists()
+
+
+class TestCriticalNormMemo:
+    """sampling, heisenberg and intb analyze each (spec, p) once per sweep,
+    and their rows and CSV bytes are those of an analysis at every tuple."""
+
+    B_LIST = [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
+
+    def test_one_analysis_per_spec_and_p(self, monkeypatch):
+        calls = []
+        analyze = cli.besov_norm_via_analyze
+
+        def counted(f, params, basis):
+            calls.append((params.p, f.values.tobytes()))
+            return analyze(f, params, basis)
+
+        monkeypatch.setattr(cli, "besov_norm_via_analyze", counted)
+        for command in MEMOIZED:
+            execute_sweep(RunConfig(command, b_list=self.B_LIST,
+                                    p_list=[1.0, 2.0], seeds=[1, 2]))
+        # 3 pipelines x 2 seeds (one spec each) x 2 values of p
+        assert len(calls) == 12
+        assert len(set(calls)) == 12
+
+    def test_rows_equal_an_analysis_at_every_tuple(self, monkeypatch):
+        def sweep(command):
+            return execute_sweep(RunConfig(command, b_list=self.B_LIST[1:3],
+                                           p_list=[1.0, 2.0], seeds=[1, 2]))
+
+        memo = {command: sweep(command) for command in MEMOIZED}
+        # besov_norm=None: each inequality function analyzes f itself
+        monkeypatch.setattr(cli, "_critical_norm", lambda spec, p: None)
+        for command in MEMOIZED:
+            assert sweep(command) == memo[command], command
+
+    def test_warm_memo_csv_equals_cold(self, tmp_path):
+        for command in MEMOIZED:
+            csvs = []
+            for run in ("warm", "cold"):
+                cfg = RunConfig(command, b_list=self.B_LIST, seeds=[3],
+                                out_dir=str(tmp_path / command / run))
+                rows = []
+                for t in cfg.tuples():
+                    if run == "cold":
+                        _critical_norm.cache_clear()
+                    rows.append(PIPELINES[command](t))
+                csv_path, _, _ = sweep_outputs(cfg, rows)
+                csvs.append(csv_path.read_bytes())
+            assert csvs[0] == csvs[1], command
 
 
 class TestUsageErrors:
@@ -299,3 +364,22 @@ class TestUsageErrors:
         cfg.write_text(json.dumps({"b_list": [0.25]}))
         self._usage_error(["sweep", "intb", "--config", str(cfg)],
                           "no 'command' key", "'b_list'")
+
+    def test_reconstruct_off_lattice_nodes(self, tmp_path, monkeypatch):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
+        data = tmp_path / "f2d.csv"
+        save_csv(GridFunction(grid, np.ones(grid.shape)), data)
+        # random line heights are off the grid lattice
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({
+            "variant": "hyperplane-union", "b": 0.5,
+            "window": [g1.x[0], g1.x[-1]], "params": {"seed": 1}}))
+
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the partition check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        self._usage_error(["reconstruct", "--input", str(data),
+                           "--geometry", str(spec)],
+                          "must sit on the grid lattice")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.inequalities import trace
 from besovsampling.reconstruct import (
+    LowpassMultiplier,
     ReconstructionConfig,
     _bump01,
     averaging_V,
@@ -173,6 +175,33 @@ class TestPartitionLoop:
         g = self.GRID
         pou = build_partition(np.array([-30.0, 40.0]), 2.0**-4, g)
         assert np.array_equal(pou.apply(np.array([1.0, -2.0])), np.zeros(g.count))
+
+
+class TestPartition2D:
+    """The 2D partition's cached kernel spectrum gives fftconvolve's bits."""
+
+    def test_apply_matches_fftconvolve(self):
+        g1 = Grid1D(-4.0, 2.0**-3, 100)
+        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 72))
+        rng = np.random.default_rng(5)
+        ix = np.r_[0, 99, 0, 99, rng.integers(0, 100, 30)]  # corners first
+        iy = np.r_[0, 0, 71, 71, rng.integers(0, 72, 30)]
+        nodes = np.column_stack([g1.x[ix], grid.gy.x[iy]])
+        for b in (0.5, 0.3):
+            pou = build_partition(nodes, b, grid)
+
+            def reference(c):
+                imp = np.zeros(grid.shape)
+                np.add.at(imp, (ix, iy), c)
+                return fftconvolve(imp, pou._kernel, mode="same")
+
+            total = np.maximum(reference(np.ones(len(nodes))), 1e-300)
+            assert np.array_equal(pou._total, total)
+            assert np.array_equal(pou.partition_sum(),
+                                  reference(np.ones(len(nodes))) / total)
+            for _ in range(2):  # a second apply reuses the spectrum
+                c = rng.normal(size=len(nodes))
+                assert np.array_equal(pou.apply(c), reference(c) / total)
 
 
 class TestPartitionAndOperators:
@@ -390,6 +419,20 @@ class TestContraction:
 
 
 class TestFullPipeline:
+    def test_off_lattice_nodes_fail_before_the_projector(self, monkeypatch):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid2 = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
+        g = build_geometry("hyperplane-union", {
+            "b": 0.5, "seed": 1, "window": (g1.x[0], g1.x[-1])})
+
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the partition check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        with pytest.raises(ValueError, match="must sit on the grid lattice"):
+            full_pipeline(GridFunction(grid2, np.ones(grid2.shape)), g,
+                          ReconstructionConfig())
+
     def test_bandlimited_degenerate_split(self, grid_module, seq_and_cfg):
         grid = grid_module
         seq, cfg = seq_and_cfg

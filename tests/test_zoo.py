@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,24 @@ class TestSpecs:
         back = ZooSpec.from_dict(spec.to_dict())
         assert back.base.s == 0.7 and math.isinf(back.base.q)
         assert back.m_shift == 2
+        assert back == spec
+        pair = ZooSpec("tensor2d", base=ZooSpec("gaussian", width=0.5),
+                       base2=ZooSpec("gap-sine", sequence_b=0.25))
+        assert ZooSpec.from_dict(pair.to_dict()) == pair
+
+    def test_equal_specs_hash_equal(self):
+        def spec(width):
+            return ZooSpec("dilate", m_shift=1,
+                           base=ZooSpec("compact-bump", width=width))
+
+        assert spec(2.0) == spec(2.0) and hash(spec(2.0)) == hash(spec(2.0))
+        assert spec(2.0) != spec(3.0)
+        assert {spec(2.0): "memo"}[spec(2.0)] == "memo"
+
+    def test_fields_are_frozen(self):
+        spec = ZooSpec("bandlimited-random", band=1.0, seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 4
 
 
 class TestGenerators:
