@@ -363,6 +363,10 @@ def execute_sweep(cfg: RunConfig):
         raise ValueError(
             f"pipeline {cfg.command} is one-dimensional; --geometry is not "
             f"supported here (only {sorted(set(PIPELINES) - ONE_DIMENSIONAL)} take it)")
+    # every pipeline takes an L^p norm, and the critical Besov norm B^{1/p}_{p,1}
+    bad_p = [p for p in cfg.p_list if not 1.0 <= p < math.inf]
+    if bad_p:
+        raise ValueError(f"p must lie in [1, inf), got {bad_p[0]}")
     packed = [(cfg.command, t) for t in cfg.tuples()]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -638,11 +642,12 @@ def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, o
     f = load_csv(input_path)
     with _input_errors():
         sset = _load_geometry_or_sequence(geom_path, b, seed)
-        # nodes off the 2D grid lattice are an input error, found before the
-        # reconstruction starts
-        pou = build_partition(reconstruction_nodes(sset), sset.b, f.grid)
-    cfg = ReconstructionConfig(c_factor=c_factor, a_factor=a_factor,
-                               n_iter=iters, pou=pou)
+        # P's passband constants and nodes off the 2D grid lattice are input
+        # errors, found before the reconstruction starts
+        cfg = ReconstructionConfig(c_factor=c_factor, a_factor=a_factor,
+                                   n_iter=iters)
+        cfg.multiplier(sset.b)
+        cfg.pou = build_partition(reconstruction_nodes(sset), sset.b, f.grid)
     rep = full_pipeline(f, sset, cfg)
     payload = {"report": rep.to_dict(), "fingerprint": environment_fingerprint(
         {"cmd": "reconstruct", "b": b, "c": c_factor, "iters": iters,

@@ -15,8 +15,9 @@ cross-check for dyadically sampled inputs.  Along each axis the sampled
 kernel spans M = (hi - lo) * 2^(res - j) grid steps, and the quadrature takes
 one of two routes:
 
-- M < n (fine scales, many translates): one FFT correlation of the axis with
-  the kernel, read at every stride-th lag.
+- M < n (fine scales, many translates): an FFT correlation of the axis with
+  the kernel, read at every stride-th lag.  The kernels applied to one array
+  (phi and psi) share its forward spectrum.
 - M >= n (coarse scales, a few translates): the polyphase split.  The axis is
   cut into stride-sample blocks aligned with the translates; each block meets
   at most P + 1 translates (P = hi - lo), so one matrix product per block,
@@ -25,6 +26,11 @@ one of two routes:
   2D scales would be several times the axis.
 
 Synthesis places coefficients with the transposed operator on the same route.
+
+In 2D, analysis correlates axis 1 first, so the full-size array goes through
+FFTs along its contiguous axis and the strided axis 0 sees only the partial
+results, already reduced to one value per translate.  Synthesis, its adjoint,
+places along axis 0 first, so its full-size placement runs along axis 1.
 
 Supports: the Daubechies tables are recentred by an integer shift (a pure
 relabeling of translates) so phi and psi share the support [-(K-1), K] and
@@ -41,6 +47,7 @@ from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from .grid import Grid1D, GridFunction, lp_norm
@@ -481,33 +488,47 @@ def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
 
 
 def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
-                    which: int, axis: int = 0):
-    """All-translate correlations along one axis.
+                    whiches, axis: int = 0):
+    """All-translate correlations along one axis, one per profile in `whiches`.
 
-    Returns (k0, out) where out[i, ...] = sum_m values[m, ...] * w(2^j x_m - (k0+i)).
-    A kernel shorter than the axis (M < n) goes through one FFT correlation.
-    A longer one, with only a few translates, goes through the polyphase
-    blocks: one product per block of `stride` samples against the at most
-    P + 1 translates that meet it, so nothing is padded to the kernel length.
+    Returns (k0, outs) where outs[t][i, ...] = sum_m values[m, ...] *
+    w_t(2^j x_m - (k0+i)) for the profile w_t = psi^whiches[t].
+    A kernel shorter than the axis (M < n) goes through FFT correlation: the
+    steps of scipy's `fftconvolve(values, kernel[::-1], mode="full")`, with
+    the forward spectrum of `values` taken once for every kernel, so each
+    output equals that call bit for bit.  A longer one, with only a few
+    translates, goes through the polyphase blocks: one product per block of
+    `stride` samples against the at most P + 1 translates that meet it, so
+    nothing is padded to the kernel length.
     """
     stride, base, M = _axis_setup(g, basis, j)
     n = values.shape[axis]
     k_min = int(np.ceil((base - M) / stride))
     k_max = int(np.floor((base + n - 1) / stride))
+    outs = []
     if M >= n:
         vals_mv = np.moveaxis(values, axis, -1)
-        out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
-        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
-            out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
-        return k_min, np.moveaxis(out, -1, axis)
-    kern = _axis_kernel(g, basis, j, which)
+        for which in whiches:
+            out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
+            for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
+                out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
+            outs.append(np.moveaxis(out, -1, axis))
+        return k_min, outs
+    L = sp_fft.next_fast_len(n + M, True)
+    spectrum = sp_fft.rfftn(values, [L], axes=[axis])
     shape = [1] * values.ndim
-    shape[axis] = len(kern)
-    conv = fftconvolve(values, kern[::-1].reshape(shape), mode="full", axes=axis)
+    shape[axis] = M + 1
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
     idx = M - base + np.arange(k_min, k_max + 1) * stride
-    out = np.take(conv, idx, axis=axis)
-    return k_min, out
+    for which in whiches:
+        kern = _axis_kernel(g, basis, j, which)[::-1].reshape(shape)
+        # a named operand, as in fftconvolve: numpy's complex product is not
+        # bitwise commutative, and `spectrum * <temporary>` may be evaluated
+        # in place in the temporary with the operands swapped
+        kern_spectrum = sp_fft.rfftn(kern, [L], axes=[axis])
+        conv = sp_fft.irfftn(spectrum * kern_spectrum, [L], axes=[axis])
+        outs.append(np.take(conv, idx, axis=axis))
+    return k_min, outs
 
 
 def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: int,
@@ -569,32 +590,39 @@ def _tensor_correlate(f: GridFunction, basis: WaveletBasis, j: int, types,
                       hull) -> dict:
     """<f, psi^l_{j,k}> for each tensor type l in `types`, one axis at a time.
 
-    The partial correlation of a type prefix is shared by every type that
-    starts with it, so in 2D the detail types take two correlations along
-    axis 0 and three along axis 1.  Translates are trimmed to the significant
-    support `hull`; types trimmed to nothing are left out.  Returns
-    {type: (per-axis first translates, values)}.
+    The axes are walked from last to first, so the full-size array is
+    correlated along its contiguous axis and the strided axes see only the
+    partial results, already reduced to one value per translate.  The
+    partial correlation of a type suffix is shared by every type that ends
+    with it, and the profiles applied to one partial share its forward
+    spectrum: in 2D the detail types take one FFT correlation of f along
+    axis 1 with phi and psi, then one along axis 0 of each of the two
+    partials, three forward spectra in all.  Translates are trimmed to the
+    significant support `hull`; types trimmed to nothing are left out.
+    Returns {type: (per-axis first translates, values)} in type order.
     """
     axes = f.grid.axes
     fac = 2.0 ** (j * len(axes) / 2.0) * prod(g.spacing for g in axes)
     partial = {(): ((), f.values)}
-    for axis, g in enumerate(axes):
-        last = axis == len(axes) - 1
+    for axis in reversed(range(len(axes))):
+        g = axes[axis]
         nxt = {}
-        for prefix, (k0s, vals) in partial.items():
-            for which in (0, 1):
-                key = prefix + (which,)
-                if not any(l[: axis + 1] == key for l in types):
-                    continue
-                k0, corr = _axis_correlate(vals, g, basis, j, which, axis=axis)
+        for suffix, (k0s, vals) in partial.items():
+            whiches = [w for w in (0, 1)
+                       if any(l[axis:] == (w,) + suffix for l in types)]
+            if not whiches:
+                continue
+            k0, corrs = _axis_correlate(vals, g, basis, j, whiches, axis=axis)
+            for which, corr in zip(whiches, corrs):
                 i_lo, i_hi = _trim_translates(k0, corr.shape[axis], hull[axis],
                                               basis, j)
                 if i_hi <= i_lo:
                     continue
                 kept = corr[(slice(None),) * axis + (slice(i_lo, i_hi),)]
-                nxt[key] = (k0s + (k0 + i_lo,), fac * kept if last else kept)
+                nxt[(which,) + suffix] = ((k0 + i_lo,) + k0s,
+                                          fac * kept if axis == 0 else kept)
         partial = nxt
-    return partial
+    return dict(sorted(partial.items()))
 
 
 def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
@@ -658,7 +686,7 @@ def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> Gri
     for j, blocks in terms:
         for l, (k0s, vals) in blocks.items():
             part = vals
-            for axis in reversed(range(c.dim)):
+            for axis in range(c.dim):
                 part = _axis_place(part, k0s[axis], axes[axis], c.basis, j,
                                    which=l[axis], axis=axis)
             out += 2.0 ** (j * c.dim / 2.0) * part

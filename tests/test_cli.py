@@ -383,3 +383,24 @@ class TestUsageErrors:
         self._usage_error(["reconstruct", "--input", str(data),
                            "--geometry", str(spec)],
                           "must sit on the grid lattice")
+
+    def test_reconstruct_bad_passband(self, gauss_csv, monkeypatch):
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the passband check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        self._usage_error(["reconstruct", "--input", gauss_csv,
+                           "--c", "0.25", "--a", "0.5"], "need 0 < a < c")
+
+    @pytest.mark.parametrize("args, bad", [
+        (["verify", "heisenberg", "--p", "0.5"], "0.5"),
+        (["verify", "sampling", "--p", "inf"], "inf"),
+        (["sweep", "pl", "--p", "2,0.5"], "0.5")])
+    def test_p_outside_range(self, tmp_path, monkeypatch, args, bad):
+        def no_pipeline(t):
+            raise AssertionError("a tuple ran before the p check")
+
+        monkeypatch.setitem(cli.PIPELINES, args[1], no_pipeline)
+        self._usage_error(args + ["--out-dir", str(tmp_path)],
+                          f"p must lie in [1, inf), got {bad}")
+        assert not list(tmp_path.iterdir())

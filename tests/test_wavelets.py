@@ -1,16 +1,23 @@
 import json
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
+from scipy.signal import fftconvolve
 
+from besovsampling import wavelets
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.wavelets import (
     WaveletCoefficients,
     _axis_correlate,
+    _axis_kernel,
     _axis_place,
+    _axis_setup,
+    _polyphase_blocks,
+    _trim_translates,
     analyze,
     build_basis,
     coeffs_from_json_dict,
@@ -333,7 +340,7 @@ class TestAxisCorrelation:
     def test_correlate_matches_double_sum(self, request, small_grid, name, j, which):
         basis = request.getfixturevalue(name)
         for g, values, axis in self._cases(small_grid):
-            k0, out = _axis_correlate(values, g, basis, j, which, axis=axis)
+            k0, (out,) = _axis_correlate(values, g, basis, j, [which], axis=axis)
             # two translates past each end must have no support on the grid
             ks = np.arange(k0 - 2, k0 + out.shape[axis] + 2)
             W = self._kernel(g, basis, j, which, ks)
@@ -348,7 +355,7 @@ class TestAxisCorrelation:
         basis = request.getfixturevalue(name)
         rng = np.random.default_rng(6)
         for g, values, axis in self._cases(small_grid):
-            k0, corr = _axis_correlate(values, g, basis, j, which, axis=axis)
+            k0, (corr,) = _axis_correlate(values, g, basis, j, [which], axis=axis)
             # translates beyond both ends of the grid's reach are placed as zeros
             shape = list(corr.shape)
             shape[axis] += 6
@@ -359,6 +366,102 @@ class TestAxisCorrelation:
             ref = np.moveaxis(np.tensordot(W.T, coeffs, axes=(1, axis)), 0, axis)
             assert out.shape == values.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _correlate_one_kernel(values, g, basis, j, which, axis):
+    """One profile's correlation as `_axis_correlate` made it before the
+    forward spectrum was shared: its own `fftconvolve` for M < n."""
+    stride, base, M = _axis_setup(g, basis, j)
+    n = values.shape[axis]
+    k_min = int(np.ceil((base - M) / stride))
+    k_max = int(np.floor((base + n - 1) / stride))
+    if M >= n:
+        vals_mv = np.moveaxis(values, axis, -1)
+        out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
+            out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
+        return k_min, np.moveaxis(out, -1, axis)
+    kern = _axis_kernel(g, basis, j, which)
+    shape = [1] * values.ndim
+    shape[axis] = len(kern)
+    conv = fftconvolve(values, kern[::-1].reshape(shape), mode="full", axes=axis)
+    idx = M - base + np.arange(k_min, k_max + 1) * stride
+    return k_min, np.take(conv, idx, axis=axis)
+
+
+def _tensor_correlate_axis0_first(f, basis, j, types, hull):
+    """The tensor correlation in its earlier order: axis 0 first, partial
+    results shared by type prefix, one profile per correlation."""
+    axes = f.grid.axes
+    fac = 2.0 ** (j * len(axes) / 2.0) * prod(g.spacing for g in axes)
+    partial = {(): ((), f.values)}
+    for axis, g in enumerate(axes):
+        last = axis == len(axes) - 1
+        nxt = {}
+        for prefix, (k0s, vals) in partial.items():
+            for which in (0, 1):
+                key = prefix + (which,)
+                if not any(l[: axis + 1] == key for l in types):
+                    continue
+                k0, corr = _correlate_one_kernel(vals, g, basis, j, which, axis)
+                i_lo, i_hi = _trim_translates(k0, corr.shape[axis], hull[axis],
+                                              basis, j)
+                if i_hi <= i_lo:
+                    continue
+                kept = corr[(slice(None),) * axis + (slice(i_lo, i_hi),)]
+                nxt[key] = (k0s + (k0 + i_lo,), fac * kept if last else kept)
+        partial = nxt
+    return partial
+
+
+class TestSharedSpectrum:
+    """The multi-profile `_axis_correlate` and the last-axis-first tensor
+    correlation against the one-profile, axis-0-first forms they replace."""
+
+    # j = -6 puts every case below on the polyphase route (M >= n) and j = 3
+    # every case on the FFT route (M < n), for both bases.  The 1D spectra
+    # are long enough (over 256 KiB) for numpy to evaluate a product with a
+    # temporary operand in place, with the operands swapped.
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    @pytest.mark.parametrize("j", [-6, 3])
+    def test_matches_one_kernel_correlations_bit_for_bit(self, request, grid,
+                                                         name, j):
+        basis = request.getfixturevalue(name)
+        rng = np.random.default_rng(7)
+        g2 = Grid2D(Grid1D(-3.0, 2.0**-5, 128), Grid1D(-323 / 64, 2.0**-6, 256))
+        cases = [(grid, rng.normal(size=grid.count), 0),
+                 (g2.gx, rng.normal(size=g2.shape), 0),
+                 (g2.gy, rng.normal(size=g2.shape), 1)]
+        for g, values, axis in cases:
+            _stride, _base, M = _axis_setup(g, basis, j)
+            assert (M >= values.shape[axis]) == (j == -6)
+            k0, outs = _axis_correlate(values, g, basis, j, [0, 1], axis=axis)
+            assert len(outs) == 2
+            for which, out in zip((0, 1), outs):
+                k0_ref, ref = _correlate_one_kernel(values, g, basis, j, which, axis)
+                assert k0 == k0_ref
+                assert np.array_equal(out, ref)
+
+    def test_2d_analyze_matches_axis0_first_order(self, db4, monkeypatch):
+        grid = Grid2D(Grid1D(-4.0, 2.0**-5, 256), Grid1D(-4.0, 2.0**-6, 512))
+        x, y = grid.gx.x[:, None], grid.gy.x[None, :]
+        f = GridFunction(grid, np.exp(-np.pi * ((x - 0.3) ** 2 + 2.0 * (y + 0.2) ** 2))
+                         * np.cos(3.0 * x * y + y))
+        # scales -4..3 take the polyphase route at the coarse end and the FFT
+        # route at the fine end on both axes
+        c_new = analyze(f, db4, -4, 3)
+        monkeypatch.setattr(wavelets, "_tensor_correlate", _tensor_correlate_axis0_first)
+        c_old = analyze(f, db4, -4, 3)
+        assert list(c_new.scales) == list(c_old.scales)
+        pairs = [(c_new.coarse, c_old.coarse)]
+        for j in c_old.scales:
+            new, old = c_new.scales[j], c_old.scales[j]
+            assert list(new) == list(old)
+            pairs += [(new[l], old[l]) for l in old]
+        peak = max(np.max(np.abs(old[-1])) for _new, old in pairs)
+        for new, old in pairs:
+            assert new[:-1] == old[:-1]
+            assert np.max(np.abs(new[-1] - old[-1])) <= 1e-13 * peak
 
 
 class TestPyramidCrossCheck:
