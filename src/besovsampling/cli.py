@@ -367,9 +367,13 @@ def execute_sweep(cfg: RunConfig):
     bad_p = [p for p in cfg.p_list if not 1.0 <= p < math.inf]
     if bad_p:
         raise ValueError(f"p must lie in [1, inf), got {bad_p[0]}")
+    if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
+        raise ValueError(f"jobs must be a positive integer, got {cfg.jobs!r}")
     packed = [(cfg.command, t) for t in cfg.tuples()]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # a forked pool starts all its workers up front, so start no idle ones
+    workers = min(cfg.jobs, len(packed))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_dispatch_tuple, packed))
     else:
         rows = [_dispatch_tuple(pt) for pt in packed]

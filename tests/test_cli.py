@@ -223,6 +223,33 @@ class TestSweeps:
             serial = execute_sweep(RunConfig(**base, jobs=1))
             assert serial == parallel, command
 
+    def test_pool_never_larger_than_the_tuples(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process: it starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setitem(PIPELINES, "intb", lambda t: {"b": t[0]})
+        rows = execute_sweep(RunConfig("intb", b_list=[0.25, 0.125, 0.0625], jobs=64))
+        assert sizes == [3]
+        assert rows == [{"b": 0.25}, {"b": 0.125}, {"b": 0.0625}]
+        # one tuple runs in this process, with no pool at all
+        assert execute_sweep(RunConfig("intb", b_list=[0.25], jobs=2)) == [{"b": 0.25}]
+        assert sizes == [3]
+
     def test_config_file_cli(self, tmp_path):
         from click.testing import CliRunner
         cfg_path = tmp_path / "cfg.json"
@@ -391,6 +418,21 @@ class TestUsageErrors:
         monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
         self._usage_error(["reconstruct", "--input", gauss_csv,
                            "--c", "0.25", "--a", "0.5"], "need 0 < a < c")
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one(self, tmp_path, monkeypatch, jobs):
+        def no_pipeline(t):
+            raise AssertionError("a tuple ran before the jobs check")
+
+        monkeypatch.setitem(cli.PIPELINES, "heisenberg", no_pipeline)
+        message = f"jobs must be a positive integer, got {jobs}"
+        self._usage_error(["verify", "heisenberg", f"--jobs={jobs}",
+                           "--out-dir", str(tmp_path)], message)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "heisenberg", "jobs": jobs,
+                                   "out_dir": str(tmp_path / "out")}))
+        self._usage_error(["sweep", "heisenberg", "--config", str(cfg)], message)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("args, bad", [
         (["verify", "heisenberg", "--p", "0.5"], "0.5"),

@@ -1,13 +1,17 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besovsampling.grid import (
     Grid1D,
     Grid2D,
     GridFunction,
+    SpectrumFunction,
     _axis_phase,
     _origin_phase,
     fourier,
@@ -26,6 +30,37 @@ from besovsampling.grid import (
 
 def gaussian(grid, width=1.0, center=0.0):
     return GridFunction(grid, np.exp(-np.pi * (grid.x - center) ** 2 / width**2))
+
+
+def random_function(grid, seed=0):
+    return GridFunction(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+
+
+@pytest.fixture(scope="module")
+def odd_grid2d():
+    """Non-square 2D grid, a different spacing per axis, origins off the dyadic lattice."""
+    return Grid2D(Grid1D(-3.3, 0.125, 64), Grid1D(-5.1, 0.0625, 128))
+
+
+def outer_weight_lp_norm(f, p, weight=None):
+    """Reference L^p norm: the trapezoid weights as one full-grid outer product."""
+    per_axis = []
+    for g in f.grid.axes:
+        w = np.full(g.count, g.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        per_axis.append(w)
+    w = reduce(np.multiply.outer, per_axis)
+    v = np.abs(f.values) if weight is None else weight * np.abs(f.values)
+    return float(np.sum(w * v ** p) ** (1.0 / p))
+
+
+def full_spectrum_lowpass(f, inner, outer):
+    """Reference low-pass: `fourier`, the full-grid multiplier, `inverse_fourier`."""
+    F = fourier(f)
+    mult = reduce(np.multiply.outer, [lowpass_profile(np.abs(fz), inner, outer)
+                                      for fz in F.axis_freqs])
+    return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult)).values
 
 
 class TestLpNorm:
@@ -55,6 +90,22 @@ class TestLpNorm:
             lp_norm(f, 0.5)
         with pytest.raises(ValueError):
             lp_norm(f, np.inf)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(min_value=1.0, max_value=4.0))
+    def test_1d_equals_outer_weight_formula(self, small_grid, p):
+        f = random_function(small_grid, seed=3)
+        weight = np.abs(small_grid.x) ** 0.5
+        assert lp_norm(f, p) == outer_weight_lp_norm(f, p)
+        assert weighted_lp_norm(f, weight, p) == outer_weight_lp_norm(f, p, weight)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.7])
+    def test_2d_matches_outer_weight_formula(self, odd_grid2d, p):
+        f = random_function(odd_grid2d, seed=4)
+        weight = np.add.outer(*(np.abs(g.x) for g in odd_grid2d.axes))
+        assert lp_norm(f, p) == pytest.approx(outer_weight_lp_norm(f, p), rel=1e-15)
+        assert weighted_lp_norm(f, weight, p) == pytest.approx(
+            outer_weight_lp_norm(f, p, weight), rel=1e-15)
 
     def test_rejects_nonfinite(self, small_grid):
         vals = np.zeros(small_grid.count)
@@ -200,6 +251,36 @@ class TestSmoothLowpass:
         f = gaussian(small_grid)
         with pytest.raises(ValueError):
             smooth_lowpass(f, 4.0, 2.0)
+
+    def test_1d_equals_full_spectrum_route(self, small_grid, grid):
+        for g in (small_grid, grid):
+            f = random_function(g, seed=5)
+            assert np.array_equal(smooth_lowpass(f, 2.0, 4.0).values,
+                                  full_spectrum_lowpass(f, 2.0, 4.0))
+
+    @pytest.mark.parametrize("inner, outer", [(1.5, 3.0), (0.3, 3.99)])
+    def test_2d_matches_full_spectrum_route(self, odd_grid2d, inner, outer):
+        f = random_function(odd_grid2d, seed=6)
+        got = smooth_lowpass(f, inner, outer).values
+        ref = full_spectrum_lowpass(f, inner, outer)
+        assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    # bin-aligned frequencies (multiples of 1/8 on both axes); the nonzero ones lie in (1.5, 3)
+    @pytest.mark.parametrize("xi, eta", [(2.25, 0.0), (0.0, 2.625), (2.25, 2.625)])
+    def test_2d_transition_band_scaling(self, odd_grid2d, xi, eta):
+        gx, gy = odd_grid2d.axes
+        vals = np.multiply.outer(np.cos(2 * np.pi * xi * gx.x), np.cos(2 * np.pi * eta * gy.x))
+        out = smooth_lowpass(GridFunction(odd_grid2d, vals), 1.5, 3.0)
+        expected = float(lowpass_profile(xi, 1.5, 3.0) * lowpass_profile(eta, 1.5, 3.0))
+        assert np.max(np.abs(out.values - expected * vals)) < 1e-12
+
+    def test_2d_rejects_nyquist_and_non_power_of_two(self, odd_grid2d):
+        # the coarser axis 0 sets the Nyquist limit: 1 / (2 * 0.125) = 4
+        with pytest.raises(ValueError, match="Nyquist"):
+            smooth_lowpass(random_function(odd_grid2d), 1.0, 4.5)
+        grid = Grid2D(Grid1D(-3.3, 0.125, 48), Grid1D(-5.1, 0.0625, 128))
+        with pytest.raises(ValueError, match="power of two"):
+            smooth_lowpass(random_function(grid), 1.0, 2.0)
 
     def test_ramp_profile_shape(self):
         t = np.linspace(-1, 2, 301)
