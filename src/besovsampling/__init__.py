@@ -36,6 +36,7 @@ from .besov import (
     besov_norm_lp,
     besov_norm_via_analyze,
     besov_norm_wavelet,
+    critical_norm,
     make_lp_window,
     pw_membership,
 )

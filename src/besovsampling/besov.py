@@ -30,7 +30,7 @@ from .grid import (
     lp_norm,
     smooth_ramp01,
 )
-from .wavelets import WaveletBasis, WaveletCoefficients, analyze
+from .wavelets import WaveletBasis, WaveletCoefficients, analyze, default_basis
 
 __all__ = [
     "BesovParams",
@@ -40,6 +40,7 @@ __all__ = [
     "besov_norm_lp",
     "besov_norm_lp_details",
     "besov_norm_via_analyze",
+    "critical_norm",
     "default_scale_range",
     "pw_membership",
     "SpectralCoverageError",
@@ -239,6 +240,15 @@ def besov_norm_via_analyze(
     c = analyze(f, basis, d_lo if j_min is None else j_min,
                 d_hi if j_max is None else j_max)
     return besov_norm_wavelet(c, params), c
+
+
+def critical_norm(f: GridFunction, p: float, m: int = 1,
+                  basis: WaveletBasis | None = None) -> float:
+    """||f|| in B^(m/p)_(p,1)(R^d), d = f.ndim: the critical space of the trace
+    on a carrier with m-dimensional cells (m = 1 for a sequence), by the
+    wavelet form over the default scale range."""
+    params = BesovParams(s=m / p, p=p, q=1.0, d=f.ndim)
+    return besov_norm_via_analyze(f, params, basis or default_basis())[0]
 
 
 def pw_membership(f: GridFunction, b: float, tol: float = 1e-6):

@@ -145,6 +145,14 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
+def _emit(payload: dict, out: str | None):
+    """Echo a command's JSON result, and write it to `out` when given."""
+    text = json.dumps(payload, indent=1, sort_keys=True, default=str)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    click.echo(text)
+
+
 def _load_geometry_or_sequence(path, default_b: float, seed: int):
     """A geometry spec file, or (absent) a seeded 1D strict sequence."""
     if path is None:
@@ -484,10 +492,7 @@ def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max,
                   "j_range": details["j_range"], "definition": "lp"}
     result["fingerprint"] = environment_fingerprint(
         {"cmd": "besov norm", "s": s, "p": p, "q": str(q)})["hash"]
-    text = json.dumps(result, indent=1, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+    _emit(result, out)
 
 
 @besov.command("filters")
@@ -538,10 +543,7 @@ def geometry_check_cmd(geom_path, probes, seed, out):
     payload = {"geometry": geometry_to_json_dict(g), "report": rep.to_dict(),
                "fingerprint": environment_fingerprint(
                    {"cmd": "geometry check", "probes": probes, "seed": seed})}
-    text = json.dumps(payload, indent=1, sort_keys=True, default=str)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+    _emit(payload, out)
     if not rep.all_pass():
         sys.exit(1)
 
@@ -577,7 +579,7 @@ def verify_cmd(pipeline, p_list, b_list, sweep_range, seed, geom_path, out,
     csv_path, json_path, ok = sweep_outputs(cfg, rows)
     if out:
         write_json(out, {"rows": rows,
-                         "fingerprint": environment_fingerprint(asdict(cfg))})
+                         "fingerprint": build_sweep_result(cfg, rows).fingerprint})
     click.echo(f"wrote {csv_path} and {json_path}")
     if not ok:
         sys.exit(1)
@@ -604,10 +606,7 @@ def approx_pl_cmd(input_path, b, seed, out):
             GridFunction(f.grid, f.values - pl.values), 2.0)})
     payload = {"rows": rows, "fingerprint": environment_fingerprint(
         {"cmd": "approx pl", "b": b, "seed": seed})}
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+    _emit(payload, out)
 
 
 @approx.command("split")
@@ -625,10 +624,7 @@ def approx_split_cmd(input_path, b, mode, out):
         rows.append({"b": bv, "h_norm": lp_norm(h, 2.0), **info})
     payload = {"rows": rows, "fingerprint": environment_fingerprint(
         {"cmd": "approx split", "b": b, "mode": mode})}
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+    _emit(payload, out)
 
 
 @main.command("reconstruct")
@@ -656,10 +652,7 @@ def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, o
     payload = {"report": rep.to_dict(), "fingerprint": environment_fingerprint(
         {"cmd": "reconstruct", "b": b, "c": c_factor, "iters": iters,
          "seed": seed})}
-    text = json.dumps(payload, indent=1, sort_keys=True, default=str)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+    _emit(payload, out)
     if rep.diverged:
         sys.exit(1)
 

@@ -61,6 +61,16 @@ VARIANTS = (
     "spiral",
 )
 
+# Declared constants (C0, C0_equiv, D) per variant, used wherever the
+# parameters (or a JSON spec) leave one out.
+DECLARED_CONSTANTS = {
+    "hyperplane-union": (10.0, 1.1, 4.0),
+    "perturbed-graph": (10.0, 1.1, 4.0),
+    "curve-family": (8.0, 6.0, 9.0),
+    "concentric-circles": (10.0, 1.5, 4.0),
+    "spiral": (12.0, 3.0, 4.0),
+}
+
 
 def window_for_grid(grid) -> tuple[float, float]:
     """Square working window matching a (half-open) 2D grid span."""
@@ -90,6 +100,19 @@ class SamplingSequence1D:
             raise ValueError(f"a gap exceeds the bound b={self.b}")
         if self.strict and np.any(gaps < self.b / 2 * (1 - 1e-12)):
             raise ValueError(f"strict mode requires gaps >= b/2={self.b / 2}")
+
+    # a sequence is the m = d = 1 sampling set: its anchors are the points,
+    # weighted by the counting measure H^0
+    m = 1
+    d = 1
+
+    @property
+    def anchors(self) -> np.ndarray:
+        return self.points
+
+    @property
+    def anchor_weights(self) -> np.ndarray:
+        return np.ones(len(self.points))
 
     @property
     def gaps(self) -> np.ndarray:
@@ -269,10 +292,13 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     """Construct a sampling geometry on the window.
 
     Common params: b, window=(lo, hi), seed, step (carrier quadrature step,
-    default 2^-7), C0, D.  Variant-specific parameters are documented inline.
+    default 2^-7), C0, C0_equiv, D (defaults per variant in
+    DECLARED_CONSTANTS).  Variant-specific parameters are documented inline.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
+    C0, C0_equiv, D = (float(params.get(key, default)) for key, default in
+                       zip(("C0", "C0_equiv", "D"), DECLARED_CONSTANTS[variant]))
     b = float(params["b"])
     window = tuple(params.get("window", (-8.0, 8.0)))
     step = float(params.get("step", 2.0**-7))
@@ -322,10 +348,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         cb = np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])
         flags = (raw_lo < lo) | (raw_hi > hi)  # window-trimmed cells
         g = SamplingGeometry2D(
-            variant, 1, b, float(params.get("C0", 10.0)),
-            float(params.get("D", 4.0)),
-            window, anchors, weights, cell_a=ca, cell_b=cb,
-            C0_equiv=float(params.get("C0_equiv", 1.1)),
+            variant, 1, b, C0, D, window, anchors, weights,
+            cell_a=ca, cell_b=cb, C0_equiv=C0_equiv,
             boundary_flags=flags,
             params={"heights": heights_full.tolist(), "seed": seed, "step": step,
                     **({k: params[k] for k in ("amp", "freq", "drop_line")
@@ -352,9 +376,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         centers = anchors.copy()
         centers[:, 0] = np.round(centers[:, 0] / b) * b  # squares sit on the lattice
         g = SamplingGeometry2D(
-            variant, 2, b, float(params.get("C0", 8.0)), float(params.get("D", 9.0)),
-            window, anchors, np.ones(len(anchors)),
-            C0_equiv=float(params.get("C0_equiv", 6.0)),
+            variant, 2, b, C0, D, window, anchors, np.ones(len(anchors)),
+            C0_equiv=C0_equiv,
             cell_centers=centers, cell_radius=b / 4.0,
             boundary_flags=np.zeros(len(anchors), bool),
             params={"seed": seed, "n_curves": len(ks)},
@@ -389,9 +412,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
             cb.append(seg_hi[i] * u)
             flags.append(np.full(n, i == len(radii) - 1))
         g = SamplingGeometry2D(
-            variant, 1, b, float(params.get("C0", 10.0)), float(params.get("D", 4.0)),
-            window, np.vstack(anchors), np.concatenate(weights),
-            C0_equiv=float(params.get("C0_equiv", 1.5)),
+            variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
+            C0_equiv=C0_equiv,
             cell_a=np.vstack(ca), cell_b=np.vstack(cb),
             boundary_flags=np.concatenate(flags),
             params={"radii": radii.tolist(), "seed": seed, "step": step, "rmax": rmax},
@@ -422,9 +444,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         cb.append(r_out * u)
         flags.append(np.full(n_per_turn, k >= len(radii) - 2))
     g = SamplingGeometry2D(
-        variant, 1, b, float(params.get("C0", 12.0)), float(params.get("D", 4.0)),
-        window, np.vstack(anchors), np.concatenate(weights),
-        C0_equiv=float(params.get("C0_equiv", 3.0)),
+        variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
+        C0_equiv=C0_equiv,
         cell_a=np.vstack(ca), cell_b=np.vstack(cb),
         boundary_flags=np.concatenate(flags),
         params={"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
@@ -771,8 +792,7 @@ def geometry_from_json_dict(d: dict) -> SamplingGeometry2D:
         params.setdefault("seed", d["seed"])
     params["b"] = d["b"]
     params["window"] = tuple(d.get("window", (-8.0, 8.0)))
-    params["C0"] = d.get("C0", 8.0)
-    if d.get("C0_equiv") is not None:
-        params["C0_equiv"] = d["C0_equiv"]
-    params["D"] = d.get("D", 9.0)
+    # constants the spec leaves out take build_geometry's per-variant defaults
+    params.update({key: d[key] for key in ("C0", "C0_equiv", "D")
+                   if d.get(key) is not None})
     return build_geometry(d["variant"], params)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm_via_analyze
-from .geometry import SamplingGeometry2D, SamplingSequence1D, cell_measures
+from .besov import critical_norm
+from .geometry import SamplingSequence1D, cell_measures
 from .grid import GridFunction, lp_norm, weighted_lp_norm
-from .wavelets import WaveletBasis, default_basis
+from .wavelets import WaveletBasis
 
 __all__ = [
     "TraceValues",
@@ -74,21 +74,15 @@ class TraceValues:
 
 
 def trace(f: GridFunction, sampling_set) -> TraceValues:
-    """Restrict f to a 1D sequence or a 2D carrier (linear interpolation
-    between grid nodes)."""
-    if isinstance(sampling_set, SamplingSequence1D):
-        if f.ndim != 1:
-            raise ValueError("1D sequence trace needs a 1D grid function")
-        vals = f.interpolate(sampling_set.points)
-        ones = np.ones(len(vals))
-        return TraceValues(vals, ones, sampling_set.cell_lengths, 1, 1,
-                           sampling_set.b)
-    g: SamplingGeometry2D = sampling_set
-    if f.ndim != 2:
-        raise ValueError("2D geometry trace needs a 2D grid function")
-    vals = f.interpolate(g.anchors)
-    cells = g.anchor_weights * cell_measures(g)
-    return TraceValues(vals, g.anchor_weights.copy(), cells, g.m, 2, g.b)
+    """Restrict f to the anchors of a sampling set, a 1D sequence (m = d = 1)
+    or a 2D carrier (linear interpolation between grid nodes)."""
+    s = sampling_set
+    if f.ndim != s.d:
+        raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid function, "
+                         f"got {f.ndim}D")
+    vals = f.interpolate(s.anchors)
+    cells = s.anchor_weights * cell_measures(s)
+    return TraceValues(vals, s.anchor_weights.copy(), cells, s.m, s.d, s.b)
 
 
 @dataclass
@@ -123,12 +117,11 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     np_norm = lp_norm(f, p)
     if np_norm == 0.0:
         raise ValueError("cannot form sampling ratios: ||f||_p = 0")
-    m = 1 if isinstance(sampling_set, SamplingSequence1D) else sampling_set.m
+    m = sampling_set.m
     # the trace checks the sampling set, so a bad one fails before the analysis
     tr = trace(f, sampling_set)
     if besov_norm is None:
-        params = BesovParams(s=m / p, p=p, q=1.0, d=f.ndim)
-        besov_norm, _ = besov_norm_via_analyze(f, params, basis or default_basis())
+        besov_norm = critical_norm(f, p, m, basis)
     b = tr.b
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N
@@ -177,8 +170,7 @@ def uncertainty_check(f: GridFunction, seq: SamplingSequence1D, p: float,
     if eps <= 0.0:
         return UncertaintyReport(p, seq.b, eps, False, None)
     if besov_norm is None:
-        params = BesovParams(s=1.0 / p, p=p, q=1.0, d=1)
-        besov_norm, _ = besov_norm_via_analyze(f, params, basis or default_basis())
+        besov_norm = critical_norm(f, p, basis=basis)
     c_emp = besov_norm * seq.b ** (1.0 / p) / (eps * lp_norm(f, p))
     return UncertaintyReport(p, seq.b, eps, True, c_emp)
 
@@ -192,8 +184,7 @@ def intB_diagnostic(f: GridFunction, seq: SamplingSequence1D, p: float,
     tr = trace(f, seq)
     lhs = abs(np_norm - tr.lp_cells(p))
     if besov_norm is None:
-        params = BesovParams(s=1.0 / p, p=p, q=1.0, d=1)
-        besov_norm, _ = besov_norm_via_analyze(f, params, basis or default_basis())
+        besov_norm = critical_norm(f, p, basis=basis)
     rhs = seq.b ** (1.0 / p) * besov_norm
     if rhs == 0.0:
         raise ValueError("Besov norm vanished; the diagnostic ratio is undefined")
@@ -214,6 +205,5 @@ def heisenberg_product(f: GridFunction, alpha: float, p: float,
         raise ValueError("||f||_p = 0")
     wnorm = weighted_lp_norm(f, lambda x: np.abs(x) ** (alpha / p), p)
     if besov_norm is None:
-        params = BesovParams(s=1.0 / p, p=p, q=1.0, d=1)
-        besov_norm, _ = besov_norm_via_analyze(f, params, basis or default_basis())
+        besov_norm = critical_norm(f, p, basis=basis)
     return wnorm * besov_norm**alpha / np_norm ** (1.0 + alpha)

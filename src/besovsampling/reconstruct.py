@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .besov import BesovParams, besov_norm_via_analyze
+from .besov import critical_norm
 from .geometry import SamplingGeometry2D, SamplingSequence1D
 from .grid import Grid1D, GridFunction, lp_norm, smooth_lowpass
 from .inequalities import TraceValues, trace
@@ -203,21 +203,16 @@ def reconstruction_nodes(sampling_set) -> np.ndarray:
 def averaging_V(t: TraceValues, sampling_set, nodes: np.ndarray):
     """Nearest-node cell averages of the trace onto Lambda_G.
 
-    Point-sample sets (1D sequences, discrete 2D anchor sets) make V the
-    identity.  For line carriers the trace is averaged over the Voronoi
+    Point-sample sets (m = d: 1D sequences, discrete 2D anchor sets) make V
+    the identity.  For line carriers the trace is averaged over the Voronoi
     interval of each node along its line.  Returns (coefficients, report)
     where the report records the l^p boundedness ratio
     ||V u||_p / (b^((m-d)/p) ||u||_Lp(G)).
     """
-    if isinstance(sampling_set, SamplingSequence1D):
+    if t.m == t.d:
         vals = t.values.copy()
-        report = _v_report(vals, t, sampling_set.b, m=1, d=1)
-        return vals, report
+        return vals, _v_report(vals, t)
     g: SamplingGeometry2D = sampling_set
-    if g.variant == "curve-family":
-        vals = t.values.copy()
-        report = _v_report(vals, t, g.b, m=g.m, d=2)
-        return vals, report
     if g.variant != "hyperplane-union":
         raise ValueError(
             f"averaging onto a lattice is not defined for variant {g.variant!r}")
@@ -242,14 +237,14 @@ def averaging_V(t: TraceValues, sampling_set, nodes: np.ndarray):
     vals = vals / wsum
     vals[empty] = 0.0
     flat = vals.ravel()  # matches lattice_nodes ordering (x-major)
-    report = _v_report(flat, t, g.b, m=g.m, d=2)
+    report = _v_report(flat, t)
     report["empty_cells"] = int(empty.sum())
     return flat, report
 
 
-def _v_report(vvals, t: TraceValues, b, m, d, p: float = 2.0) -> dict:
+def _v_report(vvals, t: TraceValues, p: float = 2.0) -> dict:
     num = float(np.sum(np.abs(vvals) ** p) ** (1 / p))
-    den = b ** ((m - d) / p) * t.lp_carrier(p)
+    den = t.b ** ((t.m - t.d) / p) * t.lp_carrier(p)
     return {"vnorm_ratio": num / den if den > 0 else 0.0, "p": p,
             "bound": 1.0}
 
@@ -417,23 +412,12 @@ def make_passband_family(grid, sampling_set, cfg: ReconstructionConfig,
     """Random functions bandlimited inside the flat passband of P."""
     inner = cfg.a_factor / sampling_set.b
     rng = np.random.default_rng(seed)
-    out = []
-    if isinstance(grid, Grid1D):
-        env = np.exp(-((grid.x - grid.origin - grid.length / 2)
-                       / (grid.length / 6.0)) ** 2)
-        for _ in range(n):
-            noise = rng.standard_normal(grid.count) * env
-            f = smooth_lowpass(GridFunction(grid, noise), 0.8 * inner, inner)
-            out.append(f)
-    else:
-        gx, gy = grid.gx, grid.gy
-        env = (np.exp(-((gx.x - gx.origin - gx.length / 2) / (gx.length / 6.0)) ** 2)[:, None]
-               * np.exp(-((gy.x - gy.origin - gy.length / 2) / (gy.length / 6.0)) ** 2)[None, :])
-        for _ in range(n):
-            noise = rng.standard_normal(grid.shape) * env
-            f = smooth_lowpass(GridFunction(grid, noise), 0.8 * inner, inner)
-            out.append(f)
-    return out
+    env = reduce(np.multiply.outer,
+                 [np.exp(-((g.x - g.origin - g.length / 2) / (g.length / 6.0)) ** 2)
+                  for g in grid.axes])
+    return [smooth_lowpass(GridFunction(grid, rng.standard_normal(grid.shape) * env),
+                           0.8 * inner, inner)
+            for _ in range(n)]
 
 
 def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
@@ -492,8 +476,7 @@ def full_pipeline(f: GridFunction, sampling_set, cfg: ReconstructionConfig,
     """Split f = g + h at the projector passband, reconstruct from the trace
     of f, and report the three-term error breakdown
     ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||."""
-    b = sampling_set.b
-    m = 1 if isinstance(sampling_set, SamplingSequence1D) else sampling_set.m
+    b, m = sampling_set.b, sampling_set.m
     # the partition checks the node set, so a bad one fails before P runs
     nodes = reconstruction_nodes(sampling_set)
     run_cfg = cfg if cfg.pou is not None else replace(
@@ -516,8 +499,7 @@ def full_pipeline(f: GridFunction, sampling_set, cfg: ReconstructionConfig,
     rep.h_reconstructed_norm = lp_norm(recon_h, p)
     rep.split_info = {"mode": "pchi", "inner": pchi.inner, "outer": pchi.outer}
     if besov_norm is None and basis is not None:
-        params = BesovParams(s=m / p, p=p, q=1.0, d=f.ndim)
-        besov_norm, _ = besov_norm_via_analyze(f, params, basis)
+        besov_norm = critical_norm(f, p, m, basis)
     if besov_norm is not None:
         rep.besov_norm = besov_norm
         denom = b ** (m / p) * besov_norm

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from functools import reduce
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -200,17 +201,9 @@ def make(spec: ZooSpec, grid, basis: WaveletBasis | None = None) -> ZooFunction:
         vals = _bump_vals(grid.x, spec.center, spec.width, spec.amplitude)
         return ZooFunction(GridFunction(grid, vals), spec, {"analytic": "bump"})
     if spec.kind == "bandlimited-random":
-        # compact post-envelope keeps a genuine support margin; it widens the
-        # band only by the (superpolynomially small) envelope spectrum tails
-        rng = np.random.default_rng(spec.seed)
-        env = _gaussian_vals(grid.x, spec.center, grid.length / 8.0, 1.0)
-        noise = rng.standard_normal(grid.count) * env
-        f = smooth_lowpass(GridFunction(grid, noise), 0.7 * spec.band, spec.band)
-        vals = f.values * window_envelope(grid, flat=0.7, zero=0.9)
-        n2 = lp_norm(GridFunction(grid, vals), 2.0)
-        if n2 > 0:
-            vals = vals * (spec.amplitude / n2)
-        return ZooFunction(GridFunction(grid, vals), spec, {"band": spec.band})
+        f = _bandlimited_field(grid, spec.band, spec.seed, spec.amplitude,
+                               spec.center)
+        return ZooFunction(f, spec, {"band": spec.band})
     if spec.kind == "gap-spline":
         seq = _seq_for(spec, grid)
         rng = np.random.default_rng(spec.seed)
@@ -320,22 +313,30 @@ def translate(zf: ZooFunction, tau: float, resample: bool = False) -> ZooFunctio
     return zz
 
 
-def bandlimited_field_2d(grid: Grid2D, band: float, seed: int,
-                         amplitude: float = 1.0) -> GridFunction:
-    """Seeded random 2D field bandlimited (per axis) to [-band, band], with a
-    genuine support margin from a compact post-envelope."""
+def _bandlimited_field(grid, band: float, seed: int, amplitude: float,
+                       center: float) -> GridFunction:
+    """Seeded random field on any grid, bandlimited (per axis) to
+    [-band, band], with L^2 norm `amplitude`.  The compact post-envelope keeps
+    a genuine support margin; it widens the band only by the
+    (superpolynomially small) envelope spectrum tails."""
     rng = np.random.default_rng(seed)
-    gx, gy = grid.gx, grid.gy
-    env = (_gaussian_vals(gx.x, 0.0, gx.length / 8.0, 1.0)[:, None]
-           * _gaussian_vals(gy.x, 0.0, gy.length / 8.0, 1.0)[None, :])
+    env = reduce(np.multiply.outer,
+                 [_gaussian_vals(g.x, center, g.length / 8.0, 1.0) for g in grid.axes])
     noise = rng.standard_normal(grid.shape) * env
     f = smooth_lowpass(GridFunction(grid, noise), 0.7 * band, band)
-    vals = f.values * np.outer(window_envelope(gx, 0.7, 0.9),
-                               window_envelope(gy, 0.7, 0.9))
+    vals = f.values * reduce(np.multiply.outer,
+                             [window_envelope(g, 0.7, 0.9) for g in grid.axes])
     n2 = lp_norm(GridFunction(grid, vals), 2.0)
     if n2 > 0:
         vals = vals * (amplitude / n2)
     return GridFunction(grid, vals)
+
+
+def bandlimited_field_2d(grid: Grid2D, band: float, seed: int,
+                         amplitude: float = 1.0) -> GridFunction:
+    """The 2D input of `verify sampling --geometry`: the band-limited field of
+    the zoo's `bandlimited-random` kind, centred at the origin."""
+    return _bandlimited_field(grid, band, seed, amplitude, 0.0)
 
 
 def calibration_zoo(grid: Grid1D, basis: WaveletBasis | None = None,

@@ -11,11 +11,12 @@ from besovsampling.besov import (
     besov_norm_lp_details,
     besov_norm_via_analyze,
     besov_norm_wavelet,
+    critical_norm,
     make_lp_window,
     pw_membership,
 )
 from besovsampling.grid import GridFunction, fourier, smooth_lowpass
-from besovsampling.wavelets import WaveletCoefficients, dilate_coeffs
+from besovsampling.wavelets import WaveletCoefficients, default_basis, dilate_coeffs
 from besovsampling.zoo import ZooSpec, make
 
 
@@ -93,6 +94,18 @@ class TestWaveletNorm:
         w = params.scale_weight_exponent
         expected = max(3.0, 2.0**w * 1.0)
         assert besov_norm_wavelet(c, params) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("p, m", [(1.0, 1), (2.0, 1), (2.0, 2), (4.0, 2)])
+    def test_critical_norm_is_the_wavelet_norm_at_m_over_p(self, small_grid,
+                                                           small_grid2d, db4, p, m):
+        f1 = make(ZooSpec("gaussian", width=1.0), small_grid).f
+        f2 = GridFunction(small_grid2d, np.outer(
+            *(np.exp(-np.pi * g.x**2) for g in small_grid2d.axes)))
+        for f in (f1, f2):
+            params = BesovParams(s=m / p, p=p, q=1.0, d=f.ndim)
+            assert critical_norm(f, p, m, db4) == besov_norm_via_analyze(f, params, db4)[0]
+        # the default basis stands in when none is given
+        assert critical_norm(f1, p, m) == critical_norm(f1, p, m, default_basis())
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -186,6 +187,36 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         rows = (tmp_path / "sweep_sampling.csv").read_text().splitlines()
         assert len(rows) == 2
+
+    def test_verify_out_fingerprint_is_the_csv_fingerprint(self, runner, tmp_path):
+        """--out carries the results' fingerprint, which --jobs and --out-dir
+        do not enter."""
+        blobs, csv_hashes = [], []
+        for sub, jobs in itertools.product(("a", "b"), ("1", "2")):
+            out = tmp_path / f"{sub}{jobs}.json"
+            res = runner.invoke(main, ["verify", "heisenberg", "--b", "2^-4",
+                                       "--seed", "5", "--jobs", jobs,
+                                       "--out-dir", str(tmp_path / sub),
+                                       "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            blobs.append(out.read_bytes())
+            row = (tmp_path / sub / "sweep_heisenberg.csv").read_text().splitlines()[1]
+            csv_hashes.append(row.rsplit(",", 1)[1])
+        assert len(set(blobs)) == 1
+        assert {json.loads(blobs[0])["fingerprint"]["hash"]} == set(csv_hashes)
+
+    @pytest.mark.parametrize("args", [
+        ["besov", "norm", "--s", "0.5", "--p", "2"],
+        ["approx", "pl", "--b", "2^-3,2^-4"],
+        ["approx", "split", "--b", "2^-3,2^-4"],
+    ], ids=["besov-norm", "approx-pl", "approx-split"])
+    def test_out_file_is_the_echoed_json(self, runner, gauss_csv, tmp_path, args):
+        out = tmp_path / "out.json"
+        res = runner.invoke(main, args + ["--input", gauss_csv, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = out.read_text(encoding="utf-8")
+        assert text == res.output
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
     def test_geometry_rejected_for_1d_pipelines(self, runner, tmp_path):
         spec = tmp_path / "geom.json"

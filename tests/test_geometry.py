@@ -132,6 +132,13 @@ class TestBuilders:
         m = cell_measures(seq)
         assert np.allclose(m[1:-1], 0.25, atol=1e-14)
 
+    def test_sequence_is_the_point_sampling_set(self):
+        seq = random_sequence(0.25, (-4.0, 4.0), 2)
+        assert (seq.m, seq.d) == (1, 1)
+        assert seq.anchors is seq.points
+        assert np.array_equal(seq.anchor_weights, np.ones(len(seq.points)))
+        assert np.array_equal(cell_measures(seq), seq.cell_lengths)
+
 
 class TestConditions:
     def test_hyperplane_exact_tiling(self):
@@ -320,3 +327,19 @@ class TestGeometryJson:
         assert back.b == g.b
         assert back.n_anchors() == g.n_anchors()
         assert np.allclose(back.anchors[:50], g.anchors[:50])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_spec_without_constants_declares_the_builder_defaults(self, variant):
+        params = {"b": 0.5, "seed": 3, "window": WIN}
+        built = build_geometry(variant, params)
+        read = geometry_from_json_dict({"variant": variant, "b": 0.5,
+                                        "window": list(WIN),
+                                        "params": {"seed": 3}})
+        assert (read.C0, read.C0_equiv, read.D) == \
+            (built.C0, built.C0_equiv, built.D)
+
+    def test_spec_constants_override_one_at_a_time(self):
+        built = build_geometry("spiral", {"b": 0.5, "window": WIN})
+        read = geometry_from_json_dict({"variant": "spiral", "b": 0.5,
+                                        "window": list(WIN), "D": 7.0})
+        assert (read.C0, read.C0_equiv, read.D) == (built.C0, built.C0_equiv, 7.0)

@@ -8,11 +8,12 @@ from besovsampling.besov import BesovParams, besov_norm_via_analyze, besov_norm_
 from besovsampling.geometry import (
     SamplingSequence1D,
     build_geometry,
+    cell_measures,
     random_sequence,
     regular_sequence,
     window_for_grid,
 )
-from besovsampling.grid import GridFunction, lp_norm
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.inequalities import (
     BAND,
     heisenberg_product,
@@ -24,6 +25,25 @@ from besovsampling.inequalities import (
 )
 from besovsampling.wavelets import WaveletCoefficients, dilate_coeffs, synthesize
 from besovsampling.zoo import ZooSpec, dilate, make
+
+
+def reference_trace_1d(f, seq):
+    """`trace`'s own branch for a sequence, before a sequence became the
+    m = d = 1 sampling set: (values, carrier weights, cell weights)."""
+    vals = f.interpolate(seq.points)
+    return vals, np.ones(len(vals)), seq.cell_lengths
+
+
+def reference_trace_2d(f, g):
+    """`trace`'s branch for a 2D carrier, as it was."""
+    vals = f.interpolate(g.anchors)
+    return vals, g.anchor_weights.copy(), g.anchor_weights * cell_measures(g)
+
+
+def assert_trace_equals(tr, reference):
+    for got, want in zip((tr.values, tr.carrier_weights, tr.cell_weights),
+                         reference):
+        assert np.array_equal(got, want)
 
 
 class TestTrace:
@@ -63,6 +83,39 @@ class TestTrace:
         seq = SamplingSequence1D(np.array([-9.0, 0.0, 7.0]), b=16.0)
         with pytest.raises(ValueError, match="outside"):
             trace(f, seq)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_1d_bit_identical_to_the_sequence_branch(self, grid, small_grid,
+                                                     strict):
+        for g, seed in ((grid, 3), (small_grid, 8)):
+            f = make(ZooSpec("bandlimited-random", band=2.0, seed=seed), g).f
+            seq = random_sequence(2.0**-4, (g.x[0], g.x[-1]), seed, strict=strict)
+            tr = trace(f, seq)
+            assert_trace_equals(tr, reference_trace_1d(f, seq))
+            assert (tr.m, tr.d, tr.b) == (1, 1, seq.b)
+
+    # perturbed-graph is left out: its window-trimmed cells have zero
+    # measure, which TraceValues rejects
+    @pytest.mark.parametrize("variant", ["hyperplane-union", "curve-family",
+                                         "concentric-circles", "spiral"])
+    def test_2d_bit_identical_to_the_carrier_branch(self, variant):
+        g1 = Grid1D(-8.0, 2.0**-5, 512)
+        grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-5, 512))
+        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        f = GridFunction(grid2, np.outer(u, np.cos(g1.x) * u))
+        g = build_geometry(variant, {"b": 0.5, "seed": 2,
+                                     "window": window_for_grid(grid2)})
+        tr = trace(f, g)
+        assert_trace_equals(tr, reference_trace_2d(f, g))
+        assert (tr.m, tr.d, tr.b) == (g.m, 2, g.b)
+
+    def test_dimension_mismatch_rejected(self, small_grid, small_grid2d):
+        seq = random_sequence(0.25, (-4.0, 4.0), 1)
+        with pytest.raises(ValueError, match="1D sampling set"):
+            trace(GridFunction(small_grid2d, np.ones(small_grid2d.shape)), seq)
+        g = build_geometry("curve-family", {"b": 0.5, "window": (-4.0, 4.0)})
+        with pytest.raises(ValueError, match="2D sampling set"):
+            trace(GridFunction(small_grid, np.ones(small_grid.count)), g)
 
 
 class TestSamplingRatio:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from besovsampling.geometry import build_geometry, random_sequence
-from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.inequalities import trace
 from besovsampling.reconstruct import (
     LowpassMultiplier,
@@ -258,6 +258,24 @@ class TestPartitionAndOperators:
         assert np.array_equal(v, t.values)
         assert rep["vnorm_ratio"] <= 1.0 + 1e-12
 
+    def test_averaging_identity_on_point_sets(self, grid_module, seq_and_cfg):
+        """m = d, a sequence or a curve-family anchor set: V is the identity
+        and its report is the ratio with b^((m-d)/p) = 1."""
+        seq, _ = seq_and_cfg
+        t = trace(make(ZooSpec("gaussian", width=2.0), grid_module).f, seq)
+        g1 = Grid1D(-8.0, 2.0**-5, 512)
+        grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-5, 512))
+        geo = build_geometry("curve-family", {"b": 0.5, "seed": 1,
+                                              "window": (-7.5, 7.5)})
+        u = np.exp(-np.pi * (g1.x / 3.0) ** 2)
+        t2 = trace(GridFunction(grid2, np.outer(u, u)), geo)
+        for tr, sset, m, d in ((t, seq, 1, 1), (t2, geo, 2, 2)):
+            v, rep = averaging_V(tr, sset, reconstruction_nodes(sset))
+            assert np.array_equal(v, tr.values)
+            num = float(np.sum(np.abs(v) ** 2.0) ** (1 / 2.0))
+            den = sset.b ** ((m - d) / 2.0) * tr.lp_carrier(2.0)
+            assert rep["vnorm_ratio"] == num / den
+
     def test_averaging_2d_constant_and_linear(self):
         g1 = Grid1D(-8.0, 2.0**-6, 1024)
         grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-6, 1024))
@@ -348,6 +366,44 @@ class TestNeumann:
                                       allow_noncontractive=True)
         out, _ = neumann_reconstruct(trace(fam[0], seq), seq, cfg_ok, grid)
         assert lp_norm(out, 2.0) > 0
+
+
+def reference_passband_family(grid, sampling_set, cfg, n, seed):
+    """`make_passband_family` with its two branches, 1D and 2D, as they were."""
+    inner = cfg.a_factor / sampling_set.b
+    rng = np.random.default_rng(seed)
+    out = []
+    if isinstance(grid, Grid1D):
+        env = np.exp(-((grid.x - grid.origin - grid.length / 2)
+                       / (grid.length / 6.0)) ** 2)
+        for _ in range(n):
+            noise = rng.standard_normal(grid.count) * env
+            out.append(smooth_lowpass(GridFunction(grid, noise), 0.8 * inner, inner))
+    else:
+        gx, gy = grid.gx, grid.gy
+        env = (np.exp(-((gx.x - gx.origin - gx.length / 2) / (gx.length / 6.0)) ** 2)[:, None]
+               * np.exp(-((gy.x - gy.origin - gy.length / 2) / (gy.length / 6.0)) ** 2)[None, :])
+        for _ in range(n):
+            noise = rng.standard_normal(grid.shape) * env
+            out.append(smooth_lowpass(GridFunction(grid, noise), 0.8 * inner, inner))
+    return out
+
+
+class TestPassbandFamily:
+    @pytest.mark.parametrize("grid", [
+        Grid1D(-16.0, 2.0**-10, 32768),
+        Grid1D(-5.3, 2.0**-6, 1024),
+        # unequal axes, spacings and origins, so a swapped axis shows
+        Grid2D(Grid1D(-3.3, 2.0**-4, 256), Grid1D(-5.1, 2.0**-5, 128)),
+    ], ids=["1d-default", "1d-offset", "2d"])
+    def test_bit_identical_to_the_per_dimension_branches(self, grid):
+        seq = random_sequence(2.0**-2, (-2.0, 2.0), seed=3, strict=True)
+        cfg = ReconstructionConfig(c_factor=0.25)
+        got = make_passband_family(grid, seq, cfg, n=3, seed=7)
+        want = reference_passband_family(grid, seq, cfg, n=3, seed=7)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
 
 
 class TestContraction:

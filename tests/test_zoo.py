@@ -6,15 +6,46 @@ import pytest
 
 from besovsampling.besov import BesovParams, besov_norm_wavelet
 from besovsampling.geometry import random_sequence
-from besovsampling.grid import lp_norm
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.zoo import (
     ZooSpec,
+    _gaussian_vals,
     bandlimited_field_2d,
     calibration_zoo,
     dilate,
     make,
     translate,
+    window_envelope,
 )
+
+
+def reference_bandlimited_1d(spec, grid):
+    """The 1D `bandlimited-random` branch of `make`, as it was."""
+    rng = np.random.default_rng(spec.seed)
+    env = _gaussian_vals(grid.x, spec.center, grid.length / 8.0, 1.0)
+    noise = rng.standard_normal(grid.count) * env
+    f = smooth_lowpass(GridFunction(grid, noise), 0.7 * spec.band, spec.band)
+    vals = f.values * window_envelope(grid, flat=0.7, zero=0.9)
+    n2 = lp_norm(GridFunction(grid, vals), 2.0)
+    if n2 > 0:
+        vals = vals * (spec.amplitude / n2)
+    return vals
+
+
+def reference_field_2d(grid, band, seed, amplitude=1.0):
+    """`bandlimited_field_2d`'s own body, as it was."""
+    rng = np.random.default_rng(seed)
+    gx, gy = grid.gx, grid.gy
+    env = (_gaussian_vals(gx.x, 0.0, gx.length / 8.0, 1.0)[:, None]
+           * _gaussian_vals(gy.x, 0.0, gy.length / 8.0, 1.0)[None, :])
+    noise = rng.standard_normal(grid.shape) * env
+    f = smooth_lowpass(GridFunction(grid, noise), 0.7 * band, band)
+    vals = f.values * np.outer(window_envelope(gx, 0.7, 0.9),
+                               window_envelope(gy, 0.7, 0.9))
+    n2 = lp_norm(GridFunction(grid, vals), 2.0)
+    if n2 > 0:
+        vals = vals * (amplitude / n2)
+    return vals
 
 
 class TestSpecs:
@@ -121,6 +152,27 @@ class TestGenerators:
         f = bandlimited_field_2d(small_grid2d, 1.0, 5)
         assert f.support_margin > 0.0
         assert lp_norm(f, 2.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        ZooSpec("bandlimited-random", band=1.0, seed=0),
+        ZooSpec("bandlimited-random", band=2.0, seed=3),
+        ZooSpec("bandlimited-random", band=4.0, seed=7),
+        ZooSpec("bandlimited-random", band=1.0, seed=5, center=1.5,
+                amplitude=2.5),
+    ], ids=["seed0", "seed3", "seed7", "centre-amplitude"])
+    def test_bandlimited_bit_identical_to_the_1d_branch(self, grid, small_grid,
+                                                        spec):
+        for g in (grid, small_grid):
+            assert np.array_equal(make(spec, g).f.values,
+                                  reference_bandlimited_1d(spec, g))
+
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    def test_field_2d_bit_identical_to_its_own_body(self, small_grid2d, amplitude):
+        # unequal axes, spacings and origins, so a swapped axis shows
+        uneven = Grid2D(Grid1D(-6.0, 2.0**-5, 512), Grid1D(-3.0, 2.0**-4, 128))
+        for g, seed in ((small_grid2d, 5), (uneven, 9)):
+            assert np.array_equal(bandlimited_field_2d(g, 1.0, seed, amplitude).values,
+                                  reference_field_2d(g, 1.0, seed, amplitude))
 
 
 class TestTransforms:
