@@ -62,8 +62,10 @@ from .inequalities import (
 )
 from .reconstruct import (
     ReconstructionConfig,
+    ReconstructionOperator,
     ReconstructionReport,
     bandlimited_split,
+    build_operator,
     contraction_estimate,
     full_pipeline,
     interp_pl,

@@ -54,10 +54,9 @@ from .inequalities import (
 from .reconstruct import (
     ReconstructionConfig,
     bandlimited_split,
-    build_partition,
+    build_operator,
     full_pipeline,
     interp_pl,
-    reconstruction_nodes,
 )
 from .wavelets import coeffs_to_json_dict, default_basis
 from .zoo import ZooSpec, bandlimited_field_2d, make
@@ -153,21 +152,13 @@ def _emit(payload: dict, out: str | None):
     click.echo(text)
 
 
-def _load_geometry_or_sequence(path, default_b: float, seed: int):
-    """A geometry spec file, or (absent) a seeded 1D strict sequence."""
-    if path is None:
-        grid = default_grid_1d()
-        return random_sequence(default_b, (grid.x[0], grid.x[-1]), seed,
-                               strict=True)
-    with open(path, encoding="utf-8") as fh:
-        return geometry_from_json_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # sweep pipelines (top-level functions so --jobs can pickle them)
 
 def _seq_for_tuple(b: float, seed: int, grid) -> SamplingSequence1D:
-    return random_sequence(b, (grid.x[0], grid.x[-1]), seed, strict=True)
+    """A seeded strict sequence spanning the grid's first axis."""
+    x = grid.axes[0].x
+    return random_sequence(b, (x[0], x[-1]), seed, strict=True)
 
 
 @lru_cache(maxsize=256)
@@ -298,7 +289,7 @@ def run_reconstruct_tuple(args) -> dict:
     else:
         f, sset = _field_on_geometry(geom_path, b, seed)
     cfg = ReconstructionConfig(c_factor=0.25, n_iter=12, p=p)
-    rep = full_pipeline(f, sset, cfg)
+    rep = full_pipeline(f, build_operator(sset, cfg, f.grid))
     return {"b": b, "p": p, "s": s, "seed": seed,
             "total_error": rep.total_error, "rel_error": rep.rel_error,
             "h_norm": rep.h_norm, "g_error": rep.g_error,
@@ -491,7 +482,8 @@ def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max,
                   "dc_fraction": details["dc_fraction"],
                   "j_range": details["j_range"], "definition": "lp"}
     result["fingerprint"] = environment_fingerprint(
-        {"cmd": "besov norm", "s": s, "p": p, "q": str(q)})["hash"]
+        {"cmd": "besov norm", "def": definition, "s": s, "p": p, "q": str(q),
+         "basis": family, "order": order, "j_min": j_min, "j_max": j_max})["hash"]
     _emit(result, out)
 
 
@@ -600,7 +592,7 @@ def approx_pl_cmd(input_path, b, seed, out):
     f = load_csv(input_path)
     rows = []
     for bv in parse_value_list(b):
-        seq = random_sequence(bv, (f.grid.x[0], f.grid.x[-1]), seed, strict=True)
+        seq = _seq_for_tuple(bv, seed, f.grid)
         pl = interp_pl(trace(f, seq), seq, f.grid)
         rows.append({"b": bv, "error": lp_norm(
             GridFunction(f.grid, f.values - pl.values), 2.0)})
@@ -640,18 +632,20 @@ def approx_split_cmd(input_path, b, mode, out):
 def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, out):
     """Neumann-series reconstruction of a grid function from its trace."""
     f = load_csv(input_path)
+    spec = None
     with _input_errors():
-        sset = _load_geometry_or_sequence(geom_path, b, seed)
-        # P's passband constants and nodes off the 2D grid lattice are input
-        # errors, found before the reconstruction starts
-        cfg = ReconstructionConfig(c_factor=c_factor, a_factor=a_factor,
-                                   n_iter=iters)
-        cfg.multiplier(sset.b)
-        cfg.pou = build_partition(reconstruction_nodes(sset), sset.b, f.grid)
-    rep = full_pipeline(f, sset, cfg)
+        if geom_path is None:
+            sset = _seq_for_tuple(b, seed, f.grid)
+        else:
+            spec = json.loads(Path(geom_path).read_text(encoding="utf-8"))
+            sset = geometry_from_json_dict(spec)
+        # the operator build rejects every bad input before P runs
+        op = build_operator(sset, ReconstructionConfig(
+            c_factor=c_factor, a_factor=a_factor, n_iter=iters), f.grid)
+    rep = full_pipeline(f, op)
     payload = {"report": rep.to_dict(), "fingerprint": environment_fingerprint(
-        {"cmd": "reconstruct", "b": b, "c": c_factor, "iters": iters,
-         "seed": seed})}
+        {"cmd": "reconstruct", "b": b, "c": c_factor, "a": a_factor,
+         "iters": iters, "seed": seed, "geometry": spec})}
     _emit(payload, out)
     if rep.diverged:
         sys.exit(1)

@@ -257,21 +257,6 @@ class SamplingGeometry2D:
         return (math.sqrt(float(np.max(np.einsum("ij,ij->i", off, off))))
                 + math.sqrt(2.0) * self.cell_radius)
 
-    def lattice_nodes(self) -> np.ndarray:
-        """Node set Lambda_G used by averaging/reconstruction."""
-        if self.params.get("drop_line") is not None:
-            raise ValueError("a deliberately broken geometry has no "
-                             "reconstruction lattice")
-        if self.variant == "hyperplane-union":
-            lo, hi = self.window
-            heights = self.params["heights"]
-            xs = np.arange(lo, hi + 1e-12, self.b)
-            X, Y = np.meshgrid(xs, heights, indexing="ij")
-            return np.column_stack([X.ravel(), Y.ravel()])
-        if self.variant == "curve-family":
-            return self.anchors.copy()
-        raise ValueError(f"variant {self.variant!r} has no reconstruction lattice")
-
 
 def _arc_nodes_on_lines(heights, window, step):
     lo, hi = window
@@ -286,6 +271,15 @@ def _arc_nodes_on_lines(heights, window, step):
         weights.append(w)
         line_idx.append(np.full(n, i, dtype=int))
     return np.vstack(anchors), np.concatenate(weights), np.concatenate(line_idx), xs
+
+
+def _random_radii(params, b: float, rmax: float, seed) -> np.ndarray:
+    """r0 (default 3b/4), then seeded gaps in (b/2, b) until one reaches rmax."""
+    rng = np.random.default_rng(seed)
+    radii = [float(params.get("r0", 0.75 * b))]
+    while radii[-1] < rmax:
+        radii.append(radii[-1] + rng.uniform(b / 2 * 1.001, b * 0.999))
+    return np.asarray(radii)
 
 
 def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
@@ -386,14 +380,12 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
 
     if variant == "concentric-circles":
         rmax = float(params.get("rmax", min(abs(lo), abs(hi)) - b))
-        rng = np.random.default_rng(seed)
         if "radii" in params:
             radii = np.asarray(params["radii"], dtype=float)
         else:
-            radii = [float(params.get("r0", 0.75 * b))]
-            while radii[-1] < rmax:
-                radii.append(radii[-1] + rng.uniform(b / 2 * 1.001, b * 0.999))
-            radii = np.asarray(radii[:-1] if radii[-1] > rmax else radii)
+            radii = _random_radii(params, b, rmax, seed)
+            if radii[-1] > rmax:
+                radii = radii[:-1]
         gaps = np.diff(radii)
         if np.any(gaps <= b / 2) or np.any(gaps >= b):
             raise ValueError("circle radii gaps must lie strictly in (b/2, b)")
@@ -422,11 +414,7 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
 
     # spiral: r = rho(theta), rho(2*pi*k) = r_k, radial cells [r_{k-1}, r_{k+1}]
     rmax = float(params.get("rmax", min(abs(lo), abs(hi)) - b))
-    rng = np.random.default_rng(seed)
-    radii = [float(params.get("r0", 0.75 * b))]
-    while radii[-1] < rmax:
-        radii.append(radii[-1] + rng.uniform(b / 2 * 1.001, b * 0.999))
-    radii = np.asarray(radii)
+    radii = _random_radii(params, b, rmax, seed)
     thetas_knots = 2 * np.pi * np.arange(len(radii))
     rho = PchipInterpolator(thetas_knots, radii)
     n_per_turn = max(32, int(params.get("n_per_turn", 2 * math.pi * rmax / step)))

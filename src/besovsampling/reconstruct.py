@@ -12,6 +12,11 @@ with u = P A V t.  The passband of P is [-a/b, a/b] with transition out to
 c/b; the constants only need to be "small enough", so they are runtime
 configuration with defaults calibrated by `calibrate_passband`.
 
+`build_operator` builds L = P A V T_G once per sampling set and grid: the
+node set, the partition of unity, P and V's bins, with every input check.
+Each Neumann step and each solve reuses it.  `full_pipeline` takes two
+solves, of f and of its low-pass part g; S T h is their difference.
+
 Note on conventions: the multiplier support scales with the inverse gap,
 [-c/b, c/b]; dimensional analysis forces this scaling and it is used
 consistently everywhere.
@@ -20,30 +25,30 @@ consistently everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from functools import reduce
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .besov import critical_norm
-from .geometry import SamplingGeometry2D, SamplingSequence1D
+from .besov import critical_norm, default_wavelet_scales
+from .geometry import SamplingSequence1D
 from .grid import Grid1D, GridFunction, lp_norm, smooth_lowpass
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
-from .besov import default_wavelet_scales
 
 __all__ = [
     "LowpassMultiplier",
     "PartitionOfUnity",
     "ReconstructionConfig",
+    "ReconstructionOperator",
     "ReconstructionReport",
     "ReconstructionDiverged",
     "interp_pl",
     "bandlimited_split",
     "build_partition",
     "averaging_V",
-    "quasi_interp_A",
+    "build_operator",
     "neumann_reconstruct",
     "contraction_estimate",
     "make_passband_family",
@@ -187,56 +192,51 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
 
 
 def reconstruction_nodes(sampling_set) -> np.ndarray:
-    """Lambda_G: the sequence itself in 1D, the geometry lattice in 2D.
+    """Lambda_G, the one definition of the reconstruction lattice.
 
-    For curve carriers pinned to the b-lattice the nodes are the square-cell
-    centers (the (bZ)^2 lattice), one per anchor, so V stays a bijective
-    nearest-node map.
+    The sequence itself in 1D; for a curve family the square-cell centres,
+    (bZ)^2, one per anchor, so V is a bijective nearest-node map; for a line
+    union bZ x {a_n} over the window, x-major.  No other set has one.
     """
-    if isinstance(sampling_set, SamplingSequence1D):
-        return sampling_set.points
-    if sampling_set.variant == "curve-family":
-        return sampling_set.cell_centers.copy()
-    return sampling_set.lattice_nodes()
-
-
-def averaging_V(t: TraceValues, sampling_set, nodes: np.ndarray):
-    """Nearest-node cell averages of the trace onto Lambda_G.
-
-    Point-sample sets (m = d: 1D sequences, discrete 2D anchor sets) make V
-    the identity.  For line carriers the trace is averaged over the Voronoi
-    interval of each node along its line.  Returns (coefficients, report)
-    where the report records the l^p boundedness ratio
-    ||V u||_p / (b^((m-d)/p) ||u||_Lp(G)).
-    """
-    if t.m == t.d:
-        vals = t.values.copy()
-        return vals, _v_report(vals, t)
-    g: SamplingGeometry2D = sampling_set
-    if g.variant != "hyperplane-union":
-        raise ValueError(
-            f"averaging onto a lattice is not defined for variant {g.variant!r}")
-    if g.params.get("drop_line") is not None:
+    s = sampling_set
+    if isinstance(s, SamplingSequence1D):
+        return s.points
+    if s.variant == "curve-family":
+        return s.cell_centers.copy()
+    if s.params.get("drop_line") is not None:
         raise ValueError("a deliberately broken geometry has no "
                          "reconstruction lattice")
-    lo, hi = g.window
-    heights = np.asarray(g.params["heights"], dtype=float)
-    xs = np.arange(lo, hi + 1e-12, g.b)
-    n_per_line = len(t.values) // len(heights)
-    vals = np.zeros((len(xs), len(heights)))
+    if s.variant != "hyperplane-union":
+        raise ValueError(f"variant {s.variant!r} has no reconstruction lattice")
+    lo, hi = s.window
+    X, Y = np.meshgrid(np.arange(lo, hi + 1e-12, s.b), s.params["heights"],
+                       indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def averaging_V(t: TraceValues, op: ReconstructionOperator):
+    """Nearest-node cell averages of the trace onto Lambda_G.
+
+    Point-sample sets (m = d: 1D sequences, curve-family anchor sets) make V
+    the identity.  On a line union the trace is averaged over the Voronoi
+    interval of each node along its line, through the operator's bins.
+    Returns (coefficients, report) where the report records the l^p
+    boundedness ratio ||V u||_p / (b^((m-d)/p) ||u||_Lp(G)).
+    """
+    if op.bins is None:
+        vals = t.values.copy()
+        return vals, _v_report(vals, t)
+    n_lines = len(op.bins)
+    lines = np.arange(n_lines)[:, None]
+    vals = np.zeros((len(op.nodes) // n_lines, n_lines))
     wsum = np.zeros_like(vals)
-    anchors_x = g.anchors[:, 0].reshape(len(heights), n_per_line)
-    tv = t.values.reshape(len(heights), n_per_line)
-    tw = t.carrier_weights.reshape(len(heights), n_per_line)
-    bins = np.clip(np.round((anchors_x - lo) / g.b).astype(int), 0, len(xs) - 1)
-    for li in range(len(heights)):
-        np.add.at(vals[:, li], bins[li], tw[li] * tv[li])
-        np.add.at(wsum[:, li], bins[li], tw[li])
+    tw = t.carrier_weights.reshape(n_lines, -1)
+    # each cell takes the anchors of one line, in line order
+    np.add.at(vals, (op.bins, lines), tw * t.values.reshape(n_lines, -1))
+    np.add.at(wsum, (op.bins, lines), tw)
     empty = wsum == 0
-    wsum[empty] = 1.0
-    vals = vals / wsum
-    vals[empty] = 0.0
-    flat = vals.ravel()  # matches lattice_nodes ordering (x-major)
+    # in the x-major node order; a cell no anchor reaches averages to 0
+    flat = np.divide(vals, wsum, out=np.zeros_like(vals), where=~empty).ravel()
     report = _v_report(flat, t)
     report["empty_cells"] = int(empty.sum())
     return flat, report
@@ -247,11 +247,6 @@ def _v_report(vvals, t: TraceValues, p: float = 2.0) -> dict:
     den = t.b ** ((t.m - t.d) / p) * t.lp_carrier(p)
     return {"vnorm_ratio": num / den if den > 0 else 0.0, "p": p,
             "bound": 1.0}
-
-
-def quasi_interp_A(coeffs: np.ndarray, pou: PartitionOfUnity, grid) -> GridFunction:
-    """A c = sum_j c_j beta_j on the grid."""
-    return GridFunction(grid, pou.apply(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +297,12 @@ def bandlimited_split(f: GridFunction, b: float,
 
 @dataclass
 class ReconstructionConfig:
-    """Passband constants, iteration count and cached operator pieces."""
+    """Passband constants, iteration count and the L^p exponent."""
 
     c_factor: float = 0.25
     a_factor: float | None = None   # default c/2
     n_iter: int = 12
     p: float = 2.0
-    allow_noncontractive: bool = False
-    pou: PartitionOfUnity | None = None
-    contraction: float | None = None
 
     def __post_init__(self):
         if self.n_iter < 0:
@@ -320,6 +312,55 @@ class ReconstructionConfig:
 
     def multiplier(self, b: float) -> LowpassMultiplier:
         return LowpassMultiplier(self.a_factor, self.c_factor, b)
+
+
+@dataclass(frozen=True, eq=False)
+class ReconstructionOperator:
+    """L = P A V T_G on one sampling set and grid, built by `build_operator`.
+
+    `bins` is None where V is the identity (m = d); on a line union it holds
+    the lattice column of each anchor, one row per line.
+    """
+
+    sampling_set: object
+    cfg: ReconstructionConfig
+    grid: object
+    nodes: np.ndarray
+    partition: PartitionOfUnity
+    pchi: LowpassMultiplier
+    bins: np.ndarray | None
+
+    def project(self, coeffs: np.ndarray) -> GridFunction:
+        """P A c: the quasi-interpolant sum_j c_j beta_j, then P."""
+        return self.pchi.apply(GridFunction(self.grid, self.partition.apply(coeffs)))
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        """P A V T_G f."""
+        return self.project(averaging_V(trace(f, self.sampling_set), self)[0])
+
+
+def build_operator(sampling_set, cfg: ReconstructionConfig,
+                   grid) -> ReconstructionOperator:
+    """Build L once for `sampling_set` on `grid`.
+
+    Every input error is raised here, before P first runs: a grid of another
+    dimension, a passband without 0 < a < c, a set with no reconstruction
+    lattice and, in 2D, nodes off the grid lattice.
+    """
+    s = sampling_set
+    if len(grid.axes) != s.d:
+        raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid, "
+                         f"got {len(grid.axes)}D")
+    pchi = cfg.multiplier(s.b)
+    nodes = reconstruction_nodes(s)
+    bins = None
+    if s.m < s.d:
+        n_lines = len(s.params["heights"])
+        xs = nodes[::n_lines, 0]
+        bins = np.clip(np.round((s.anchors[:, 0] - xs[0]) / s.b).astype(int),
+                       0, len(xs) - 1).reshape(n_lines, -1)
+    return ReconstructionOperator(s, cfg, grid, nodes,
+                                  build_partition(nodes, s.b, grid), pchi, bins)
 
 
 @dataclass
@@ -352,50 +393,28 @@ class ReconstructionDiverged(RuntimeError):
         self.report = report
 
 
-def _apply_once(fk: GridFunction, sset, nodes, pou, pchi, grid) -> GridFunction:
-    """P A V T_G applied to a grid function."""
-    tr = trace(fk, sset)
-    v, _ = averaging_V(tr, sset, nodes)
-    return pchi.apply(quasi_interp_A(v, pou, grid))
-
-
-def neumann_reconstruct(t: TraceValues, sampling_set, cfg: ReconstructionConfig,
-                        grid) -> tuple[GridFunction, ReconstructionReport]:
-    """Truncated Neumann series applied to a trace.
+def neumann_reconstruct(t: TraceValues, op: ReconstructionOperator
+                        ) -> tuple[GridFunction, ReconstructionReport]:
+    """Truncated Neumann series of `op` applied to a trace.
 
     Iterates f_{k+1} = f_k + (u - P A V T_G f_k) from f_0 = u = P A V t, so
     the output after n_iter steps is the series truncated at k = n_iter.
     Divergence (three consecutive growing correction norms) aborts.
     """
-    b = t.b
-    nodes = reconstruction_nodes(sampling_set)
-    pou = cfg.pou or build_partition(nodes, b, grid)
-    pchi = cfg.multiplier(b)
-    if cfg.contraction is not None and cfg.contraction >= 1.0 \
-            and not cfg.allow_noncontractive:
-        raise ValueError(
-            f"cached contraction estimate {cfg.contraction} >= 1; "
-            "pass allow_noncontractive=True to force")
-    v, vrep = averaging_V(t, sampling_set, nodes)
-    u = pchi.apply(quasi_interp_A(v, pou, grid))
-    fk = u
-    residuals = []
-    grow = 0
+    cfg, grid = op.cfg, op.grid
+    v, vrep = averaging_V(t, op)
+    u = op.project(v)
+    fk, residuals, grow = u, [], 0
     for _ in range(cfg.n_iter):
-        applied = _apply_once(fk, sampling_set, nodes, pou, pchi, grid)
-        corr = u.values - applied.values
+        corr = u.values - op.apply(fk).values
         residuals.append(lp_norm(GridFunction(grid, corr), cfg.p))
-        if len(residuals) >= 2 and residuals[-1] > residuals[-2]:
-            grow += 1
-        else:
-            grow = 0
+        grow = grow + 1 if len(residuals) >= 2 and residuals[-1] > residuals[-2] else 0
         fk = GridFunction(grid, fk.values + corr)
         if grow >= 3:
-            rep = _make_report(b, cfg, residuals, vrep, diverged=True)
+            rep = _make_report(t.b, cfg, residuals, vrep, diverged=True)
             raise ReconstructionDiverged(
                 "correction norms grew for 3 consecutive iterations", rep)
-    rep = _make_report(b, cfg, residuals, vrep)
-    return fk, rep
+    return fk, _make_report(t.b, cfg, residuals, vrep)
 
 
 def _make_report(b, cfg, residuals, vrep, diverged=False) -> ReconstructionReport:
@@ -431,14 +450,11 @@ def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
     orbit_depth > 1 the max also runs over repeated applications (the decay
     rate the Neumann iteration actually sees asymptotically).
     """
+    op = build_operator(sampling_set, cfg, grid)
     if family is None:
         family = make_passband_family(grid, sampling_set, cfg, n=n, seed=seed)
     if len(family) < 1:
         raise ValueError("contraction estimate needs a nonempty family")
-    b = sampling_set.b
-    nodes = reconstruction_nodes(sampling_set)
-    pou = cfg.pou or build_partition(nodes, b, grid)
-    pchi = cfg.multiplier(b)
     worst = 0.0
     for g in family:
         cur = g
@@ -446,8 +462,7 @@ def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
         for _ in range(max(1, orbit_depth)):
             if norm_cur < 1e-13:
                 break
-            applied = _apply_once(cur, sampling_set, nodes, pou, pchi, grid)
-            nxt = GridFunction(grid, cur.values - applied.values)
+            nxt = GridFunction(grid, cur.values - op.apply(cur).values)
             norm_nxt = lp_norm(nxt, cfg.p)
             worst = max(worst, norm_nxt / norm_cur)
             cur, norm_cur = nxt, norm_nxt
@@ -470,38 +485,35 @@ def calibrate_passband(sampling_set, grid, b: float | None = None,
     return best, estimates
 
 
-def full_pipeline(f: GridFunction, sampling_set, cfg: ReconstructionConfig,
+def full_pipeline(f: GridFunction, op: ReconstructionOperator,
                   basis: WaveletBasis | None = None,
                   besov_norm: float | None = None) -> ReconstructionReport:
     """Split f = g + h at the projector passband, reconstruct from the trace
     of f, and report the three-term error breakdown
-    ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||."""
-    b, m = sampling_set.b, sampling_set.m
-    # the partition checks the node set, so a bad one fails before P runs
-    nodes = reconstruction_nodes(sampling_set)
-    run_cfg = cfg if cfg.pou is not None else replace(
-        cfg, pou=build_partition(nodes, b, f.grid))
-    pchi = cfg.multiplier(b)
-    g = pchi.apply(f)
+    ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||.
+
+    Two solves: S is linear, so S T h = S T f - S T g.  The f iterates are
+    the sum of the g and h iterates, so the f solve's abort covers h.
+    """
+    if f.grid != op.grid:
+        raise ValueError("f is not on the operator's grid")
+    sset, p = op.sampling_set, op.cfg.p
+    g = op.pchi.apply(f)
     h = GridFunction(f.grid, f.values - g.values)
-    recon_f, rep = neumann_reconstruct(trace(f, sampling_set), sampling_set,
-                                       run_cfg, f.grid)
-    recon_g, _ = neumann_reconstruct(trace(g, sampling_set), sampling_set,
-                                     run_cfg, f.grid)
-    recon_h, _ = neumann_reconstruct(trace(h, sampling_set), sampling_set,
-                                     run_cfg, f.grid)
-    p = cfg.p
+    recon_f, rep = neumann_reconstruct(trace(f, sset), op)
+    recon_g, _ = neumann_reconstruct(trace(g, sset), op)
     rep.total_error = lp_norm(GridFunction(f.grid, f.values - recon_f.values), p)
     fnorm = lp_norm(f, p)
     rep.rel_error = rep.total_error / fnorm if fnorm > 0 else 0.0
     rep.h_norm = lp_norm(h, p)
     rep.g_error = lp_norm(GridFunction(f.grid, g.values - recon_g.values), p)
-    rep.h_reconstructed_norm = lp_norm(recon_h, p)
-    rep.split_info = {"mode": "pchi", "inner": pchi.inner, "outer": pchi.outer}
+    rep.h_reconstructed_norm = lp_norm(
+        GridFunction(f.grid, recon_f.values - recon_g.values), p)
+    rep.split_info = {"mode": "pchi", "inner": op.pchi.inner, "outer": op.pchi.outer}
     if besov_norm is None and basis is not None:
-        besov_norm = critical_norm(f, p, m, basis)
+        besov_norm = critical_norm(f, p, sset.m, basis)
     if besov_norm is not None:
         rep.besov_norm = besov_norm
-        denom = b ** (m / p) * besov_norm
+        denom = sset.b ** (sset.m / p) * besov_norm
         rep.bound_ratio = rep.total_error / denom if denom > 0 else None
     return rep

@@ -41,6 +41,7 @@ from besovsampling.inequalities import (
 from besovsampling.reconstruct import (
     ReconstructionConfig,
     bandlimited_split,
+    build_operator,
     contraction_estimate,
     full_pipeline,
     interp_pl,
@@ -370,9 +371,10 @@ def test_criterion_09_reconstruction(grid10, basis):
     est = contraction_estimate(seq, cfg, grid10, n=20, seed=3)
     assert est < 0.9
     worst_rel = 0.0
+    op = build_operator(seq, cfg, grid10)
     for seed in (5, 6, 7):
         g = make_passband_family(grid10, seq, cfg, n=1, seed=seed)[0]
-        rec, rep = neumann_reconstruct(trace(g, seq), seq, cfg, grid10)
+        rec, rep = neumann_reconstruct(trace(g, seq), op)
         rel = lp_norm(GridFunction(grid10, g.values - rec.values), 2.0) \
             / lp_norm(g, 2.0)
         worst_rel = max(worst_rel, rel)
@@ -387,8 +389,8 @@ def test_criterion_09_reconstruction(grid10, basis):
             bb = 2.0**-bexp
             sq = random_sequence(bb, (grid10.x[0], grid10.x[-1]),
                                  200 + bexp + seed, strict=True)
-            rep = full_pipeline(zf.f, sq, ReconstructionConfig(
-                c_factor=0.25, n_iter=12))
+            rep = full_pipeline(zf.f, build_operator(sq, ReconstructionConfig(
+                c_factor=0.25, n_iter=12), grid10))
             errs.append(rep.total_error)
             bs.append(bb)
         slopes.append(fit_slope(list(zip(bs, errs)))[0])

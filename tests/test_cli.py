@@ -18,8 +18,21 @@ from besovsampling.cli import (
     parse_value_list,
     sweep_outputs,
 )
-from besovsampling.grid import Grid1D, Grid2D, GridFunction, default_grid_1d, save_csv
-from besovsampling.reconstruct import LowpassMultiplier
+from besovsampling.geometry import random_sequence
+from besovsampling.grid import (
+    Grid1D,
+    Grid2D,
+    GridFunction,
+    default_grid_1d,
+    load_csv,
+    save_csv,
+)
+from besovsampling.reconstruct import (
+    LowpassMultiplier,
+    ReconstructionConfig,
+    build_operator,
+    full_pipeline,
+)
 from besovsampling.zoo import ZooSpec, make
 
 # the pipelines that take their Besov norm from the (spec, p) memo
@@ -158,6 +171,31 @@ class TestCommands:
         rep = json.loads(out.read_text())["report"]
         assert rep["rel_error"] < 0.2
         assert len(rep["residuals"]) == 6
+
+    def test_reconstruct_default_sequence_on_the_default_grid(self, runner,
+                                                              gauss_csv):
+        # the sequence spans the input's grid, which here is the default one
+        res = runner.invoke(main, ["reconstruct", "--input", gauss_csv,
+                                   "--b", str(2.0**-5), "--iters", "4",
+                                   "--seed", "3"])
+        assert res.exit_code == 0, res.output
+        grid = default_grid_1d()
+        seq = random_sequence(2.0**-5, (grid.x[0], grid.x[-1]), 3, strict=True)
+        rep = full_pipeline(load_csv(gauss_csv), build_operator(
+            seq, ReconstructionConfig(n_iter=4), grid))
+        want = json.loads(json.dumps(rep.to_dict(), default=str))
+        assert json.loads(res.output)["report"] == want
+
+    def test_reconstruct_off_the_default_grid(self, runner, tmp_path):
+        grid = Grid1D(-4.0, 2.0**-8, 2048)
+        path = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x ** 2)), path)
+        res = runner.invoke(main, ["reconstruct", "--input", str(path),
+                                   "--b", str(2.0**-4), "--iters", "6"])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)["report"]
+        assert len(rep["residuals"]) == 6
+        assert rep["rel_error"] < 0.05
 
     def test_bad_input_nonzero_exit(self, runner, tmp_path):
         res = runner.invoke(main, ["besov", "norm", "--def", "wavelet",
@@ -442,6 +480,19 @@ class TestUsageErrors:
                            "--geometry", str(spec)],
                           "must sit on the grid lattice")
 
+    def test_reconstruct_2d_input_without_geometry(self, tmp_path, monkeypatch):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
+        data = tmp_path / "f2d.csv"
+        save_csv(GridFunction(grid, np.ones(grid.shape)), data)
+
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the dimension check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        self._usage_error(["reconstruct", "--input", str(data)],
+                          "a 1D sampling set needs a 1D grid, got 2D")
+
     def test_reconstruct_bad_passband(self, gauss_csv, monkeypatch):
         def no_projector(*args, **kwargs):
             raise AssertionError("P ran before the passband check")
@@ -477,3 +528,45 @@ class TestUsageErrors:
         self._usage_error(args + ["--out-dir", str(tmp_path)],
                           f"p must lie in [1, inf), got {bad}")
         assert not list(tmp_path.iterdir())
+
+
+class TestFingerprints:
+    """Every option that changes a command's answer changes its hash."""
+
+    @staticmethod
+    def _hash(args):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+        fp = json.loads(res.output)["fingerprint"]
+        return fp if isinstance(fp, str) else fp["hash"]
+
+    @pytest.mark.parametrize("option", [["--def", "lp"], ["--basis", "haar"],
+                                        ["--order", "2"], ["--j-min", "-6"],
+                                        ["--j-max", "6"]])
+    def test_besov_norm(self, gauss_csv, option):
+        base = ["besov", "norm", "--s", "0.5", "--p", "2", "--input", gauss_csv]
+        assert self._hash(base + option) != self._hash(base)
+
+    def test_reconstruct_passband(self, tmp_path):
+        grid = Grid1D(-4.0, 2.0**-8, 2048)
+        data = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x ** 2)), data)
+        base = ["reconstruct", "--input", str(data), "--b", str(2.0**-4),
+                "--iters", "2"]
+        assert self._hash(base + ["--a", "0.1"]) != self._hash(base)
+
+    def test_reconstruct_geometry_spec(self, tmp_path):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
+        data = tmp_path / "f2d.csv"
+        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        save_csv(GridFunction(grid, np.outer(u, u)), data)
+        hashes = []
+        for seed in (1, 2):
+            spec = tmp_path / f"geom{seed}.json"
+            spec.write_text(json.dumps({
+                "variant": "curve-family", "b": 0.5,
+                "window": [g1.x[0], g1.x[-1]], "params": {"seed": seed}}))
+            hashes.append(self._hash(["reconstruct", "--input", str(data),
+                                      "--geometry", str(spec), "--iters", "2"]))
+        assert hashes[0] != hashes[1]

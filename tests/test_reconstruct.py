@@ -9,12 +9,14 @@ from scipy.signal import fftconvolve
 from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.inequalities import trace
+from besovsampling import reconstruct
 from besovsampling.reconstruct import (
     LowpassMultiplier,
     ReconstructionConfig,
     _bump01,
     averaging_V,
     bandlimited_split,
+    build_operator,
     build_partition,
     calibrate_passband,
     contraction_estimate,
@@ -22,7 +24,6 @@ from besovsampling.reconstruct import (
     interp_pl,
     make_passband_family,
     neumann_reconstruct,
-    quasi_interp_A,
     reconstruction_nodes,
 )
 from besovsampling.wavelets import WaveletCoefficients, synthesize
@@ -217,7 +218,7 @@ class TestPartitionAndOperators:
         grid = grid_module
         seq, _ = seq_and_cfg
         pou = build_partition(seq.points, seq.b, grid)
-        out = quasi_interp_A(np.ones(len(seq.points)), pou, grid)
+        out = GridFunction(grid, pou.apply(np.ones(len(seq.points))))
         inner = pou.interior_mask()
         assert np.max(np.abs(out.values[inner] - 1.0)) < 1e-8
 
@@ -227,7 +228,7 @@ class TestPartitionAndOperators:
         pou = build_partition(seq.points, seq.b, grid)
         c = np.zeros(len(seq.points))
         c[100] = 1.0
-        out = quasi_interp_A(c, pou, grid)
+        out = GridFunction(grid, pou.apply(c))
         support = np.abs(grid.x - seq.points[100]) <= 2 * seq.b
         assert np.max(np.abs(out.values[~support])) == 0.0
 
@@ -239,7 +240,7 @@ class TestPartitionAndOperators:
         pou = build_partition(nodes, b, grid)
         zf = make(ZooSpec("bandlimited-random", band=2.0, seed=4), grid)
         c = zf.f.interpolate(nodes)
-        out = quasi_interp_A(c, pou, grid)
+        out = GridFunction(grid, pou.apply(c))
         inner = pou.interior_mask()
         err = np.sqrt(np.sum((out.values - zf.f.values)[inner] ** 2)
                       * grid.spacing)
@@ -251,17 +252,17 @@ class TestPartitionAndOperators:
 
     def test_averaging_identity_1d(self, grid_module, seq_and_cfg):
         grid = grid_module
-        seq, _ = seq_and_cfg
+        seq, cfg = seq_and_cfg
         zf = make(ZooSpec("gaussian", width=2.0), grid)
         t = trace(zf.f, seq)
-        v, rep = averaging_V(t, seq, seq.points)
+        v, rep = averaging_V(t, build_operator(seq, cfg, grid))
         assert np.array_equal(v, t.values)
         assert rep["vnorm_ratio"] <= 1.0 + 1e-12
 
     def test_averaging_identity_on_point_sets(self, grid_module, seq_and_cfg):
         """m = d, a sequence or a curve-family anchor set: V is the identity
         and its report is the ratio with b^((m-d)/p) = 1."""
-        seq, _ = seq_and_cfg
+        seq, cfg = seq_and_cfg
         t = trace(make(ZooSpec("gaussian", width=2.0), grid_module).f, seq)
         g1 = Grid1D(-8.0, 2.0**-5, 512)
         grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-5, 512))
@@ -269,8 +270,9 @@ class TestPartitionAndOperators:
                                               "window": (-7.5, 7.5)})
         u = np.exp(-np.pi * (g1.x / 3.0) ** 2)
         t2 = trace(GridFunction(grid2, np.outer(u, u)), geo)
-        for tr, sset, m, d in ((t, seq, 1, 1), (t2, geo, 2, 2)):
-            v, rep = averaging_V(tr, sset, reconstruction_nodes(sset))
+        for tr, sset, grid, m, d in ((t, seq, grid_module, 1, 1),
+                                     (t2, geo, grid2, 2, 2)):
+            v, rep = averaging_V(tr, build_operator(sset, cfg, grid))
             assert np.array_equal(v, tr.values)
             num = float(np.sum(np.abs(v) ** 2.0) ** (1 / 2.0))
             den = sset.b ** ((m - d) / 2.0) * tr.lp_carrier(2.0)
@@ -281,18 +283,21 @@ class TestPartitionAndOperators:
         grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-6, 1024))
         win = (g1.x[0], g1.x[-1])
         b = 2.0**-3
-        heights = random_sequence(b, win, 4, strict=True).points
+        # V is reached through the operator, whose partition needs the line
+        # heights on the grid lattice
+        heights = random_sequence(b, win, 4, strict=True, lattice=2.0**-6).points
         g = build_geometry("hyperplane-union",
                            {"b": b, "heights": heights.tolist(), "window": win})
+        op = build_operator(g, ReconstructionConfig(), grid2)
         ones = GridFunction(grid2, np.ones(grid2.shape))
         t = trace(ones, g)
-        v, rep = averaging_V(t, g, reconstruction_nodes(g))
+        v, rep = averaging_V(t, op)
         assert np.allclose(v, 1.0, atol=1e-12)
         # linear trace over interior symmetric cells averages to the center
         lin = GridFunction(grid2, np.tile(g1.x[:, None], (1, grid2.gy.count)))
         tv = trace(lin, g)
-        v2, _ = averaging_V(tv, g, reconstruction_nodes(g))
-        nodes = reconstruction_nodes(g)
+        v2, _ = averaging_V(tv, op)
+        nodes = op.nodes
         interior = (nodes[:, 0] > win[0] + b) & (nodes[:, 0] < win[1] - b)
         assert np.max(np.abs(v2[interior] - nodes[interior, 0])) < 1e-9
 
@@ -302,7 +307,7 @@ class TestNeumann:
         grid = grid_module
         seq, cfg = seq_and_cfg
         t = trace(GridFunction(grid, np.zeros(grid.count)), seq)
-        out, rep = neumann_reconstruct(t, seq, cfg, grid)
+        out, rep = neumann_reconstruct(t, build_operator(seq, cfg, grid))
         assert np.all(out.values == 0.0)
 
     def test_zero_iterations_is_projected_quasi_interp(self, grid_module,
@@ -312,10 +317,10 @@ class TestNeumann:
         cfg = ReconstructionConfig(c_factor=0.25, n_iter=0)
         fam = make_passband_family(grid, seq, cfg, n=1, seed=5)
         t = trace(fam[0], seq)
-        out, rep = neumann_reconstruct(t, seq, cfg, grid)
+        out, rep = neumann_reconstruct(t, build_operator(seq, cfg, grid))
         pou = build_partition(seq.points, seq.b, grid)
-        v, _ = averaging_V(t, seq, seq.points)
-        expected = cfg.multiplier(seq.b).apply(quasi_interp_A(v, pou, grid))
+        # V is the identity on a sequence
+        expected = cfg.multiplier(seq.b).apply(GridFunction(grid, pou.apply(t.values)))
         assert np.max(np.abs(out.values - expected.values)) < 1e-14
 
     def test_bandlimited_convergence(self, grid_module, seq_and_cfg):
@@ -323,7 +328,7 @@ class TestNeumann:
         seq, cfg = seq_and_cfg
         fam = make_passband_family(grid, seq, cfg, n=1, seed=9)
         g = fam[0]
-        out, rep = neumann_reconstruct(trace(g, seq), seq, cfg, grid)
+        out, rep = neumann_reconstruct(trace(g, seq), build_operator(seq, cfg, grid))
         rel = lp_norm(GridFunction(grid, g.values - out.values), 2.0) \
             / lp_norm(g, 2.0)
         assert rel < 1e-3
@@ -335,8 +340,8 @@ class TestNeumann:
         cfg_n1 = ReconstructionConfig(c_factor=0.25, n_iter=5)
         fam = make_passband_family(grid, seq, cfg_n, n=1, seed=13)
         t = trace(fam[0], seq)
-        out_n, _ = neumann_reconstruct(t, seq, cfg_n, grid)
-        out_n1, rep = neumann_reconstruct(t, seq, cfg_n1, grid)
+        out_n, _ = neumann_reconstruct(t, build_operator(seq, cfg_n, grid))
+        out_n1, rep = neumann_reconstruct(t, build_operator(seq, cfg_n1, grid))
         # the difference is exactly the last series term, whose norm is the
         # recorded final residual
         diff = lp_norm(GridFunction(grid, out_n1.values - out_n.values), 2.0)
@@ -349,23 +354,12 @@ class TestNeumann:
         f1, f2 = fam
         a, bcoef = 0.7, -1.3
         combo = GridFunction(grid, a * f1.values + bcoef * f2.values)
-        o1, _ = neumann_reconstruct(trace(f1, seq), seq, cfg, grid)
-        o2, _ = neumann_reconstruct(trace(f2, seq), seq, cfg, grid)
-        oc, _ = neumann_reconstruct(trace(combo, seq), seq, cfg, grid)
+        op = build_operator(seq, cfg, grid)
+        o1, _ = neumann_reconstruct(trace(f1, seq), op)
+        o2, _ = neumann_reconstruct(trace(f2, seq), op)
+        oc, _ = neumann_reconstruct(trace(combo, seq), op)
         resid = oc.values - a * o1.values - bcoef * o2.values
         assert lp_norm(GridFunction(grid, resid), 2.0) < 1e-9
-
-    def test_divergence_refused_without_override(self, grid_module):
-        grid = grid_module
-        seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 11, strict=True)
-        cfg = ReconstructionConfig(c_factor=0.25, n_iter=4, contraction=1.2)
-        fam = make_passband_family(grid, seq, cfg, n=1, seed=2)
-        with pytest.raises(ValueError, match="contraction"):
-            neumann_reconstruct(trace(fam[0], seq), seq, cfg, grid)
-        cfg_ok = ReconstructionConfig(c_factor=0.25, n_iter=4, contraction=1.2,
-                                      allow_noncontractive=True)
-        out, _ = neumann_reconstruct(trace(fam[0], seq), seq, cfg_ok, grid)
-        assert lp_norm(out, 2.0) > 0
 
 
 def reference_passband_family(grid, sampling_set, cfg, n, seed):
@@ -431,28 +425,22 @@ class TestContraction:
         from besovsampling.reconstruct import ReconstructionDiverged
         grid = grid_module
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 11, strict=True)
-        cfg = ReconstructionConfig(c_factor=4.0, n_iter=30,
-                                   allow_noncontractive=True)
+        cfg = ReconstructionConfig(c_factor=4.0, n_iter=30)
         fam = make_passband_family(grid, seq, cfg, n=1, seed=3)
         with pytest.raises(ReconstructionDiverged) as err:
-            neumann_reconstruct(trace(fam[0], seq), seq, cfg, grid)
+            neumann_reconstruct(trace(fam[0], seq), build_operator(seq, cfg, grid))
         rep = err.value.report
         assert rep.diverged
         assert rep.residuals[-1] > rep.residuals[-4]
 
     def test_undersampled_passband_fails(self, grid_module):
         # passband pushed past what the sampling density supports: the
-        # family estimate exceeds 1 and reconstruction refuses to run
+        # family estimate exceeds 1 (a solve then aborts, as above)
         grid = grid_module
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 11, strict=True)
         cfg = ReconstructionConfig(c_factor=4.0, n_iter=3)
         est = contraction_estimate(seq, cfg, grid, n=6, seed=5)
         assert est >= 1.0
-        cfg_block = ReconstructionConfig(c_factor=4.0, n_iter=3,
-                                         contraction=est)
-        fam = make_passband_family(grid, seq, cfg_block, n=1, seed=3)
-        with pytest.raises(ValueError, match="contraction"):
-            neumann_reconstruct(trace(fam[0], seq), seq, cfg_block, grid)
 
     def test_monotone_decay_under_certified_rate(self, grid_module,
                                                  seq_and_cfg):
@@ -461,7 +449,7 @@ class TestContraction:
         r = contraction_estimate(seq, cfg, grid, n=8, seed=3, orbit_depth=12)
         assert r < 1.0
         fam = make_passband_family(grid, seq, cfg, n=1, seed=17)
-        _, rep = neumann_reconstruct(trace(fam[0], seq), seq, cfg, grid)
+        _, rep = neumann_reconstruct(trace(fam[0], seq), build_operator(seq, cfg, grid))
         for ratio in rep.contraction_ratios:
             assert ratio <= r + 0.05
 
@@ -474,26 +462,119 @@ class TestContraction:
         assert estimates[0.25] < estimates[0.5] < 0.9
 
 
-class TestFullPipeline:
-    def test_off_lattice_nodes_fail_before_the_projector(self, monkeypatch):
+class TestBuildOperator:
+    """Every bad input is rejected by the operator build, before P runs."""
+
+    @staticmethod
+    def _bad_inputs():
         g1 = Grid1D(-4.0, 2.0**-3, 64)
         grid2 = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
-        g = build_geometry("hyperplane-union", {
-            "b": 0.5, "seed": 1, "window": (g1.x[0], g1.x[-1])})
+        win = (g1.x[0], g1.x[-1])
+        seq = random_sequence(0.5, win, 1, strict=True)
+        cfg = ReconstructionConfig()
+        return {
+            "sequence on a 2D grid": (seq, cfg, grid2, "needs a 1D grid"),
+            "geometry on a 1D grid": (
+                build_geometry("curve-family", {"b": 0.5, "seed": 1, "window": win}),
+                cfg, g1, "needs a 2D grid"),
+            # random line heights are off the grid lattice
+            "off-lattice nodes": (
+                build_geometry("hyperplane-union", {"b": 0.5, "seed": 1, "window": win}),
+                cfg, grid2, "must sit on the grid lattice"),
+            "a not below c": (seq, ReconstructionConfig(c_factor=0.25, a_factor=0.5),
+                              g1, "need 0 < a < c"),
+            "dropped line": (
+                build_geometry("hyperplane-union", {
+                    "b": 0.5, "seed": 1, "window": win, "drop_line": 2}),
+                cfg, grid2, "deliberately broken"),
+            "no lattice": (
+                build_geometry("spiral", {"b": 0.5, "seed": 1, "window": win}),
+                cfg, grid2, "has no reconstruction lattice"),
+        }
+
+    @pytest.mark.parametrize("case", ["sequence on a 2D grid", "geometry on a 1D grid",
+                                      "off-lattice nodes", "a not below c",
+                                      "dropped line", "no lattice"])
+    def test_rejected_before_the_projector(self, monkeypatch, case):
+        sset, cfg, grid, message = self._bad_inputs()[case]
 
         def no_projector(*args, **kwargs):
-            raise AssertionError("P ran before the partition check")
+            raise AssertionError("P ran before the input check")
 
         monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
-        with pytest.raises(ValueError, match="must sit on the grid lattice"):
-            full_pipeline(GridFunction(grid2, np.ones(grid2.shape)), g,
-                          ReconstructionConfig())
+        with pytest.raises(ValueError, match=message):
+            build_operator(sset, cfg, grid)
+
+
+def three_solve_pipeline(f, op):
+    """`full_pipeline` with its former body: a third Neumann solve for h."""
+    sset, p = op.sampling_set, op.cfg.p
+    g = op.pchi.apply(f)
+    h = GridFunction(f.grid, f.values - g.values)
+    recon_f, rep = neumann_reconstruct(trace(f, sset), op)
+    recon_g, _ = neumann_reconstruct(trace(g, sset), op)
+    recon_h, _ = neumann_reconstruct(trace(h, sset), op)
+    rep.total_error = lp_norm(GridFunction(f.grid, f.values - recon_f.values), p)
+    fnorm = lp_norm(f, p)
+    rep.rel_error = rep.total_error / fnorm if fnorm > 0 else 0.0
+    rep.h_norm = lp_norm(h, p)
+    rep.g_error = lp_norm(GridFunction(f.grid, g.values - recon_g.values), p)
+    rep.h_reconstructed_norm = lp_norm(recon_h, p)
+    return rep
+
+
+class TestFullPipeline:
+    @staticmethod
+    def _cases(grid_1d, db4):
+        f1 = make(ZooSpec("besov-random", s=0.9, q=np.inf, j_lo=0, j_hi=7,
+                          seed=31), grid_1d, db4).f
+        seq = random_sequence(2.0**-5, (grid_1d.x[0], grid_1d.x[-1]), 4, strict=True)
+        grid = Grid2D(Grid1D(-4.0, 2.0**-5, 256), Grid1D(-4.0, 2.0**-5, 256))
+        win = (grid.gx.x[0], grid.gx.x[-1])
+        # a field with content past the passband, so h is not small
+        env = np.exp(-np.add.outer(grid.gx.x ** 2, grid.gy.x ** 2) / 2.0)
+        noise = np.random.default_rng(3).standard_normal(grid.shape) * env
+        f2 = smooth_lowpass(GridFunction(grid, noise), 2.0, 4.0)
+        heights = random_sequence(0.25, win, 5, strict=True, lattice=2.0**-5).points
+        return [
+            (f1, seq),
+            (f2, build_geometry("curve-family", {"b": 0.25, "seed": 2, "window": win})),
+            (f2, build_geometry("hyperplane-union", {"b": 0.25, "window": win,
+                                                     "heights": heights.tolist()})),
+        ]
+
+    def test_two_solves_match_three(self, grid_module, db4, monkeypatch):
+        cfg = ReconstructionConfig(c_factor=0.25, n_iter=8)
+        solve = reconstruct.neumann_reconstruct
+        for f, sset in self._cases(grid_module, db4):
+            op = build_operator(sset, cfg, f.grid)
+            want = three_solve_pipeline(f, op)
+            calls = []
+            monkeypatch.setattr(reconstruct, "neumann_reconstruct",
+                                lambda *a: calls.append(1) or solve(*a))
+            got = full_pipeline(f, op)
+            monkeypatch.setattr(reconstruct, "neumann_reconstruct", solve)
+            assert len(calls) == 2
+            for name in ("total_error", "rel_error", "h_norm", "g_error",
+                         "residuals"):
+                assert getattr(got, name) == getattr(want, name), name
+            assert want.h_norm > 1e-3 * lp_norm(f, 2.0)
+            assert got.h_reconstructed_norm == pytest.approx(
+                want.h_reconstructed_norm, rel=1e-12, abs=0.0)
+
+    def test_input_off_the_operator_grid(self, grid_module, seq_and_cfg):
+        seq, cfg = seq_and_cfg
+        op = build_operator(seq, cfg, grid_module)
+        other = Grid1D(grid_module.origin + grid_module.spacing,
+                       grid_module.spacing, grid_module.count)
+        with pytest.raises(ValueError, match="operator's grid"):
+            full_pipeline(GridFunction(other, np.zeros(other.count)), op)
 
     def test_bandlimited_degenerate_split(self, grid_module, seq_and_cfg):
         grid = grid_module
         seq, cfg = seq_and_cfg
         fam = make_passband_family(grid, seq, cfg, n=1, seed=23)
-        rep = full_pipeline(fam[0], seq, cfg)
+        rep = full_pipeline(fam[0], build_operator(seq, cfg, grid))
         assert rep.h_norm < 1e-10
         assert rep.rel_error < 1e-3
 
@@ -502,7 +583,7 @@ class TestFullPipeline:
         seq, cfg = seq_and_cfg
         zf = make(ZooSpec("besov-random", s=0.9, q=np.inf, j_lo=0, j_hi=7,
                           seed=31), grid, db4)
-        rep = full_pipeline(zf.f, seq, cfg)
+        rep = full_pipeline(zf.f, build_operator(seq, cfg, grid))
         assert rep.total_error <= (rep.h_norm + rep.g_error
                                    + rep.h_reconstructed_norm) * (1 + 1e-9)
 
@@ -520,7 +601,7 @@ class TestFullPipeline:
         ]:
             g = build_geometry(variant, {"b": b, "window": win, **params})
             fam = make_passband_family(grid2, g, cfg, n=1, seed=8)
-            rec, rep = neumann_reconstruct(trace(fam[0], g), g, cfg, grid2)
+            rec, rep = neumann_reconstruct(trace(fam[0], g), build_operator(g, cfg, grid2))
             rel = lp_norm(GridFunction(grid2, fam[0].values - rec.values), 2.0) \
                 / lp_norm(fam[0], 2.0)
             assert rel < 1e-2, variant
