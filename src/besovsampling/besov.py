@@ -150,20 +150,18 @@ def default_scale_range(f: GridFunction) -> tuple[int, int]:
 def besov_norm_lp_details(
     f: GridFunction,
     params: BesovParams,
-    window: LittlewoodPaleyWindow | None = None,
     j_range: tuple[int, int] | None = None,
-    leak_tol: float = 1e-6,
 ) -> dict:
     """Littlewood-Paley Besov norm with the full band report.
 
     The covered band is exactly {2^j_lo <= |z| <= 2^j_hi}.  Nonzero spectral
-    energy outside it beyond `leak_tol` (relative) is rejected; the DC bin can
+    energy outside it beyond a relative 1e-6 is rejected; the DC bin can
     never be covered on a finite window and its energy fraction is reported
     separately instead of counting as a leak.
     """
     if params.d != f.ndim:
         raise ValueError(f"params dimension {params.d} != function dimension {f.ndim}")
-    window = window or make_lp_window()
+    window = make_lp_window()
     j_lo, j_hi = j_range if j_range is not None else default_scale_range(f)
     F = fourier(f)
     absf = F.abs_freq()
@@ -179,7 +177,7 @@ def besov_norm_lp_details(
         "dc_fraction": dc_fraction,
         "covered_band": [2.0**j_lo, 2.0**j_hi],
     }
-    if leak > leak_tol:
+    if leak > 1e-6:
         raise SpectralCoverageError(
             f"spectral energy fraction {leak:.3e} outside covered band "
             f"[2^{j_lo}, 2^{j_hi}]", report)
@@ -202,10 +200,9 @@ def besov_norm_lp_details(
 def besov_norm_lp(
     f: GridFunction,
     params: BesovParams,
-    window: LittlewoodPaleyWindow | None = None,
     j_range: tuple[int, int] | None = None,
 ) -> float:
-    return besov_norm_lp_details(f, params, window, j_range)["norm"]
+    return besov_norm_lp_details(f, params, j_range)["norm"]
 
 
 def default_wavelet_scales(f: GridFunction) -> tuple[int, int]:

@@ -589,13 +589,14 @@ def approx():
 @click.option("--out", type=click.Path(), default=None)
 def approx_pl_cmd(input_path, b, seed, out):
     """Piecewise-linear interpolation error on a seeded strict sequence."""
-    f = load_csv(input_path)
     rows = []
-    for bv in parse_value_list(b):
-        seq = _seq_for_tuple(bv, seed, f.grid)
-        pl = interp_pl(trace(f, seq), seq, f.grid)
-        rows.append({"b": bv, "error": lp_norm(
-            GridFunction(f.grid, f.values - pl.values), 2.0)})
+    with _input_errors():
+        f = load_csv(input_path)
+        for bv in parse_value_list(b):
+            seq = _seq_for_tuple(bv, seed, f.grid)
+            pl = interp_pl(trace(f, seq), seq, f.grid)
+            rows.append({"b": bv, "error": lp_norm(
+                GridFunction(f.grid, f.values - pl.values), 2.0)})
     payload = {"rows": rows, "fingerprint": environment_fingerprint(
         {"cmd": "approx pl", "b": b, "seed": seed})}
     _emit(payload, out)

@@ -107,12 +107,11 @@ class SamplingReport:
 
 def sampling_ratio(f: GridFunction, sampling_set, p: float,
                    basis: WaveletBasis | None = None,
-                   besov_norm: float | None = None,
-                   delta: float = DEFAULT_DELTA) -> SamplingReport:
+                   besov_norm: float | None = None) -> SamplingReport:
     """Two-sided trace comparison at the critical smoothness s = m/p, q = 1.
 
     The [1/2, 5/2] band flags are only evaluated when the smallness
-    hypothesis b^(m/p) N < delta holds; otherwise they stay None.
+    hypothesis b^(m/p) N < DEFAULT_DELTA holds; otherwise they stay None.
     """
     np_norm = lp_norm(f, p)
     if np_norm == 0.0:
@@ -125,12 +124,12 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     b = tr.b
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N
-    ok = bool(smallness < delta)
+    ok = bool(smallness < DEFAULT_DELTA)
     trace_ratio = b ** (m / p) * tr.lp_carrier(p) / np_norm
     cell_ratio = tr.lp_cells(p) / np_norm
     return SamplingReport(
         p=p, m=m, b=b, lp_norm=np_norm, besov_norm=besov_norm,
-        ratio_norms=N, smallness=smallness, delta=delta, hypothesis_ok=ok,
+        ratio_norms=N, smallness=smallness, delta=DEFAULT_DELTA, hypothesis_ok=ok,
         trace_ratio=trace_ratio, cell_ratio=cell_ratio,
         in_band_trace=(BAND[0] <= trace_ratio <= BAND[1]) if ok else None,
         in_band_cell=(BAND[0] <= cell_ratio <= BAND[1]) if ok else None,

@@ -43,7 +43,6 @@ __all__ = [
     "ReconstructionConfig",
     "ReconstructionOperator",
     "ReconstructionReport",
-    "ReconstructionDiverged",
     "interp_pl",
     "bandlimited_split",
     "build_partition",
@@ -263,12 +262,11 @@ def interp_pl(t: TraceValues, seq: SamplingSequence1D, grid: Grid1D) -> GridFunc
 
 def bandlimited_split(f: GridFunction, b: float,
                       basis: WaveletBasis | None = None,
-                      mode: str = "spectrum", omega: float = 1.0,
-                      j_min: int | None = None):
+                      mode: str = "spectrum"):
     """Split f = g + h at the scale cut 2^j0 <= 1/b <= 2^(j0+1).
 
     mode="spectrum" (default): g is the smooth low-pass of f with passband
-    omega*2^j0 and stopband 2*omega*2^j0.  mode="wavelet": g collects the
+    2^j0 and stopband 2^(j0+1).  mode="wavelet": g collects the
     wavelet terms with j <= j0 (plus the coarse block).  Either way g + h = f
     exactly.  Returns (g, h, info).
     """
@@ -276,15 +274,14 @@ def bandlimited_split(f: GridFunction, b: float,
         raise ValueError("b must be positive")
     j0 = math.floor(math.log2(1.0 / b) + 1e-12)
     if mode == "spectrum":
-        inner = omega * 2.0**j0
-        outer = 2.0 * omega * 2.0**j0
+        inner = 2.0**j0
+        outer = 2.0 * inner
         g = smooth_lowpass(f, inner, outer)
         h = GridFunction(f.grid, f.values - g.values)
         return g, h, {"mode": "spectrum", "j0": j0, "inner": inner, "outer": outer}
     if mode == "wavelet":
         basis = basis or default_basis()
-        lo_default, j_adm = default_wavelet_scales(f)
-        lo = lo_default if j_min is None else j_min
+        lo, j_adm = default_wavelet_scales(f)
         c = analyze(f, basis, lo, min(j0, j_adm))
         g = synthesize(c, f.grid)
         h = GridFunction(f.grid, f.values - g.values)
@@ -387,19 +384,14 @@ class ReconstructionReport:
         return asdict(self)
 
 
-class ReconstructionDiverged(RuntimeError):
-    def __init__(self, msg, report: ReconstructionReport):
-        super().__init__(msg)
-        self.report = report
-
-
 def neumann_reconstruct(t: TraceValues, op: ReconstructionOperator
                         ) -> tuple[GridFunction, ReconstructionReport]:
     """Truncated Neumann series of `op` applied to a trace.
 
     Iterates f_{k+1} = f_k + (u - P A V T_G f_k) from f_0 = u = P A V t, so
     the output after n_iter steps is the series truncated at k = n_iter.
-    Divergence (three consecutive growing correction norms) aborts.
+    Divergence (three consecutive growing correction norms) aborts: the
+    iterate reached so far is returned with a report marked `diverged`.
     """
     cfg, grid = op.cfg, op.grid
     v, vrep = averaging_V(t, op)
@@ -411,19 +403,13 @@ def neumann_reconstruct(t: TraceValues, op: ReconstructionOperator
         grow = grow + 1 if len(residuals) >= 2 and residuals[-1] > residuals[-2] else 0
         fk = GridFunction(grid, fk.values + corr)
         if grow >= 3:
-            rep = _make_report(t.b, cfg, residuals, vrep, diverged=True)
-            raise ReconstructionDiverged(
-                "correction norms grew for 3 consecutive iterations", rep)
-    return fk, _make_report(t.b, cfg, residuals, vrep)
-
-
-def _make_report(b, cfg, residuals, vrep, diverged=False) -> ReconstructionReport:
+            break
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1) if residuals[i] > 0]
-    return ReconstructionReport(
-        b=b, a_factor=cfg.a_factor, c_factor=cfg.c_factor, n_iter=cfg.n_iter,
+    return fk, ReconstructionReport(
+        b=t.b, a_factor=cfg.a_factor, c_factor=cfg.c_factor, n_iter=cfg.n_iter,
         p=cfg.p, residuals=residuals, contraction_ratios=ratios,
-        diverged=diverged, v_report=vrep)
+        diverged=grow >= 3, v_report=vrep)
 
 
 def make_passband_family(grid, sampling_set, cfg: ReconstructionConfig,
@@ -493,7 +479,9 @@ def full_pipeline(f: GridFunction, op: ReconstructionOperator,
     ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||.
 
     Two solves: S is linear, so S T h = S T f - S T g.  The f iterates are
-    the sum of the g and h iterates, so the f solve's abort covers h.
+    the sum of the g and h iterates, so the f solve's abort covers h.  A solve
+    that diverges ends the pipeline: its report comes back marked `diverged`,
+    with the error terms left None.
     """
     if f.grid != op.grid:
         raise ValueError("f is not on the operator's grid")
@@ -501,7 +489,11 @@ def full_pipeline(f: GridFunction, op: ReconstructionOperator,
     g = op.pchi.apply(f)
     h = GridFunction(f.grid, f.values - g.values)
     recon_f, rep = neumann_reconstruct(trace(f, sset), op)
-    recon_g, _ = neumann_reconstruct(trace(g, sset), op)
+    if rep.diverged:
+        return rep
+    recon_g, rep_g = neumann_reconstruct(trace(g, sset), op)
+    if rep_g.diverged:
+        return rep_g
     rep.total_error = lp_norm(GridFunction(f.grid, f.values - recon_f.values), p)
     fnorm = lp_norm(f, p)
     rep.rel_error = rep.total_error / fnorm if fnorm > 0 else 0.0

@@ -25,7 +25,12 @@ one of two routes:
   coefficient.  Nothing is padded to the kernel length, which at the coarse
   2D scales would be several times the axis.
 
-Synthesis places coefficients with the transposed operator on the same route.
+Synthesis, the transposed operator, has one placement body for every scale.
+With the same blocks, each block is sum_q c_(u-q) K[q, r] over the at most
+P + 1 translates that reach it, from one kernel table K per scale: the blocks
+that lie wholly on the grid take one product of their translate windows
+against K, and the at most two that the axis ends cut short take their own
+polyphase kernels.
 
 In 2D, analysis correlates axis 1 first, so the full-size array goes through
 FFTs along its contiguous axis and the strided axis 0 sees only the partial
@@ -48,7 +53,6 @@ from math import comb, prod
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .grid import Grid1D, GridFunction, lp_norm
 
@@ -351,10 +355,6 @@ class WaveletCoefficients:
         tot = sum(float(np.sum((np.abs(v) / peak) ** p)) for v in blocks)
         return peak * tot ** (1.0 / p)
 
-    def per_scale_sup(self, j: int) -> float:
-        return max((float(np.max(np.abs(v))) for _k0s, v in self.blocks(j).values()),
-                   default=0.0)
-
     def total_energy(self) -> float:
         tot = 0.0
         for j in self.scales:
@@ -460,8 +460,9 @@ def _axis_kernel(g: Grid1D, basis: WaveletBasis, j: int, which: int) -> np.ndarr
 
 
 def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
-                      k_lo: int, k_hi: int):
-    """Kernel blocks of the polyphase split, for kernels at least as long as the axis.
+                      k_lo: int, k_hi: int, edges_only: bool = False):
+    """Kernel blocks of the polyphase split: analysis with kernels at least as
+    long as the axis, and the partial edge blocks of placement.
 
     Grid index m sits at lattice position m + base = u*stride + r: block u,
     offset r.  Translate k meets block u only for u - P <= k <= u, where
@@ -469,13 +470,17 @@ def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     most P + 1 translates and the kernel is evaluated only at the block's grid
     points.  Yields (grid slice, first translate k_a, W) for each block with
     W[i, m - start] = w(2^j x_m - (k_a + i)), translates kept to [k_lo, k_hi].
+    With `edges_only`, only the blocks that the axis ends cut short.
     """
     stride, base, _M = _axis_setup(g, basis, j)
     n = g.count
     lo, hi = basis.support
     s = 2.0 ** (j - g.resolution_exponent)
-    for u in range(base // stride, (base + n - 1) // stride + 1):
+    u_first, u_last = base // stride, (base + n - 1) // stride
+    for u in sorted({u_first, u_last}) if edges_only else range(u_first, u_last + 1):
         m_lo, m_hi = max(0, u * stride - base), min(n, (u + 1) * stride - base)
+        if edges_only and m_hi - m_lo == stride:
+            continue
         k_a, k_b = max(u - (hi - lo), k_lo), min(u, k_hi)
         if k_a > k_b:
             continue
@@ -533,41 +538,42 @@ def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
 
 def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: int,
                 which: int, axis: int = 0) -> np.ndarray:
-    """Adjoint of `_axis_correlate`: sum_k c_k w(2^j x_m - k) on the grid."""
+    """Adjoint of `_axis_correlate`: sum_k c_k w(2^j x_m - k) on the grid.
+
+    Grid index m sits in block u at offset r, m + base = u*stride + r, and
+    only translates u - P..u reach it, so a block is sum_q c_(u-q) K[q, r]
+    with one table K[q, r] = w(lo + 2^(j-res) (r + q*stride)) for every
+    scale.  The blocks that lie wholly on the grid and meet a translate take
+    one product of their translate windows against K; the at most two
+    partial blocks at the axis ends take their own `_polyphase_blocks`
+    kernels.  Where no translate reaches, the output is exactly 0.
+    """
     stride, base, M = _axis_setup(g, basis, j)
-    nk = coeffs.shape[axis]
+    P = M // stride
     n = g.count
-    if M >= n:
-        c_mv = np.moveaxis(coeffs, axis, -1)
-        out_mv = np.zeros(c_mv.shape[:-1] + (n,))
-        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1):
-            out_mv[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
-        return np.moveaxis(out_mv, -1, axis)
-    kern = _axis_kernel(g, basis, j, which)
-    # impulse at lattice position k*stride - base for each translate
-    pos0 = k0 * stride - base
-    imp_shape = list(coeffs.shape)
-    imp_shape[axis] = (nk - 1) * stride + 1
-    imp = np.zeros(imp_shape)
-    sl = [slice(None)] * coeffs.ndim
-    sl[axis] = slice(0, None, stride)
-    imp[tuple(sl)] = coeffs
-    shape = [1] * coeffs.ndim
-    shape[axis] = len(kern)
-    full = fftconvolve(imp, kern.reshape(shape), mode="full", axes=axis)
-    # full[i] corresponds to grid index m = i + pos0
-    out_shape = list(coeffs.shape)
-    out_shape[axis] = n
-    out = np.zeros(out_shape)
-    i_lo = max(0, -pos0)
-    i_hi = min(full.shape[axis], n - pos0)
-    if i_hi > i_lo:
-        src = [slice(None)] * coeffs.ndim
-        src[axis] = slice(i_lo, i_hi)
-        dst = [slice(None)] * coeffs.ndim
-        dst[axis] = slice(i_lo + pos0, i_hi + pos0)
-        out[tuple(dst)] = full[tuple(src)]
-    return out
+    c_mv = np.moveaxis(coeffs, axis, -1)
+    nk = c_mv.shape[-1]
+    out = np.zeros(c_mv.shape[:-1] + (n,))
+    # full blocks u_a..u_b - 1 on the grid that translates k0..k0 + nk - 1 reach
+    u_a = max(-(-base // stride), k0)
+    u_b = min((base + n) // stride, k0 + nk + P)
+    if u_b > u_a:
+        # coefficients of translates u_a - P..u_b - 1, zero outside k0..k0 + nk - 1
+        padded = np.zeros(c_mv.shape[:-1] + (u_b - u_a + P,))
+        k_a, k_b = max(u_a - P, k0), min(u_b, k0 + nk)
+        padded[..., k_a - u_a + P : k_b - u_a + P] = c_mv[..., k_a - k0 : k_b - k0]
+        # windows[..., u - u_a, i] = c_(u-P+i), so row i of K[::-1] has q = P - i
+        windows = np.lib.stride_tricks.sliding_window_view(padded, P + 1, axis=-1)
+        lo, _hi = basis.support
+        K = basis.eval(which, lo + 2.0 ** (j - g.resolution_exponent)
+                       * np.arange((P + 1) * stride)).reshape(P + 1, stride)
+        full = windows @ K[::-1]
+        m_a = u_a * stride - base
+        out[..., m_a : m_a + (u_b - u_a) * stride] = full.reshape(c_mv.shape[:-1] + (-1,))
+    for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1,
+                                        edges_only=True):
+        out[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
+    return np.moveaxis(out, -1, axis)
 
 
 def _trim_translates(k0: int, nk: int, support_hull: tuple[float, float],
@@ -667,7 +673,7 @@ def scaling_coefficients(f: GridFunction, basis: WaveletBasis, j: int):
     return _pack(f.ndim, blocks, coarse=True)
 
 
-def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> GridFunction:
+def synthesize(c: WaveletCoefficients, grid) -> GridFunction:
     """Pointwise sum of tabulated wavelets weighted by the coefficients.
 
     When the coefficient object carries a coarse scaling block (from
@@ -680,7 +686,7 @@ def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> Gri
     if c.j_max > min(g.resolution_exponent for g in axes):
         raise ValueError(f"grid does not resolve scale {c.j_max}")
     terms = [(j, c.blocks(j)) for j in c.scales]
-    if include_coarse and c.coarse is not None:
+    if c.coarse is not None:
         terms.append((c.j_min, _unpack(c.dim, c.coarse, coarse=True)))
     out = np.zeros(grid.shape)
     for j, blocks in terms:
@@ -689,7 +695,8 @@ def synthesize(c: WaveletCoefficients, grid, include_coarse: bool = True) -> Gri
             for axis in range(c.dim):
                 part = _axis_place(part, k0s[axis], axes[axis], c.basis, j,
                                    which=l[axis], axis=axis)
-            out += 2.0 ** (j * c.dim / 2.0) * part
+            part *= 2.0 ** (j * c.dim / 2.0)  # a fresh array, scaled in place
+            out += part
     return GridFunction(grid, out)
 
 

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,22 @@ class TestCommands:
         rep = json.loads(res.output)["report"]
         assert len(rep["residuals"]) == 6
         assert rep["rel_error"] < 0.05
+
+    def test_diverging_reconstruct_writes_its_report(self, tmp_path):
+        grid = Grid1D(-4.0, 2.0**-8, 2048)
+        path = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x ** 2)), path)
+        out = tmp_path / "rec.json"
+        res = CliRunner().invoke(main, ["reconstruct", "--input", str(path),
+                                        "--b", str(2.0**-4), "--c", "4.0",
+                                        "--iters", "30", "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert '"diverged": true' in out.read_text()
+        rep = json.loads(out.read_text())["report"]
+        assert len(rep["residuals"]) < 30
+        assert rep["total_error"] is None and rep["rel_error"] is None
 
     def test_bad_input_nonzero_exit(self, runner, tmp_path):
         res = runner.invoke(main, ["besov", "norm", "--def", "wavelet",
@@ -501,6 +521,13 @@ class TestUsageErrors:
         self._usage_error(["reconstruct", "--input", gauss_csv,
                            "--c", "0.25", "--a", "0.5"], "need 0 < a < c")
 
+    def test_approx_pl_2d_input(self, tmp_path):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        data = tmp_path / "f2d.csv"
+        save_csv(GridFunction(Grid2D(g1, g1), np.ones((64, 64))), data)
+        self._usage_error(["approx", "pl", "--input", str(data)],
+                          "a 1D sampling set needs a 1D grid function, got 2D")
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one(self, tmp_path, monkeypatch, jobs):
         def no_pipeline(t):
@@ -570,3 +597,16 @@ class TestFingerprints:
             hashes.append(self._hash(["reconstruct", "--input", str(data),
                                       "--geometry", str(spec), "--iters", "2"]))
         assert hashes[0] != hashes[1]
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """`scipy.signal` alone took over a second of the CLI's start-up, and no
+    code path needs it; a fresh interpreter shows what the import pulls in."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, besovsampling.cli\n"
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -422,16 +422,16 @@ class TestContraction:
         assert worst < 1e-9
 
     def test_divergence_aborts_with_report(self, grid_module):
-        from besovsampling.reconstruct import ReconstructionDiverged
         grid = grid_module
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 11, strict=True)
         cfg = ReconstructionConfig(c_factor=4.0, n_iter=30)
         fam = make_passband_family(grid, seq, cfg, n=1, seed=3)
-        with pytest.raises(ReconstructionDiverged) as err:
-            neumann_reconstruct(trace(fam[0], seq), build_operator(seq, cfg, grid))
-        rep = err.value.report
+        _fk, rep = neumann_reconstruct(trace(fam[0], seq),
+                                       build_operator(seq, cfg, grid))
         assert rep.diverged
-        assert rep.residuals[-1] > rep.residuals[-4]
+        assert len(rep.residuals) < cfg.n_iter
+        assert rep.residuals[-1] > rep.residuals[-2] > rep.residuals[-3] \
+            > rep.residuals[-4]
 
     def test_undersampled_passband_fails(self, grid_module):
         # passband pushed past what the sampling density supports: the

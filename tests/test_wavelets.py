@@ -28,6 +28,7 @@ from besovsampling.wavelets import (
     scaling_coefficients,
     synthesize,
 )
+from besovsampling.zoo import ZooSpec, make
 
 
 def unit_coeff(basis, j=0, k=0, dim=1):
@@ -366,6 +367,140 @@ class TestAxisCorrelation:
             ref = np.moveaxis(np.tensordot(W.T, coeffs, axes=(1, axis)), 0, axis)
             assert out.shape == values.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _place_two_routes(coeffs, k0, g, basis, j, which, axis=0):
+    """`_axis_place` as it was with two routes: the polyphase blocks for
+    M >= n, and for M < n the coefficients stuffed with stride - 1 zeros
+    between translates and convolved with the kernel by `fftconvolve`."""
+    stride, base, M = _axis_setup(g, basis, j)
+    nk = coeffs.shape[axis]
+    n = g.count
+    if M >= n:
+        c_mv = np.moveaxis(coeffs, axis, -1)
+        out_mv = np.zeros(c_mv.shape[:-1] + (n,))
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1):
+            out_mv[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
+        return np.moveaxis(out_mv, -1, axis)
+    kern = _axis_kernel(g, basis, j, which)
+    # impulse at lattice position k*stride - base for each translate
+    pos0 = k0 * stride - base
+    imp_shape = list(coeffs.shape)
+    imp_shape[axis] = (nk - 1) * stride + 1
+    imp = np.zeros(imp_shape)
+    sl = [slice(None)] * coeffs.ndim
+    sl[axis] = slice(0, None, stride)
+    imp[tuple(sl)] = coeffs
+    shape = [1] * coeffs.ndim
+    shape[axis] = len(kern)
+    full = fftconvolve(imp, kern.reshape(shape), mode="full", axes=axis)
+    # full[i] corresponds to grid index m = i + pos0
+    out_shape = list(coeffs.shape)
+    out_shape[axis] = n
+    out = np.zeros(out_shape)
+    i_lo = max(0, -pos0)
+    i_hi = min(full.shape[axis], n - pos0)
+    if i_hi > i_lo:
+        src = [slice(None)] * coeffs.ndim
+        src[axis] = slice(i_lo, i_hi)
+        dst = [slice(None)] * coeffs.ndim
+        dst[axis] = slice(i_lo + pos0, i_hi + pos0)
+        out[tuple(dst)] = full[tuple(src)]
+    return out
+
+
+def _translate_range(g, basis, j):
+    """First and last translate with support on the grid."""
+    stride, base, M = _axis_setup(g, basis, j)
+    return -((M - base) // stride), (base + g.count - 1) // stride
+
+
+class TestPlacementBody:
+    """The one placement body of `_axis_place` against the two routes it
+    replaced, within 1e-14 of the largest value."""
+
+    @staticmethod
+    def _close(out, ref):
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_besov_random_on_the_default_grid(self, db4, grid, monkeypatch):
+        spec = ZooSpec("besov-random", s=0.5, q=1.0, j_lo=0, j_hi=8, seed=3)
+        f_new = make(spec, grid, db4).f
+        # its analysis over the default scales places at M >= n (j <= -3)
+        # as well as at M < n
+        c = analyze(f_new, db4, -16, 8)
+        back_new = synthesize(c, grid)
+        monkeypatch.setattr(wavelets, "_axis_place", _place_two_routes)
+        self._close(f_new.values, make(spec, grid, db4).f.values)
+        self._close(back_new.values, synthesize(c, grid).values)
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_2d_grid_on_both_sides_of_M_equal_n(self, request, name, monkeypatch):
+        basis = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        # axis 1 starts off every dyadic block, so its ends cut blocks short
+        grid = Grid2D(Grid1D(-3.0, 2.0**-5, 128), Grid1D(-323 / 64, 2.0**-6, 256))
+        sides = set()
+        for axis, g in enumerate(grid.axes):
+            for j in range(-6, g.resolution_exponent - 1):
+                _stride, _base, M = _axis_setup(g, basis, j)
+                sides.add(M >= g.count)
+                k_a, k_b = _translate_range(g, basis, j)
+                shape = [5, 5]
+                shape[axis] = k_b - k_a + 1
+                coeffs = rng.normal(size=shape)
+                for which in (0, 1):
+                    self._close(_axis_place(coeffs, k_a, g, basis, j, which, axis),
+                                _place_two_routes(coeffs, k_a, g, basis, j, which,
+                                                  axis))
+        assert sides == {True, False}
+        x, y = grid.gx.x[:, None], grid.gy.x[None, :]
+        f = GridFunction(grid, np.exp(-np.pi * ((x + 0.4) ** 2 + 2.0 * y**2))
+                         * np.sin(4.0 * x + y))
+        c = analyze(f, basis, -5, 3)
+        back_new = synthesize(c, grid)
+        monkeypatch.setattr(wavelets, "_axis_place", _place_two_routes)
+        self._close(back_new.values, synthesize(c, grid).values)
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_stride_past_the_axis_two_partial_blocks(self, request, name):
+        basis = request.getfixturevalue(name)
+        # h = 2^-6, 64 points from -1/2: at j = -1 a block is 128 points and
+        # the block boundary at x = 0 cuts the axis in two
+        g, j = Grid1D(-0.5, 2.0**-6, 64), -1
+        stride, _base, _M = _axis_setup(g, basis, j)
+        assert stride > g.count
+        blocks = list(_polyphase_blocks(g, basis, j, 1, -100, 100, edges_only=True))
+        assert [sl for sl, _k_a, _W in blocks] == [slice(0, 32), slice(32, 64)]
+        k_a, k_b = _translate_range(g, basis, j)
+        coeffs = np.random.default_rng(9).normal(size=k_b - k_a + 1)
+        out = _axis_place(coeffs, k_a, g, basis, j, 1)
+        self._close(out, _place_two_routes(coeffs, k_a, g, basis, j, 1))
+        ks = np.arange(k_a, k_b + 1)
+        ref = basis.eval(1, 2.0**j * g.x[:, None] - ks[None, :]) @ coeffs
+        self._close(out, ref)
+
+    @pytest.mark.parametrize("name, j", [("haar", 2), ("db4", 1), ("db4", 2)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_partial_translate_range(self, request, small_grid, name, j, axis):
+        basis = request.getfixturevalue(name)
+        lo, hi = basis.support
+        k_a, k_b = _translate_range(small_grid, basis, j)
+        # the middle three fifths of the translates, with a run of P + 3 zero
+        # coefficients in the middle, as the sparse `besov-random` ones have
+        ka, nk = k_a + (k_b - k_a) // 5, 3 * (k_b - k_a) // 5
+        c = np.random.default_rng(10).normal(size=nk)
+        c[nk // 2 - (hi - lo + 3) // 2 : nk // 2 + (hi - lo + 4) // 2] = 0.0
+        coeffs = np.moveaxis(np.outer(c, [1.0, -0.5, 2.0]), 0, axis)
+        out = _axis_place(coeffs, ka, small_grid, basis, j, 1, axis)
+        self._close(out, _place_two_routes(coeffs, ka, small_grid, basis, j, 1, axis))
+        # where no translate with a nonzero coefficient reaches, the output is
+        # exactly 0; the zero-stuffed FFT route left rounding of order 1e-16
+        t = 2.0**j * small_grid.x[:, None] - (ka + np.flatnonzero(c))[None, :]
+        unreached = ~np.any((t >= lo) & (t <= hi), axis=1)
+        assert np.count_nonzero(unreached) > 200
+        assert np.all(np.compress(unreached, out, axis=axis) == 0.0)
 
 
 def _correlate_one_kernel(values, g, basis, j, which, axis):
