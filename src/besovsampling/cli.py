@@ -58,7 +58,7 @@ from .reconstruct import (
     full_pipeline,
     interp_pl,
 )
-from .wavelets import coeffs_to_json_dict, default_basis
+from .wavelets import check_dyadic_grid, coeffs_to_json_dict, default_basis
 from .zoo import ZooSpec, bandlimited_field_2d, make
 
 CSV_SCHEMA_VERSION = 1
@@ -430,12 +430,14 @@ def sweep_outputs(cfg: RunConfig, rows: list[dict]):
 # click commands
 
 @contextmanager
-def _input_errors():
+def _input_errors(*options: str):
     """Report a ValueError about the command's input as a usage error (exit
-    code 2, no traceback)."""
+    code 2, no traceback), naming `options` when they are its cause."""
     try:
         yield
     except ValueError as err:
+        if options:
+            raise click.BadParameter(str(err), param_hint=list(options)) from err
         raise click.UsageError(str(err)) from err
 
 
@@ -465,18 +467,26 @@ def besov():
 def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max, out):
     """Homogeneous Besov norm of a CSV grid function."""
     qv = math.inf if str(q).lower() in ("inf", "infinity") else float(q)
-    f = load_csv(input_path)
-    params = BesovParams(s=s, p=p, q=qv, d=f.ndim)
+    with _input_errors("--input"):
+        f = load_csv(input_path)
+        if definition == "wavelet":
+            check_dyadic_grid(f.grid)
+    with _input_errors():  # the message names s, p or q
+        params = BesovParams(s=s, p=p, q=qv, d=f.ndim)
     if definition == "wavelet":
         basis = default_basis(family, order)
-        norm, coeffs = besov_norm_via_analyze(f, params, basis, j_min, j_max)
+        # the grid passed its check, so what analyze rejects is the range
+        with _input_errors("--j-min", "--j-max"):
+            norm, coeffs = besov_norm_via_analyze(f, params, basis, j_min, j_max)
         result = {"norm": norm, "truncation_residual": coeffs.residual_l2,
                   "j_range": [coeffs.j_min, coeffs.j_max],
                   "definition": "wavelet",
                   "basis": {"family": basis.family, "order": basis.order}}
     else:
         jr = None if j_min is None or j_max is None else (j_min, j_max)
-        details = besov_norm_lp_details(f, params, j_range=jr)
+        # the default range leaves out only the DC bin, so a leak is the range's
+        with _input_errors("--j-min", "--j-max"):
+            details = besov_norm_lp_details(f, params, j_range=jr)
         result = {"norm": details["norm"],
                   "truncation_residual": details["leak_fraction"],
                   "dc_fraction": details["dc_fraction"],
@@ -610,11 +620,12 @@ def approx_pl_cmd(input_path, b, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def approx_split_cmd(input_path, b, mode, out):
     """Bandlimited split f = g + h at the scale cut for each b."""
-    f = load_csv(input_path)
     rows = []
-    for bv in parse_value_list(b):
-        g, h, info = bandlimited_split(f, bv, mode=mode)
-        rows.append({"b": bv, "h_norm": lp_norm(h, 2.0), **info})
+    with _input_errors():
+        f = load_csv(input_path)
+        for bv in parse_value_list(b):
+            g, h, info = bandlimited_split(f, bv, mode=mode)
+            rows.append({"b": bv, "h_norm": lp_norm(h, 2.0), **info})
     payload = {"rows": rows, "fingerprint": environment_fingerprint(
         {"cmd": "approx split", "b": b, "mode": mode})}
     _emit(payload, out)
@@ -632,9 +643,9 @@ def approx_split_cmd(input_path, b, mode, out):
 @click.option("--out", type=click.Path(), default=None)
 def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, out):
     """Neumann-series reconstruction of a grid function from its trace."""
-    f = load_csv(input_path)
     spec = None
     with _input_errors():
+        f = load_csv(input_path)
         if geom_path is None:
             sset = _seq_for_tuple(b, seed, f.grid)
         else:
@@ -713,9 +724,12 @@ def fit_slope_cmd(csv_path, x_col, y_col):
 def coeff_dump_cmd(input_path, j_min, j_max, order, out):
     """Analyze a CSV grid function and dump the coefficient JSON."""
     from .wavelets import analyze
-    f = load_csv(input_path)
+    with _input_errors("--input"):
+        f = load_csv(input_path)
+        check_dyadic_grid(f.grid)
     basis = default_basis("daubechies", order)
-    c = analyze(f, basis, j_min, j_max)
+    with _input_errors("--j-min", "--j-max"):
+        c = analyze(f, basis, j_min, j_max)
     write_json(out, coeffs_to_json_dict(c, threshold=1e-14))
     click.echo(f"wrote {out}")
 

@@ -553,9 +553,13 @@ PROBE_CUTOFF = 7.0
 
 def _ball_indices(tree: cKDTree, x, r: float) -> np.ndarray:
     """Sorted indices of the tree points within distance r of x (may be
-    empty: still an integer index array)."""
-    return np.asarray(tree.query_ball_point(x, r, return_sorted=True),
-                      dtype=np.intp)
+    empty: still an integer index array).
+
+    A one-point tree at x, matched against `tree`, returns the indices as
+    an array; `tree.query_ball_point` returns a Python list.
+    """
+    one = cKDTree(np.asarray(x, dtype=float).reshape(1, -1))
+    return np.sort(one.sparse_distance_matrix(tree, r, output_type="ndarray")["j"])
 
 
 def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:

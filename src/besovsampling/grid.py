@@ -35,6 +35,7 @@ __all__ = [
     "inverse_fourier",
     "smooth_ramp01",
     "lowpass_profile",
+    "check_below_nyquist",
     "smooth_lowpass",
     "save_csv",
     "load_csv",
@@ -332,6 +333,14 @@ def lowpass_profile(abs_freq, inner: float, outer: float) -> np.ndarray:
     return smooth_ramp01((outer - np.asarray(abs_freq, dtype=float)) / (outer - inner))
 
 
+def check_below_nyquist(grid, freq: float, message: str) -> None:
+    """Reject a band edge `freq` at or above the lowest Nyquist frequency of
+    the grid's axes, with `message` formatted with `freq` and `nyq`."""
+    nyq = min(g.nyquist for g in grid.axes)
+    if freq >= nyq * (1 + 1e-12):
+        raise ValueError(message.format(freq=freq, nyq=nyq))
+
+
 def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     """Multiply the spectrum by the C-infinity low-pass profile of each axis.
 
@@ -360,9 +369,7 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     if not (0 < inner < outer):
         raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
     axes = f.grid.axes
-    nyq = min(g.nyquist for g in axes)
-    if outer >= nyq * (1 + 1e-12):
-        raise ValueError(f"outer={outer} exceeds Nyquist frequency {nyq}")
+    check_below_nyquist(f.grid, outer, "outer={freq} exceeds Nyquist frequency {nyq}")
     if len(axes) == 1:
         # Held back until ROADMAP item 4(a) replaces the `residual_l2`
         # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting

@@ -33,7 +33,7 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .besov import critical_norm, default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import Grid1D, GridFunction, lp_norm, smooth_lowpass
+from .grid import Grid1D, GridFunction, check_below_nyquist, lp_norm, smooth_lowpass
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
 
@@ -276,6 +276,9 @@ def bandlimited_split(f: GridFunction, b: float,
     if mode == "spectrum":
         inner = 2.0**j0
         outer = 2.0 * inner
+        check_below_nyquist(f.grid, outer, f"b={b} is finer than the grid "
+                            "resolves: the split's stopband edge {freq} must lie "
+                            "below its Nyquist frequency {nyq}")
         g = smooth_lowpass(f, inner, outer)
         h = GridFunction(f.grid, f.values - g.values)
         return g, h, {"mode": "spectrum", "j0": j0, "inner": inner, "outer": outer}
@@ -341,14 +344,17 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     """Build L once for `sampling_set` on `grid`.
 
     Every input error is raised here, before P first runs: a grid of another
-    dimension, a passband without 0 < a < c, a set with no reconstruction
-    lattice and, in 2D, nodes off the grid lattice.
+    dimension, a passband without 0 < a < c or with c/b at or above the
+    grid's Nyquist frequency, a set with no reconstruction lattice and, in
+    2D, nodes off the grid lattice.
     """
     s = sampling_set
     if len(grid.axes) != s.d:
         raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid, "
                          f"got {len(grid.axes)}D")
     pchi = cfg.multiplier(s.b)
+    check_below_nyquist(grid, pchi.outer, "P's stopband edge c/b = {freq} must lie "
+                        "below the grid's Nyquist frequency {nyq}: lower c or raise b")
     nodes = reconstruction_nodes(s)
     bins = None
     if s.m < s.d:

@@ -12,30 +12,27 @@ Coefficients c_{j,k} = integral f * psi_{j,k} are computed by quadrature of f
 against the tabulated wavelets on the fine grid, not by the pyramid filter
 bank; `pyramid_details` provides the filter-bank recursion as an independent
 cross-check for dyadically sampled inputs.  Along each axis the sampled
-kernel spans M = (hi - lo) * 2^(res - j) grid steps, and the quadrature takes
-one of two routes:
+kernel spans M = (hi - lo) * 2^(res - j) grid steps, P = hi - lo strides.
 
-- M < n (fine scales, many translates): an FFT correlation of the axis with
-  the kernel, read at every stride-th lag.  The kernels applied to one array
-  (phi and psi) share its forward spectrum.
-- M >= n (coarse scales, a few translates): the polyphase split.  The axis is
-  cut into stride-sample blocks aligned with the translates; each block meets
-  at most P + 1 translates (P = hi - lo), so one matrix product per block,
-  with the kernel sampled only at that block's grid points, gives every
-  coefficient.  Nothing is padded to the kernel length, which at the coarse
-  2D scales would be several times the axis.
+The quadrature works on the polyphase split: the axis is cut into
+stride-sample blocks aligned with the translates, and each block meets at
+most P + 1 translates.  With one kernel table K[q, r] per scale and profile
+(translate u - q at offset r of block u), the blocks that lie wholly on the
+grid take one matrix product against K, and the at most two that the axis
+ends cut short take kernels sampled at their own grid points.  Nothing is
+padded or transformed, at any scale.  Analysis multiplies the blocks by K
+and adds each translate's P + 1 diagonal terms; synthesis, the transposed
+operator, multiplies each block's translate window by K.
 
-Synthesis, the transposed operator, has one placement body for every scale.
-With the same blocks, each block is sum_q c_(u-q) K[q, r] over the at most
-P + 1 translates that reach it, from one kernel table K per scale: the blocks
-that lie wholly on the grid take one product of their translate windows
-against K, and the at most two that the axis ends cut short take their own
-polyphase kernels.
+1D analysis keeps its earlier routes until the benchmark's 1D `residual_l2`
+reference can take a change of rounding (ROADMAP item 4(a)): an FFT
+correlation read at every stride-th lag for M < n, with phi and psi sharing
+the forward spectrum, and one product per block for M >= n.
 
-In 2D, analysis correlates axis 1 first, so the full-size array goes through
-FFTs along its contiguous axis and the strided axis 0 sees only the partial
-results, already reduced to one value per translate.  Synthesis, its adjoint,
-places along axis 0 first, so its full-size placement runs along axis 1.
+In 2D, analysis correlates axis 1 first, so the strided axis 0 sees only the
+partial results, already reduced to one value per translate.  Synthesis, its
+adjoint, places along axis 0 first, so its full-size placement runs along
+axis 1.
 
 Supports: the Daubechies tables are recentred by an integer shift (a pure
 relabeling of translates) so phi and psi share the support [-(K-1), K] and
@@ -60,6 +57,7 @@ __all__ = [
     "WaveletBasis",
     "WaveletCoefficients",
     "build_basis",
+    "check_dyadic_grid",
     "daubechies_filter",
     "analyze",
     "synthesize",
@@ -427,6 +425,25 @@ def coeffs_from_json_dict(d: dict, basis: WaveletBasis | None = None) -> Wavelet
 # ---------------------------------------------------------------------------
 # analysis / synthesis machinery
 
+def _lattice_offset(g: Grid1D) -> int:
+    """x_0 / h, for an axis whose spacing h is dyadic and whose origin x_0
+    lies on the h-lattice; a ValueError for any other axis."""
+    if abs(g.spacing * 2**g.resolution_exponent - 1.0) > 1e-9:
+        raise ValueError(
+            f"wavelet analysis needs dyadic grid spacing, got {g.spacing}"
+        )
+    x0h = g.origin / g.spacing
+    if abs(x0h - round(x0h)) > 1e-9:
+        raise ValueError("grid origin must be an integer multiple of the spacing")
+    return int(round(x0h))
+
+
+def check_dyadic_grid(grid) -> None:
+    """Reject a grid that wavelet quadrature cannot use (see `_lattice_offset`)."""
+    for g in grid.axes:
+        _lattice_offset(g)
+
+
 def _axis_setup(g: Grid1D, basis: WaveletBasis, j: int):
     """Dyadic-alignment bookkeeping for one axis at scale j.
 
@@ -434,20 +451,14 @@ def _axis_setup(g: Grid1D, basis: WaveletBasis, j: int):
     array with kernel[::-1] evaluated at base_index + k*stride yields
     sum_m f_m * w(2^j x_m - k) for the tabulated profile w.
     """
+    x0h = _lattice_offset(g)
     res = g.resolution_exponent
-    if abs(g.spacing * 2**res - 1.0) > 1e-9:
-        raise ValueError(
-            f"wavelet analysis needs dyadic grid spacing, got {g.spacing}"
-        )
-    x0h = g.origin / g.spacing
-    if abs(x0h - round(x0h)) > 1e-9:
-        raise ValueError("grid origin must be an integer multiple of the spacing")
     if j > res:
         raise ValueError(f"scale {j} finer than the grid resolution exponent {res}")
     stride = 2 ** (res - j)
     lo, hi = basis.support
     M = (hi - lo) * stride  # kernel index range 0..M
-    base = int(round(x0h)) - lo * stride  # lattice index of x_0 relative to support start
+    base = x0h - lo * stride  # lattice index of x_0 relative to support start
     return stride, base, M
 
 
@@ -461,8 +472,8 @@ def _axis_kernel(g: Grid1D, basis: WaveletBasis, j: int, which: int) -> np.ndarr
 
 def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
                       k_lo: int, k_hi: int, edges_only: bool = False):
-    """Kernel blocks of the polyphase split: analysis with kernels at least as
-    long as the axis, and the partial edge blocks of placement.
+    """Kernel blocks of the polyphase split: every block for 1D analysis at
+    M >= n, only the partial blocks at the axis ends otherwise.
 
     Grid index m sits at lattice position m + base = u*stride + r: block u,
     offset r.  Translate k meets block u only for u - P <= k <= u, where
@@ -492,48 +503,106 @@ def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
         yield slice(m_lo, m_hi), k_a, W
 
 
+def _full_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
+                 k_lo: int, k_hi: int):
+    """The blocks of the polyphase split that lie wholly on the grid and meet
+    a translate in [k_lo, k_hi], with the one kernel table they share.
+
+    Returns (m_a, u_a, nb, K), or None when there is no such block: grid
+    indices m_a..m_a + nb*stride - 1 are blocks u_a..u_a + nb - 1, and
+    K[q, r] = w(lo + 2^(j-res) (r + q*stride)) is the kernel of translate
+    u - q at offset r of block u, for q = 0..P.
+    """
+    stride, base, M = _axis_setup(g, basis, j)
+    P = M // stride
+    u_a = max(-(-base // stride), k_lo)
+    u_b = min((base + g.count) // stride, k_hi + P + 1)
+    if u_b <= u_a:
+        return None
+    lo, _hi = basis.support
+    K = basis.eval(which, lo + 2.0 ** (j - g.resolution_exponent)
+                   * np.arange((P + 1) * stride)).reshape(P + 1, stride)
+    return u_a * stride - base, u_a, u_b - u_a, K
+
+
 def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
                     whiches, axis: int = 0):
     """All-translate correlations along one axis, one per profile in `whiches`.
 
     Returns (k0, outs) where outs[t][i, ...] = sum_m values[m, ...] *
     w_t(2^j x_m - (k0+i)) for the profile w_t = psi^whiches[t].
-    A kernel shorter than the axis (M < n) goes through FFT correlation: the
-    steps of scipy's `fftconvolve(values, kernel[::-1], mode="full")`, with
-    the forward spectrum of `values` taken once for every kernel, so each
-    output equals that call bit for bit.  A longer one, with only a few
-    translates, goes through the polyphase blocks: one product per block of
-    `stride` samples against the at most P + 1 translates that meet it, so
-    nothing is padded to the kernel length.
+    With the blocks and the table K of `_full_blocks`, translate k is
+    sum_q Y[k + q, q] with Y[u, q] = sum_r f(block u, offset r) K[q, r]: the
+    whole blocks, a view of shape (blocks, stride, other axes), take one
+    product against K, and the at most two partial blocks at the axis ends
+    take their own `_polyphase_blocks` kernels.  Nothing is padded or
+    transformed, and no temporary is larger than the values.  1D arrays
+    keep the routes of `_correlate_1d`.
     """
     stride, base, M = _axis_setup(g, basis, j)
     n = values.shape[axis]
     k_min = int(np.ceil((base - M) / stride))
     k_max = int(np.floor((base + n - 1) / stride))
+    if values.ndim == 1:
+        # Held back until ROADMAP item 4(a) replaces the `residual_l2`
+        # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
+        # this branch is then the whole 1D change.
+        return k_min, _correlate_1d(values, g, basis, j, whiches, k_min, k_max)
+    P = M // stride
+    # the axis first, the others as columns: a view in 2D, whichever axis
+    v = np.moveaxis(values, axis, 0)
+    cols = v.shape[1:]
+    v = v.reshape(n, -1)
+    outs = []
+    for which in whiches:
+        out = np.zeros((k_max - k_min + 1, v.shape[1]))
+        full = _full_blocks(g, basis, j, which, k_min, k_max)
+        if full is not None:
+            m_a, u_a, nb, K = full
+            blocks = v[m_a : m_a + nb * stride].reshape(nb, stride, -1)
+            # at most `stride` rows of K per product, so Y is never larger
+            # than the blocks
+            for q0 in range(0, P + 1, stride):
+                Y = K[q0 : q0 + stride] @ blocks  # Y[u - u_a, q - q0]
+                for q in range(q0, min(q0 + stride, P + 1)):
+                    i = u_a - q - k_min  # block u meets translate u - q
+                    out[i : i + nb] += Y[:, q - q0]
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max,
+                                            edges_only=True):
+            out[k_a - k_min : k_a - k_min + len(W)] += W @ v[sl]
+        outs.append(np.moveaxis(out.reshape((-1,) + cols), 0, axis))
+    return k_min, outs
+
+
+def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
+    """The 1D correlation as it was before the 2D one moved to the kernel
+    table: each output of the FFT route (M < n) equals scipy's
+    `fftconvolve(values, kernel[::-1], mode="full")` at the stride lags bit
+    for bit, with the forward spectrum of `values` taken once for every
+    kernel; for M >= n, one product per polyphase block."""
+    stride, base, M = _axis_setup(g, basis, j)
+    n = len(values)
     outs = []
     if M >= n:
-        vals_mv = np.moveaxis(values, axis, -1)
         for which in whiches:
-            out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
+            out = np.zeros(k_max - k_min + 1)
             for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
-                out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
-            outs.append(np.moveaxis(out, -1, axis))
-        return k_min, outs
+                out[k_a - k_min : k_a - k_min + len(W)] += values[sl] @ W.T
+            outs.append(out)
+        return outs
     L = sp_fft.next_fast_len(n + M, True)
-    spectrum = sp_fft.rfftn(values, [L], axes=[axis])
-    shape = [1] * values.ndim
-    shape[axis] = M + 1
+    spectrum = sp_fft.rfft(values, L)
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
     idx = M - base + np.arange(k_min, k_max + 1) * stride
     for which in whiches:
-        kern = _axis_kernel(g, basis, j, which)[::-1].reshape(shape)
+        kern = _axis_kernel(g, basis, j, which)[::-1]
         # a named operand, as in fftconvolve: numpy's complex product is not
         # bitwise commutative, and `spectrum * <temporary>` may be evaluated
         # in place in the temporary with the operands swapped
-        kern_spectrum = sp_fft.rfftn(kern, [L], axes=[axis])
-        conv = sp_fft.irfftn(spectrum * kern_spectrum, [L], axes=[axis])
-        outs.append(np.take(conv, idx, axis=axis))
-    return k_min, outs
+        kern_spectrum = sp_fft.rfft(kern, L)
+        conv = sp_fft.irfft(spectrum * kern_spectrum, L)
+        outs.append(conv[idx])
+    return outs
 
 
 def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: int,
@@ -542,34 +611,28 @@ def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: 
 
     Grid index m sits in block u at offset r, m + base = u*stride + r, and
     only translates u - P..u reach it, so a block is sum_q c_(u-q) K[q, r]
-    with one table K[q, r] = w(lo + 2^(j-res) (r + q*stride)) for every
-    scale.  The blocks that lie wholly on the grid and meet a translate take
-    one product of their translate windows against K; the at most two
-    partial blocks at the axis ends take their own `_polyphase_blocks`
-    kernels.  Where no translate reaches, the output is exactly 0.
+    with the `_full_blocks` table K.  The blocks that lie wholly on the grid
+    and meet a translate take one product of their translate windows against
+    K; the at most two partial blocks at the axis ends take their own
+    `_polyphase_blocks` kernels.  Where no translate reaches, the output is
+    exactly 0.
     """
-    stride, base, M = _axis_setup(g, basis, j)
+    stride, _base, M = _axis_setup(g, basis, j)
     P = M // stride
-    n = g.count
     c_mv = np.moveaxis(coeffs, axis, -1)
     nk = c_mv.shape[-1]
-    out = np.zeros(c_mv.shape[:-1] + (n,))
-    # full blocks u_a..u_b - 1 on the grid that translates k0..k0 + nk - 1 reach
-    u_a = max(-(-base // stride), k0)
-    u_b = min((base + n) // stride, k0 + nk + P)
-    if u_b > u_a:
-        # coefficients of translates u_a - P..u_b - 1, zero outside k0..k0 + nk - 1
-        padded = np.zeros(c_mv.shape[:-1] + (u_b - u_a + P,))
-        k_a, k_b = max(u_a - P, k0), min(u_b, k0 + nk)
+    out = np.zeros(c_mv.shape[:-1] + (g.count,))
+    full = _full_blocks(g, basis, j, which, k0, k0 + nk - 1)
+    if full is not None:
+        m_a, u_a, nb, K = full
+        # coefficients of translates u_a - P..u_a + nb - 1, zero outside k0..k0 + nk - 1
+        padded = np.zeros(c_mv.shape[:-1] + (nb + P,))
+        k_a, k_b = max(u_a - P, k0), min(u_a + nb, k0 + nk)
         padded[..., k_a - u_a + P : k_b - u_a + P] = c_mv[..., k_a - k0 : k_b - k0]
         # windows[..., u - u_a, i] = c_(u-P+i), so row i of K[::-1] has q = P - i
         windows = np.lib.stride_tricks.sliding_window_view(padded, P + 1, axis=-1)
-        lo, _hi = basis.support
-        K = basis.eval(which, lo + 2.0 ** (j - g.resolution_exponent)
-                       * np.arange((P + 1) * stride)).reshape(P + 1, stride)
-        full = windows @ K[::-1]
-        m_a = u_a * stride - base
-        out[..., m_a : m_a + (u_b - u_a) * stride] = full.reshape(c_mv.shape[:-1] + (-1,))
+        placed = windows @ K[::-1]
+        out[..., m_a : m_a + nb * stride] = placed.reshape(c_mv.shape[:-1] + (-1,))
     for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1,
                                         edges_only=True):
         out[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
@@ -600,11 +663,11 @@ def _tensor_correlate(f: GridFunction, basis: WaveletBasis, j: int, types,
     correlated along its contiguous axis and the strided axes see only the
     partial results, already reduced to one value per translate.  The
     partial correlation of a type suffix is shared by every type that ends
-    with it, and the profiles applied to one partial share its forward
-    spectrum: in 2D the detail types take one FFT correlation of f along
-    axis 1 with phi and psi, then one along axis 0 of each of the two
-    partials, three forward spectra in all.  Translates are trimmed to the
-    significant support `hull`; types trimmed to nothing are left out.
+    with it: in 2D the detail types take one correlation of f along axis 1
+    with phi and psi, then one along axis 0 of each of the two partials,
+    three `_axis_correlate` calls and five products against a kernel table
+    in all.  Translates are trimmed to the significant support `hull`; types
+    trimmed to nothing are left out.
     Returns {type: (per-axis first translates, values)} in type order.
     """
     axes = f.grid.axes

@@ -528,6 +528,70 @@ class TestUsageErrors:
         self._usage_error(["approx", "pl", "--input", str(data)],
                           "a 1D sampling set needs a 1D grid function, got 2D")
 
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_approx_split_b_finer_than_the_grid(self, tmp_path, two_d):
+        # h = 2^-3: Nyquist 4, below the stopband edge 32 of the default b = 2^-4
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid = Grid2D(g1, g1) if two_d else g1
+        data = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.ones(grid.shape)), data)
+        self._usage_error(["approx", "split", "--input", str(data)],
+                          "b=0.0625 is finer than the grid resolves",
+                          "Nyquist frequency 4.0")
+        res = CliRunner().invoke(main, ["approx", "split", "--input", str(data),
+                                        "--b", "0.5"])
+        assert res.exit_code == 0, res.output
+
+    def test_besov_norm_j_max_too_fine(self, gauss_csv):
+        self._usage_error(["besov", "norm", "--s", "0.5", "--p", "2",
+                           "--input", gauss_csv, "--j-max", "20"],
+                          "'--j-min' / '--j-max'", "j_max=20 too fine")
+
+    def test_besov_norm_lp_range_leaves_energy_out(self, gauss_csv):
+        self._usage_error(["besov", "norm", "--def", "lp", "--s", "0.5", "--p", "2",
+                           "--input", gauss_csv, "--j-min", "2", "--j-max", "4"],
+                          "'--j-min' / '--j-max'", "outside covered band")
+
+    def test_coeff_dump_bad_input_and_range(self, tmp_path, gauss_csv):
+        out = tmp_path / "c.json"
+        self._usage_error(["coeff-dump", "--input", gauss_csv, "--j-min", "-2",
+                           "--j-max", "20", "--out", str(out)],
+                          "'--j-min' / '--j-max'", "j_max=20 too fine")
+        grid = Grid1D(-6.0, 0.375, 32)
+        data = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x**2)), data)
+        self._usage_error(["coeff-dump", "--input", str(data), "--j-min", "-2",
+                           "--j-max", "0", "--out", str(out)],
+                          "'--input'", "needs dyadic grid spacing, got 0.375")
+        assert not out.exists()
+
+    def test_besov_norm_non_dyadic_input(self, tmp_path):
+        grid = Grid1D(-6.0, 0.375, 32)
+        data = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x**2)), data)
+        self._usage_error(["besov", "norm", "--s", "0.5", "--p", "2",
+                           "--input", str(data)],
+                          "'--input'", "needs dyadic grid spacing, got 0.375")
+
+    def test_besov_norm_p_below_one(self, gauss_csv):
+        self._usage_error(["besov", "norm", "--s", "0.5", "--p", "0.5",
+                           "--input", gauss_csv],
+                          "p must lie in [1, inf), got 0.5")
+
+    def test_reconstruct_passband_above_nyquist(self, tmp_path, monkeypatch):
+        # h = 2^-3: Nyquist 4, below c/b = 0.25 / 2^-6 = 16
+        grid = Grid1D(-4.0, 2.0**-3, 64)
+        data = tmp_path / "f.csv"
+        save_csv(GridFunction(grid, np.exp(-np.pi * grid.x**2)), data)
+
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the Nyquist check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        self._usage_error(["reconstruct", "--input", str(data)],
+                          "c/b = 16.0 must lie below the grid's Nyquist "
+                          "frequency 4.0: lower c or raise b")
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one(self, tmp_path, monkeypatch, jobs):
         def no_pipeline(t):

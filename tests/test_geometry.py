@@ -10,6 +10,7 @@ from besovsampling.geometry import (
     VARIANTS,
     SamplingGeometry2D,
     SamplingSequence1D,
+    _ball_indices,
     _gauss_segment_integral,
     _gauss_square_integral,
     build_geometry,
@@ -305,6 +306,32 @@ class TestSpatialIndex:
         mult = cover_multiplicity(g, pts)
         assert np.array_equal(mult, _full_scan_multiplicity(g, pts))
         assert np.all(mult > strict)
+
+    def test_ball_indices_match_query_ball_point(self, geometry_of):
+        # straight curves put the anchors on a dyadic lattice, so a lattice
+        # neighbour sits at distance exactly b
+        lattice = build_geometry("curve-family", {"b": 2.0**-3, "seed": 0,
+                                                  "straight": True, "window": WIN})
+        e = lattice.anchors[len(lattice.anchors) // 2]
+        rng = np.random.default_rng(4)
+        g = geometry_of("concentric-circles")
+        balls = [(g, np.array([100.0, -100.0]), 1.0),  # empty
+                 (g, g.anchors[1234], 0.0),  # an anchor at the centre, r = 0
+                 (lattice, e, lattice.b)]  # anchors at distance exactly r
+        balls += [(g, rng.uniform(WIN[0], WIN[1], size=2), r)
+                  for r in rng.uniform(0.0, 2.0, size=20)]
+        sizes = []
+        for geo, x, r in balls:
+            got = _ball_indices(geo.anchor_index, x, r)
+            want = sorted(geo.anchor_index.query_ball_point(x, r))
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.array(want, dtype=np.intp))
+            sizes.append(len(got))
+        assert sizes[0] == 0 and sizes[1] >= 1 and max(sizes[3:]) > 1000
+        exact = np.linalg.norm(lattice.anchors - e, axis=1) == lattice.b
+        assert np.all(np.isin(np.flatnonzero(exact),
+                              _ball_indices(lattice.anchor_index, e, lattice.b)))
+        assert np.count_nonzero(exact) >= 2
 
     @pytest.mark.parametrize("variant", ["curve-family", "concentric-circles"])
     def test_empty_neighbourhoods(self, geometry_of, variant):

@@ -16,6 +16,7 @@ from besovsampling.wavelets import (
     _axis_kernel,
     _axis_place,
     _axis_setup,
+    _full_blocks,
     _polyphase_blocks,
     _trim_translates,
     analyze,
@@ -313,11 +314,18 @@ class TestTensor2D:
         assert rel < 1e-2
 
 
-# (basis, j) on grids of 1024 points at h = 2^-6: the kernel spans
+# (basis, j) on axes of 1024 points at h = 2^-6: the kernel spans
 # M = (hi - lo) * 2^(6 - j) samples, so Haar has M > n, M = n, M < n at
-# j = -6, -4, -3 and D4 (P = 7) has M = 28672, 1792, 896 at j = -6, -2, -1.
+# j = -6, -4, -3 and D4 (P = 7) has M = 28672, 3584, 1792, 896 at
+# j = -6, -3, -2, -1.
 AXIS_CASES = [("haar", -6), ("haar", -4), ("haar", -3),
-              ("db4", -6), ("db4", -2), ("db4", -1)]
+              ("db4", -6), ("db4", -3), ("db4", -2), ("db4", -1)]
+
+
+def _double_sum(values, g, basis, j, which, ks, axis):
+    """sum_m values[m, ...] w(2^j x_m - k) along `axis`, for each k in `ks`."""
+    W = basis.eval(which, 2.0**j * g.x[None, :] - ks[:, None])
+    return np.moveaxis(np.tensordot(W, values, axes=(1, axis)), 0, axis)
 
 
 class TestAxisCorrelation:
@@ -327,14 +335,21 @@ class TestAxisCorrelation:
     @staticmethod
     def _cases(small_grid):
         rng = np.random.default_rng(5)
-        # a 2D grid whose second axis has an origin off every dyadic block
+        # 2D grids whose long axis has an origin off every dyadic block, as
+        # axis 1 and as axis 0
         g2 = Grid2D(Grid1D(-3.0, 2.0**-5, 64), Grid1D(-323 / 64, 2.0**-6, 1024))
+        g3 = Grid2D(Grid1D(-331 / 64, 2.0**-6, 1024), Grid1D(-1.0, 2.0**-5, 48))
         return [(small_grid, rng.normal(size=small_grid.count), 0),
-                (g2.gy, rng.normal(size=g2.shape), 1)]
+                (g2.gy, rng.normal(size=g2.shape), 1),
+                (g3.gx, rng.normal(size=g3.shape), 0)]
 
-    @staticmethod
-    def _kernel(g, basis, j, which, ks):
-        return basis.eval(which, 2.0**j * g.x[None, :] - ks[:, None])
+    def test_cases_have_full_blocks_at_M_past_the_axis(self, db4, small_grid):
+        # D4 at j = -3: M = 3.5 n, one whole block between two partial ones
+        for g, values, axis in self._cases(small_grid)[1:]:
+            stride, base, M = _axis_setup(g, db4, -3)
+            assert M >= values.shape[axis] and base % stride
+            m_a, _u_a, nb, _K = _full_blocks(g, db4, -3, 1, -100, 100)
+            assert nb == 1 and 0 < m_a < stride
 
     @pytest.mark.parametrize("name, j", AXIS_CASES)
     @pytest.mark.parametrize("which", [0, 1])
@@ -344,8 +359,7 @@ class TestAxisCorrelation:
             k0, (out,) = _axis_correlate(values, g, basis, j, [which], axis=axis)
             # two translates past each end must have no support on the grid
             ks = np.arange(k0 - 2, k0 + out.shape[axis] + 2)
-            W = self._kernel(g, basis, j, which, ks)
-            ref = np.moveaxis(np.tensordot(W, values, axes=(1, axis)), 0, axis)
+            ref = _double_sum(values, g, basis, j, which, ks, axis)
             assert not np.any(np.take(ref, [0, 1, -2, -1], axis=axis))
             ref = np.take(ref, np.arange(2, len(ks) - 2), axis=axis)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -363,7 +377,7 @@ class TestAxisCorrelation:
             coeffs = rng.normal(size=shape)
             out = _axis_place(coeffs, k0 - 3, g, basis, j, which, axis=axis)
             ks = np.arange(k0 - 3, k0 - 3 + shape[axis])
-            W = self._kernel(g, basis, j, which, ks)
+            W = basis.eval(which, 2.0**j * g.x[None, :] - ks[:, None])
             ref = np.moveaxis(np.tensordot(W.T, coeffs, axes=(1, axis)), 0, axis)
             assert out.shape == values.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -556,7 +570,8 @@ class TestSharedSpectrum:
     # j = -6 puts every case below on the polyphase route (M >= n) and j = 3
     # every case on the FFT route (M < n), for both bases.  The 1D spectra
     # are long enough (over 256 KiB) for numpy to evaluate a product with a
-    # temporary operand in place, with the operands swapped.
+    # temporary operand in place, with the operands swapped.  2D arrays take
+    # no FFT route: at j = 3 they are held to the direct double sum.
     @pytest.mark.parametrize("name", ["haar", "db4"])
     @pytest.mark.parametrize("j", [-6, 3])
     def test_matches_one_kernel_correlations_bit_for_bit(self, request, grid,
@@ -575,7 +590,12 @@ class TestSharedSpectrum:
             for which, out in zip((0, 1), outs):
                 k0_ref, ref = _correlate_one_kernel(values, g, basis, j, which, axis)
                 assert k0 == k0_ref
-                assert np.array_equal(out, ref)
+                if values.ndim == 2 and j == 3:
+                    ref = _double_sum(values, g, basis, j, which,
+                                      k0 + np.arange(out.shape[axis]), axis)
+                    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+                else:
+                    assert np.array_equal(out, ref)
 
     def test_2d_analyze_matches_axis0_first_order(self, db4, monkeypatch):
         grid = Grid2D(Grid1D(-4.0, 2.0**-5, 256), Grid1D(-4.0, 2.0**-6, 512))
