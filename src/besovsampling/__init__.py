@@ -32,12 +32,10 @@ from .wavelets import (
 )
 from .besov import (
     BesovParams,
-    LittlewoodPaleyWindow,
     besov_norm_lp,
     besov_norm_via_analyze,
     besov_norm_wavelet,
     critical_norm,
-    make_lp_window,
     pw_membership,
 )
 from .geometry import (

@@ -34,8 +34,7 @@ from .wavelets import WaveletBasis, WaveletCoefficients, analyze, default_basis
 
 __all__ = [
     "BesovParams",
-    "LittlewoodPaleyWindow",
-    "make_lp_window",
+    "rho",
     "besov_norm_wavelet",
     "besov_norm_lp",
     "besov_norm_lp_details",
@@ -77,29 +76,14 @@ def _theta(t) -> np.ndarray:
     return smooth_ramp01(2.0 - np.asarray(t, dtype=float))
 
 
-@dataclass(eq=False)
-class LittlewoodPaleyWindow:
-    """Dyadic frequency window rho supported in {1/2 < |y| < 2}.
+def rho(abs_y) -> np.ndarray:
+    """Dyadic frequency window supported in {1/2 < |y| < 2}.
 
     rho(y) = theta(|y|) - theta(2|y|) telescopes exactly: sum_j rho(2^-j y) = 1
     for y != 0.
     """
-
-    def rho(self, abs_y) -> np.ndarray:
-        t = np.abs(np.asarray(abs_y, dtype=float))
-        return _theta(t) - _theta(2.0 * t)
-
-    def partition_residual(self, abs_y, j_lo: int = -40, j_hi: int = 40) -> float:
-        """max |sum_j rho(2^-j y) - 1| over the probe frequencies."""
-        t = np.abs(np.asarray(abs_y, dtype=float))
-        total = np.zeros_like(t)
-        for j in range(j_lo, j_hi + 1):
-            total += self.rho(t * 2.0**-j)
-        return float(np.max(np.abs(total - 1.0)))
-
-
-def make_lp_window() -> LittlewoodPaleyWindow:
-    return LittlewoodPaleyWindow()
+    t = np.abs(np.asarray(abs_y, dtype=float))
+    return _theta(t) - _theta(2.0 * t)
 
 
 def besov_norm_wavelet(c: WaveletCoefficients, params: BesovParams) -> float:
@@ -161,7 +145,6 @@ def besov_norm_lp_details(
     """
     if params.d != f.ndim:
         raise ValueError(f"params dimension {params.d} != function dimension {f.ndim}")
-    window = make_lp_window()
     j_lo, j_hi = j_range if j_range is not None else default_scale_range(f)
     F = fourier(f)
     absf = F.abs_freq()
@@ -184,7 +167,7 @@ def besov_norm_lp_details(
     terms = []
     per_scale = {}
     for j in range(j_lo, j_hi + 1):
-        mult = window.rho(absf * 2.0**-j)
+        mult = rho(absf * 2.0**-j)
         if not np.any(mult * np.abs(F.values) > 0.0):
             continue
         block = inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
@@ -259,7 +242,7 @@ def pw_membership(f: GridFunction, b: float, tol: float = 1e-6):
     energy = F.energy()
     total = float(energy.sum())
     outside = reduce(np.logical_or.outer,
-                     [np.abs(fz) > b * (1 + 1e-12) for fz in F.axis_freqs])
+                     [np.abs(fz) > b * (1 + 1e-12) for fz in F.freqs])
     leak = float(energy[outside].sum() / total) if total > 0 else 0.0
     report = {"b": b, "tol": tol, "leak_fraction": leak, "total_energy": total}
     return leak <= tol, report

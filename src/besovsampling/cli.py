@@ -27,6 +27,7 @@ from .besov import (
     BesovParams,
     besov_norm_lp_details,
     besov_norm_via_analyze,
+    critical_norm,
 )
 from .geometry import (
     MIN_PROBES,
@@ -95,12 +96,12 @@ def parse_value_list(text: str) -> list[float]:
 
 def fit_slope(rows) -> tuple[float, float, float]:
     """Least squares in log-log coordinates; returns (slope, intercept,
-    residual rms).  Rows are (x, y) pairs with positive entries."""
+    residual rms).  Rows are (x, y) pairs with positive finite entries."""
     rows = [(float(x), float(y)) for x, y in rows]
     if len(rows) < 3:
-        raise ValueError("slope fit needs at least 3 rows")
-    if any(x <= 0 or y <= 0 for x, y in rows):
-        raise ValueError("slope fit needs positive values")
+        raise ValueError(f"slope fit needs at least 3 rows, got {len(rows)}")
+    if not all(0 < v < math.inf for row in rows for v in row):
+        raise ValueError("slope fit needs positive finite values")
     lx = np.log([x for x, _ in rows])
     ly = np.log([y for _, y in rows])
     A = np.column_stack([lx, np.ones(len(lx))])
@@ -174,10 +175,7 @@ def _critical_norm(spec: ZooSpec, p: float) -> float:
     entry per (seed, p) pair to hit: past 256 pairs it analyzes at every b.
     """
     basis = default_basis()
-    f = make(spec, default_grid_1d(), basis).f
-    norm, _ = besov_norm_via_analyze(f, BesovParams(s=1.0 / p, p=p, q=1.0, d=1),
-                                     basis)
-    return norm
+    return critical_norm(make(spec, default_grid_1d(), basis).f, p, basis=basis)
 
 
 def _field_on_geometry(geom_path: str, b: float, seed: int):
@@ -517,10 +515,8 @@ def zoo():
 @click.option("--out", type=click.Path(), required=True)
 def zoo_make_cmd(spec_path, out):
     """Instantiate a zoo spec JSON on the default grid and write CSV."""
-    with open(spec_path, encoding="utf-8") as fh:
-        spec = ZooSpec.from_dict(json.load(fh))
-    grid = default_grid_1d()
-    zf = make(spec, grid, default_basis())
+    with open(spec_path, encoding="utf-8") as fh, _input_errors("--spec"):
+        zf = make(ZooSpec.from_dict(json.load(fh)), default_grid_1d(), default_basis())
     save_csv(zf.f, out)
     click.echo(json.dumps({"out": out, "meta": zf.meta}, default=str,
                           sort_keys=True))
@@ -705,12 +701,17 @@ def fit_slope_cmd(csv_path, x_col, y_col):
     """Log-log slope fit of two CSV columns."""
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        missing = [opt for opt, col in (("--x", x_col), ("--y", y_col))
+                   if col not in header]
+        if missing:
+            raise click.BadParameter(f"no such column; the CSV has {header}",
+                                     param_hint=missing)
         xi, yi = header.index(x_col), header.index(y_col)
-        pairs = []
-        for line in fh:
-            cells = line.strip().split(",")
-            pairs.append((float(cells[xi]), float(cells[yi])))
-    slope, intercept, resid = fit_slope(pairs)
+        rows = [line.strip().split(",") for line in fh]
+    with _input_errors("--csv"):
+        if any(len(cells) <= max(xi, yi) for cells in rows):
+            raise ValueError(f"a row has fewer cells than the header {header}")
+        slope, intercept, resid = fit_slope([(c[xi], c[yi]) for c in rows])
     click.echo(json.dumps({"slope": slope, "intercept": intercept,
                            "residual": resid}))
 

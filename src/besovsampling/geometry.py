@@ -5,8 +5,8 @@ interval, with cells I_n = [(a_{n-1}+a_n)/2, (a_n+a_{n+1})/2] and cell
 lengths b_n; boundary cells are half cells so that sum(b_n) tiles the
 interval exactly.
 
-2D geometries attach transversal cells H_a with measures nu_a = phi * dH^m
-to a carrier G.  Variants:
+2D geometries attach transversal cells H_a with measures nu_a = dH^m, the
+m-dimensional Hausdorff measure on H_a, to a carrier G.  Variants:
 
   hyperplane-union   horizontal lines y = a_n, vertical-segment cells (m=1)
   perturbed-graph    lines bent by a bounded-slope profile, cells follow (m=1)
@@ -205,7 +205,7 @@ class SamplingGeometry2D:
     anchor_weights: H^(d-m) quadrature weight per node (arc length for m=1,
                     1.0 for m=2)
     Cells are segments (cell_a/cell_b endpoints, m=1) or l-inf balls
-    (cell_centers/cell_radius, m=2); `phi` is the constant cell density.
+    (cell_centers/cell_radius, m=2), each with its Hausdorff measure.
     `boundary_flags` marks anchors whose cell was trimmed by the window.
     `anchor_index` is a k-d tree over the anchors and `cell_reach` bounds the
     distance from an anchor to any point of its cell; both are built on first
@@ -220,13 +220,12 @@ class SamplingGeometry2D:
     window: tuple[float, float]
     anchors: np.ndarray
     anchor_weights: np.ndarray
-    phi: float = 1.0
-    C0_equiv: float | None = None
+    C0_equiv: float
+    boundary_flags: np.ndarray
     cell_a: np.ndarray | None = None
     cell_b: np.ndarray | None = None
     cell_centers: np.ndarray | None = None
     cell_radius: float | None = None
-    boundary_flags: np.ndarray | None = None
     params: dict = field(default_factory=dict)
 
     @property
@@ -273,10 +272,10 @@ def _arc_nodes_on_lines(heights, window, step):
     return np.vstack(anchors), np.concatenate(weights), np.concatenate(line_idx), xs
 
 
-def _random_radii(params, b: float, rmax: float, seed) -> np.ndarray:
-    """r0 (default 3b/4), then seeded gaps in (b/2, b) until one reaches rmax."""
+def _random_radii(b: float, rmax: float, seed) -> np.ndarray:
+    """3b/4, then seeded gaps in (b/2, b) until one reaches rmax."""
     rng = np.random.default_rng(seed)
-    radii = [float(params.get("r0", 0.75 * b))]
+    radii = [0.75 * b]
     while radii[-1] < rmax:
         radii.append(radii[-1] + rng.uniform(b / 2 * 1.001, b * 0.999))
     return np.asarray(radii)
@@ -286,13 +285,16 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     """Construct a sampling geometry on the window.
 
     Common params: b, window=(lo, hi), seed, step (carrier quadrature step,
-    default 2^-7), C0, C0_equiv, D (defaults per variant in
+    default 2^-7), C0, C0_equiv, D (positive; defaults per variant in
     DECLARED_CONSTANTS).  Variant-specific parameters are documented inline.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
     C0, C0_equiv, D = (float(params.get(key, default)) for key, default in
                        zip(("C0", "C0_equiv", "D"), DECLARED_CONSTANTS[variant]))
+    if not min(C0, C0_equiv, D) > 0:
+        raise ValueError(f"the declared constants must be positive, got "
+                         f"C0={C0}, C0_equiv={C0_equiv}, D={D}")
     b = float(params["b"])
     window = tuple(params.get("window", (-8.0, 8.0)))
     step = float(params.get("step", 2.0**-7))
@@ -324,10 +326,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         if variant == "perturbed-graph":
             amp = float(params.get("amp", b))
             freq = float(params.get("freq", 0.5))
-            if amp * freq > float(params.get("slope_bound", 1.0)):
-                raise ValueError(
-                    f"perturbation slope {amp * freq} exceeds bound "
-                    f"{params.get('slope_bound', 1.0)}")
+            if amp * freq > 1.0:
+                raise ValueError(f"perturbation slope {amp * freq} exceeds 1")
             bend = amp * np.sin(freq * anchors[:, 0])
             # arc length weight for y = f(x) + a_n
             slope = amp * freq * np.cos(freq * anchors[:, 0])
@@ -342,11 +342,10 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         cb = np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])
         flags = (raw_lo < lo) | (raw_hi > hi)  # window-trimmed cells
         g = SamplingGeometry2D(
-            variant, 1, b, C0, D, window, anchors, weights,
-            cell_a=ca, cell_b=cb, C0_equiv=C0_equiv,
-            boundary_flags=flags,
+            variant, 1, b, C0, D, window, anchors, weights, C0_equiv, flags,
+            cell_a=ca, cell_b=cb,
             params={"heights": heights_full.tolist(), "seed": seed, "step": step,
-                    **({k: params[k] for k in ("amp", "freq", "drop_line")
+                    **({k: params[k] for k in ("amp", "freq", "drop_line", "strict")
                         if params.get(k) is not None})},
         )
         return g
@@ -371,10 +370,11 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         centers[:, 0] = np.round(centers[:, 0] / b) * b  # squares sit on the lattice
         g = SamplingGeometry2D(
             variant, 2, b, C0, D, window, anchors, np.ones(len(anchors)),
-            C0_equiv=C0_equiv,
+            C0_equiv, np.zeros(len(anchors), bool),
             cell_centers=centers, cell_radius=b / 4.0,
-            boundary_flags=np.zeros(len(anchors), bool),
-            params={"seed": seed, "n_curves": len(ks)},
+            params={"seed": seed, "n_curves": len(ks),
+                    **({"straight": params["straight"]}
+                       if params.get("straight") is not None else {})},
         )
         return g
 
@@ -383,7 +383,7 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         if "radii" in params:
             radii = np.asarray(params["radii"], dtype=float)
         else:
-            radii = _random_radii(params, b, rmax, seed)
+            radii = _random_radii(b, rmax, seed)
             if radii[-1] > rmax:
                 radii = radii[:-1]
         gaps = np.diff(radii)
@@ -405,16 +405,15 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
             flags.append(np.full(n, i == len(radii) - 1))
         g = SamplingGeometry2D(
             variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
-            C0_equiv=C0_equiv,
+            C0_equiv, np.concatenate(flags),
             cell_a=np.vstack(ca), cell_b=np.vstack(cb),
-            boundary_flags=np.concatenate(flags),
             params={"radii": radii.tolist(), "seed": seed, "step": step, "rmax": rmax},
         )
         return g
 
     # spiral: r = rho(theta), rho(2*pi*k) = r_k, radial cells [r_{k-1}, r_{k+1}]
     rmax = float(params.get("rmax", min(abs(lo), abs(hi)) - b))
-    radii = _random_radii(params, b, rmax, seed)
+    radii = _random_radii(b, rmax, seed)
     thetas_knots = 2 * np.pi * np.arange(len(radii))
     rho = PchipInterpolator(thetas_knots, radii)
     n_per_turn = max(32, int(params.get("n_per_turn", 2 * math.pi * rmax / step)))
@@ -433,9 +432,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         flags.append(np.full(n_per_turn, k >= len(radii) - 2))
     g = SamplingGeometry2D(
         variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
-        C0_equiv=C0_equiv,
+        C0_equiv, np.concatenate(flags),
         cell_a=np.vstack(ca), cell_b=np.vstack(cb),
-        boundary_flags=np.concatenate(flags),
         params={"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
                 "rmax": rmax},
     )
@@ -448,8 +446,8 @@ def cell_measures(obj) -> np.ndarray:
         return obj.cell_lengths
     g = obj
     if g.m == 1:
-        return g.phi * np.linalg.norm(g.cell_b - g.cell_a, axis=1)
-    return np.full(g.n_anchors(), g.phi * (2.0 * g.cell_radius) ** 2)
+        return np.linalg.norm(g.cell_b - g.cell_a, axis=1)
+    return np.full(g.n_anchors(), (2.0 * g.cell_radius) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +570,7 @@ def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
     else:
         vals = _gauss_square_integral(g.cell_centers[near], g.cell_radius, c,
                                       width)
-    return float(np.sum(g.anchor_weights[near] * g.phi * vals))
+    return float(np.sum(g.anchor_weights[near] * vals))
 
 
 def equiv_ratio_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
@@ -653,8 +651,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     equiv_C0 = max(equiv_upper, 1.0 / max(equiv_lower, 1e-300))
 
     # --- (b) cell Ahlfors regularity
-    interior = (np.zeros(g.n_anchors(), bool) if g.boundary_flags is None
-                else ~g.boundary_flags)
+    interior = ~g.boundary_flags
     idx_pool = np.nonzero(interior)[0]
     if len(idx_pool) == 0:
         idx_pool = np.arange(g.n_anchors())
@@ -667,11 +664,11 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
             A, Bp = g.cell_a[i], g.cell_b[i]
             t = rng.uniform(0.0, 1.0)
             x = A + t * (Bp - A)
-            length = _segment_ball_length(A, Bp, x, R) * g.phi
+            length = _segment_ball_length(A, Bp, x, R)
         else:
             cen = g.cell_centers[i]
             x = cen + rng.uniform(-g.cell_radius, g.cell_radius, size=2)
-            length = _square_ball_area(cen, g.cell_radius, x, R) * g.phi
+            length = _square_ball_area(cen, g.cell_radius, x, R)
         ratio = length / min(R, b) ** g.m
         lo_c, hi_c = min(lo_c, ratio), max(hi_c, ratio)
     mes2_lower, mes2_upper = float(lo_c), float(hi_c)
@@ -710,7 +707,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     diam_cap = {"concentric-circles": 1.5 * b, "spiral": 2.0 * b}.get(g.variant, b)
 
     passes = {
-        "equiv": equiv_C0 <= (g.C0_equiv or g.C0),
+        "equiv": equiv_C0 <= g.C0_equiv,
         "mes2": mes2_C0 <= g.C0,
         "mes": mes_c <= g.C0,
         "diam": diam_range[0] >= b / 2 * (1 - 1e-9)
@@ -721,7 +718,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     if not passes["equiv"]:
         failures.append(
             f"empirical equivalence constant {equiv_C0:.3g} exceeds declared "
-            f"C0_equiv={g.C0_equiv or g.C0}")
+            f"C0_equiv={g.C0_equiv}")
     return GeometryConditionsReport(
         g.variant, n_probes, seed, g.C0, g.D,
         equiv_lower, equiv_upper, equiv_C0,

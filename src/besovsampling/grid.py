@@ -194,21 +194,17 @@ class GridFunction:
 
 
 class SpectrumFunction:
-    """Discrete spectrum of a GridFunction; frequencies in numpy fft order."""
+    """Discrete spectrum of a GridFunction; `freqs` holds one frequency
+    vector per axis, in numpy fft order."""
 
-    def __init__(self, grid, freqs, values):
+    def __init__(self, grid, freqs: tuple[np.ndarray, ...], values):
         self.grid = grid
-        self.freqs = freqs  # 1D array, or (fx, fy) tuple in 2D
+        self.freqs = freqs
         self.values = np.asarray(values, dtype=complex)
 
     @property
     def ndim(self) -> int:
         return len(self.grid.axes)
-
-    @property
-    def axis_freqs(self) -> tuple[np.ndarray, ...]:
-        """Per-axis frequency vectors (`freqs` itself is a bare array in 1D)."""
-        return (self.freqs,) if self.ndim == 1 else tuple(self.freqs)
 
     def energy(self) -> np.ndarray:
         """|F|^2 times the frequency cell volume (discrete Plancherel weights)."""
@@ -217,7 +213,7 @@ class SpectrumFunction:
 
     def abs_freq(self) -> np.ndarray:
         """|zeta| per bin (euclidean norm over the axes)."""
-        return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.axis_freqs]))
+        return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.freqs]))
 
 
 def _along(axis: int, ndim: int, v: np.ndarray) -> np.ndarray:
@@ -304,7 +300,7 @@ def fourier(f: GridFunction) -> SpectrumFunction:
     freqs = tuple(np.fft.fftfreq(g.count, g.spacing) for g in axes)
     volume = math.prod(g.spacing for g in axes)
     vals = volume * _origin_phase(f.grid, -1) * np.fft.fftn(f.values)
-    return SpectrumFunction(f.grid, freqs[0] if len(axes) == 1 else freqs, vals)
+    return SpectrumFunction(f.grid, freqs, vals)
 
 
 def inverse_fourier(F: SpectrumFunction) -> GridFunction:
@@ -375,7 +371,7 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
         # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
         # this branch is then the whole 1D change.
         F = fourier(f)
-        mult = lowpass_profile(np.abs(F.freqs), inner, outer)
+        mult = lowpass_profile(np.abs(F.freqs[0]), inner, outer)
         return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
     for g in axes:
         _check_pow2(g.count, "grid")

@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .besov import critical_norm, default_wavelet_scales
+from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
 from .grid import Grid1D, GridFunction, check_below_nyquist, lp_norm, smooth_lowpass
 from .inequalities import TraceValues, trace
@@ -346,7 +346,11 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     Every input error is raised here, before P first runs: a grid of another
     dimension, a passband without 0 < a < c or with c/b at or above the
     grid's Nyquist frequency, a set with no reconstruction lattice and, in
-    2D, nodes off the grid lattice.
+    2D, lattice columns off the grid.
+
+    On a line union the nodes' y, the line heights, are rounded to the
+    nearest grid row, at most half a grid step, so that the 2D partition
+    sits on the grid; V's bins and the trace keep the true heights.
     """
     s = sampling_set
     if len(grid.axes) != s.d:
@@ -358,6 +362,9 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     nodes = reconstruction_nodes(s)
     bins = None
     if s.m < s.d:
+        gy = grid.axes[1]
+        rows = np.round((nodes[:, 1] - gy.origin) / gy.spacing)
+        nodes[:, 1] = gy.origin + rows * gy.spacing
         n_lines = len(s.params["heights"])
         xs = nodes[::n_lines, 0]
         bins = np.clip(np.round((s.anchors[:, 0] - xs[0]) / s.b).astype(int),
@@ -382,8 +389,6 @@ class ReconstructionReport:
     h_norm: float | None = None
     g_error: float | None = None
     h_reconstructed_norm: float | None = None
-    besov_norm: float | None = None
-    bound_ratio: float | None = None
     split_info: dict | None = None
 
     def to_dict(self) -> dict:
@@ -432,23 +437,21 @@ def make_passband_family(grid, sampling_set, cfg: ReconstructionConfig,
 
 
 def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
-                         family: list[GridFunction] | None = None,
                          n: int = 20, seed: int = 0,
                          orbit_depth: int = 1) -> float:
-    """max over the family of ||(I - P A V T_G) g||_p / ||g||_p.
+    """max over the passband family of ||(I - P A V T_G) g||_p / ||g||_p.
 
+    The family is `make_passband_family(grid, sampling_set, cfg, n, seed)`.
     This is a family-certified lower estimate of the operator norm on the
     passband, not a uniform bound; it is recorded as such in reports.  With
     orbit_depth > 1 the max also runs over repeated applications (the decay
     rate the Neumann iteration actually sees asymptotically).
     """
     op = build_operator(sampling_set, cfg, grid)
-    if family is None:
-        family = make_passband_family(grid, sampling_set, cfg, n=n, seed=seed)
-    if len(family) < 1:
+    if n < 1:
         raise ValueError("contraction estimate needs a nonempty family")
     worst = 0.0
-    for g in family:
+    for g in make_passband_family(grid, sampling_set, cfg, n=n, seed=seed):
         cur = g
         norm_cur = lp_norm(cur, cfg.p)
         for _ in range(max(1, orbit_depth)):
@@ -477,9 +480,7 @@ def calibrate_passband(sampling_set, grid, b: float | None = None,
     return best, estimates
 
 
-def full_pipeline(f: GridFunction, op: ReconstructionOperator,
-                  basis: WaveletBasis | None = None,
-                  besov_norm: float | None = None) -> ReconstructionReport:
+def full_pipeline(f: GridFunction, op: ReconstructionOperator) -> ReconstructionReport:
     """Split f = g + h at the projector passband, reconstruct from the trace
     of f, and report the three-term error breakdown
     ||f - S T f|| <= ||h|| + ||g - S T g|| + ||S T h||.
@@ -508,10 +509,4 @@ def full_pipeline(f: GridFunction, op: ReconstructionOperator,
     rep.h_reconstructed_norm = lp_norm(
         GridFunction(f.grid, recon_f.values - recon_g.values), p)
     rep.split_info = {"mode": "pchi", "inner": op.pchi.inner, "outer": op.pchi.outer}
-    if besov_norm is None and basis is not None:
-        besov_norm = critical_norm(f, p, sset.m, basis)
-    if besov_norm is not None:
-        rep.besov_norm = besov_norm
-        denom = sset.b ** (sset.m / p) * besov_norm
-        rep.bound_ratio = rep.total_error / denom if denom > 0 else None
     return rep

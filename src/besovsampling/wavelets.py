@@ -160,13 +160,13 @@ class WaveletBasis:
     """Scaling/wavelet filter pair with tabulated scaling function and wavelet.
 
     Tables hold values at support_lo + i/2^depth over the common support
-    [0, R] with R = len(filter) - 1.  Immutable after construction.
+    [0, R] with R = len(filter) - 1.  `order` is the number of vanishing
+    moments of psi (1 for Haar).  Immutable after construction.
     """
 
     family: str
     order: int
     scaling_filter: np.ndarray
-    vanishing_moments: int
     depth: int
     support: tuple[int, int]
     phi_table: np.ndarray = field(repr=False)
@@ -222,7 +222,7 @@ class WaveletBasis:
         step = 2.0**-self.depth
         y = self.support[0] + step * np.arange(len(self.psi_table))
         moments = [abs(float(np.sum(y**m * self.psi_table) * step))
-                   for m in range(self.vanishing_moments)]
+                   for m in range(self.order)]
         return {
             "filter_sum": abs(float(h.sum()) - np.sqrt(2.0)),
             "qmf_max": max(qmf),
@@ -246,7 +246,7 @@ def build_basis(family: str, order: int | None = None, depth: int = 12) -> Wavel
         psi = np.ones(n + 1)
         psi[n // 2 :] = -1.0
         psi[-1] = 0.0
-        return WaveletBasis("haar", 1, h, 1, depth, (0, 1), phi, psi)
+        return WaveletBasis("haar", 1, h, depth, (0, 1), phi, psi)
     if family == "daubechies":
         if order is None or not (2 <= int(order) <= 10):
             raise ValueError(f"Daubechies order must be in 2..10, got {order}")
@@ -265,7 +265,7 @@ def build_basis(family: str, order: int | None = None, depth: int = 12) -> Wavel
         # integer recentering (a pure relabeling of translates) puts the
         # common support at [-(K-1), K], so R = K as in the |x| > R convention
         lo = -((L - 1) // 2)
-        return WaveletBasis("daubechies", K, h, K, depth, (lo, lo + L - 1),
+        return WaveletBasis("daubechies", K, h, depth, (lo, lo + L - 1),
                             phi, psi)
     raise ValueError(f"unsupported wavelet family {family!r}")
 

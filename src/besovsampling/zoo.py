@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import reduce
 
 import numpy as np
@@ -75,6 +75,12 @@ class ZooSpec:
     @staticmethod
     def from_dict(d: dict) -> "ZooSpec":
         d = dict(d)
+        accepted = [f.name for f in fields(ZooSpec)]
+        unknown = sorted(set(d) - set(accepted))
+        if unknown or "kind" not in d:
+            problem = f"unknown key(s) {unknown}" if unknown else "no 'kind' key"
+            raise ValueError(f"zoo spec has {problem}; accepted fields: {accepted} "
+                             "('kind' is required)")
         if d.get("q") == "inf":
             d["q"] = math.inf
         for key in ("base", "base2"):

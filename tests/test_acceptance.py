@@ -449,7 +449,7 @@ def test_criterion_10_multivariate(basis):
                              "window": win})
     probe = (0.0, float(heights[mid]))
     bad = equiv_ratio_for_probe(broken, probe, b)
-    assert bad < 1.0 / (broken.C0_equiv or broken.C0)
+    assert bad < 1.0 / broken.C0_equiv
     dt = time.time() - t0
     assert dt < 900.0
     report(10, "multivariate trace",

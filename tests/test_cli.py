@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from besovsampling import cli
+from besovsampling import besov, cli
 from besovsampling.cli import (
     PIPELINES,
     RunConfig,
@@ -22,7 +22,7 @@ from besovsampling.cli import (
     parse_value_list,
     sweep_outputs,
 )
-from besovsampling.geometry import random_sequence
+from besovsampling.geometry import VARIANTS, geometry_from_json_dict, random_sequence
 from besovsampling.grid import (
     Grid1D,
     Grid2D,
@@ -385,13 +385,14 @@ class TestCriticalNormMemo:
 
     def test_one_analysis_per_spec_and_p(self, monkeypatch):
         calls = []
-        analyze = cli.besov_norm_via_analyze
+        analyze = besov.besov_norm_via_analyze
 
         def counted(f, params, basis):
             calls.append((params.p, f.values.tobytes()))
             return analyze(f, params, basis)
 
-        monkeypatch.setattr(cli, "besov_norm_via_analyze", counted)
+        # the memo analyzes through besov.critical_norm
+        monkeypatch.setattr(besov, "besov_norm_via_analyze", counted)
         for command in MEMOIZED:
             execute_sweep(RunConfig(command, b_list=self.B_LIST,
                                     p_list=[1.0, 2.0], seeds=[1, 2]))
@@ -481,24 +482,45 @@ class TestUsageErrors:
         self._usage_error(["sweep", "intb", "--config", str(cfg)],
                           "no 'command' key", "'b_list'")
 
-    def test_reconstruct_off_lattice_nodes(self, tmp_path, monkeypatch):
-        g1 = Grid1D(-4.0, 2.0**-3, 64)
-        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
-        data = tmp_path / "f2d.csv"
-        save_csv(GridFunction(grid, np.ones(grid.shape)), data)
-        # random line heights are off the grid lattice
+    def test_geometry_check_non_positive_constant(self, tmp_path):
         spec = tmp_path / "geom.json"
-        spec.write_text(json.dumps({
-            "variant": "hyperplane-union", "b": 0.5,
-            "window": [g1.x[0], g1.x[-1]], "params": {"seed": 1}}))
+        spec.write_text(json.dumps({"variant": "spiral", "b": 0.25, "C0_equiv": 0}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec)],
+                          "must be positive", "C0_equiv=0.0")
 
-        def no_projector(*args, **kwargs):
-            raise AssertionError("P ran before the partition check")
+    @pytest.mark.parametrize("body, args, needles", [
+        ("b,error\n0.5,1\n0.25,0.5\n0.125,0.25\n", ["--y", "nosuch"],
+         ["'--y'", "no such column"]),
+        ("b,error\n0.5,1\n0.25,0.5\n0.125,0.25\n", ["--x", "a", "--y", "c"],
+         ["'--x' / '--y'", "no such column"]),
+        ("b,error\n0.5,1\n0.25,0.5\n", [], ["'--csv'", "at least 3 rows, got 2"]),
+        ("b,error\n0.5,1\n0.25,0\n0.125,0.25\n", [],
+         ["'--csv'", "positive finite values"]),
+        ("b,error\n0.5,1\n0.25,abc\n0.125,0.25\n", [],
+         ["'--csv'", "could not convert string to float: 'abc'"]),
+        ("b,error\n0.5,1\n0.25\n0.125,0.25\n", [], ["'--csv'", "fewer cells"]),
+    ], ids=["missing-y", "missing-x-and-y", "two-rows", "zero-cell",
+            "non-numeric-cell", "short-row"])
+    def test_fit_slope_bad_csv(self, tmp_path, body, args, needles):
+        data = tmp_path / "rows.csv"
+        data.write_text(body)
+        self._usage_error(["fit-slope", "--csv", str(data), *args], *needles)
 
-        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
-        self._usage_error(["reconstruct", "--input", str(data),
-                           "--geometry", str(spec)],
-                          "must sit on the grid lattice")
+    @pytest.mark.parametrize("spec, needles", [
+        ({"kind": "nope"}, ["unknown zoo kind 'nope'"]),
+        ({"kind": "gaussian", "widht": 2.0},
+         ["unknown key(s) ['widht']", "'width'"]),
+        ({"width": 2.0}, ["no 'kind' key", "'width'"]),
+        ({"kind": "tensor2d", "base": {"kind": "gaussian"}},
+         ["tensor2d needs a Grid2D"]),
+    ], ids=["unknown-kind", "unknown-key", "no-kind", "tensor2d-on-1d-grid"])
+    def test_zoo_make_bad_spec(self, tmp_path, spec, needles):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "f.csv"
+        self._usage_error(["zoo", "make", "--spec", str(path), "--out", str(out)],
+                          "'--spec'", *needles)
+        assert not out.exists()
 
     def test_reconstruct_2d_input_without_geometry(self, tmp_path, monkeypatch):
         g1 = Grid1D(-4.0, 2.0**-3, 64)
@@ -619,6 +641,45 @@ class TestUsageErrors:
         self._usage_error(args + ["--out-dir", str(tmp_path)],
                           f"p must lie in [1, inf), got {bad}")
         assert not list(tmp_path.iterdir())
+
+
+class TestReconstructGeometry:
+    """`reconstruct --geometry` on a 64^2 grid: the variants with a
+    reconstruction lattice run; the others are usage errors naming the
+    variant, raised before P runs."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variant(self, tmp_path, monkeypatch, variant):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 64))
+        data = tmp_path / "f2d.csv"
+        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        save_csv(GridFunction(grid, np.outer(u, u)), data)
+        raw = {"variant": variant, "b": 0.5, "window": [g1.x[0], g1.x[-1]],
+               "params": {"seed": 1}}
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps(raw))
+        args = ["reconstruct", "--input", str(data), "--geometry", str(spec),
+                "--iters", "2"]
+        if variant not in ("hyperplane-union", "curve-family"):
+            def no_projector(*args, **kwargs):
+                raise AssertionError("P ran before the lattice check")
+
+            monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+            TestUsageErrors._usage_error(args, f"variant {variant!r} has no "
+                                         "reconstruction lattice")
+            return
+        if variant == "hyperplane-union":
+            # the random line heights are off the grid rows
+            heights = np.asarray(geometry_from_json_dict(raw).params["heights"])
+            assert np.any(np.abs(heights / g1.spacing - np.round(heights / g1.spacing))
+                          > 0.1)
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)["report"]
+        assert not report["diverged"]
+        assert 0 < report["rel_error"] < 1
+        assert "besov_norm" not in report and "bound_ratio" not in report
 
 
 class TestFingerprints:

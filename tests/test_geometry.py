@@ -128,6 +128,12 @@ class TestBuilders:
         with pytest.raises(ValueError, match="variant"):
             build_geometry("moebius", {"b": 0.25})
 
+    @pytest.mark.parametrize("key", ["C0", "C0_equiv", "D"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_declared_constants_must_be_positive(self, key, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            build_geometry("spiral", {"b": 0.5, "window": WIN, key: value})
+
     def test_1d_regular_cell_measures(self):
         seq = regular_sequence(0.25, (-16, 16))
         m = cell_measures(seq)
@@ -162,7 +168,7 @@ class TestConditions:
         good = equiv_ratio_for_probe(intact, probe, b)
         bad = equiv_ratio_for_probe(broken, probe, b)
         assert good > 1.0 - 1e-3
-        assert bad < 1.0 / (broken.C0_equiv or broken.C0)
+        assert bad < 1.0 / broken.C0_equiv
 
     @pytest.mark.parametrize("variant,extra", [
         ("perturbed-graph", {"amp": 0.1, "freq": 2.0}),
@@ -229,7 +235,7 @@ def _full_scan_lhs(g, c, w):
         vals = _gauss_segment_integral(g.cell_a, g.cell_b, c, w)
     else:
         vals = _gauss_square_integral(g.cell_centers, g.cell_radius, c, w)
-    return float(np.sum(g.anchor_weights * g.phi * vals))
+    return float(np.sum(g.anchor_weights * vals))
 
 
 def _full_scan_carrier_measure(g, x, R):
@@ -271,6 +277,7 @@ class TestSpatialIndex:
         g = SamplingGeometry2D(
             "hyperplane-union", 1, 1.0, 10.0, 4.0, (-16.0, 16.0),
             anchors=np.array([[0.0, 0.0]]), anchor_weights=np.array([1.0]),
+            C0_equiv=1.1, boundary_flags=np.array([False]),
             cell_a=np.array([[0.0, 0.0]]), cell_b=np.array([[0.0, 10.0]]))
         probe, w = (0.0, 10.0), 0.1
         assert equiv_lhs_for_probe(g, probe, w) == pytest.approx(
@@ -344,16 +351,27 @@ class TestSpatialIndex:
 
 
 class TestGeometryJson:
-    def test_round_trip(self, tmp_path):
-        g = build_geometry("spiral", {"b": 2.0**-3, "seed": 6, "window": WIN})
-        d = geometry_to_json_dict(g)
+    @pytest.mark.parametrize("variant, extra", [
+        *((v, {}) for v in VARIANTS),
+        ("curve-family", {"straight": True}),
+        ("hyperplane-union", {"strict": False}),
+        ("perturbed-graph", {"strict": False}),
+    ], ids=[*VARIANTS, "curve-family-straight", "hyperplane-union-loose",
+            "perturbed-graph-loose"])
+    def test_round_trip(self, tmp_path, variant, extra):
+        g = build_geometry(variant, {"b": 2.0**-3, "seed": 6, "window": WIN,
+                                     **extra})
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(d))
+        path.write_text(json.dumps(geometry_to_json_dict(g)))
         back = geometry_from_json_dict(json.loads(path.read_text()))
-        assert back.variant == "spiral"
-        assert back.b == g.b
-        assert back.n_anchors() == g.n_anchors()
-        assert np.allclose(back.anchors[:50], g.anchors[:50])
+        assert (back.variant, back.m, back.b, back.window) == \
+            (g.variant, g.m, g.b, g.window)
+        assert (back.C0, back.C0_equiv, back.D) == (g.C0, g.C0_equiv, g.D)
+        for name in ("anchors", "anchor_weights", "cell_a", "cell_b",
+                     "cell_centers", "boundary_flags"):
+            a, b = getattr(back, name), getattr(g, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        assert back.cell_radius == g.cell_radius
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_spec_without_constants_declares_the_builder_defaults(self, variant):

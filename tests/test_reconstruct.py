@@ -247,7 +247,7 @@ class TestPartitionAndOperators:
         from besovsampling.grid import fourier, inverse_fourier, SpectrumFunction
         F = fourier(zf.f)
         deriv = inverse_fourier(SpectrumFunction(
-            grid, F.freqs, 2j * np.pi * F.freqs * F.values))
+            grid, F.freqs, 2j * np.pi * F.freqs[0] * F.values))
         assert err <= 2.0 * b * lp_norm(deriv, 2.0)
 
     def test_averaging_identity_1d(self, grid_module, seq_and_cfg):
@@ -283,9 +283,7 @@ class TestPartitionAndOperators:
         grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-6, 1024))
         win = (g1.x[0], g1.x[-1])
         b = 2.0**-3
-        # V is reached through the operator, whose partition needs the line
-        # heights on the grid lattice
-        heights = random_sequence(b, win, 4, strict=True, lattice=2.0**-6).points
+        heights = random_sequence(b, win, 4, strict=True).points
         g = build_geometry("hyperplane-union",
                            {"b": b, "heights": heights.tolist(), "window": win})
         op = build_operator(g, ReconstructionConfig(), grid2)
@@ -477,9 +475,11 @@ class TestBuildOperator:
             "geometry on a 1D grid": (
                 build_geometry("curve-family", {"b": 0.5, "seed": 1, "window": win}),
                 cfg, g1, "needs a 2D grid"),
-            # random line heights are off the grid lattice
+            # the operator rounds the line heights to the grid rows, but a
+            # window off the grid lattice puts the node columns off it
             "off-lattice nodes": (
-                build_geometry("hyperplane-union", {"b": 0.5, "seed": 1, "window": win}),
+                build_geometry("hyperplane-union", {
+                    "b": 0.5, "seed": 1, "window": (win[0] + g1.spacing / 2, win[1])}),
                 cfg, grid2, "must sit on the grid lattice"),
             "a not below c": (seq, ReconstructionConfig(c_factor=0.25, a_factor=0.5),
                               g1, "need 0 < a < c"),
@@ -593,8 +593,7 @@ class TestFullPipeline:
         win = (g1.x[0], g1.x[-1])
         b = 2.0**-3
         cfg = ReconstructionConfig(c_factor=0.25, n_iter=10)
-        heights = random_sequence(b, win, 3, strict=True,
-                                  lattice=2.0**-6).points
+        heights = random_sequence(b, win, 3, strict=True).points
         for params, variant in [
             ({"heights": heights.tolist()}, "hyperplane-union"),
             ({"seed": 2}, "curve-family"),

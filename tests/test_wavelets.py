@@ -93,7 +93,7 @@ class TestBasisConstruction:
     def test_vanishing_moments(self, db4):
         step = 2.0**-db4.depth
         y = db4.support[0] + step * np.arange(len(db4.psi_table))
-        for m in range(db4.vanishing_moments):
+        for m in range(db4.order):
             mom = np.sum(y**m * db4.psi_table) * step
             assert abs(mom) < 1e-6
 
