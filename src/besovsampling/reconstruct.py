@@ -345,8 +345,9 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
 
     Every input error is raised here, before P first runs: a grid of another
     dimension, a passband without 0 < a < c or with c/b at or above the
-    grid's Nyquist frequency, a set with no reconstruction lattice and, in
-    2D, lattice columns off the grid.
+    grid's Nyquist frequency, a set with no reconstruction lattice and, on a
+    line union, node columns off the grid, named by the window shift that
+    puts them on it.
 
     On a line union the nodes' y, the line heights, are rounded to the
     nearest grid row, at most half a grid step, so that the 2D partition
@@ -362,7 +363,16 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     nodes = reconstruction_nodes(s)
     bins = None
     if s.m < s.d:
-        gy = grid.axes[1]
+        gx, gy = grid.axes
+        cols = (nodes[:, 0] - gx.origin) / gx.spacing
+        if np.max(np.abs(cols - np.round(cols))) > 1e-9:
+            shift = (np.round(cols[0]) - cols[0]) * gx.spacing
+            raise ValueError(
+                f"the line-union nodes x = window[0] + k*b must sit on the grid "
+                f"lattice (spacing {gx.spacing:g}, origin {gx.origin:g}): shift "
+                f"the geometry's window {list(s.window)} by {shift:+g}"
+                + ("" if abs(s.b / gx.spacing - round(s.b / gx.spacing)) < 1e-9
+                   else f" and make b = {s.b:g} a multiple of the spacing"))
         rows = np.round((nodes[:, 1] - gy.origin) / gy.spacing)
         nodes[:, 1] = gy.origin + rows * gy.spacing
         n_lines = len(s.params["heights"])

@@ -21,8 +21,10 @@ most P + 1 translates.  With one kernel table K[q, r] per scale and profile
 grid take one matrix product against K, and the at most two that the axis
 ends cut short take kernels sampled at their own grid points.  Nothing is
 padded or transformed, at any scale.  Analysis multiplies the blocks by K
-and adds each translate's P + 1 diagonal terms; synthesis, the transposed
-operator, multiplies each block's translate window by K.
+and adds each translate's diagonal terms; synthesis, the transposed
+operator, multiplies each block's translate window by K.  At strides below
+64, 2D analysis multiplies runs of T blocks at a time by the wider,
+block-Toeplitz form of K, with every profile's rows stacked into one table.
 
 1D analysis keeps its earlier routes until the benchmark's 1D `residual_l2`
 reference can take a change of rounding (ROADMAP item 4(a)): an FFT
@@ -69,6 +71,9 @@ __all__ = [
 ]
 
 _MAX_ABS_SCALE = 60
+# 2D analysis multiplies runs of blocks at least this many samples long by
+# one table (`_axis_correlate`); CHANGES.md has the measured choice
+_RUN_SAMPLES = 64
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -227,7 +232,10 @@ class WaveletBasis:
             "filter_sum": abs(float(h.sum()) - np.sqrt(2.0)),
             "qmf_max": max(qmf),
             "moment_max": max(moments),
-            "psi_outside_support": 0.0,  # tables stop at the support endpoints
+            # the tables stop at the support ends, so this is w beyond them;
+            # 2D analysis leaves out the kernel row that samples it
+            "psi_outside_support": sum(abs(float(self.eval(w, self.support[1])))
+                                       for w in (0, 1)),
         }
 
 
@@ -511,7 +519,11 @@ def _full_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     Returns (m_a, u_a, nb, K), or None when there is no such block: grid
     indices m_a..m_a + nb*stride - 1 are blocks u_a..u_a + nb - 1, and
     K[q, r] = w(lo + 2^(j-res) (r + q*stride)) is the kernel of translate
-    u - q at offset r of block u, for q = 0..P.
+    u - q at offset r of block u, for q = 0..P.  Row q = P samples w at
+    hi + r/stride, where every basis is 0 (`WaveletBasis.validate`); 2D
+    analysis leaves it out, and 1D and `_axis_place` keep all P + 1 rows.
+    2D analysis expands K to the run table K_T[s + P - 1 - q, s*stride + r]
+    = K[q, r] of `_axis_correlate`.
     """
     stride, base, M = _axis_setup(g, basis, j)
     P = M // stride
@@ -532,12 +544,19 @@ def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
     Returns (k0, outs) where outs[t][i, ...] = sum_m values[m, ...] *
     w_t(2^j x_m - (k0+i)) for the profile w_t = psi^whiches[t].
     With the blocks and the table K of `_full_blocks`, translate k is
-    sum_q Y[k + q, q] with Y[u, q] = sum_r f(block u, offset r) K[q, r]: the
-    whole blocks, a view of shape (blocks, stride, other axes), take one
-    product against K, and the at most two partial blocks at the axis ends
-    take their own `_polyphase_blocks` kernels.  Nothing is padded or
-    transformed, and no temporary is larger than the values.  1D arrays
-    keep the routes of `_correlate_1d`.
+    sum_q Y[k + q, q] with Y[u, q] = sum_r f(block u, offset r) K[q, r].
+    The whole blocks are cut into runs of T = ceil(64 / stride) blocks
+    (T = 1 from stride 64 up), each T*stride samples long and meeting T + P
+    translates.  Each run, a (T*stride, other axes) view, takes one product
+    against the run table K_T[s + P - 1 - q, s*stride + r] = K[q, r]
+    (s < T, q < P: row q = P of K is 0) with the rows of every profile
+    stacked, so the values are read once per scale, and row i of the
+    product adds into translate (first block of the run) + i - (P - 1).
+    A last run of fewer than T blocks takes the leading rows and columns
+    of K_T.  The at most two partial blocks at the axis ends take their own
+    `_polyphase_blocks` kernels, one product per profile.  Nothing is
+    padded or transformed, and each product holds one run's translates.
+    1D arrays keep the routes of `_correlate_1d`.
     """
     stride, base, M = _axis_setup(g, basis, j)
     n = values.shape[axis]
@@ -553,25 +572,28 @@ def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
     v = np.moveaxis(values, axis, 0)
     cols = v.shape[1:]
     v = v.reshape(n, -1)
-    outs = []
-    for which in whiches:
-        out = np.zeros((k_max - k_min + 1, v.shape[1]))
-        full = _full_blocks(g, basis, j, which, k_min, k_max)
-        if full is not None:
-            m_a, u_a, nb, K = full
-            blocks = v[m_a : m_a + nb * stride].reshape(nb, stride, -1)
-            # at most `stride` rows of K per product, so Y is never larger
-            # than the blocks
-            for q0 in range(0, P + 1, stride):
-                Y = K[q0 : q0 + stride] @ blocks  # Y[u - u_a, q - q0]
-                for q in range(q0, min(q0 + stride, P + 1)):
-                    i = u_a - q - k_min  # block u meets translate u - q
-                    out[i : i + nb] += Y[:, q - q0]
+    out = np.zeros((len(whiches), k_max - k_min + 1, v.shape[1]))
+    fulls = [_full_blocks(g, basis, j, which, k_min, k_max) for which in whiches]
+    if fulls[0] is not None:
+        m_a, u_a, nb, _K = fulls[0]
+        T = -(-_RUN_SAMPLES // stride)
+        # K_T[s + P - 1 - q, s*stride + r] = K[q, r] for q < P
+        K = np.stack([Kw[P - 1 :: -1] for *_, Kw in fulls])
+        KT = np.zeros((len(whiches), T + P - 1, T, stride))
+        for s in range(T):
+            KT[:, s : s + P, s] = K
+        KT = KT.reshape(len(whiches), T + P - 1, T * stride)
+        for u in range(0, nb, T):
+            L = min(T, nb - u)  # a last run of fewer than T blocks
+            KL = KT[:, : L + P - 1, : L * stride].reshape(-1, L * stride)
+            Y = KL @ v[m_a + u * stride : m_a + (u + L) * stride]
+            i = u_a + u - (P - 1) - k_min
+            out[:, i : i + L + P - 1] += Y.reshape(len(whiches), L + P - 1, -1)
+    for o, which in zip(out, whiches):
         for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max,
                                             edges_only=True):
-            out[k_a - k_min : k_a - k_min + len(W)] += W @ v[sl]
-        outs.append(np.moveaxis(out.reshape((-1,) + cols), 0, axis))
-    return k_min, outs
+            o[k_a - k_min : k_a - k_min + len(W)] += W @ v[sl]
+    return k_min, [np.moveaxis(o.reshape((-1,) + cols), 0, axis) for o in out]
 
 
 def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
@@ -719,7 +741,7 @@ def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
         blocks = _tensor_correlate(f, basis, j, details, hull)
         if blocks:
             scales[j] = _pack(d, blocks)
-    coarse = scaling_coefficients(f, basis, j_min) if with_coarse else None
+    coarse = _coarse_block(f, basis, j_min, hull) if with_coarse else None
     out = WaveletCoefficients(d, j_min, j_max, scales, basis, coarse=coarse)
     l2 = lp_norm(f, 2.0)
     if l2 > 0:
@@ -732,8 +754,12 @@ def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
 
 def scaling_coefficients(f: GridFunction, basis: WaveletBasis, j: int):
     """<f, phi_{j,k}> for all overlapping translates, in the coarse-block layout."""
-    blocks = _tensor_correlate(f, basis, j, [(0,) * f.ndim], f.significant_support())
-    return _pack(f.ndim, blocks, coarse=True)
+    return _coarse_block(f, basis, j, f.significant_support())
+
+
+def _coarse_block(f: GridFunction, basis: WaveletBasis, j: int, hull):
+    return _pack(f.ndim, _tensor_correlate(f, basis, j, [(0,) * f.ndim], hull),
+                 coarse=True)
 
 
 def synthesize(c: WaveletCoefficients, grid) -> GridFunction:

@@ -74,6 +74,8 @@ class ZooSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ZooSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a zoo spec must be a JSON object, got {d!r}")
         d = dict(d)
         accepted = [f.name for f in fields(ZooSpec)]
         unknown = sorted(set(d) - set(accepted))
@@ -83,6 +85,13 @@ class ZooSpec:
                              "('kind' is required)")
         if d.get("q") == "inf":
             d["q"] = math.inf
+        for f in fields(ZooSpec):
+            v = d.get(f.name)
+            # annotations are strings here: "float", "int | None", ...
+            if f.type.split()[0] in ("float", "int") and v is not None \
+                    and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise ValueError(f"zoo spec field {f.name!r} must be a number, "
+                                 f"got {v!r}")
         for key in ("base", "base2"):
             if key in d and d[key] is not None:
                 d[key] = ZooSpec.from_dict(d[key])

@@ -513,7 +513,11 @@ class TestUsageErrors:
         ({"width": 2.0}, ["no 'kind' key", "'width'"]),
         ({"kind": "tensor2d", "base": {"kind": "gaussian"}},
          ["tensor2d needs a Grid2D"]),
-    ], ids=["unknown-kind", "unknown-key", "no-kind", "tensor2d-on-1d-grid"])
+        ({"kind": "gaussian", "width": "abc"},
+         ["field 'width' must be a number, got 'abc'"]),
+        ([1, 2], ["must be a JSON object, got [1, 2]"]),
+    ], ids=["unknown-kind", "unknown-key", "no-kind", "tensor2d-on-1d-grid",
+            "non-numeric-value", "not-an-object"])
     def test_zoo_make_bad_spec(self, tmp_path, spec, needles):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -680,6 +684,23 @@ class TestReconstructGeometry:
         assert not report["diverged"]
         assert 0 < report["rel_error"] < 1
         assert "besov_norm" not in report and "bound_ratio" not in report
+
+    def test_window_off_the_grid_lattice(self, tmp_path, monkeypatch):
+        g1 = Grid1D(-4.0, 2.0**-3, 64)
+        data = tmp_path / "f2d.csv"
+        save_csv(GridFunction(Grid2D(g1, g1), np.ones((64, 64))), data)
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "hyperplane-union", "b": 0.5,
+                                    "window": [-3.9375, 3.875],
+                                    "params": {"seed": 1}}))
+
+        def no_projector(*args, **kwargs):
+            raise AssertionError("P ran before the lattice check")
+
+        monkeypatch.setattr(LowpassMultiplier, "apply", no_projector)
+        TestUsageErrors._usage_error(
+            ["reconstruct", "--input", str(data), "--geometry", str(spec)],
+            "window [-3.9375, 3.875] by -0.0625")
 
 
 class TestFingerprints:

@@ -102,6 +102,12 @@ class TestBasisConstruction:
         pts = np.array([lo - 0.5, hi + 0.5, lo - 3.0, hi + 10.0])
         assert np.all(db4.eval(1, pts) == 0.0)
 
+    @pytest.mark.parametrize("order", [None, *range(2, 11)])
+    def test_profiles_vanish_at_the_support_end(self, order):
+        # 2D analysis drops the kernel-table row that samples w(hi)
+        basis = build_basis("haar" if order is None else "daubechies", order)
+        assert basis.validate()["psi_outside_support"] == 0.0
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             build_basis("daubechies", 1)
@@ -202,6 +208,24 @@ class TestAnalyze:
         c = analyze(f, db4, -6, 6)
         total = c.total_energy() + c.coarse_energy()
         assert abs(total - lp_norm(f, 2.0) ** 2) / lp_norm(f, 2.0) ** 2 < 1e-5
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_one_support_pass_for_the_coarse_block(self, db4, small_grid,
+                                                   small_grid2d, two_d, monkeypatch):
+        grid = small_grid2d if two_d else small_grid
+        r2 = sum(np.meshgrid(*[(g.x - 0.4) ** 2 for g in grid.axes],
+                             indexing="ij"))
+        f = GridFunction(grid, np.exp(-np.pi * r2) * np.cos(3.0 * r2))
+        ref = scaling_coefficients(f, db4, -3)
+        calls = []
+        hull = GridFunction.significant_support
+        monkeypatch.setattr(GridFunction, "significant_support",
+                            lambda self: calls.append(1) or hull(self))
+        c = analyze(f, db4, -3, 2)
+        assert len(calls) == 1
+        ((k0s, vals),) = wavelets._unpack(f.ndim, c.coarse, coarse=True).values()
+        ((k0s_ref, vals_ref),) = wavelets._unpack(f.ndim, ref, coarse=True).values()
+        assert k0s == k0s_ref and np.array_equal(vals, vals_ref)
 
     def test_rejects_jmax_beyond_grid(self, db4, small_grid):
         f = GridFunction(small_grid, np.exp(-small_grid.x**2))
@@ -317,9 +341,12 @@ class TestTensor2D:
 # (basis, j) on axes of 1024 points at h = 2^-6: the kernel spans
 # M = (hi - lo) * 2^(6 - j) samples, so Haar has M > n, M = n, M < n at
 # j = -6, -4, -3 and D4 (P = 7) has M = 28672, 3584, 1792, 896 at
-# j = -6, -3, -2, -1.
+# j = -6, -3, -2, -1.  From j = 1 on (stride 32 down to 2), 2D analysis
+# multiplies runs of T = 64 / stride whole blocks by one table.
 AXIS_CASES = [("haar", -6), ("haar", -4), ("haar", -3),
-              ("db4", -6), ("db4", -3), ("db4", -2), ("db4", -1)]
+              ("db4", -6), ("db4", -3), ("db4", -2), ("db4", -1),
+              ("haar", 1), ("haar", 4), ("db4", 1), ("db4", 2), ("db4", 3),
+              ("db4", 5)]
 
 
 def _double_sum(values, g, basis, j, which, ks, axis):
@@ -341,11 +368,12 @@ class TestAxisCorrelation:
         g3 = Grid2D(Grid1D(-331 / 64, 2.0**-6, 1024), Grid1D(-1.0, 2.0**-5, 48))
         return [(small_grid, rng.normal(size=small_grid.count), 0),
                 (g2.gy, rng.normal(size=g2.shape), 1),
-                (g3.gx, rng.normal(size=g3.shape), 0)]
+                (g3.gx, rng.normal(size=g3.shape), 0),
+                (g3.gy, rng.normal(size=g3.shape), 1)]
 
     def test_cases_have_full_blocks_at_M_past_the_axis(self, db4, small_grid):
         # D4 at j = -3: M = 3.5 n, one whole block between two partial ones
-        for g, values, axis in self._cases(small_grid)[1:]:
+        for g, values, axis in self._cases(small_grid)[1:3]:
             stride, base, M = _axis_setup(g, db4, -3)
             assert M >= values.shape[axis] and base % stride
             m_a, _u_a, nb, _K = _full_blocks(g, db4, -3, 1, -100, 100)
@@ -363,6 +391,33 @@ class TestAxisCorrelation:
             assert not np.any(np.take(ref, [0, 1, -2, -1], axis=axis))
             ref = np.take(ref, np.arange(2, len(ks) - 2), axis=axis)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_fine_cases_cover_the_runs_of_blocks(self, request, small_grid):
+        # the 2D cases take runs of T > 1 blocks, with a block count that is
+        # not a multiple of T (a short last run) and one below T (only that)
+        seen = set()
+        for name, j in AXIS_CASES:
+            basis = request.getfixturevalue(name)
+            for g, _values, _axis in self._cases(small_grid)[1:]:
+                stride, _base, _M = _axis_setup(g, basis, j)
+                T = -(-wavelets._RUN_SAMPLES // stride)
+                full = _full_blocks(g, basis, j, 1, -10**6, 10**6)
+                if T > 1 and full is not None:
+                    nb = full[2]
+                    seen.add("T > 1")
+                    seen.update({"nb % T"} if nb % T else set())
+                    seen.update({"nb < T"} if nb < T else set())
+        assert seen == {"T > 1", "nb % T", "nb < T"}
+
+    @pytest.mark.parametrize("name, j", AXIS_CASES)
+    def test_both_profiles_in_one_call(self, request, small_grid, name, j):
+        basis = request.getfixturevalue(name)
+        for g, values, axis in self._cases(small_grid):
+            k0, outs = _axis_correlate(values, g, basis, j, [0, 1], axis=axis)
+            for which, out in zip((0, 1), outs):
+                ks = k0 + np.arange(out.shape[axis])
+                ref = _double_sum(values, g, basis, j, which, ks, axis)
+                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("name, j", AXIS_CASES)
     @pytest.mark.parametrize("which", [0, 1])
@@ -596,6 +651,24 @@ class TestSharedSpectrum:
                     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
                 else:
                     assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_1d_analyze_keeps_its_routes_bit_for_bit(self, request, grid, name,
+                                                     monkeypatch):
+        # 1D keeps `_correlate_1d` until ROADMAP item 4(a), so its analysis
+        # over the default scales equals the one-kernel routes' in every bit
+        basis = request.getfixturevalue(name)
+        x = grid.x
+        f = GridFunction(grid, np.exp(-np.pi * (x / 3.0) ** 2) * np.cos(5.0 * x + 0.3)
+                         + 0.2 * np.exp(-16.0 * np.pi * (x - 1.7) ** 2))
+        new = analyze(f, basis, -16, 8)
+        monkeypatch.setattr(wavelets, "_tensor_correlate", _tensor_correlate_axis0_first)
+        old = analyze(f, basis, -16, 8)
+        assert list(new.scales) == list(old.scales)
+        for a, b in [(new.coarse, old.coarse)] + [(new.scales[j], old.scales[j])
+                                                  for j in old.scales]:
+            assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        assert new.residual_l2 == old.residual_l2
 
     def test_2d_analyze_matches_axis0_first_order(self, db4, monkeypatch):
         grid = Grid2D(Grid1D(-4.0, 2.0**-5, 256), Grid1D(-4.0, 2.0**-6, 512))
