@@ -9,7 +9,9 @@ interval exactly.
 m-dimensional Hausdorff measure on H_a, to a carrier G.  Variants:
 
   hyperplane-union   horizontal lines y = a_n, vertical-segment cells (m=1)
-  perturbed-graph    lines bent by a bounded-slope profile, cells follow (m=1)
+  perturbed-graph    lines bent by a bounded-slope profile, cells follow (m=1);
+                     the nodes whose cell the bend takes out of the window
+                     are left out
   curve-family       near-vertical curves pinned to x ~ b*k; discrete anchor
                      set with square cells of l-inf radius b/4 (m=2)
   concentric-circles circles |x| = r_n with radial-segment cells (m=1)
@@ -338,6 +340,12 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
             bend = np.zeros(len(anchors))
         raw_lo = y_lo[line_idx] + bend
         raw_hi = y_hi[line_idx] + bend
+        # a bent line leaves the window where its whole cell does; those
+        # nodes (clipped onto the edge, with cells of zero measure) are not
+        # part of the set in the window
+        inside = (raw_lo < hi) & (raw_hi > lo)
+        anchors, weights = anchors[inside], weights[inside]
+        raw_lo, raw_hi = raw_lo[inside], raw_hi[inside]
         ca = np.column_stack([anchors[:, 0], np.clip(raw_lo, lo, hi)])
         cb = np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])
         flags = (raw_lo < lo) | (raw_hi > hi)  # window-trimmed cells
@@ -446,7 +454,8 @@ def cell_measures(obj) -> np.ndarray:
         return obj.cell_lengths
     g = obj
     if g.m == 1:
-        return np.linalg.norm(g.cell_b - g.cell_a, axis=1)
+        dx, dy = (g.cell_b - g.cell_a).T
+        return np.sqrt(dx * dx + dy * dy)
     return np.full(g.n_anchors(), (2.0 * g.cell_radius) ** 2)
 
 

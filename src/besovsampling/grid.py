@@ -167,30 +167,61 @@ class GridFunction:
     def interpolate(self, points) -> np.ndarray:
         """Linear (1D) / bilinear (2D) interpolation at off-grid points.
 
-        Points outside the domain are rejected; trace evaluation depends on it.
+        1D takes an array of coordinates and returns one value per entry; 2D
+        takes points of shape (..., 2) and returns one flat value per point.
+        Points outside the domain, non-finite points and 2D points whose last
+        axis is not 2 are rejected; trace evaluation depends on it.  No points
+        give an empty array.
+
+        In 2D each corner of a point's cell is one gather from the flat
+        values, and the bilinear sum
+        v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty
+        is accumulated in place, term by term and factor by factor in that
+        order, with two point-sized buffers.
         """
+        pts = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"{np.count_nonzero(~np.isfinite(pts))} interpolation "
+                             f"coordinate(s) are not finite")
+        # the domain tests are written so that a NaN would fail them
         if self.ndim == 1:
-            pts = np.asarray(points, dtype=float)
             g = self.grid
-            if pts.min() < g.x[0] - 1e-12 or pts.max() > g.x[-1] + 1e-12:
+            if pts.size and not (pts.min() >= g.x[0] - 1e-12
+                                 and pts.max() <= g.x[-1] + 1e-12):
                 raise ValueError("interpolation point outside grid domain")
             return np.interp(pts, g.x, self.values)
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if pts.ndim == 0 or pts.shape[-1] != 2:
+            raise ValueError(f"2D interpolation points need shape (..., 2), "
+                             f"got {pts.shape}")
+        pts = pts.reshape(-1, 2)
+        if len(pts) == 0:
+            return np.empty(0)
+        # the result is allocated before the point-sized temporaries, so it
+        # does not sit above them in the heap and keep their memory from
+        # being returned when they are freed
+        out = np.empty(len(pts))
         cells = []
         for axis, (name, g) in enumerate(zip("xy", self.grid.axes)):
             t = (pts[:, axis] - g.origin) / g.spacing
-            if t.min() < -1e-9 or t.max() > g.count - 1 + 1e-9:
+            if not (t.min() >= -1e-9 and t.max() <= g.count - 1 + 1e-9):
                 raise ValueError(f"interpolation point outside grid domain ({name})")
             i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
             cells.append((i, np.clip(t - i, 0.0, 1.0)))
         (i0, tx), (j0, ty) = cells
-        v = self.values
-        return (
-            v[i0, j0] * (1 - tx) * (1 - ty)
-            + v[i0 + 1, j0] * tx * (1 - ty)
-            + v[i0, j0 + 1] * (1 - tx) * ty
-            + v[i0 + 1, j0 + 1] * tx * ty
-        )
+        sx, sy = 1 - tx, 1 - ty
+        n1 = self.grid.shape[1]
+        flat = self.values.reshape(-1)
+        k = i0 * n1 + j0
+        flat.take(k, out=out)
+        out *= sx
+        out *= sy
+        term = np.empty_like(out)
+        for off, wx, wy in ((n1, tx, sy), (1, sx, ty), (n1 + 1, tx, ty)):
+            flat.take(k + off, out=term)
+            term *= wx
+            term *= wy
+            out += term
+        return out
 
 
 class SpectrumFunction:
@@ -349,11 +380,18 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     real multiplier keeps the spectrum of real values Hermitian, so the
     half spectrum carries all of it.
 
-    On 2D grids the filter runs on the half spectrum: `rfftn` of the
-    values, each axis's profile multiplied in place one axis at a time
-    (`rfftfreq` bins on the last axis, `fftfreq` bins on the others), then
-    `irfftn`.  It builds no phase, no full-grid multiplier and no complex
-    full spectrum.
+    On 2D grids the filter runs on the half spectrum and keeps only the
+    columns it can pass: `rfft` along the last axis, then the leading
+    `keep` columns, where the last-axis profile (on the `rfftfreq` bins)
+    falls to 0 past bin keep - 1 and stays 0.  The other axes take their
+    `fft`, each axis's profile is multiplied in place one axis at a time
+    (the other axes' `fftfreq` bins first, the last axis's after), the
+    other axes take their `ifft`, and `irfft` with n = count zero-pads the
+    dropped columns.  These are the transforms and products of
+    `rfftn` / `irfftn` with the profiles in between, in the same order, on
+    fewer columns, so the output is theirs bit for bit; at band 1 on the
+    2048² grid 16 of 1025 columns are kept.  It builds no phase, no
+    full-grid multiplier and no complex full spectrum.
 
     On 1D grids it still goes through `fourier`, the product with the
     profile and `inverse_fourier`.  The half-spectrum route agrees with that
@@ -375,13 +413,19 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
         return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
     for g in axes:
         _check_pow2(g.count, "grid")
-    spec = np.fft.rfftn(f.values)
-    last = len(axes) - 1
-    for axis, g in enumerate(axes):
-        fz = (np.fft.rfftfreq if axis == last else np.fft.fftfreq)(g.count, g.spacing)
+    *others, last = range(len(axes))
+    g = axes[last]
+    last_profile = lowpass_profile(np.abs(np.fft.rfftfreq(g.count, g.spacing)), inner, outer)
+    # the profile falls monotonically to 0 and stays there: the columns past
+    # its last nonzero bin are 0 after the multiply, so they are not kept
+    keep = int(np.flatnonzero(last_profile)[-1]) + 1
+    spec = np.fft.fftn(np.fft.rfft(f.values, axis=last)[..., :keep], axes=others)
+    for axis in others:
+        fz = np.fft.fftfreq(axes[axis].count, axes[axis].spacing)
         spec *= _along(axis, spec.ndim, lowpass_profile(np.abs(fz), inner, outer))
-    return GridFunction(f.grid, np.fft.irfftn(spec, s=f.grid.shape,
-                                              axes=list(range(len(axes)))))
+    spec *= last_profile[:keep]
+    np.fft.ifftn(spec, axes=others, out=spec)
+    return GridFunction(f.grid, np.fft.irfft(spec, n=g.count, axis=last))
 
 
 # ---------------------------------------------------------------------------

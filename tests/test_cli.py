@@ -246,6 +246,21 @@ class TestCommands:
         rows = (tmp_path / "sweep_sampling.csv").read_text().splitlines()
         assert len(rows) == 2
 
+    def test_verify_with_perturbed_graph_geometry(self, runner, tmp_path):
+        # the bent lines leave the window; the nodes they leave it with are
+        # not part of the set, so the trace sees no cell of zero measure
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({
+            "variant": "perturbed-graph", "b": 0.125, "window": [-8.0, 7.9921875],
+            "params": {"seed": 1, "amp": 0.5}}))
+        res = runner.invoke(main, ["verify", "sampling", "--p", "2",
+                                   "--b", "2^-3", "--seed", "1",
+                                   "--geometry", str(spec),
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, row = (tmp_path / "sweep_sampling.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["ok"] == "True"
+
     def test_verify_out_fingerprint_is_the_csv_fingerprint(self, runner, tmp_path):
         """--out carries the results' fingerprint, which --jobs and --out-dir
         do not enter."""

@@ -119,6 +119,26 @@ class TestBuilders:
         xs = np.unique(g.cell_centers[:, 0])
         assert np.min(np.diff(xs)) >= b - 1e-12
 
+    @pytest.mark.parametrize("variant", ["spiral", "concentric-circles"])
+    def test_segment_cell_measures_are_the_norm(self, geometry_of, variant):
+        # `cell_measures`' m = 1 body before it squared the two columns itself
+        g = geometry_of(variant)
+        assert np.array_equal(cell_measures(g),
+                              np.linalg.norm(g.cell_b - g.cell_a, axis=1))
+
+    def test_perturbed_graph_keeps_the_nodes_whose_cell_meets_the_window(self):
+        params = {"b": 2.0**-3, "seed": 1, "window": WIN}
+        g = build_geometry("perturbed-graph", params)
+        # the same lines unbent: default amp = b and freq = 0.5
+        flat = build_geometry("hyperplane-union", params)
+        bend = 2.0**-3 * np.sin(0.5 * flat.anchors[:, 0])
+        lo, hi = WIN
+        meets = (flat.cell_a[:, 1] + bend < hi) & (flat.cell_b[:, 1] + bend > lo)
+        assert 0 < np.count_nonzero(~meets)
+        assert np.array_equal(g.anchors[:, 0], flat.anchors[meets, 0])
+        assert np.all(cell_measures(g) > 0)
+        assert np.all((g.anchors[:, 1] >= lo) & (g.anchors[:, 1] <= hi))
+
     def test_perturbed_slope_bound(self):
         with pytest.raises(ValueError, match="slope"):
             build_geometry("perturbed-graph",

@@ -222,6 +222,97 @@ class TestOriginPhaseCache:
         assert _axis_phase.cache_info().currsize <= maxsize
 
 
+def rfftn_lowpass(f, inner, outer):
+    """`smooth_lowpass`'s 2D body before it kept only the columns the
+    last-axis profile keeps: `rfftn`, one profile per axis, `irfftn`."""
+    axes = f.grid.axes
+    spec = np.fft.rfftn(f.values)
+    last = len(axes) - 1
+    for axis, g in enumerate(axes):
+        fz = (np.fft.rfftfreq if axis == last else np.fft.fftfreq)(g.count, g.spacing)
+        shape = [-1 if a == axis else 1 for a in range(spec.ndim)]
+        spec *= lowpass_profile(np.abs(fz), inner, outer).reshape(shape)
+    return np.fft.irfftn(spec, s=f.grid.shape, axes=list(range(len(axes))))
+
+
+def fancy_index_bilinear(f, points):
+    """`GridFunction.interpolate`'s 2D formula before it gathered from the
+    flat values: four 2D fancy-index reads in one expression."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cells = []
+    for axis, g in enumerate(f.grid.axes):
+        t = (pts[:, axis] - g.origin) / g.spacing
+        i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
+        cells.append((i, np.clip(t - i, 0.0, 1.0)))
+    (i0, tx), (j0, ty) = cells
+    v = f.values
+    return (
+        v[i0, j0] * (1 - tx) * (1 - ty)
+        + v[i0 + 1, j0] * tx * (1 - ty)
+        + v[i0, j0 + 1] * (1 - tx) * ty
+        + v[i0 + 1, j0 + 1] * tx * ty
+    )
+
+
+# unequal axes, spacings and origins; in the second the last axis is the coarser
+UNEVEN_GRIDS = {
+    "odd": Grid2D(Grid1D(-3.3, 0.125, 64), Grid1D(-5.1, 0.0625, 128)),
+    "uneven": Grid2D(Grid1D(-6.0, 2.0**-5, 512), Grid1D(-3.0, 2.0**-4, 128)),
+}
+
+
+class TestInterpolate:
+    @pytest.mark.parametrize("name", UNEVEN_GRIDS)
+    def test_2d_bit_identical_to_the_fancy_index_formula(self, name):
+        grid = UNEVEN_GRIDS[name]
+        f = random_function(grid, seed=11)
+        (x0, x1), (y0, y1) = ((g.x[0], g.x[-1]) for g in grid.axes)
+        rng = np.random.default_rng(12)
+        interior = np.column_stack([rng.uniform(x0, x1, 5000),
+                                    rng.uniform(y0, y1, 5000)])
+        ys = np.linspace(y0, y1, 37)
+        xs = np.linspace(x0, x1, 29)
+        edges = np.vstack([
+            [[x0, y0], [x0, y1], [x1, y0], [x1, y1]],   # the four corners
+            np.column_stack([np.full(37, x1), ys]),      # the last row
+            np.column_stack([xs, np.full(29, y1)]),      # the last column
+            [[x1 + 1e-12, y1 + 1e-12], [x0 - 1e-12, y0]],  # just outside, tolerated
+        ])
+        pts = np.vstack([interior, edges])
+        assert np.array_equal(f.interpolate(pts), fancy_index_bilinear(f, pts))
+        # a grid node gives its value back
+        assert f.interpolate([[x1, y1]])[0] == f.values[-1, -1]
+
+    def test_2d_points_need_two_coordinates(self, odd_grid2d):
+        f = random_function(odd_grid2d)
+        for bad in (np.zeros((4, 3)), np.zeros(4), 0.0):
+            with pytest.raises(ValueError, match=r"shape \(\.\.\., 2\)"):
+                f.interpolate(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, odd_grid2d, small_grid, bad):
+        f2 = random_function(odd_grid2d)
+        with pytest.raises(ValueError, match="not finite"):
+            f2.interpolate([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            f2.interpolate([[0.0, bad]])
+        with pytest.raises(ValueError, match="not finite"):
+            random_function(small_grid).interpolate([0.0, bad])
+
+    def test_outside_points_rejected(self, odd_grid2d, small_grid):
+        f2 = random_function(odd_grid2d)
+        with pytest.raises(ValueError, match=r"outside grid domain \(y\)"):
+            f2.interpolate([[0.0, 100.0]])
+        with pytest.raises(ValueError, match="outside grid domain"):
+            random_function(small_grid).interpolate([small_grid.x[-1] + 1e-6])
+
+    def test_no_points_give_no_values(self, odd_grid2d, small_grid):
+        got = random_function(small_grid).interpolate(np.array([]))
+        assert got.shape == (0,)
+        got = random_function(odd_grid2d).interpolate(np.empty((0, 2)))
+        assert got.shape == (0,)
+
+
 class TestSmoothLowpass:
     def test_passband_identity(self, grid):
         # width-3 gaussian: spectrum concentrated well below inner = 2
@@ -265,6 +356,28 @@ class TestSmoothLowpass:
         got = smooth_lowpass(f, inner, outer).values
         ref = full_spectrum_lowpass(f, inner, outer)
         assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", UNEVEN_GRIDS)
+    # (inner, outer) as fractions of the lowest Nyquist frequency
+    @pytest.mark.parametrize("band", [(0.375, 0.75), (0.075, 0.125), (0.1, 0.999),
+                                      (0.5, 0.999)],
+                             ids=["mid", "narrow", "wide", "nyquist"])
+    def test_2d_bit_identical_to_the_rfftn_route(self, name, band):
+        grid = UNEVEN_GRIDS[name]
+        nyq = min(g.nyquist for g in grid.axes)
+        inner, outer = band[0] * nyq, band[1] * nyq
+        f = random_function(grid, seed=13)
+        assert np.array_equal(smooth_lowpass(f, inner, outer).values,
+                              rfftn_lowpass(f, inner, outer))
+
+    def test_nyquist_band_reaches_the_last_kept_bin(self):
+        # on the uneven grid the last axis is the coarser one, so at outer
+        # just below its Nyquist frequency the last-axis profile is nonzero
+        # up to the bin below Nyquist: every column but the last is kept
+        g = UNEVEN_GRIDS["uneven"].axes[1]
+        fz = np.fft.rfftfreq(g.count, g.spacing)
+        profile = lowpass_profile(np.abs(fz), 0.5 * g.nyquist, 0.999 * g.nyquist)
+        assert np.flatnonzero(profile)[-1] == len(fz) - 2
 
     # bin-aligned frequencies (multiples of 1/8 on both axes); the nonzero ones lie in (1.5, 3)
     @pytest.mark.parametrize("xi, eta", [(2.25, 0.0), (0.0, 2.625), (2.25, 2.625)])

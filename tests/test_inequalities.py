@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,10 +95,9 @@ class TestTrace:
             assert_trace_equals(tr, reference_trace_1d(f, seq))
             assert (tr.m, tr.d, tr.b) == (1, 1, seq.b)
 
-    # perturbed-graph is left out: its window-trimmed cells have zero
-    # measure, which TraceValues rejects
     @pytest.mark.parametrize("variant", ["hyperplane-union", "curve-family",
-                                         "concentric-circles", "spiral"])
+                                         "concentric-circles", "spiral",
+                                         "perturbed-graph"])
     def test_2d_bit_identical_to_the_carrier_branch(self, variant):
         g1 = Grid1D(-8.0, 2.0**-5, 512)
         grid2 = Grid2D(g1, Grid1D(-8.0, 2.0**-5, 512))
@@ -145,9 +145,12 @@ class TestSamplingRatio:
 
     def test_bad_geometry_fails_before_the_analysis(self, small_grid2d, db4,
                                                     monkeypatch):
-        # window trimming leaves perturbed-graph cells of zero measure
-        geo = build_geometry("perturbed-graph", {
+        # a line union with one cell of zero measure
+        geo = build_geometry("hyperplane-union", {
             "b": 2.0**-3, "seed": 1, "window": window_for_grid(small_grid2d)})
+        cell_b = geo.cell_b.copy()
+        cell_b[7] = geo.cell_a[7]
+        geo = dataclasses.replace(geo, cell_b=cell_b)
         f = GridFunction(small_grid2d, np.ones(small_grid2d.shape))
 
         def no_analysis(*args, **kwargs):
