@@ -259,19 +259,16 @@ class SamplingGeometry2D:
                 + math.sqrt(2.0) * self.cell_radius)
 
 
-def _arc_nodes_on_lines(heights, window, step):
-    lo, hi = window
-    n = max(2, int(math.ceil((hi - lo) / step)) + 1)
-    xs = np.linspace(lo, hi, n)
-    w = np.full(n, (hi - lo) / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    anchors, weights, line_idx = [], [], []
-    for i, y in enumerate(heights):
-        anchors.append(np.column_stack([xs, np.full(n, y)]))
-        weights.append(w)
-        line_idx.append(np.full(n, i, dtype=int))
-    return np.vstack(anchors), np.concatenate(weights), np.concatenate(line_idx), xs
+# Carrier quadrature step: the node spacing along the lines and circles.
+CARRIER_STEP = 2.0**-7
+
+
+def _index_param(value, key: str, stop: float = math.inf) -> int:
+    """`value` as an integer in [0, stop); a ValueError naming `key` if not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < stop:
+        raise ValueError(f"geometry param {key!r} must be an integer in [0, {stop}), got {value!r}")
+    return int(value)
 
 
 def _random_radii(b: float, rmax: float, seed) -> np.ndarray:
@@ -283,12 +280,30 @@ def _random_radii(b: float, rmax: float, seed) -> np.ndarray:
     return np.asarray(radii)
 
 
+def _radial_cells(counts, piece):
+    """Anchors, weights, flags and radial segment cells (as the cell_a/cell_b
+    keywords of SamplingGeometry2D), filled one circle or turn at a time.
+    piece(k) gives the angles, radius, weights, inner and outer cell radius
+    and boundary flag of the counts[k] nodes of piece k."""
+    ends = np.cumsum([0, *counts])
+    anchors, ca, cb = (np.empty((ends[-1], 2)) for _ in range(3))
+    weights, flags = np.empty(ends[-1]), np.empty(ends[-1], bool)
+    for k in range(len(counts)):
+        sl = slice(ends[k], ends[k + 1])
+        th, r, w, r_in, r_out, flag = piece(k)
+        u = np.column_stack([np.cos(th), np.sin(th)])
+        anchors[sl], weights[sl], ca[sl], cb[sl], flags[sl] = \
+            r * u, w, r_in * u, r_out * u, flag
+    return anchors, weights, flags, {"cell_a": ca, "cell_b": cb}
+
+
 def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     """Construct a sampling geometry on the window.
 
-    Common params: b, window=(lo, hi), seed, step (carrier quadrature step,
-    default 2^-7), C0, C0_equiv, D (positive; defaults per variant in
-    DECLARED_CONSTANTS).  Variant-specific parameters are documented inline.
+    Common params: b, window=(lo, hi), seed, C0, C0_equiv, D (positive;
+    defaults per variant in DECLARED_CONSTANTS).  Variant-specific parameters
+    are documented inline.  The carrier step CARRIER_STEP and the radial
+    reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
@@ -299,32 +314,40 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
                          f"C0={C0}, C0_equiv={C0_equiv}, D={D}")
     b = float(params["b"])
     window = tuple(params.get("window", (-8.0, 8.0)))
-    step = float(params.get("step", 2.0**-7))
-    seed = params.get("seed", 0)
+    seed = _index_param(params.get("seed", 0), "seed")
     lo, hi = window
+    rmax = float(min(abs(lo), abs(hi)) - b)
 
     if variant in ("hyperplane-union", "perturbed-graph"):
         # heights a_n: strict random sequence unless given explicitly
+        strict = params.get("strict", True)
         if "heights" in params:
-            heights = np.asarray(params["heights"], dtype=float)
-            seq = SamplingSequence1D(heights, b, strict=params.get("strict", True))
+            heights = SamplingSequence1D(params["heights"], b, strict=strict).points
         else:
-            seq = random_sequence(b, window, seed, strict=params.get("strict", True))
-            heights = seq.points
+            heights = random_sequence(b, window, seed, strict=strict).points
+        rec = {"heights": heights.tolist(), "seed": seed, "step": CARRIER_STEP,
+               **({k: params[k] for k in ("amp", "freq", "drop_line", "strict")
+                   if params.get(k) is not None})}
         # cells span to the midlines of the neighbors, half cells at the ends;
         # clipping to the window happens after boundary flagging
-        heights_full = heights.copy()
         mids = (heights[:-1] + heights[1:]) / 2.0
         y_lo = np.concatenate([[heights[0] - b / 2], mids])
         y_hi = np.concatenate([mids, [heights[-1] + b / 2]])
-        drop = params.get("drop_line")
-        if drop is not None:
+        if "drop_line" in rec:
             # deliberate defect: remove one carrier line together with its
             # cells, leaving an uncovered band (cells are NOT re-derived)
             keep = np.ones(len(heights), bool)
-            keep[int(drop)] = False
+            keep[_index_param(rec["drop_line"], "drop_line", len(heights))] = False
             heights, y_lo, y_hi = heights[keep], y_lo[keep], y_hi[keep]
-        anchors, weights, line_idx, xs = _arc_nodes_on_lines(heights, window, step)
+        # arc-length nodes along each line, half weights at the two ends
+        n = max(2, int(math.ceil((hi - lo) / CARRIER_STEP)) + 1)
+        w = np.full(n, (hi - lo) / (n - 1))
+        w[[0, -1]] *= 0.5
+        anchors = np.column_stack([np.tile(np.linspace(lo, hi, n), len(heights)),
+                                   np.repeat(heights, n)])
+        weights = np.tile(w, len(heights))
+        line_idx = np.repeat(np.arange(len(heights)), n)
+        bend = 0.0
         if variant == "perturbed-graph":
             amp = float(params.get("amp", b))
             freq = float(params.get("freq", 0.5))
@@ -333,11 +356,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
             bend = amp * np.sin(freq * anchors[:, 0])
             # arc length weight for y = f(x) + a_n
             slope = amp * freq * np.cos(freq * anchors[:, 0])
-            weights = weights * np.sqrt(1.0 + slope**2)
-            anchors = anchors.copy()
+            weights *= np.sqrt(1.0 + slope**2)
             anchors[:, 1] = np.clip(anchors[:, 1] + bend, lo, hi)
-        else:
-            bend = np.zeros(len(anchors))
         raw_lo = y_lo[line_idx] + bend
         raw_hi = y_hi[line_idx] + bend
         # a bent line leaves the window where its whole cell does; those
@@ -346,54 +366,41 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         inside = (raw_lo < hi) & (raw_hi > lo)
         anchors, weights = anchors[inside], weights[inside]
         raw_lo, raw_hi = raw_lo[inside], raw_hi[inside]
-        ca = np.column_stack([anchors[:, 0], np.clip(raw_lo, lo, hi)])
-        cb = np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])
         flags = (raw_lo < lo) | (raw_hi > hi)  # window-trimmed cells
-        g = SamplingGeometry2D(
-            variant, 1, b, C0, D, window, anchors, weights, C0_equiv, flags,
-            cell_a=ca, cell_b=cb,
-            params={"heights": heights_full.tolist(), "seed": seed, "step": step,
-                    **({k: params[k] for k in ("amp", "freq", "drop_line", "strict")
-                        if params.get(k) is not None})},
-        )
-        return g
+        cells = {"cell_a": np.column_stack([anchors[:, 0], np.clip(raw_lo, lo, hi)]),
+                 "cell_b": np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])}
 
-    if variant == "curve-family":
+    elif variant == "curve-family":
         # near-vertical curves x = b*k + wiggle(y), anchors at y-spacing b,
         # square cells of l-inf radius b/4 centered on the lattice x = b*k
         rng = np.random.default_rng(seed)
         # keep curves (lattice position +- wiggle b/4) inside the window
         ks = np.arange(math.ceil((lo + b / 4) / b), math.floor((hi - b / 4) / b) + 1)
         ys = np.arange(lo + b / 2, hi - b / 2 + 1e-12, b)
-        anchors = []
-        for k in ks:
-            if params.get("straight", False):
-                wig = np.zeros(len(ys))
-            else:
+        xs = np.repeat(b * ks, len(ys)).reshape(len(ks), len(ys))
+        if not params.get("straight", False):
+            for x in xs:
                 ph = rng.uniform(0, 2 * np.pi)
-                wig = (b / 4) * np.sin(2 * np.pi * ys / (hi - lo) * rng.integers(1, 4) + ph)
-            anchors.append(np.column_stack([b * k + wig, ys]))
-        anchors = np.vstack(anchors)
+                x += (b / 4) * np.sin(2 * np.pi * ys / (hi - lo) * rng.integers(1, 4) + ph)
+        anchors = np.column_stack([xs.ravel(), np.tile(ys, len(ks))])
+        weights, flags = np.ones(len(anchors)), np.zeros(len(anchors), bool)
         centers = anchors.copy()
         centers[:, 0] = np.round(centers[:, 0] / b) * b  # squares sit on the lattice
-        g = SamplingGeometry2D(
-            variant, 2, b, C0, D, window, anchors, np.ones(len(anchors)),
-            C0_equiv, np.zeros(len(anchors), bool),
-            cell_centers=centers, cell_radius=b / 4.0,
-            params={"seed": seed, "n_curves": len(ks),
-                    **({"straight": params["straight"]}
-                       if params.get("straight") is not None else {})},
-        )
-        return g
+        cells = {"cell_centers": centers, "cell_radius": b / 4.0}
+        rec = {"seed": seed, "n_curves": len(ks),
+               **({"straight": params["straight"]}
+                  if params.get("straight") is not None else {})}
 
-    if variant == "concentric-circles":
-        rmax = float(params.get("rmax", min(abs(lo), abs(hi)) - b))
+    elif variant == "concentric-circles":
         if "radii" in params:
             radii = np.asarray(params["radii"], dtype=float)
         else:
             radii = _random_radii(b, rmax, seed)
             if radii[-1] > rmax:
                 radii = radii[:-1]
+        if radii.size == 0:
+            raise ValueError("concentric-circles needs a circle: geometry param 'radii' "
+                             "is empty, or the window does not reach 7b/4 from 0")
         gaps = np.diff(radii)
         if np.any(gaps <= b / 2) or np.any(gaps >= b):
             raise ValueError("circle radii gaps must lie strictly in (b/2, b)")
@@ -401,51 +408,39 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         seg_lo = np.concatenate([[0.0], mids])
         seg_hi = np.concatenate([mids, [radii[-1] + gaps[-1] / 2 if len(gaps) else radii[-1] + b / 2]])
         seg_hi = np.minimum(seg_hi, rmax + b)
-        anchors, weights, ca, cb, flags = [], [], [], [], []
-        for i, r in enumerate(radii):
-            n = max(8, int(math.ceil(2 * np.pi * r / step)))
-            th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-            u = np.column_stack([np.cos(th), np.sin(th)])
-            anchors.append(r * u)
-            weights.append(np.full(n, 2 * np.pi * r / n))
-            ca.append(seg_lo[i] * u)
-            cb.append(seg_hi[i] * u)
-            flags.append(np.full(n, i == len(radii) - 1))
-        g = SamplingGeometry2D(
-            variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
-            C0_equiv, np.concatenate(flags),
-            cell_a=np.vstack(ca), cell_b=np.vstack(cb),
-            params={"radii": radii.tolist(), "seed": seed, "step": step, "rmax": rmax},
-        )
-        return g
+        counts = [max(8, int(math.ceil(2 * np.pi * r / CARRIER_STEP))) for r in radii]
 
-    # spiral: r = rho(theta), rho(2*pi*k) = r_k, radial cells [r_{k-1}, r_{k+1}]
-    rmax = float(params.get("rmax", min(abs(lo), abs(hi)) - b))
-    radii = _random_radii(b, rmax, seed)
-    thetas_knots = 2 * np.pi * np.arange(len(radii))
-    rho = PchipInterpolator(thetas_knots, radii)
-    n_per_turn = max(32, int(params.get("n_per_turn", 2 * math.pi * rmax / step)))
-    anchors, weights, ca, cb, flags = [], [], [], [], []
-    for k in range(len(radii) - 1):
-        th = np.linspace(2 * np.pi * k, 2 * np.pi * (k + 1), n_per_turn, endpoint=False)
-        r = rho(th)
-        dr = rho.derivative()(th)
-        u = np.column_stack([np.cos(th), np.sin(th)])
-        anchors.append(r[:, None] * u)
-        weights.append(np.sqrt(r**2 + dr**2) * (2 * np.pi / n_per_turn))
-        r_in = radii[k - 1] if k >= 1 else 0.0
-        r_out = radii[k + 1]
-        ca.append(r_in * u)
-        cb.append(r_out * u)
-        flags.append(np.full(n_per_turn, k >= len(radii) - 2))
-    g = SamplingGeometry2D(
-        variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
-        C0_equiv, np.concatenate(flags),
-        cell_a=np.vstack(ca), cell_b=np.vstack(cb),
-        params={"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
-                "rmax": rmax},
-    )
-    return g
+        def circle(i):
+            th = np.linspace(0.0, 2 * np.pi, counts[i], endpoint=False)
+            return (th, radii[i], 2 * np.pi * radii[i] / counts[i], seg_lo[i],
+                    seg_hi[i], i == len(radii) - 1)
+
+        anchors, weights, flags, cells = _radial_cells(counts, circle)
+        rec = {"radii": radii.tolist(), "seed": seed, "step": CARRIER_STEP,
+               "rmax": rmax}
+
+    else:
+        # spiral: r = rho(theta), rho(2*pi*k) = r_k, radial cells [r_{k-1}, r_{k+1}]
+        radii = _random_radii(b, rmax, seed)
+        rho = PchipInterpolator(2 * np.pi * np.arange(len(radii)), radii)
+        drho = rho.derivative()
+        n_per_turn = max(32, int(2 * math.pi * rmax / CARRIER_STEP))
+
+        def turn(k):
+            th = np.linspace(2 * np.pi * k, 2 * np.pi * (k + 1), n_per_turn,
+                             endpoint=False)
+            r = rho(th)
+            return (th, r[:, None], np.sqrt(r**2 + drho(th)**2) * (2 * np.pi / n_per_turn),
+                    radii[k - 1] if k >= 1 else 0.0, radii[k + 1], k >= len(radii) - 2)
+
+        anchors, weights, flags, cells = _radial_cells(
+            [n_per_turn] * (len(radii) - 1), turn)
+        rec = {"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
+               "rmax": rmax}
+
+    m = 2 if variant == "curve-family" else 1
+    return SamplingGeometry2D(variant, m, b, C0, D, window, anchors, weights,
+                              C0_equiv, flags, params=rec, **cells)
 
 
 def cell_measures(obj) -> np.ndarray:
@@ -705,9 +700,8 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
 
     # --- cell diameters (interior cells only; l-inf diameter for squares)
     if g.m == 1:
-        diam = np.linalg.norm(g.cell_b - g.cell_a, axis=1)[interior]
-        if len(diam) == 0:
-            diam = np.linalg.norm(g.cell_b - g.cell_a, axis=1)
+        lengths = cell_measures(g)
+        diam = lengths[interior] if interior.any() else lengths
     else:
         diam = np.array([2.0 * g.cell_radius])
     diam_range = (float(diam.min()), float(diam.max()))

@@ -39,8 +39,6 @@ __all__ = [
     "smooth_lowpass",
     "save_csv",
     "load_csv",
-    "to_json_dict",
-    "from_json_dict",
 ]
 
 _SUPPORT_RTOL = 1e-12
@@ -451,21 +449,6 @@ def load_csv(path) -> GridFunction:
         axes.append(Grid1D(float(xs[0]), float(xs[1] - xs[0]), len(xs)))
     grid = _grid_from_axes(axes)
     return GridFunction(grid, data[:, d].reshape(grid.shape))
-
-
-def to_json_dict(f: GridFunction) -> dict:
-    axes = [{"origin": g.origin, "spacing": g.spacing, "count": g.count}
-            for g in f.grid.axes]
-    # the 1D format keeps its one axis flat; 2D names the axes x and y
-    grid = axes[0] if f.ndim == 1 else dict(zip("xy", axes))
-    return {"grid": grid, "values": f.values.reshape(-1).tolist()}
-
-
-def from_json_dict(d: dict) -> GridFunction:
-    g = d["grid"]
-    specs = [g] if "origin" in g else [g["x"], g["y"]]
-    grid = _grid_from_axes([Grid1D(a["origin"], a["spacing"], a["count"]) for a in specs])
-    return GridFunction(grid, np.asarray(d["values"]).reshape(grid.shape))
 
 
 def _grid_from_axes(axes: list[Grid1D]):

@@ -67,7 +67,6 @@ __all__ = [
     "dilate_coeffs",
     "pyramid_details",
     "coeffs_to_json_dict",
-    "coeffs_from_json_dict",
 ]
 
 _MAX_ABS_SCALE = 60
@@ -406,28 +405,6 @@ def coeffs_to_json_dict(c: WaveletCoefficients, threshold: float = 0.0) -> dict:
         "basis": {"family": c.basis.family, "order": c.basis.order},
         "entries": entries,
     }
-
-
-def coeffs_from_json_dict(d: dict, basis: WaveletBasis | None = None) -> WaveletCoefficients:
-    if basis is None:
-        basis = build_basis(d["basis"]["family"], d["basis"].get("order"))
-    dim = int(d["d"])
-    per_scale: dict = {}
-    for e in d["entries"]:
-        l = tuple(e.get("l", (1,)))
-        k = tuple(int(ki) for ki in np.atleast_1d(e["k"]))
-        per_scale.setdefault(int(e["j"]), {}).setdefault(l, {})[k] = float(e["value"])
-    scales: dict = {}
-    for j, by_type in per_scale.items():
-        blocks = {}
-        for l, sub in by_type.items():
-            ks = np.array(list(sub))
-            k0s = ks.min(axis=0)
-            vals = np.zeros(tuple(ks.max(axis=0) - k0s + 1))
-            vals[tuple((ks - k0s).T)] = list(sub.values())
-            blocks[l] = (tuple(int(k0) for k0 in k0s), vals)
-        scales[j] = _pack(dim, blocks)
-    return WaveletCoefficients(dim, int(d["j_min"]), int(d["j_max"]), scales, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,19 @@ class TestUsageErrors:
         self._usage_error(["sweep", "intb", "--config", str(cfg)],
                           "no 'command' key", "'b_list'")
 
+    @pytest.mark.parametrize("variant, params, needle", [
+        ("hyperplane-union", {"drop_line": 999}, "'drop_line'"),
+        ("perturbed-graph", {"drop_line": -1}, "'drop_line'"),
+        ("concentric-circles", {"radii": []}, "'radii'"),
+        ("spiral", {"seed": "abc"}, "'seed'"),
+    ], ids=["drop-line-past-the-end", "drop-line-negative", "no-radii",
+            "seed-not-an-integer"])
+    def test_geometry_spec_bad_param(self, tmp_path, variant, params, needle):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": variant, "b": 0.5,
+                                    "window": [-4.0, 4.0], "params": params}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec)], needle)
+
     def test_geometry_check_non_positive_constant(self, tmp_path):
         spec = tmp_path / "geom.json"
         spec.write_text(json.dumps({"variant": "spiral", "b": 0.25, "C0_equiv": 0}))

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from besovsampling.geometry import (
+    DECLARED_CONSTANTS,
     VARIANTS,
     SamplingGeometry2D,
     SamplingSequence1D,
     _ball_indices,
     _gauss_segment_integral,
     _gauss_square_integral,
+    _random_radii,
     build_geometry,
     carrier_measure,
     cell_measures,
@@ -119,7 +122,8 @@ class TestBuilders:
         xs = np.unique(g.cell_centers[:, 0])
         assert np.min(np.diff(xs)) >= b - 1e-12
 
-    @pytest.mark.parametrize("variant", ["spiral", "concentric-circles"])
+    @pytest.mark.parametrize("variant", ["spiral", "concentric-circles",
+                                         "hyperplane-union", "perturbed-graph"])
     def test_segment_cell_measures_are_the_norm(self, geometry_of, variant):
         # `cell_measures`' m = 1 body before it squared the two columns itself
         g = geometry_of(variant)
@@ -274,6 +278,187 @@ def _full_scan_multiplicity(g, pts):
 
 
 IN_WIN = st.floats(min_value=WIN[0], max_value=WIN[1])
+
+
+def _stacked_geometry(variant, params):
+    """`build_geometry` as it was: per-line, per-curve, per-circle and
+    per-turn arrays collected in lists and stacked, one constructor per
+    variant; the carrier step 2^-7 and rmax = min(|lo|, |hi|) - b."""
+    C0, C0_equiv, D = DECLARED_CONSTANTS[variant]
+    b, window = float(params["b"]), tuple(params.get("window", (-8.0, 8.0)))
+    step, seed = 2.0**-7, params.get("seed", 0)
+    lo, hi = window
+    rmax = float(min(abs(lo), abs(hi)) - b)
+    if variant in ("hyperplane-union", "perturbed-graph"):
+        if "heights" in params:
+            heights = np.asarray(params["heights"], dtype=float)
+        else:
+            heights = random_sequence(b, window, seed,
+                                      strict=params.get("strict", True)).points
+        heights_full = heights.copy()
+        mids = (heights[:-1] + heights[1:]) / 2.0
+        y_lo = np.concatenate([[heights[0] - b / 2], mids])
+        y_hi = np.concatenate([mids, [heights[-1] + b / 2]])
+        if params.get("drop_line") is not None:
+            keep = np.ones(len(heights), bool)
+            keep[int(params["drop_line"])] = False
+            heights, y_lo, y_hi = heights[keep], y_lo[keep], y_hi[keep]
+        n = max(2, int(math.ceil((hi - lo) / step)) + 1)
+        xs = np.linspace(lo, hi, n)
+        w = np.full(n, (hi - lo) / (n - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        anchors, weights, line_idx = [], [], []
+        for i, y in enumerate(heights):
+            anchors.append(np.column_stack([xs, np.full(n, y)]))
+            weights.append(w)
+            line_idx.append(np.full(n, i, dtype=int))
+        anchors, weights = np.vstack(anchors), np.concatenate(weights)
+        line_idx = np.concatenate(line_idx)
+        if variant == "perturbed-graph":
+            amp, freq = float(params.get("amp", b)), float(params.get("freq", 0.5))
+            bend = amp * np.sin(freq * anchors[:, 0])
+            slope = amp * freq * np.cos(freq * anchors[:, 0])
+            weights = weights * np.sqrt(1.0 + slope**2)
+            anchors = anchors.copy()
+            anchors[:, 1] = np.clip(anchors[:, 1] + bend, lo, hi)
+        else:
+            bend = np.zeros(len(anchors))
+        raw_lo, raw_hi = y_lo[line_idx] + bend, y_hi[line_idx] + bend
+        inside = (raw_lo < hi) & (raw_hi > lo)
+        anchors, weights = anchors[inside], weights[inside]
+        raw_lo, raw_hi = raw_lo[inside], raw_hi[inside]
+        ca = np.column_stack([anchors[:, 0], np.clip(raw_lo, lo, hi)])
+        cb = np.column_stack([anchors[:, 0], np.clip(raw_hi, lo, hi)])
+        flags = (raw_lo < lo) | (raw_hi > hi)
+        return SamplingGeometry2D(
+            variant, 1, b, C0, D, window, anchors, weights, C0_equiv, flags,
+            cell_a=ca, cell_b=cb,
+            params={"heights": heights_full.tolist(), "seed": seed, "step": step,
+                    **({k: params[k] for k in ("amp", "freq", "drop_line", "strict")
+                        if params.get(k) is not None})})
+    if variant == "curve-family":
+        rng = np.random.default_rng(seed)
+        ks = np.arange(math.ceil((lo + b / 4) / b), math.floor((hi - b / 4) / b) + 1)
+        ys = np.arange(lo + b / 2, hi - b / 2 + 1e-12, b)
+        anchors = []
+        for k in ks:
+            if params.get("straight", False):
+                wig = np.zeros(len(ys))
+            else:
+                ph = rng.uniform(0, 2 * np.pi)
+                wig = (b / 4) * np.sin(2 * np.pi * ys / (hi - lo) * rng.integers(1, 4) + ph)
+            anchors.append(np.column_stack([b * k + wig, ys]))
+        anchors = np.vstack(anchors)
+        centers = anchors.copy()
+        centers[:, 0] = np.round(centers[:, 0] / b) * b
+        return SamplingGeometry2D(
+            variant, 2, b, C0, D, window, anchors, np.ones(len(anchors)),
+            C0_equiv, np.zeros(len(anchors), bool),
+            cell_centers=centers, cell_radius=b / 4.0,
+            params={"seed": seed, "n_curves": len(ks),
+                    **({"straight": params["straight"]}
+                       if params.get("straight") is not None else {})})
+    if variant == "concentric-circles":
+        if "radii" in params:
+            radii = np.asarray(params["radii"], dtype=float)
+        else:
+            radii = _random_radii(b, rmax, seed)
+            if radii[-1] > rmax:
+                radii = radii[:-1]
+        gaps = np.diff(radii)
+        mids = (radii[:-1] + radii[1:]) / 2.0
+        seg_lo = np.concatenate([[0.0], mids])
+        seg_hi = np.concatenate(
+            [mids, [radii[-1] + gaps[-1] / 2 if len(gaps) else radii[-1] + b / 2]])
+        seg_hi = np.minimum(seg_hi, rmax + b)
+        anchors, weights, ca, cb, flags = [], [], [], [], []
+        for i, r in enumerate(radii):
+            n = max(8, int(math.ceil(2 * np.pi * r / step)))
+            th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+            u = np.column_stack([np.cos(th), np.sin(th)])
+            anchors.append(r * u)
+            weights.append(np.full(n, 2 * np.pi * r / n))
+            ca.append(seg_lo[i] * u)
+            cb.append(seg_hi[i] * u)
+            flags.append(np.full(n, i == len(radii) - 1))
+        return SamplingGeometry2D(
+            variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
+            C0_equiv, np.concatenate(flags), cell_a=np.vstack(ca), cell_b=np.vstack(cb),
+            params={"radii": radii.tolist(), "seed": seed, "step": step, "rmax": rmax})
+    radii = _random_radii(b, rmax, seed)
+    rho = PchipInterpolator(2 * np.pi * np.arange(len(radii)), radii)
+    n_per_turn = max(32, int(2 * math.pi * rmax / step))
+    anchors, weights, ca, cb, flags = [], [], [], [], []
+    for k in range(len(radii) - 1):
+        th = np.linspace(2 * np.pi * k, 2 * np.pi * (k + 1), n_per_turn, endpoint=False)
+        r = rho(th)
+        dr = rho.derivative()(th)
+        u = np.column_stack([np.cos(th), np.sin(th)])
+        anchors.append(r[:, None] * u)
+        weights.append(np.sqrt(r**2 + dr**2) * (2 * np.pi / n_per_turn))
+        ca.append((radii[k - 1] if k >= 1 else 0.0) * u)
+        cb.append(radii[k + 1] * u)
+        flags.append(np.full(n_per_turn, k >= len(radii) - 2))
+    return SamplingGeometry2D(
+        variant, 1, b, C0, D, window, np.vstack(anchors), np.concatenate(weights),
+        C0_equiv, np.concatenate(flags), cell_a=np.vstack(ca), cell_b=np.vstack(cb),
+        params={"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
+                "rmax": rmax})
+
+
+HALF = (-4.0, 4.0)
+OFF_LATTICE = (-3.9375, 3.875)
+# four parameter sets per variant: seeds, b and windows, the dropped line,
+# given heights and radii, a bent graph and straight curves
+BUILDS = {
+    "hyperplane-union": [
+        {"b": 0.5, "seed": 0, "window": WIN},
+        {"b": 0.25, "seed": 2, "window": OFF_LATTICE, "drop_line": 5},
+        {"b": 0.5, "heights": np.arange(-8.0, 8.0 + 1e-12, 0.5).tolist(), "window": WIN},
+        {"b": 2.0**-3, "seed": 4, "window": HALF, "strict": False},
+    ],
+    "perturbed-graph": [
+        {"b": 0.5, "seed": 1, "window": WIN},
+        {"b": 0.25, "seed": 2, "window": HALF, "drop_line": 0},
+        {"b": 0.5, "heights": np.arange(-4.0, 4.0 + 1e-12, 0.375).tolist(),
+         "window": HALF, "amp": 1.0, "freq": 0.9},
+        {"b": 2.0**-3, "seed": 4, "window": OFF_LATTICE, "amp": 0.25, "freq": 3.0},
+    ],
+    "curve-family": [
+        {"b": 0.5, "seed": 0, "window": WIN},
+        {"b": 0.25, "seed": 5, "window": OFF_LATTICE},
+        {"b": 0.25, "seed": 1, "window": WIN, "straight": True},
+        {"b": 2.0**-3, "seed": 6, "window": HALF, "straight": False},
+    ],
+    "concentric-circles": [
+        {"b": 0.5, "seed": 0, "window": WIN},
+        {"b": 0.25, "seed": 3, "window": OFF_LATTICE},
+        {"b": 0.25, "radii": (0.1875 * np.arange(1, 30)).tolist(), "window": WIN},
+        {"b": 0.5, "radii": [0.375], "window": HALF},
+    ],
+    "spiral": [
+        {"b": 0.5, "seed": 0, "window": WIN},
+        {"b": 0.25, "seed": 3, "window": OFF_LATTICE},
+        {"b": 2.0**-3, "seed": 6, "window": HALF},
+        {"b": 0.5, "seed": 9, "window": HALF},
+    ],
+}
+
+
+@pytest.mark.parametrize("variant, params", [
+    (v, p) for v, sets in BUILDS.items() for p in sets],
+    ids=[f"{v}-{i}" for v, sets in BUILDS.items() for i in range(len(sets))])
+def test_build_matches_the_stacked_build(variant, params):
+    g, ref = build_geometry(variant, params), _stacked_geometry(variant, params)
+    for name in ("anchors", "anchor_weights", "cell_a", "cell_b", "cell_centers",
+                 "boundary_flags"):
+        a, r = getattr(g, name), getattr(ref, name)
+        assert (a is None and r is None) or (
+            np.array_equal(a, r) and a.dtype == r.dtype and a.shape == r.shape), name
+    assert (g.m, g.cell_radius, g.params) == (ref.m, ref.cell_radius, ref.params)
+    assert check_conditions(g, n_probes=40, seed=2).to_dict() == \
+        check_conditions(ref, n_probes=40, seed=2).to_dict()
 
 
 class TestSpatialIndex:

@@ -1,4 +1,3 @@
-import json
 from functools import reduce
 
 import numpy as np
@@ -15,7 +14,6 @@ from besovsampling.grid import (
     _axis_phase,
     _origin_phase,
     fourier,
-    from_json_dict,
     inverse_fourier,
     load_csv,
     lowpass_profile,
@@ -23,7 +21,6 @@ from besovsampling.grid import (
     save_csv,
     smooth_lowpass,
     smooth_ramp01,
-    to_json_dict,
     weighted_lp_norm,
 )
 
@@ -422,12 +419,6 @@ class TestSerialization:
         save_csv(f, path)
         back = load_csv(path)
         assert np.max(np.abs(back.values - vals)) == 0.0
-
-    def test_json_round_trip(self, small_grid):
-        f = gaussian(small_grid)
-        d = json.loads(json.dumps(to_json_dict(f)))
-        back = from_json_dict(d)
-        assert np.max(np.abs(back.values - f.values)) == 0.0
 
     def test_support_margin(self, small_grid):
         f = gaussian(small_grid, width=0.5)

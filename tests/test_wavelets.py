@@ -21,7 +21,6 @@ from besovsampling.wavelets import (
     _trim_translates,
     analyze,
     build_basis,
-    coeffs_from_json_dict,
     coeffs_to_json_dict,
     default_basis,
     dilate_coeffs,
@@ -713,20 +712,27 @@ class TestPyramidCrossCheck:
 
 
 class TestCoefficientJson:
-    def test_round_trip_1d(self, db4):
+    def test_1d_entries(self, db4):
         c = WaveletCoefficients(
             1, -1, 2, {-1: (3, np.array([0.25, -1.5])),
                        2: (-4, np.array([1.0, 0.0, 2.0]))}, db4)
         d = json.loads(json.dumps(coeffs_to_json_dict(c)))
-        back = coeffs_from_json_dict(d, db4)
-        assert back.get(-1, 4) == -1.5
-        assert back.get(2, -2) == 2.0
-        assert back.get(2, -3) == 0.0
+        assert {key: d[key] for key in ("d", "j_min", "j_max", "basis")} == {
+            "d": 1, "j_min": -1, "j_max": 2,
+            "basis": {"family": db4.family, "order": db4.order}}
+        # a scalar k and no type; the zero at k = -3 is dropped
+        assert d["entries"] == [{"j": -1, "k": 3, "value": 0.25},
+                                {"j": -1, "k": 4, "value": -1.5},
+                                {"j": 2, "k": -4, "value": 1.0},
+                                {"j": 2, "k": -2, "value": 2.0}]
+        kept = coeffs_to_json_dict(c, threshold=0.5)["entries"]
+        assert [(e["j"], e["k"]) for e in kept] == [(-1, 4), (2, -4), (2, -2)]
 
-    def test_round_trip_2d(self, db4):
+    def test_2d_entries(self, db4):
         c = WaveletCoefficients(
             2, 0, 0, {0: {(0, 1): (1, 2, np.array([[0.5, 0.0], [0.0, -2.0]]))}},
             db4)
-        back = coeffs_from_json_dict(coeffs_to_json_dict(c), db4)
-        assert back.get(0, (1, 2), (0, 1)) == 0.5
-        assert back.get(0, (2, 3), (0, 1)) == -2.0
+        d = json.loads(json.dumps(coeffs_to_json_dict(c)))
+        assert (d["d"], d["j_min"], d["j_max"]) == (2, 0, 0)
+        assert d["entries"] == [{"j": 0, "k": [1, 2], "l": [0, 1], "value": 0.5},
+                                {"j": 0, "k": [2, 3], "l": [0, 1], "value": -2.0}]
