@@ -262,6 +262,17 @@ class SamplingGeometry2D:
 # Carrier quadrature step: the node spacing along the lines and circles.
 CARRIER_STEP = 2.0**-7
 
+# The `params` keys build_geometry takes: the common ones, then each
+# variant's own and those it records (a written spec carries them back).
+_COMMON_PARAMS = {"b", "window", "seed", "C0", "C0_equiv", "D"}
+_VARIANT_PARAMS = {
+    "hyperplane-union": {"heights", "strict", "drop_line", "step"},
+    "perturbed-graph": {"heights", "strict", "drop_line", "amp", "freq", "step"},
+    "curve-family": {"straight", "n_curves"},
+    "concentric-circles": {"radii", "step", "rmax"},
+    "spiral": {"radii", "n_per_turn", "rmax"},
+}
+
 
 def _index_param(value, key: str, stop: float = math.inf) -> int:
     """`value` as an integer in [0, stop); a ValueError naming `key` if not."""
@@ -278,6 +289,14 @@ def _random_radii(b: float, rmax: float, seed) -> np.ndarray:
     while radii[-1] < rmax:
         radii.append(radii[-1] + rng.uniform(b / 2 * 1.001, b * 0.999))
     return np.asarray(radii)
+
+
+def _small_window_message(variant: str, b: float, window) -> str:
+    """Why the random radii (3b/4, then gaps below b up to rmax = reach - b)
+    do not fit in the window."""
+    return (f"{variant} with b={b:g} needs a window that reaches beyond 7b/4 = "
+            f"{1.75 * b:g} from 0, and window {list(window)} reaches "
+            f"{min(map(abs, window)):g}; widen the window or lower b")
 
 
 def _radial_cells(counts, piece):
@@ -303,10 +322,15 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     Common params: b, window=(lo, hi), seed, C0, C0_equiv, D (positive;
     defaults per variant in DECLARED_CONSTANTS).  Variant-specific parameters
     are documented inline.  The carrier step CARRIER_STEP and the radial
-    reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.
+    reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.  A
+    key that the variant neither takes nor records is rejected.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
+    unknown = sorted(set(params) - _COMMON_PARAMS - _VARIANT_PARAMS[variant])
+    if unknown:
+        raise ValueError(f"unknown {variant} geometry param(s) {unknown}; it takes "
+                         f"{sorted(_COMMON_PARAMS | _VARIANT_PARAMS[variant])}")
     C0, C0_equiv, D = (float(params.get(key, default)) for key, default in
                        zip(("C0", "C0_equiv", "D"), DECLARED_CONSTANTS[variant]))
     if not min(C0, C0_equiv, D) > 0:
@@ -400,7 +424,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
                 radii = radii[:-1]
         if radii.size == 0:
             raise ValueError("concentric-circles needs a circle: geometry param 'radii' "
-                             "is empty, or the window does not reach 7b/4 from 0")
+                             "is empty" if "radii" in params
+                             else _small_window_message(variant, b, window))
         gaps = np.diff(radii)
         if np.any(gaps <= b / 2) or np.any(gaps >= b):
             raise ValueError("circle radii gaps must lie strictly in (b/2, b)")
@@ -422,6 +447,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     else:
         # spiral: r = rho(theta), rho(2*pi*k) = r_k, radial cells [r_{k-1}, r_{k+1}]
         radii = _random_radii(b, rmax, seed)
+        if len(radii) < 2:  # one turn needs two radii
+            raise ValueError(_small_window_message(variant, b, window))
         rho = PchipInterpolator(2 * np.pi * np.arange(len(radii)), radii)
         drho = rho.derivative()
         n_per_turn = max(32, int(2 * math.pi * rmax / CARRIER_STEP))

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _SUPPORT_RTOL = 1e-12
+# Element-wise passes run in blocks of rows of the last axis (1 MiB on 2048
+# points) or of points, so none allocates a grid- or point-sized temporary.
+_ROW_BLOCK = 64
+_POINT_BLOCK = 4096
 
 
 @dataclass
@@ -141,19 +145,22 @@ class GridFunction:
         return len(self.grid.axes)
 
     def significant_support(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis hull of points where |f| exceeds 1e-12 * max|f|."""
-        v = np.abs(self.values)
-        peak = v.max()
+        """Per-axis hull of points where |f| exceeds 1e-12 * max|f|; the
+        mask is formed one block of rows of the last axis at a time."""
+        v = self.values
+        peak = max(v.max(), -v.min())
         axes = self.grid.axes
         if peak == 0.0:
             return tuple((g.x[0], g.x[0]) for g in axes)
-        mask = v > _SUPPORT_RTOL * peak
-        hulls = []
-        for axis, g in enumerate(axes):
-            others = tuple(a for a in range(len(axes)) if a != axis)
-            idx = np.nonzero(mask.any(axis=others))[0]
-            hulls.append((g.x[idx[0]], g.x[idx[-1]]))
-        return tuple(hulls)
+        rows = v.reshape(-1, v.shape[-1])
+        row_hit, col_hit = (np.zeros(n, dtype=bool) for n in rows.shape)
+        for blk in _blocks(len(rows), _ROW_BLOCK):
+            mask = np.abs(rows[blk]) > _SUPPORT_RTOL * peak
+            mask.any(axis=1, out=row_hit[blk])
+            col_hit |= mask.any(axis=0)
+        # in 1D the one row is the whole function and only the columns count
+        idx = [np.flatnonzero(hit) for hit in (row_hit, col_hit)[-len(axes):]]
+        return tuple((g.x[i[0]], g.x[i[-1]]) for i, g in zip(idx, axes))
 
     @property
     def support_margin(self) -> float:
@@ -171,14 +178,16 @@ class GridFunction:
         axis is not 2 are rejected; trace evaluation depends on it.  No points
         give an empty array.
 
-        In 2D each corner of a point's cell is one gather from the flat
-        values, and the bilinear sum
+        In 2D the points are validated once and then interpolated
+        `_POINT_BLOCK` at a time.  Each corner of a point's cell is one gather
+        from the flat values, and the bilinear sum
         v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty
         is accumulated in place, term by term and factor by factor in that
-        order, with two point-sized buffers.
+        order, into the output.
         """
         pts = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(pts)):
+        # NaN and +-inf show in the extremes, so the check needs no mask
+        if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
             raise ValueError(f"{np.count_nonzero(~np.isfinite(pts))} interpolation "
                              f"coordinate(s) are not finite")
         # the domain tests are written so that a NaN would fail them
@@ -192,33 +201,35 @@ class GridFunction:
             raise ValueError(f"2D interpolation points need shape (..., 2), "
                              f"got {pts.shape}")
         pts = pts.reshape(-1, 2)
-        if len(pts) == 0:
-            return np.empty(0)
-        # the result is allocated before the point-sized temporaries, so it
-        # does not sit above them in the heap and keep their memory from
-        # being returned when they are freed
         out = np.empty(len(pts))
-        cells = []
-        for axis, (name, g) in enumerate(zip("xy", self.grid.axes)):
-            t = (pts[:, axis] - g.origin) / g.spacing
-            if not (t.min() >= -1e-9 and t.max() <= g.count - 1 + 1e-9):
+        axes = self.grid.axes
+        for axis, (name, g) in enumerate(zip("xy", axes)):
+            # rounding is monotone, so these are the extremes of t below
+            c = pts[:, axis]
+            if c.size and not ((c.min() - g.origin) / g.spacing >= -1e-9
+                               and (c.max() - g.origin) / g.spacing <= g.count - 1 + 1e-9):
                 raise ValueError(f"interpolation point outside grid domain ({name})")
-            i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
-            cells.append((i, np.clip(t - i, 0.0, 1.0)))
-        (i0, tx), (j0, ty) = cells
-        sx, sy = 1 - tx, 1 - ty
         n1 = self.grid.shape[1]
         flat = self.values.reshape(-1)
-        k = i0 * n1 + j0
-        flat.take(k, out=out)
-        out *= sx
-        out *= sy
-        term = np.empty_like(out)
-        for off, wx, wy in ((n1, tx, sy), (1, sx, ty), (n1 + 1, tx, ty)):
-            flat.take(k + off, out=term)
-            term *= wx
-            term *= wy
-            out += term
+        for blk in _blocks(len(pts), _POINT_BLOCK):
+            block, o = pts[blk], out[blk]
+            cells = []
+            for axis, g in enumerate(axes):
+                t = (block[:, axis] - g.origin) / g.spacing
+                i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
+                cells.append((i, np.clip(t - i, 0.0, 1.0)))
+            (i0, tx), (j0, ty) = cells
+            sx, sy = 1 - tx, 1 - ty
+            k = i0 * n1 + j0
+            flat.take(k, out=o)
+            o *= sx
+            o *= sy
+            term = np.empty_like(o)
+            for off, wx, wy in ((n1, tx, sy), (1, sx, ty), (n1 + 1, tx, ty)):
+                flat.take(k + off, out=term)
+                term *= wx
+                term *= wy
+                o += term
         return out
 
 
@@ -250,26 +261,44 @@ def _along(axis: int, ndim: int, v: np.ndarray) -> np.ndarray:
     return v.reshape([-1 if a == axis else 1 for a in range(ndim)])
 
 
-def _trapezoid_sum(a: np.ndarray, grid) -> float:
-    """Composite-trapezoid integral of the samples `a`, which it overwrites.
+def _blocks(n: int, size: int):
+    """Slices of `size` consecutive entries covering n entries."""
+    return (slice(s, s + size) for s in range(0, n, size))
 
-    Each axis's weights (spacing, endpoints halved) multiply `a` in place one
-    axis at a time, so no full-grid weight array is built.  In 1D that is
-    the product w * a of one array, bit for bit.
+
+def _trapezoid_sum(values: np.ndarray, grid, p: float, weight=None) -> float:
+    """Composite-trapezoid integral of |values|^p, or (weight |values|)^p.
+
+    A block of `_ROW_BLOCK` rows of the last axis at a time, the integrand
+    is formed in one buffer, multiplied in place by the last axis's weights
+    (spacing, endpoints halved) and summed per row; the row sums are then
+    weighted by the other axes' weights and summed.  1D is the single-row
+    case, bit for bit.  No BLAS product reduces, so no thread count shows.
     """
-    for axis, g in enumerate(grid.axes):
-        w = np.full(g.count, g.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        a *= _along(axis, a.ndim, w)
-    return np.sum(a)
+    ws = [np.full(g.count, g.spacing) for g in grid.axes]
+    for w in ws:
+        w[[0, -1]] *= 0.5
+    *w_lead, w_last = ws
+    rows = values.reshape(-1, len(w_last))
+    w_rows = None if weight is None else weight.reshape(rows.shape)
+    sums = np.empty(len(rows))
+    buf = np.empty((min(_ROW_BLOCK, len(rows)), len(w_last)))
+    for blk in _blocks(len(rows), _ROW_BLOCK):
+        a = np.abs(rows[blk], out=buf[: len(sums[blk])])
+        if w_rows is not None:
+            a *= w_rows[blk]
+        a **= p
+        a *= w_last
+        np.sum(a, axis=1, out=sums[blk])
+    sums *= reduce(np.multiply.outer, w_lead, np.ones(())).reshape(-1)
+    return np.sum(sums)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Trapezoid L^p norm of f over its grid, 1 <= p < infinity."""
     if not (1.0 <= p < np.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    return float(_trapezoid_sum(np.abs(f.values) ** p, f.grid) ** (1.0 / p))
+    return float(_trapezoid_sum(f.values, f.grid, p) ** (1.0 / p))
 
 
 def weighted_lp_norm(f: GridFunction, weight, p: float) -> float:
@@ -285,7 +314,7 @@ def weighted_lp_norm(f: GridFunction, weight, p: float) -> float:
         raise ValueError("weight shape does not match grid function")
     if not np.all(np.isfinite(wv)) or np.any(wv < 0):
         raise ValueError("weight must be nonnegative and finite on the grid")
-    return float(_trapezoid_sum((wv * np.abs(f.values)) ** p, f.grid) ** (1.0 / p))
+    return float(_trapezoid_sum(f.values, f.grid, p, wv) ** (1.0 / p))
 
 
 def _check_pow2(n: int, what: str):

@@ -9,7 +9,8 @@ from functools import reduce
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass, smooth_ramp01
+from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks, lp_norm,
+                   smooth_lowpass, smooth_ramp01)
 from .geometry import SamplingSequence1D, random_sequence
 from .wavelets import (
     WaveletBasis,
@@ -328,6 +329,15 @@ def translate(zf: ZooFunction, tau: float, resample: bool = False) -> ZooFunctio
     return zz
 
 
+def _times_outer(vals: np.ndarray, factors: list[np.ndarray]) -> None:
+    """`vals *= reduce(np.multiply.outer, factors)` bit for bit, a block of
+    rows of the last axis at a time: each f0[i] * f1[j] is formed first."""
+    lead = reduce(np.multiply.outer, factors[:-1], np.ones(())).reshape(-1)
+    rows = vals.reshape(-1, factors[-1].size, copy=False)
+    for blk in _blocks(len(rows), _ROW_BLOCK):
+        rows[blk] *= np.multiply.outer(lead[blk], factors[-1])
+
+
 def _bandlimited_field(grid, band: float, seed: int, amplitude: float,
                        center: float) -> GridFunction:
     """Seeded random field on any grid, bandlimited (per axis) to
@@ -335,15 +345,16 @@ def _bandlimited_field(grid, band: float, seed: int, amplitude: float,
     a genuine support margin; it widens the band only by the
     (superpolynomially small) envelope spectrum tails."""
     rng = np.random.default_rng(seed)
-    env = reduce(np.multiply.outer,
-                 [_gaussian_vals(g.x, center, g.length / 8.0, 1.0) for g in grid.axes])
-    noise = rng.standard_normal(grid.shape) * env
-    f = smooth_lowpass(GridFunction(grid, noise), 0.7 * band, band)
-    vals = f.values * reduce(np.multiply.outer,
-                             [window_envelope(g, 0.7, 0.9) for g in grid.axes])
+    noise = rng.standard_normal(grid.shape)
+    _times_outer(noise, [_gaussian_vals(g.x, center, g.length / 8.0, 1.0)
+                         for g in grid.axes])
+    # in 1D the low-pass returns the real part of a complex array, a view
+    vals = np.ascontiguousarray(
+        smooth_lowpass(GridFunction(grid, noise), 0.7 * band, band).values)
+    _times_outer(vals, [window_envelope(g, 0.7, 0.9) for g in grid.axes])
     n2 = lp_norm(GridFunction(grid, vals), 2.0)
     if n2 > 0:
-        vals = vals * (amplitude / n2)
+        vals *= amplitude / n2
     return GridFunction(grid, vals)
 
 

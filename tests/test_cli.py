@@ -502,13 +502,22 @@ class TestUsageErrors:
         ("perturbed-graph", {"drop_line": -1}, "'drop_line'"),
         ("concentric-circles", {"radii": []}, "'radii'"),
         ("spiral", {"seed": "abc"}, "'seed'"),
+        ("hyperplane-union", {"drop_lin": 3}, "['drop_lin']"),
     ], ids=["drop-line-past-the-end", "drop-line-negative", "no-radii",
-            "seed-not-an-integer"])
+            "seed-not-an-integer", "misspelt-key"])
     def test_geometry_spec_bad_param(self, tmp_path, variant, params, needle):
         spec = tmp_path / "geom.json"
         spec.write_text(json.dumps({"variant": variant, "b": 0.5,
                                     "window": [-4.0, 4.0], "params": params}))
         self._usage_error(["geometry", "check", "--geometry", str(spec)], needle)
+
+    @pytest.mark.parametrize("variant", ["spiral", "concentric-circles"])
+    def test_geometry_window_too_small(self, tmp_path, variant):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": variant, "b": 0.5,
+                                    "window": [-0.8, 0.8]}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec)],
+                          "[-0.8, 0.8]", "b=0.5", "7b/4 = 0.875")
 
     def test_geometry_check_non_positive_constant(self, tmp_path):
         spec = tmp_path / "geom.json"

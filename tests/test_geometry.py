@@ -152,6 +152,22 @@ class TestBuilders:
         with pytest.raises(ValueError, match="variant"):
             build_geometry("moebius", {"b": 0.25})
 
+    @pytest.mark.parametrize("variant, key", [
+        ("hyperplane-union", "drop_lin"),
+        ("hyperplane-union", "amp"),  # only a perturbed graph bends
+        ("curve-family", "radii"),
+        ("spiral", "step"),
+    ])
+    def test_unknown_param_rejected(self, variant, key):
+        with pytest.raises(ValueError, match=f"param\\(s\\) \\['{key}'\\]"):
+            build_geometry(variant, {"b": 0.5, "window": WIN, key: 3})
+
+    @pytest.mark.parametrize("variant", ["spiral", "concentric-circles"])
+    def test_window_too_small_for_the_radii(self, variant):
+        with pytest.raises(ValueError, match=r"b=0\.5 .* 7b/4 = 0\.875 .*"
+                                             r"\[-0\.8, 0\.8\] reaches 0\.8"):
+            build_geometry(variant, {"b": 0.5, "window": (-0.8, 0.8)})
+
     @pytest.mark.parametrize("key", ["C0", "C0_equiv", "D"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_declared_constants_must_be_positive(self, key, value):
@@ -561,8 +577,10 @@ class TestGeometryJson:
         ("curve-family", {"straight": True}),
         ("hyperplane-union", {"strict": False}),
         ("perturbed-graph", {"strict": False}),
+        ("hyperplane-union", {"drop_line": 3}),
+        ("perturbed-graph", {"amp": 0.1, "freq": 2.0}),
     ], ids=[*VARIANTS, "curve-family-straight", "hyperplane-union-loose",
-            "perturbed-graph-loose"])
+            "perturbed-graph-loose", "hyperplane-union-dropped", "perturbed-graph-bent"])
     def test_round_trip(self, tmp_path, variant, extra):
         g = build_geometry(variant, {"b": 2.0**-3, "seed": 6, "window": WIN,
                                      **extra})

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besovsampling.grid import (
+    _POINT_BLOCK,
+    _ROW_BLOCK,
     Grid1D,
     Grid2D,
     GridFunction,
@@ -50,6 +54,41 @@ def outer_weight_lp_norm(f, p, weight=None):
     w = reduce(np.multiply.outer, per_axis)
     v = np.abs(f.values) if weight is None else weight * np.abs(f.values)
     return float(np.sum(w * v ** p) ** (1.0 / p))
+
+
+def one_pass_lp_norm(f, p, weight=None):
+    """`lp_norm` / `weighted_lp_norm` before they ran in blocks of rows: the
+    integrand as one array, each axis's weights multiplied in place, then
+    one `np.sum`."""
+    a = (np.abs(f.values) if weight is None else weight * np.abs(f.values)) ** p
+    for axis, g in enumerate(f.grid.axes):
+        w = np.full(g.count, g.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        a *= w.reshape([-1 if b == axis else 1 for b in range(a.ndim)])
+    return float(np.sum(a) ** (1.0 / p))
+
+
+def mask_hull(f):
+    """`significant_support` before it ran in blocks of rows: one full mask."""
+    v = np.abs(f.values)
+    axes = f.grid.axes
+    if v.max() == 0.0:
+        return tuple((g.x[0], g.x[0]) for g in axes)
+    mask = v > 1e-12 * v.max()
+    hulls = []
+    for axis, g in enumerate(axes):
+        others = tuple(a for a in range(len(axes)) if a != axis)
+        idx = np.nonzero(mask.any(axis=others))[0]
+        hulls.append((g.x[idx[0]], g.x[idx[-1]]))
+    return tuple(hulls)
+
+
+# 2D grids whose row count is not a multiple of the row block
+TAIL_GRIDS = {
+    "one-row-tail": Grid2D(Grid1D(-4.1, 0.0625, 2 * _ROW_BLOCK + 1), Grid1D(-3.0, 0.125, 48)),
+    "long-tail": Grid2D(Grid1D(-6.0, 2.0**-5, 3 * _ROW_BLOCK + 37), Grid1D(-3.0, 2.0**-4, 128)),
+}
 
 
 def full_spectrum_lowpass(f, inner, outer):
@@ -103,6 +142,28 @@ class TestLpNorm:
         assert lp_norm(f, p) == pytest.approx(outer_weight_lp_norm(f, p), rel=1e-15)
         assert weighted_lp_norm(f, weight, p) == pytest.approx(
             outer_weight_lp_norm(f, p, weight), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_1d_bit_identical_to_the_one_pass_sum(self, small_grid, grid, p):
+        for g in (small_grid, grid):
+            f = random_function(g, seed=5)
+            weight = np.abs(g.x) ** (1.0 / p)
+            assert np.array_equal(lp_norm(f, p), one_pass_lp_norm(f, p))
+            assert np.array_equal(weighted_lp_norm(f, weight, p),
+                                  one_pass_lp_norm(f, p, weight))
+
+    @pytest.mark.parametrize("name", TAIL_GRIDS)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_2d_blocks_agree_with_the_one_pass_sum(self, name, p):
+        # the same positive terms summed in another order: each pairwise sum
+        # of N positive terms is within about log2(N) rounding errors
+        grid = TAIL_GRIDS[name]
+        f = random_function(grid, seed=6)
+        weight = np.add.outer(*(np.abs(g.x) for g in grid.axes))
+        rel = 4 * math.log2(f.values.size) * np.finfo(float).eps
+        assert lp_norm(f, p) == pytest.approx(one_pass_lp_norm(f, p), rel=rel, abs=0)
+        assert weighted_lp_norm(f, weight, p) == pytest.approx(
+            one_pass_lp_norm(f, p, weight), rel=rel, abs=0)
 
     def test_rejects_nonfinite(self, small_grid):
         vals = np.zeros(small_grid.count)
@@ -251,6 +312,45 @@ def fancy_index_bilinear(f, points):
     )
 
 
+def one_pass_bilinear(f, points):
+    """`GridFunction.interpolate`'s 2D formula before it ran in blocks of
+    points: four flat gathers over all points, accumulated in place."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cells = []
+    for axis, g in enumerate(f.grid.axes):
+        t = (pts[:, axis] - g.origin) / g.spacing
+        i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
+        cells.append((i, np.clip(t - i, 0.0, 1.0)))
+    (i0, tx), (j0, ty) = cells
+    sx, sy = 1 - tx, 1 - ty
+    n1 = f.grid.shape[1]
+    flat = f.values.reshape(-1)
+    k = i0 * n1 + j0
+    out = flat.take(k)
+    out *= sx
+    out *= sy
+    for off, wx, wy in ((n1, tx, sy), (1, sx, ty), (n1 + 1, tx, ty)):
+        term = flat.take(k + off)
+        term *= wx
+        term *= wy
+        out += term
+    return out
+
+
+def traced_peak(call):
+    """Bytes that `call()` holds at its peak above what it starts with,
+    as `tracemalloc` sees them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 # unequal axes, spacings and origins; in the second the last axis is the coarser
 UNEVEN_GRIDS = {
     "odd": Grid2D(Grid1D(-3.3, 0.125, 64), Grid1D(-5.1, 0.0625, 128)),
@@ -279,6 +379,19 @@ class TestInterpolate:
         assert np.array_equal(f.interpolate(pts), fancy_index_bilinear(f, pts))
         # a grid node gives its value back
         assert f.interpolate([[x1, y1]])[0] == f.values[-1, -1]
+
+    @pytest.mark.parametrize("n", [0, 1, _POINT_BLOCK, 3 * _POINT_BLOCK + 1,
+                                   2 * _POINT_BLOCK + 977],
+                             ids=["empty", "one", "one-block", "one-point-tail",
+                                  "long-tail"])
+    def test_2d_blocks_bit_identical_to_the_one_pass_formula(self, n):
+        grid = UNEVEN_GRIDS["uneven"]
+        f = random_function(grid, seed=13)
+        rng = np.random.default_rng(n)
+        pts = np.column_stack([rng.uniform(g.x[0], g.x[-1], n) for g in grid.axes])
+        got = f.interpolate(pts)
+        assert got.shape == (n,)
+        assert np.array_equal(got, one_pass_bilinear(f, pts))
 
     def test_2d_points_need_two_coordinates(self, odd_grid2d):
         f = random_function(odd_grid2d)
@@ -420,8 +533,54 @@ class TestSerialization:
         back = load_csv(path)
         assert np.max(np.abs(back.values - vals)) == 0.0
 
+    @pytest.mark.parametrize("name", TAIL_GRIDS)
+    def test_support_hull_equals_the_one_mask_hull(self, name, small_grid):
+        grid = TAIL_GRIDS[name]
+        rng = np.random.default_rng(8)
+        x, y = (g.x for g in grid.axes)
+        bump = np.exp(-np.add.outer((x - 0.7) ** 2, (y + 0.4) ** 2))
+        zero = np.zeros(grid.shape)
+        fields = [rng.standard_normal(grid.shape) * bump, -bump, zero]
+        for corner in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+            one = zero.copy()
+            one[corner] = -2.5
+            fields.append(one)
+        tiny = zero.copy()
+        tiny[_ROW_BLOCK, 5] = 1e-300  # the only nonzero is in the second block
+        fields.append(tiny)
+        for vals in fields:
+            f = GridFunction(grid, vals)
+            assert f.significant_support() == mask_hull(f)
+        f1 = gaussian(small_grid, width=0.5)
+        assert f1.significant_support() == mask_hull(f1)
+
     def test_support_margin(self, small_grid):
         f = gaussian(small_grid, width=0.5)
         assert f.support_margin > 0.2 * small_grid.length
         flat = GridFunction(small_grid, np.ones(small_grid.count))
         assert flat.support_margin == 0.0
+
+
+class TestNoFullSizeTemporaries:
+    """The 2D element-wise passes run in blocks: none may hold a temporary
+    of a quarter of the grid's (or the point set's) size."""
+
+    GRID = Grid2D(Grid1D(-8.0, 2.0**-6, 1024), Grid1D(-8.0, 2.0**-5, 512))
+    FRACTION = 0.25
+
+    def test_lp_norm_and_support(self):
+        f = random_function(self.GRID, seed=1)
+        full = f.values.nbytes
+        weight = np.ones(self.GRID.shape)
+        for call in (lambda: lp_norm(f, 1.5), lambda: weighted_lp_norm(f, weight, 2.0),
+                     f.significant_support):
+            peak, _ = traced_peak(call)
+            assert peak < self.FRACTION * full, (call, peak, full)
+
+    def test_interpolate(self):
+        f = random_function(self.GRID, seed=2)
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(g.x[0], g.x[-1], 2**19)
+                               for g in self.GRID.axes])
+        peak, out = traced_peak(lambda: f.interpolate(pts))
+        assert peak - out.nbytes < self.FRACTION * out.nbytes, (peak, out.nbytes)
