@@ -197,8 +197,8 @@ def default_wavelet_scales(f: GridFunction) -> tuple[int, int]:
     is used as is.  The extra 1D scales are not free: each samples up to
     P + 1 wavelet translates over the whole axis for its polyphase product,
     and on the default 32,768-point grid with Daubechies-4 the nine scales
-    -16..-8 take about 47 ms of a 104 ms `analyze` over [-16, 8] (median of
-    15 calls, one core of a 2-core x86 machine).
+    -16..-8 take about 12 ms of a 49 ms `analyze` over [-16, 8] (medians of
+    15 calls, one BLAS thread on a 2-core x86 machine).
     """
     axes = f.grid.axes
     j_min = math.floor(-math.log2(4.0 * max(g.length for g in axes)))

@@ -162,16 +162,20 @@ def random_sequence(b: float, interval: tuple[float, float], seed: int,
         raise ValueError(f"need interval length >= 4b, got length {L}, b={b}")
     rng = np.random.default_rng(seed)
     margin = 2.0 * b / L
-    gaps = []
+    g_lo, g_hi = (b / 2 * (1 + margin), b) if strict else (0.05 * b, b * (1 - margin))
+    # gaps are drawn until their running total reaches L, a chunk of about
+    # the expected count at a time: the chunk's draws are the scalar draws
+    # in turn, and cumsum adds them to the total one after another
+    n_chunk = int(L / (0.5 * (g_lo + g_hi))) + 1
+    gaps = np.empty(0)
     total = 0.0
     while total < L:
-        if strict:
-            g = rng.uniform(b / 2 * (1 + margin), b)
-        else:
-            g = rng.uniform(0.05 * b, b * (1 - margin))
-        gaps.append(g)
-        total += g
-    gaps = np.asarray(gaps) * (L / total)
+        chunk = rng.uniform(g_lo, g_hi, size=n_chunk)
+        sums = np.cumsum(np.concatenate([[total], chunk]))[1:]
+        k = min(int(np.searchsorted(sums, L)), n_chunk - 1)  # the first sum >= L
+        gaps = np.concatenate([gaps, chunk[: k + 1]])
+        total = sums[k]
+    gaps = gaps * (L / total)
     pts = lo + np.concatenate([[0.0], np.cumsum(gaps)])
     pts[-1] = hi
     if lattice is not None:

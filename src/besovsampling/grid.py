@@ -134,7 +134,8 @@ class GridFunction:
             raise ValueError(
                 f"value shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # NaN and +-inf show in the extremes, so the check needs no mask
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             bad = int(np.count_nonzero(~np.isfinite(values)))
             raise ValueError(f"grid function has {bad} non-finite values")
         self.grid = grid
@@ -387,6 +388,21 @@ def lowpass_profile(abs_freq, inner: float, outer: float) -> np.ndarray:
     return smooth_ramp01((outer - np.asarray(abs_freq, dtype=float)) / (outer - inner))
 
 
+@lru_cache(maxsize=32)
+def _axis_profile(count: int, spacing: float, inner: float, outer: float,
+                  half: bool = False) -> np.ndarray:
+    """`lowpass_profile` at one axis's `fftfreq` bins (`rfftfreq` with `half`).
+
+    Cached read-only: P is applied many times with few bands, and a 1D
+    profile on the default grid takes two `exp` and about ten temporaries
+    of 32768 bins.  The cache holds the bands of a sweep.
+    """
+    fz = (np.fft.rfftfreq if half else np.fft.fftfreq)(count, spacing)
+    profile = lowpass_profile(np.abs(fz), inner, outer)
+    profile.flags.writeable = False
+    return profile
+
+
 def check_below_nyquist(grid, freq: float, message: str) -> None:
     """Reject a band edge `freq` at or above the lowest Nyquist frequency of
     the grid's axes, with `message` formatted with `freq` and `nyq`."""
@@ -400,6 +416,8 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
 
     The multiplier is the product over the axes of
     `lowpass_profile(|z_a|, inner, outer)`: real and even in every z_a.
+    Each axis's profile comes from the read-only `_axis_profile` cache, so
+    it is built once per axis and band and then only read.
     `fourier` multiplies the spectrum by the origin phase
     exp(-2*pi*i * z.origin) and the spacing volume, and `inverse_fourier`
     by their inverses.  A real multiplier in between commutes with both, so
@@ -421,7 +439,7 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     full-grid multiplier and no complex full spectrum.
 
     On 1D grids it still goes through `fourier`, the product with the
-    profile and `inverse_fourier`.  The half-spectrum route agrees with that
+    cached profile and `inverse_fourier`.  The half-spectrum route agrees with that
     only to rounding, and a 1D figure downstream cannot take a change of
     rounding: the benchmark's sweep-1d reference pins the `residual_l2` of
     `analyze`, the square root of a difference of nearly equal energies, to
@@ -436,20 +454,21 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
         # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
         # this branch is then the whole 1D change.
         F = fourier(f)
-        mult = lowpass_profile(np.abs(F.freqs[0]), inner, outer)
+        (g,) = axes
+        mult = _axis_profile(g.count, g.spacing, inner, outer)
         return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
     for g in axes:
         _check_pow2(g.count, "grid")
     *others, last = range(len(axes))
     g = axes[last]
-    last_profile = lowpass_profile(np.abs(np.fft.rfftfreq(g.count, g.spacing)), inner, outer)
+    last_profile = _axis_profile(g.count, g.spacing, inner, outer, half=True)
     # the profile falls monotonically to 0 and stays there: the columns past
     # its last nonzero bin are 0 after the multiply, so they are not kept
     keep = int(np.flatnonzero(last_profile)[-1]) + 1
     spec = np.fft.fftn(np.fft.rfft(f.values, axis=last)[..., :keep], axes=others)
     for axis in others:
-        fz = np.fft.fftfreq(axes[axis].count, axes[axis].spacing)
-        spec *= _along(axis, spec.ndim, lowpass_profile(np.abs(fz), inner, outer))
+        profile = _axis_profile(axes[axis].count, axes[axis].spacing, inner, outer)
+        spec *= _along(axis, spec.ndim, profile)
     spec *= last_profile[:keep]
     np.fft.ifftn(spec, axes=others, out=spec)
     return GridFunction(f.grid, np.fft.irfft(spec, n=g.count, axis=last))

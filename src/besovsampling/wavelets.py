@@ -25,6 +25,8 @@ and adds each translate's diagonal terms; synthesis, the transposed
 operator, multiplies each block's translate window by K.  At strides below
 64, 2D analysis multiplies runs of T blocks at a time by the wider,
 block-Toeplitz form of K, with every profile's rows stacked into one table.
+Every kernel, table and edge block is sampled by `_kernel_samples`, which
+reads the tabulated profile once per table interval, not once per point.
 
 1D analysis keeps its earlier routes until the benchmark's 1D `residual_l2`
 reference can take a change of rounding (ROADMAP item 4(a)): an FFT
@@ -447,12 +449,59 @@ def _axis_setup(g: Grid1D, basis: WaveletBasis, j: int):
     return stride, base, M
 
 
+def _kernel_samples(g: Grid1D, basis: WaveletBasis, j: int, which: int,
+                    q_first, n: int) -> np.ndarray:
+    """W[i, r] = w(t) at table position t = (q_first[i] + r) * 2^e, r < n,
+    with e = j - res + depth: profile w at lattice offset q from its support
+    start.  This is `basis.eval(which, lo + 2^(j-res) * q)` bit for bit,
+    because that float route computes the same t exactly: lo + 2^(j-res) q
+    is exact while res - j stays far below 53.
+
+    For e <= 0 each run of 2^-e consecutive offsets shares one table
+    interval [c, c + 1], and the fractions fr repeat from run to run and
+    from row to row.  So a row is A (1 - fr) + B fr, with A = tab[c] and
+    B = tab[c + 1] read once per run as strided slices of the table: the
+    products and the sum of `eval`, in its order.  For e > 0 a run is one
+    offset with fr = 0 and c steps by 2^e.  Runs off the table are 0, and
+    t = last takes `eval`'s clamped tab[last - 1] * 0 + tab[last] * 1.
+    Each row is built in one run-shaped buffer and copied out.
+    """
+    tab = basis.table(which)
+    last = len(tab) - 1
+    e = j - g.resolution_exponent + basis.depth
+    run, step = 2 ** max(-e, 0), 2 ** max(e, 0)  # offsets per run, entries per run
+    fr = np.arange(run) / run
+    one_minus_fr = 1.0 - fr
+    end = tab[last - 1] * 0.0 + tab[last] * 1.0
+    q_end = last * run // step  # the offset at t = last
+    out = np.empty((len(q_first), n))
+    n_runs = -(-(run - 1 + n) // run)
+    buf, term = np.empty((n_runs, run)), np.empty((n_runs, run))
+    for row, q0 in zip(out, q_first):
+        off = q0 % run
+        nr = -(-(off + n) // run)
+        c0 = (q0 - off) // run * step  # table entry of the first run
+        # the runs i_lo..i_hi - 1 have 0 <= c < last
+        i_lo = min(max(0, -c0 // step), nr)
+        i_hi = min(max(i_lo, (last - c0 + step - 1) // step), nr)
+        runs = buf[:nr]
+        runs[:i_lo] = 0.0
+        runs[i_hi:] = 0.0
+        c_lo, c_hi = c0 + i_lo * step, c0 + i_hi * step
+        on, t = runs[i_lo:i_hi], term[: i_hi - i_lo]
+        np.multiply(tab[c_lo:c_hi:step, None], one_minus_fr, out=on)
+        np.multiply(tab[c_lo + 1 : c_hi + 1 : step, None], fr, out=t)
+        on += t
+        row[:] = runs.reshape(-1)[off : off + n]
+        if 0 <= q_end - q0 < n:
+            row[q_end - q0] = end
+    return out
+
+
 def _axis_kernel(g: Grid1D, basis: WaveletBasis, j: int, which: int) -> np.ndarray:
-    stride, _base, M = _axis_setup(g, basis, j)
-    lo, _hi = basis.support
-    s = 2.0 ** (j - g.resolution_exponent)
-    pts = lo + s * np.arange(M + 1)
-    return basis.eval(which, pts)
+    """w sampled at the M + 1 grid steps of its support."""
+    _stride, _base, M = _axis_setup(g, basis, j)
+    return _kernel_samples(g, basis, j, which, [0], M + 1)[0]
 
 
 def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
@@ -471,7 +520,6 @@ def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     stride, base, _M = _axis_setup(g, basis, j)
     n = g.count
     lo, hi = basis.support
-    s = 2.0 ** (j - g.resolution_exponent)
     u_first, u_last = base // stride, (base + n - 1) // stride
     for u in sorted({u_first, u_last}) if edges_only else range(u_first, u_last + 1):
         m_lo, m_hi = max(0, u * stride - base), min(n, (u + 1) * stride - base)
@@ -480,11 +528,10 @@ def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
         k_a, k_b = max(u - (hi - lo), k_lo), min(u, k_hi)
         if k_a > k_b:
             continue
-        pos = np.arange(m_lo, m_hi) + base
-        # one `eval` call per translate keeps its temporaries in cache; one
-        # call over the whole block took twice as long per point in 1D
-        W = np.stack([basis.eval(which, lo + s * (pos - k * stride))
-                      for k in range(k_a, k_b + 1)])
+        # translate k samples the block at offsets m + base - k*stride
+        W = _kernel_samples(g, basis, j, which,
+                            [m_lo + base - k * stride for k in range(k_a, k_b + 1)],
+                            m_hi - m_lo)
         yield slice(m_lo, m_hi), k_a, W
 
 
@@ -508,9 +555,7 @@ def _full_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     u_b = min((base + g.count) // stride, k_hi + P + 1)
     if u_b <= u_a:
         return None
-    lo, _hi = basis.support
-    K = basis.eval(which, lo + 2.0 ** (j - g.resolution_exponent)
-                   * np.arange((P + 1) * stride)).reshape(P + 1, stride)
+    K = _kernel_samples(g, basis, j, which, [0], (P + 1) * stride).reshape(P + 1, stride)
     return u_a * stride - base, u_a, u_b - u_a, K
 
 

@@ -32,7 +32,38 @@ from besovsampling.geometry import (
 WIN = (-8.0, 8.0 - 2.0**-7)
 
 
+def loop_sequence_points(b, interval, seed, strict=True):
+    """`random_sequence`'s points as its loop drew them before the gaps were
+    drawn in chunks: one scalar draw and one add per gap."""
+    lo, hi = float(interval[0]), float(interval[1])
+    L = hi - lo
+    rng = np.random.default_rng(seed)
+    margin = 2.0 * b / L
+    gaps = []
+    total = 0.0
+    while total < L:
+        if strict:
+            g = rng.uniform(b / 2 * (1 + margin), b)
+        else:
+            g = rng.uniform(0.05 * b, b * (1 - margin))
+        gaps.append(g)
+        total += g
+    gaps = np.asarray(gaps) * (L / total)
+    pts = lo + np.concatenate([[0.0], np.cumsum(gaps)])
+    pts[-1] = hi
+    return pts
+
+
 class TestSequences:
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_chunked_draws_equal_the_loop(self, strict):
+        interval = (-16.0, 16.0 - 2.0**-10)
+        for seed in range(40):
+            for b in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6, 0.3):
+                got = random_sequence(b, interval, seed, strict=strict).points
+                ref = loop_sequence_points(b, interval, seed, strict)
+                assert np.array_equal(got, ref), (seed, b)
+
     def test_strict_gaps(self):
         seq = random_sequence(2.0**-4, (-16, 16), seed=7, strict=True)
         g = seq.gaps

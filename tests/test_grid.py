@@ -16,6 +16,7 @@ from besovsampling.grid import (
     GridFunction,
     SpectrumFunction,
     _axis_phase,
+    _axis_profile,
     _origin_phase,
     fourier,
     inverse_fourier,
@@ -165,11 +166,16 @@ class TestLpNorm:
         assert weighted_lp_norm(f, weight, p) == pytest.approx(
             one_pass_lp_norm(f, p, weight), rel=rel, abs=0)
 
-    def test_rejects_nonfinite(self, small_grid):
-        vals = np.zeros(small_grid.count)
-        vals[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            GridFunction(small_grid, vals)
+    def test_rejects_nonfinite(self, small_grid, small_grid2d):
+        # a lone NaN, +inf or -inf anywhere in a 1D or 2D array
+        for bad in (np.nan, np.inf, -np.inf):
+            for g in (small_grid, small_grid2d):
+                size = math.prod(g.shape)
+                for i in (0, 3, size // 2, size - 1):
+                    vals = np.random.default_rng(i).standard_normal(size)
+                    vals[i] = bad
+                    with pytest.raises(ValueError, match="has 1 non-finite"):
+                        GridFunction(g, vals.reshape(g.shape))
 
 
 class TestWeightedNorm:
@@ -278,6 +284,38 @@ class TestOriginPhaseCache:
             g = Grid1D(-1.0 - i, 2.0**-4, 64)
             inverse_fourier(fourier(GridFunction(g, np.ones(64))))
         assert _axis_phase.cache_info().currsize <= maxsize
+
+
+class TestLowpassProfileCache:
+    """Each axis's low-pass profile is cached read-only per band."""
+
+    def test_cached_profiles_are_read_only(self, small_grid, small_grid2d):
+        smooth_lowpass(gaussian(small_grid), 2.0, 4.0)
+        smooth_lowpass(random_function(small_grid2d), 2.0, 4.0)
+        for g in (small_grid, *small_grid2d.axes):
+            for half in (False, True):
+                profile = _axis_profile(g.count, g.spacing, 2.0, 4.0, half)
+                assert not profile.flags.writeable
+                with pytest.raises(ValueError):
+                    profile[0] = 0.0
+
+    def test_more_bands_than_the_cache_holds(self, small_grid, odd_grid2d):
+        # every band twice, so the second round reads profiles built again
+        # after their eviction
+        maxsize = _axis_profile.cache_info().maxsize
+        bands = [(0.5 + 0.05 * i, 2.0 + 0.05 * i) for i in range(maxsize + 3)]
+        f1, f2 = random_function(small_grid, seed=7), random_function(odd_grid2d, seed=8)
+        for inner, outer in bands + bands:
+            assert np.array_equal(smooth_lowpass(f1, inner, outer).values,
+                                  full_spectrum_lowpass(f1, inner, outer))
+            assert np.array_equal(smooth_lowpass(f2, inner, outer).values,
+                                  rfftn_lowpass(f2, inner, outer))
+            for g in (small_grid, *odd_grid2d.axes):
+                for half, bins in ((False, np.fft.fftfreq), (True, np.fft.rfftfreq)):
+                    fresh = lowpass_profile(np.abs(bins(g.count, g.spacing)), inner, outer)
+                    assert np.array_equal(_axis_profile(g.count, g.spacing, inner, outer,
+                                                        half), fresh)
+        assert _axis_profile.cache_info().currsize <= maxsize
 
 
 def rfftn_lowpass(f, inner, outer):
@@ -576,6 +614,13 @@ class TestNoFullSizeTemporaries:
                      f.significant_support):
             peak, _ = traced_peak(call)
             assert peak < self.FRACTION * full, (call, peak, full)
+
+    def test_construction(self):
+        # a boolean mask of the grid would be an eighth of its values
+        values = random_function(self.GRID, seed=4).values
+        peak, f = traced_peak(lambda: GridFunction(self.GRID, values))
+        assert f.values is values
+        assert peak < values.nbytes / 16, (peak, values.nbytes)
 
     def test_interpolate(self):
         f = random_function(self.GRID, seed=2)

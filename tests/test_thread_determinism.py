@@ -23,16 +23,37 @@ for p in (1.0, 1.5, 2.0, 4.0):
     print(lp_norm(f, p).hex())
 """
 
+# three Daubechies-4 pipelines of the 1D sweep: their analysis reads the
+# coarse kernels through BLAS matrix-vector products
+SWEEP_1D = """
+import hashlib, sys
+from pathlib import Path
+from besovsampling.cli import RunConfig, execute_sweep, sweep_outputs
 
-def run_with_threads(code: str, threads: int) -> str:
+for name in ("sampling", "uncertainty", "reconstruct"):
+    cfg = RunConfig(command=name, b_list=[2.0**-3], seeds=[5],
+                    out_dir=str(Path(sys.argv[1]) / name))
+    csv_path, _, _ = sweep_outputs(cfg, execute_sweep(cfg))
+    print(name, hashlib.sha256(csv_path.read_bytes()).hexdigest())
+"""
+
+
+def run_with_threads(code: str, threads: int, *args: str) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
     return done.stdout
 
 
 def test_2d_field_and_lp_norms_do_not_depend_on_blas_threads():
     one, two = (run_with_threads(FIELD_AND_NORMS, n) for n in (1, 2))
     assert len(one.split()) == 5
+    assert one == two
+
+
+def test_1d_sweep_csvs_do_not_depend_on_blas_threads(tmp_path):
+    one, two = (run_with_threads(SWEEP_1D, n, str(tmp_path / f"threads-{n}"))
+                for n in (1, 2))
+    assert len(one.split()) == 6
     assert one == two

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -9,7 +10,14 @@ from scipy.optimize import least_squares
 from scipy.signal import fftconvolve
 
 from besovsampling import wavelets
-from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
+from besovsampling.grid import (
+    Grid1D,
+    Grid2D,
+    GridFunction,
+    default_grid_1d,
+    default_grid_2d,
+    lp_norm,
+)
 from besovsampling.wavelets import (
     WaveletCoefficients,
     _axis_correlate,
@@ -17,6 +25,7 @@ from besovsampling.wavelets import (
     _axis_place,
     _axis_setup,
     _full_blocks,
+    _kernel_samples,
     _polyphase_blocks,
     _trim_translates,
     analyze,
@@ -177,6 +186,124 @@ class TestKernelEvaluation:
         assert np.array_equal(db4.eval(1, y), masked_eval(db4, 1, y))
         assert db4.eval(0, 0.25).shape == ()
         assert db4.eval(0, 0.25) == masked_eval(db4, 0, 0.25)
+
+
+def eval_samples(g, basis, j, which, q_first, n):
+    """Kernel rows as they were built before the run sampler: one `eval`
+    call per row, at lo + 2^(j-res) q for the offsets q = q0..q0 + n - 1."""
+    lo, _hi = basis.support
+    s = 2.0 ** (j - g.resolution_exponent)
+    return np.stack([basis.eval(which, lo + s * (q0 + np.arange(n))) for q0 in q_first])
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, the sign of a zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# an axis of each default grid and `small_grid`, with the scales analysed on
+# it and some coarser ones, where the kernel spans many times the axis
+KERNEL_AXES = {
+    "default-1d": (default_grid_1d(), range(-16, 9)),
+    "default-2d": (default_grid_2d().gx, range(-8, 6)),
+    "small": (Grid1D(-8.0, 2.0**-6, 1024), range(-8, 5)),
+}
+
+
+class TestKernelSamples:
+    """`_kernel_samples` reads the tables per run of offsets; every kernel
+    of the analysis and synthesis machinery equals `eval` bit for bit."""
+
+    @pytest.mark.parametrize("axis_name", KERNEL_AXES)
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_machinery_kernels_equal_eval(self, request, axis_name, name):
+        basis = request.getfixturevalue(name)
+        g, scales = KERNEL_AXES[axis_name]
+        lo, hi = basis.support
+        seen = set()
+        for j in scales:
+            stride, base, M = _axis_setup(g, basis, j)
+            s = 2.0 ** (j - g.resolution_exponent)
+            for which in (0, 1):
+                # all blocks where 1D analysis takes them (M >= n), the axis
+                # ends everywhere
+                routes = [True] + ([False] if M >= g.count else [])
+                for edges_only in routes:
+                    for sl, k_a, W in _polyphase_blocks(g, basis, j, which, -10**9,
+                                                        10**9, edges_only=edges_only):
+                        q_first = [sl.start + base - k * stride
+                                   for k in range(k_a, k_a + len(W))]
+                        n = sl.stop - sl.start
+                        assert same_bits(W, eval_samples(g, basis, j, which, q_first, n))
+                        seen.add("edges" if edges_only else "all blocks")
+                        if any(np.any(lo + s * (q + np.arange(n)) == hi) for q in q_first):
+                            seen.add("t = last")
+                full = _full_blocks(g, basis, j, which, -10**9, 10**9)
+                if full is not None:
+                    K = full[3]
+                    ref = eval_samples(g, basis, j, which, [0], K.size).reshape(K.shape)
+                    assert same_bits(K, ref)
+                    seen.add("table")
+                if M < g.count:
+                    assert same_bits(_axis_kernel(g, basis, j, which),
+                                     eval_samples(g, basis, j, which, [0], M + 1)[0])
+                    seen.add("kernel")
+        assert seen == {"edges", "all blocks", "t = last", "table", "kernel"}
+
+    @staticmethod
+    def _random_tables(db4):
+        """db4's support and depth with random tables: a nonzero last entry,
+        so t = last reads it, and zeros of both signs between negatives."""
+        rng = np.random.default_rng(4)
+        phi, psi = (rng.standard_normal(len(db4.psi_table)) for _ in range(2))
+        for tab in (phi, psi):
+            # -0.0 then a negative: -0.0 * 1 + (-1) * 0 is -0.0 at fr = 0
+            tab[[1, 2, 256, 257, 4000]] = [-0.0, -1.0, -0.0, -3.0, 0.0]
+        return replace(db4, phi_table=phi, psi_table=psi)
+
+    @pytest.mark.parametrize("name", ["haar", "db4", "random"])
+    @pytest.mark.parametrize("j", [-16, -9, -3, -2, 0, 5])
+    def test_any_offsets_equal_eval(self, request, db4, grid, name, j):
+        # rows that start before the table, off a run, across t = last and
+        # past the table's end, on the default 1D grid
+        basis = self._random_tables(db4) if name == "random" else request.getfixturevalue(name)
+        e = j - grid.resolution_exponent + basis.depth
+        run = 2 ** max(-e, 0)
+        q_end = (len(basis.psi_table) - 1) * run // 2 ** max(e, 0)
+        rng = np.random.default_rng(j + 20)
+        q_first = [-3 * run - 1, -5, 0, q_end - 7, q_end, q_end + 1,
+                   *rng.integers(-2 * run, q_end + 2 * run, 6)]
+        for n in (1, 2, run + 3, 3 * run + 11):
+            for which in (0, 1):
+                got = _kernel_samples(grid, basis, j, which, q_first, n)
+                assert same_bits(got, eval_samples(grid, basis, j, which, q_first, n))
+
+    def test_analysis_and_synthesis_call_no_eval(self, db4, haar, small_grid,
+                                                 small_grid2d, monkeypatch):
+        def refuse(self, which, y):
+            raise AssertionError("eval called")
+
+        monkeypatch.setattr(wavelets.WaveletBasis, "eval", refuse)
+        for g in (small_grid, small_grid2d):
+            coords = np.meshgrid(*(a.x for a in g.axes), indexing="ij")
+            f = GridFunction(g, np.exp(-np.pi * sum((x - 0.3) ** 2 for x in coords)))
+            for basis in (haar, db4):
+                synthesize(analyze(f, basis, -8, 3), g)
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_default_grid_analysis_equals_the_eval_route(self, request, grid, name,
+                                                         monkeypatch):
+        basis = request.getfixturevalue(name)
+        f = make(ZooSpec("bandlimited-random", band=1.0, seed=3), grid, basis).f
+        c = analyze(f, basis, -16, 8)
+        back = synthesize(c, grid)
+        monkeypatch.setattr(wavelets, "_kernel_samples", eval_samples)
+        ref = analyze(f, basis, -16, 8)
+        assert c.residual_l2 == ref.residual_l2
+        for j in c.scales:
+            assert same_bits(c.scales[j][1], ref.scales[j][1])
+        assert same_bits(c.coarse[1], ref.coarse[1])
+        assert same_bits(back.values, synthesize(ref, grid).values)
 
 
 class TestAnalyze:
