@@ -40,6 +40,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.spatial import cKDTree
 from scipy.special import erf, i0e
 
+from .grid import _POINT_BLOCK, _blocks
+
 __all__ = [
     "SamplingSequence1D",
     "SamplingGeometry2D",
@@ -475,13 +477,20 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
 
 
 def cell_measures(obj) -> np.ndarray:
-    """nu_a(H_a) per anchor (1D: the cell lengths b_n)."""
+    """nu_a(H_a) per anchor (1D: the cell lengths b_n).
+
+    Segment lengths are sqrt(dx*dx + dy*dy), `_POINT_BLOCK` cells at a time,
+    so no temporary is as large as the cells.
+    """
     if isinstance(obj, SamplingSequence1D):
         return obj.cell_lengths
     g = obj
     if g.m == 1:
-        dx, dy = (g.cell_b - g.cell_a).T
-        return np.sqrt(dx * dx + dy * dy)
+        out = np.empty(len(g.cell_a))
+        for blk in _blocks(len(out), _POINT_BLOCK):
+            dx, dy = (g.cell_b[blk] - g.cell_a[blk]).T
+            np.sqrt(dx * dx + dy * dy, out=out[blk])
+        return out
     return np.full(g.n_anchors(), (2.0 * g.cell_radius) ** 2)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+from scipy import fft as sp_fft
 
 __all__ = [
     "Grid1D",
@@ -64,7 +65,8 @@ class Grid1D:
 
     @property
     def x(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.count)
+        """The grid points, read-only from the `_axis_points` cache."""
+        return _axis_points(self.origin, self.spacing, self.count)
 
     @property
     def length(self) -> float:
@@ -257,6 +259,18 @@ class SpectrumFunction:
         return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.freqs]))
 
 
+@lru_cache(maxsize=8)
+def _axis_points(origin: float, spacing: float, count: int) -> np.ndarray:
+    """origin + spacing * m for m < count, cached read-only.
+
+    Keyed by the axis values, not by the (mutable) Grid1D: a sweep reads the
+    points of the same axis hundreds of times, often for one end point.
+    """
+    x = origin + spacing * np.arange(count)
+    x.flags.writeable = False
+    return x
+
+
 def _along(axis: int, ndim: int, v: np.ndarray) -> np.ndarray:
     """The 1D array v as a view that broadcasts along `axis` of an ndim array."""
     return v.reshape([-1 if a == axis else 1 for a in range(ndim)])
@@ -324,12 +338,21 @@ def _check_pow2(n: int, what: str):
 
 
 @lru_cache(maxsize=8)
+def _axis_freqs(count: int, spacing: float) -> np.ndarray:
+    """`np.fft.fftfreq(count, spacing)`, cached read-only: every spectrum of
+    the axis carries it."""
+    fz = np.fft.fftfreq(count, spacing)
+    fz.flags.writeable = False
+    return fz
+
+
+@lru_cache(maxsize=8)
 def _axis_phase(origin: float, spacing: float, count: int, sign: int) -> np.ndarray:
     """exp(sign * 2*pi*i * z * origin) at the fft frequencies z of one axis.
 
     Cached read-only: a transform pair on the same axis reuses it.
     """
-    fz = np.fft.fftfreq(count, spacing)
+    fz = _axis_freqs(count, spacing)
     phase = np.exp(sign * 2j * np.pi * (fz * origin))
     phase.flags.writeable = False
     return phase
@@ -347,26 +370,37 @@ def _origin_phase(grid, sign: int) -> np.ndarray:
                                       for g in grid.axes])
 
 
+def _fftn(spec: np.ndarray, transform) -> np.ndarray:
+    """`np.fft.fftn` (`ifftn`) of the complex array `spec`, which it
+    overwrites: scipy's `fft` (`ifft`) along one axis at a time, last axis
+    first, as numpy walks them.  numpy casts real input to complex first, so
+    this is its result bit for bit, with no copy between the axes."""
+    for axis in reversed(range(spec.ndim)):
+        spec = transform(spec, axis=axis, overwrite_x=True)
+    return spec
+
+
 def fourier(f: GridFunction) -> SpectrumFunction:
     """Discrete approximation of the continuous transform (2*pi convention).
 
     Includes the spacing factor and the origin phase, so values approximate
-    F(z) = integral f exp(-2*pi*i*x*z) dx at the fft frequency bins.
+    F(z) = integral f exp(-2*pi*i*x*z) dx at the fft frequency bins, which
+    come read-only from the `_axis_freqs` cache.
     """
     axes = f.grid.axes
     for g in axes:
         _check_pow2(g.count, "grid")
-    freqs = tuple(np.fft.fftfreq(g.count, g.spacing) for g in axes)
+    freqs = tuple(_axis_freqs(g.count, g.spacing) for g in axes)
     volume = math.prod(g.spacing for g in axes)
-    vals = volume * _origin_phase(f.grid, -1) * np.fft.fftn(f.values)
-    return SpectrumFunction(f.grid, freqs, vals)
+    spec = _fftn(f.values.astype(complex), sp_fft.fft)
+    return SpectrumFunction(f.grid, freqs, volume * _origin_phase(f.grid, -1) * spec)
 
 
 def inverse_fourier(F: SpectrumFunction) -> GridFunction:
     """Invert `fourier`; the (tiny) imaginary part is dropped."""
     volume = math.prod(g.spacing for g in F.grid.axes)
     spec = _origin_phase(F.grid, 1) * F.values / volume
-    return GridFunction(F.grid, np.real(np.fft.ifftn(spec)))
+    return GridFunction(F.grid, np.real(_fftn(spec, sp_fft.ifft)))
 
 
 def smooth_ramp01(t) -> np.ndarray:

@@ -75,6 +75,8 @@ _MAX_ABS_SCALE = 60
 # 2D analysis multiplies runs of blocks at least this many samples long by
 # one table (`_axis_correlate`); CHANGES.md has the measured choice
 _RUN_SAMPLES = 64
+# kernel spectra one basis keeps for 1D analysis (`_kernel_spectrum`)
+_MAX_SPECTRA = 32
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -167,7 +169,9 @@ class WaveletBasis:
 
     Tables hold values at support_lo + i/2^depth over the common support
     [0, R] with R = len(filter) - 1.  `order` is the number of vanishing
-    moments of psi (1 for Haar).  Immutable after construction.
+    moments of psi (1 for Haar).  Immutable after construction, apart from
+    `_spectra`, the kernel spectra of 1D analysis (`_kernel_spectrum`):
+    they are held by the basis, so they are freed with it.
     """
 
     family: str
@@ -177,6 +181,7 @@ class WaveletBasis:
     support: tuple[int, int]
     phi_table: np.ndarray = field(repr=False)
     psi_table: np.ndarray = field(repr=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def R(self) -> float:
@@ -465,6 +470,12 @@ def _kernel_samples(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     offset with fr = 0 and c steps by 2^e.  Runs off the table are 0, and
     t = last takes `eval`'s clamped tab[last - 1] * 0 + tab[last] * 1.
     Each row is built in one run-shaped buffer and copied out.
+
+    The samples are not cached.  The kernels of 1D analysis at M >= n,
+    P + 1 translates over every block, take about 2 MiB a scale on the
+    default 1D grid and about 29 MiB a basis (j = -16..-3), far past the
+    benchmark's 15% bound on peak resident memory; only the FFT route's
+    spectra are kept (`_kernel_spectrum`).
     """
     tab = basis.table(which)
     last = len(tab) - 1
@@ -623,7 +634,10 @@ def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
     table: each output of the FFT route (M < n) equals scipy's
     `fftconvolve(values, kernel[::-1], mode="full")` at the stride lags bit
     for bit, with the forward spectrum of `values` taken once for every
-    kernel; for M >= n, one product per polyphase block."""
+    kernel and each kernel's spectrum built once per basis
+    (`_kernel_spectrum`); for M >= n, one product per polyphase block, with
+    its kernels sampled afresh: at about 2 MiB a scale on the default 1D
+    grid, about 29 MiB a basis, they are too large to keep."""
     stride, base, M = _axis_setup(g, basis, j)
     n = len(values)
     outs = []
@@ -639,14 +653,33 @@ def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
     idx = M - base + np.arange(k_min, k_max + 1) * stride
     for which in whiches:
-        kern = _axis_kernel(g, basis, j, which)[::-1]
         # a named operand, as in fftconvolve: numpy's complex product is not
         # bitwise commutative, and `spectrum * <temporary>` may be evaluated
         # in place in the temporary with the operands swapped
-        kern_spectrum = sp_fft.rfft(kern, L)
+        kern_spectrum = _kernel_spectrum(g, basis, j, which, L)
         conv = sp_fft.irfft(spectrum * kern_spectrum, L)
         outs.append(conv[idx])
     return outs
+
+
+def _kernel_spectrum(g: Grid1D, basis: WaveletBasis, j: int, which: int,
+                     L: int) -> np.ndarray:
+    """`sp_fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)`, read-only.
+
+    The kernel depends on the axis only through its resolution, so the
+    spectrum is kept on the basis under (L, resolution, j, which) and dies
+    with it; past `_MAX_SPECTRA` the oldest goes.  For Daubechies-4 on the
+    default 1D grid the FFT route runs at j = -2..8: 11 spectra, 3.2 MiB.
+    """
+    key = (L, g.resolution_exponent, j, which)
+    spectra = basis._spectra
+    if key not in spectra:
+        spectrum = sp_fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)
+        spectrum.flags.writeable = False
+        if len(spectra) >= _MAX_SPECTRA:
+            del spectra[next(iter(spectra))]
+        spectra[key] = spectrum
+    return spectra[key]
 
 
 def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: int,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, asdict
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -108,11 +108,24 @@ class ZooFunction:
 
 
 def window_envelope(grid: Grid1D, flat: float = 0.6, zero: float = 0.85) -> np.ndarray:
-    """Smooth mask: 1 on the central `flat` fraction, 0 beyond `zero`."""
+    """Smooth mask: 1 on the central `flat` fraction, 0 beyond `zero`.
+
+    Read-only, from a cache keyed by the axis values, not by the (mutable)
+    Grid1D: a sweep windows every function on the same axis.
+    """
+    return _window_envelope(grid.origin, grid.spacing, grid.count, flat, zero)
+
+
+@lru_cache(maxsize=8)
+def _window_envelope(origin: float, spacing: float, count: int, flat: float,
+                     zero: float) -> np.ndarray:
+    grid = Grid1D(origin, spacing, count)
     mid = grid.origin + grid.length / 2.0
     half = grid.length / 2.0
     t = np.abs(grid.x - mid) / half
-    return smooth_ramp01((zero - t) / (zero - flat))
+    env = smooth_ramp01((zero - t) / (zero - flat))
+    env.flags.writeable = False
+    return env
 
 
 def _gaussian_vals(x, center, width, amplitude):

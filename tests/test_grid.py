@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from besovsampling.geometry import SamplingGeometry2D, cell_measures
 from besovsampling.grid import (
     _POINT_BLOCK,
     _ROW_BLOCK,
@@ -15,9 +16,12 @@ from besovsampling.grid import (
     Grid2D,
     GridFunction,
     SpectrumFunction,
+    _axis_freqs,
     _axis_phase,
+    _axis_points,
     _axis_profile,
     _origin_phase,
+    default_grid_1d,
     fourier,
     inverse_fourier,
     load_csv,
@@ -244,6 +248,83 @@ class TestFourier:
         f = GridFunction(small_grid2d, rng.standard_normal(small_grid2d.shape))
         back = inverse_fourier(fourier(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-10
+
+
+def fftn_fourier(f):
+    """`fourier`'s values through `np.fft.fftn`, as they were before the
+    transform took one axis at a time through `scipy.fft`."""
+    volume = math.prod(g.spacing for g in f.grid.axes)
+    return volume * _origin_phase(f.grid, -1) * np.fft.fftn(f.values)
+
+
+def ifftn_inverse_fourier(F):
+    """`inverse_fourier`'s values through `np.fft.ifftn`, as they were."""
+    volume = math.prod(g.spacing for g in F.grid.axes)
+    return np.real(np.fft.ifftn(_origin_phase(F.grid, 1) * F.values / volume))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, the sign of a zero included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFourierBitForBit:
+    """`fourier` and `inverse_fourier` equal the `fftn`/`ifftn` routes in
+    every bit and leave their input alone."""
+
+    @pytest.mark.parametrize("name", ["default-1d", "uneven-2d"])
+    def test_equal_to_the_fftn_routes(self, name):
+        grid = default_grid_1d() if name == "default-1d" else UNEVEN_GRIDS["uneven"]
+        f = random_function(grid, seed=21)
+        values = f.values.copy()
+        F = fourier(f)
+        assert same_bits(F.values, fftn_fourier(f))
+        assert same_bits(f.values, values)
+        spec = F.values.copy()
+        assert same_bits(inverse_fourier(F).values, ifftn_inverse_fourier(F))
+        assert same_bits(F.values, spec)
+        # a spectrum that is not Hermitian: the dropped imaginary part is not 0
+        rng = np.random.default_rng(22)
+        G = SpectrumFunction(grid, F.freqs, rng.standard_normal(grid.shape)
+                             + 1j * rng.standard_normal(grid.shape))
+        assert same_bits(inverse_fourier(G).values, ifftn_inverse_fourier(G))
+
+
+class TestAxisCaches:
+    """Grid points and fft bins come read-only from caches keyed by the axis
+    values, and equal freshly computed arrays."""
+
+    def test_read_only_and_equal_to_fresh_arrays(self, small_grid2d):
+        grids = (default_grid_1d(), Grid1D(-3.3, 0.125, 64), *small_grid2d.axes)
+        for g in grids:
+            fourier(GridFunction(g, np.ones(g.count)))
+            for cached, fresh in ((g.x, g.origin + g.spacing * np.arange(g.count)),
+                                  (_axis_freqs(g.count, g.spacing),
+                                   np.fft.fftfreq(g.count, g.spacing))):
+                assert same_bits(cached, fresh)
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 1.0
+        F = fourier(random_function(small_grid2d))
+        assert all(fz is _axis_freqs(g.count, g.spacing)
+                   for fz, g in zip(F.freqs, small_grid2d.axes))
+
+    def test_points_follow_a_changed_axis(self):
+        g = Grid1D(-1.0, 0.25, 8)
+        before = g.x
+        g.origin, g.count = 2.0, 16
+        assert same_bits(g.x, 2.0 + 0.25 * np.arange(16))
+        assert same_bits(before, -1.0 + 0.25 * np.arange(8))
+
+    def test_caches_stay_bounded(self):
+        for cache in (_axis_points, _axis_freqs):
+            maxsize = cache.cache_info().maxsize
+            for i in range(maxsize + 3):
+                g = Grid1D(-1.0 - i, 2.0**-4 / (i + 1), 64)
+                assert g.x[-1] == g.origin + g.spacing * 63
+                fourier(GridFunction(g, np.ones(64)))
+            assert cache.cache_info().currsize <= maxsize
 
 
 class TestOriginPhaseCache:
@@ -621,6 +702,19 @@ class TestNoFullSizeTemporaries:
         peak, f = traced_peak(lambda: GridFunction(self.GRID, values))
         assert f.values is values
         assert peak < values.nbytes / 16, (peak, values.nbytes)
+
+    def test_segment_cell_measures(self):
+        rng = np.random.default_rng(5)
+        n = 2**19
+        cell_a, cell_b = rng.uniform(-8.0, 8.0, (2, n, 2))
+        g = SamplingGeometry2D("spiral", 1, 2.0**-4, 12.0, 4.0, (-8.0, 8.0), cell_a,
+                               np.ones(n), 3.0, np.zeros(n, dtype=bool),
+                               cell_a=cell_a, cell_b=cell_b)
+        peak, out = traced_peak(lambda: cell_measures(g))
+        assert peak - out.nbytes < self.FRACTION * out.nbytes, (peak, out.nbytes)
+        # the one-pass formula it replaces, per element the same arithmetic
+        dx, dy = (cell_b - cell_a).T
+        assert same_bits(out, np.sqrt(dx * dx + dy * dy))
 
     def test_interpolate(self):
         f = random_function(self.GRID, seed=2)

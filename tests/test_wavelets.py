@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from math import prod
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy.optimize import least_squares
 from scipy.signal import fftconvolve
 
@@ -298,12 +301,74 @@ class TestKernelSamples:
         c = analyze(f, basis, -16, 8)
         back = synthesize(c, grid)
         monkeypatch.setattr(wavelets, "_kernel_samples", eval_samples)
-        ref = analyze(f, basis, -16, 8)
+        # a copy of the basis holds no kernel spectra, so the FFT route's
+        # kernels are sampled again
+        ref = analyze(f, replace(basis), -16, 8)
         assert c.residual_l2 == ref.residual_l2
         for j in c.scales:
             assert same_bits(c.scales[j][1], ref.scales[j][1])
         assert same_bits(c.coarse[1], ref.coarse[1])
         assert same_bits(back.values, synthesize(ref, grid).values)
+
+
+def coefficient_pairs(a, b):
+    """(k0, values) pairs of two analyses over the same scales, coarse first."""
+    assert list(a.scales) == list(b.scales)
+    return [(a.coarse, b.coarse)] + [(a.scales[j], b.scales[j]) for j in a.scales]
+
+
+class TestKernelSpectra:
+    """The FFT route's kernel spectra are built once per basis, read-only,
+    bounded in number and freed with their basis."""
+
+    @pytest.mark.parametrize("family, order", [("haar", None), ("daubechies", 4)])
+    def test_cold_warm_and_fresh_bases_agree(self, grid, family, order):
+        f = make(ZooSpec("bandlimited-random", band=2.0, seed=6), grid).f
+        basis = build_basis(family, order)
+        cold = analyze(f, basis, -16, 8)
+        spectra = dict(basis._spectra)
+        # the FFT route's scales (M < n), one psi spectrum each
+        assert sorted(j for _L, _res, j, _w in spectra) == [
+            j for j in range(-16, 9) if _axis_setup(grid, basis, j)[2] < grid.count]
+        for (L, _res, j, which), spectrum in spectra.items():
+            assert not spectrum.flags.writeable
+            assert same_bits(spectrum,
+                             sp_fft.rfft(_axis_kernel(grid, basis, j, which)[::-1], L))
+        warm = analyze(f, basis, -16, 8)
+        assert all(basis._spectra[key] is s for key, s in spectra.items())
+        fresh = analyze(f, build_basis(family, order), -16, 8)
+        for other in (warm, fresh):
+            assert other.residual_l2 == cold.residual_l2
+            for (k0, v), (k0_ref, ref) in coefficient_pairs(other, cold):
+                assert k0 == k0_ref and same_bits(v, ref)
+
+    def test_spectra_die_with_their_basis(self, small_grid):
+        f = GridFunction(small_grid, np.exp(-np.pi * small_grid.x**2))
+        refs = []
+        for _ in range(20):
+            basis = build_basis("haar")
+            analyze(f, basis, -3, 3)
+            refs += [weakref.ref(s) for s in basis._spectra.values()]
+        del basis
+        gc.collect()
+        # psi at j = -3..3 and phi at -3 for the coarse block
+        assert len(refs) == 20 * 8
+        assert all(r() is None for r in refs)
+
+    def test_more_spectra_than_a_basis_keeps(self, haar):
+        basis = replace(haar)
+        # 8 spectra an axis (psi at j = -3..3, phi at -3), 40 in all
+        axes = [Grid1D(-8.0, 2.0**-e, 2 ** (e + 4)) for e in (6, 7, 8, 9, 10)]
+        fs = [GridFunction(g, np.exp(-np.pi * g.x**2)) for g in axes]
+        # every axis twice, so the second round reads spectra built again
+        # after their eviction
+        for f in fs + fs:
+            c = analyze(f, basis, -3, 3)
+            assert len(basis._spectra) <= wavelets._MAX_SPECTRA
+            ref = analyze(f, replace(haar), -3, 3)
+            for (k0, v), (k0_ref, r) in coefficient_pairs(c, ref):
+                assert k0 == k0_ref and same_bits(v, r)
+        assert len(basis._spectra) == wavelets._MAX_SPECTRA
 
 
 class TestAnalyze:

@@ -6,10 +6,12 @@ import pytest
 
 from besovsampling.besov import BesovParams, besov_norm_wavelet
 from besovsampling.geometry import random_sequence
-from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
+from besovsampling.grid import (Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass,
+                                smooth_ramp01)
 from besovsampling.zoo import (
     ZooSpec,
     _gaussian_vals,
+    _window_envelope,
     bandlimited_field_2d,
     calibration_zoo,
     dilate,
@@ -173,6 +175,36 @@ class TestGenerators:
         for g, seed in ((small_grid2d, 5), (uneven, 9)):
             assert np.array_equal(bandlimited_field_2d(g, 1.0, seed, amplitude).values,
                                   reference_field_2d(g, 1.0, seed, amplitude))
+
+
+def fresh_envelope(grid, flat, zero):
+    """`window_envelope` as it was before it was cached."""
+    mid = grid.origin + grid.length / 2.0
+    half = grid.length / 2.0
+    t = np.abs(grid.origin + grid.spacing * np.arange(grid.count) - mid) / half
+    return smooth_ramp01((zero - t) / (zero - flat))
+
+
+class TestWindowEnvelope:
+    def test_cached_read_only_and_equal_to_a_fresh_build(self, grid, small_grid2d):
+        for g in (grid, *small_grid2d.axes, Grid1D(-3.3, 0.125, 64)):
+            for flat, zero in ((0.6, 0.85), (0.7, 0.9)):
+                env = window_envelope(g, flat, zero)
+                assert not env.flags.writeable
+                with pytest.raises(ValueError):
+                    env[0] = 1.0
+                fresh = fresh_envelope(g, flat, zero)
+                assert np.array_equal(env.view(np.uint64), fresh.view(np.uint64))
+                # keyed by the axis values, not by the Grid1D object
+                same_axis = Grid1D(g.origin, g.spacing, g.count)
+                assert window_envelope(same_axis, flat, zero) is env
+
+    def test_cache_stays_bounded(self):
+        maxsize = _window_envelope.cache_info().maxsize
+        for i in range(maxsize + 3):
+            g = Grid1D(-1.0 - i, 2.0**-4, 64)
+            assert np.array_equal(window_envelope(g), fresh_envelope(g, 0.6, 0.85))
+        assert _window_envelope.cache_info().currsize <= maxsize
 
 
 class TestTransforms:
