@@ -366,6 +366,9 @@ def execute_sweep(cfg: RunConfig):
         raise ValueError(f"p must lie in [1, inf), got {bad_p[0]}")
     if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
         raise ValueError(f"jobs must be a positive integer, got {cfg.jobs!r}")
+    bad_seeds = [s for s in cfg.seeds if not (isinstance(s, int) and s >= 0)]
+    if bad_seeds:
+        raise ValueError(f"seed must be a non-negative integer, got {bad_seeds[0]!r}")
     packed = [(cfg.command, t) for t in cfg.tuples()]
     # a forked pool starts all its workers up front, so start no idle ones
     workers = min(cfg.jobs, len(packed))
@@ -531,7 +534,7 @@ def geometry():
 @click.option("--geometry", "geom_path", type=click.Path(exists=True), required=True)
 @click.option("--probes", type=click.IntRange(min=MIN_PROBES), default=1000,
               show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def geometry_check_cmd(geom_path, probes, seed, out):
     """Empirical covering/measure condition report for a geometry spec."""

@@ -25,8 +25,9 @@ condition checks stay away from a b-collar of the boundary.
 Condition checks are Monte-Carlo over a recorded probe family (isotropic
 Gaussian bumps of width >= b); for circles and the spiral the comparison
 integral carries the weight max(1, r) dr dsigma instead of Lebesgue measure.
-Each geometry keeps a k-d tree over its anchors, built on first use, so a
-probe or ball visits only the anchors and cells near it.
+Each geometry keeps a k-d tree over its anchors, built on first use: probes
+and balls visit only the anchors and cells near them, and balls are counted
+before they are gathered.
 """
 
 from __future__ import annotations
@@ -255,14 +256,15 @@ class SamplingGeometry2D:
     def cell_reach(self) -> float:
         """Largest distance from an anchor to a point of its cell, so a cell
         meets B(x, r) only if its anchor lies in B(x, r + cell_reach)."""
-        if self.m == 1:
-            # the point of a segment farthest from the anchor is an endpoint
-            return math.sqrt(max(float(np.max(np.einsum("ij,ij->i", d, d)))
-                                 for d in (self.cell_a - self.anchors,
-                                           self.cell_b - self.anchors)))
-        off = self.cell_centers - self.anchors
-        return (math.sqrt(float(np.max(np.einsum("ij,ij->i", off, off))))
-                + math.sqrt(2.0) * self.cell_radius)
+        # a segment's farthest point is an endpoint; a square adds half its diagonal
+        ends, pad = (((self.cell_a, self.cell_b), 0.0) if self.m == 1 else
+                     ((self.cell_centers,), math.sqrt(2.0) * self.cell_radius))
+        far = 0.0  # `_POINT_BLOCK` anchors at a time, as in `cell_measures`
+        for blk in _blocks(len(self.anchors), _POINT_BLOCK):
+            for end in ends:
+                dx, dy = (end[blk] - self.anchors[blk]).T
+                far = max(far, float(np.max(dx * dx + dy * dy)))
+        return math.sqrt(far) + pad
 
 
 # Carrier quadrature step: the node spacing along the lines and circles.
@@ -545,21 +547,18 @@ def _gauss_plane_integral(w: float) -> float:
     return w * w
 
 
-def _gauss_segment_integral(a, bpt, c, w):
-    """Exact integral of the Gaussian probe along segments a->bpt (vectorized)."""
-    a = np.atleast_2d(a)
-    bpt = np.atleast_2d(bpt)
-    d = bpt - a
-    L = np.linalg.norm(d, axis=1)
-    L = np.where(L == 0, 1e-300, L)
-    u = d / L[:, None]
-    rel = c[None, :] - a
-    t0 = np.einsum("ij,ij->i", rel, u)          # foot of perpendicular
-    h2 = np.einsum("ij,ij->i", rel, rel) - t0**2
+def _gauss_segment_integral(a, bpt, near, c, w):
+    """Exact integral of the Gaussian probe along the segments a[near] ->
+    bpt[near], on the coordinate columns of their rows gathered with `take`."""
+    (ax, ay), (bx, by) = (np.take(p, near, axis=0).T for p in (a, bpt))
+    dx, dy, rx, ry = bx - ax, by - ay, c[0] - ax, c[1] - ay
+    L = np.sqrt(dx * dx + dy * dy)
+    t0 = rx * dx + ry * dy  # over L: the foot of the perpendicular
+    np.divide(t0, L, out=t0, where=L > 0)
+    h2 = rx * rx + ry * ry - t0 * t0
     pref = np.exp(-np.pi * np.maximum(h2, 0.0) / w**2)
     srt = math.sqrt(math.pi) / w
-    val = pref * (w / 2.0) * (erf(srt * (L - t0)) - erf(srt * (-t0)))
-    return val
+    return pref * (w / 2.0) * (erf(srt * (L - t0)) - erf(srt * (-t0)))
 
 
 def _gauss_square_integral(centers, radius, c, w):
@@ -579,12 +578,15 @@ def _radial_profile_integral(tgrid, weight, c, w):
     The angular integral of exp(-pi |x-c|^2 / w^2) over directions at radius
     t reduces exactly to the Bessel form
     2*pi * exp(-pi (t - rc)^2 / w^2) * i0e(2*pi*t*rc / w^2) with rc = |c|;
-    the outer integral against dt carries the given radial weight.
+    the outer integral against dt carries the given radial weight.  Only the
+    nodes with |t - rc| <= PROBE_CUTOFF w are summed, as for the cells.
     """
     rc = float(np.linalg.norm(c))
-    arg = 2.0 * np.pi * tgrid * rc / w**2
-    vals = 2.0 * np.pi * np.exp(-np.pi * (tgrid - rc) ** 2 / w**2) * i0e(arg)
-    return float(np.trapezoid(weight * vals, tgrid))
+    keep = np.abs(tgrid - rc) <= PROBE_CUTOFF * w
+    t, weight = tgrid[keep], weight[keep]
+    arg = 2.0 * np.pi * t * rc / w**2
+    vals = 2.0 * np.pi * np.exp(-np.pi * (t - rc) ** 2 / w**2) * i0e(arg)
+    return float(np.trapezoid(weight * vals, t))
 
 
 # Probe integrals skip the cells farther than PROBE_CUTOFF widths from the
@@ -610,11 +612,11 @@ def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
     c = np.asarray(center, dtype=float)
     near = _ball_indices(g.anchor_index, c, PROBE_CUTOFF * width + g.cell_reach)
     if g.m == 1:
-        vals = _gauss_segment_integral(g.cell_a[near], g.cell_b[near], c, width)
+        vals = _gauss_segment_integral(g.cell_a, g.cell_b, near, c, width)
     else:
         vals = _gauss_square_integral(g.cell_centers[near], g.cell_radius, c,
                                       width)
-    return float(np.sum(g.anchor_weights[near] * vals))
+    return float(np.sum(np.take(g.anchor_weights, near) * vals))
 
 
 def equiv_ratio_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
@@ -627,18 +629,23 @@ def carrier_measure(g: SamplingGeometry2D, x, R: float) -> float:
     anchors in the closed ball (their count for m=2)."""
     x = np.asarray(x, dtype=float)
     # the tree compares squared distances, which may round the other way at
-    # |a - x| = R; a slightly larger query, then the norm test, decide
+    # |a - x| = R; the norm test runs only if the balls at R(1 -+ 1e-9) differ
+    inner, outer = (g.anchor_index.query_ball_point(x, R * f, return_length=True)
+                    for f in (1 - 1e-9, 1 + 1e-9))
+    if inner == outer and g.m == 2:
+        return float(outer)
     near = _ball_indices(g.anchor_index, x, R * (1 + 1e-9))
-    near = near[np.linalg.norm(g.anchors[near] - x[None, :], axis=1) <= R]
-    if g.m == 1:
-        return float(np.sum(g.anchor_weights[near]))
-    return float(len(near))
+    if inner != outer:
+        near = near[np.linalg.norm(g.anchors[near] - x[None, :], axis=1) <= R]
+    return float(np.sum(g.anchor_weights[near])) if g.m == 1 else float(len(near))
 
 
 def cover_multiplicity(g: SamplingGeometry2D, pts) -> np.ndarray:
     """How many closed radius-b cubes around the anchors contain each point."""
-    return g.anchor_index.query_ball_point(np.asarray(pts, dtype=float), g.b,
-                                           p=np.inf, return_length=True)
+    pts = np.asarray(pts, dtype=float)
+    pairs = cKDTree(pts).sparse_distance_matrix(g.anchor_index, g.b, p=np.inf,
+                                                output_type="ndarray")
+    return np.bincount(pairs["i"], minlength=len(pts))
 
 
 MIN_PROBES = 10
@@ -656,11 +663,13 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
         covering multiplicity of the radius-b cubes.
 
     The geometry's anchor tree keeps each check local: a probe of width w
-    integrates only the cells that come within 7w of its centre (beyond 7w
-    the probe is below exp(-49 pi)), a ball of (c) visits only the anchors
-    the tree returns for it, and the multiplicity is one l-inf ball count per
-    point.  The cost is set by the cells and anchors near the probes, not by
-    all of them, plus one tree build per geometry.
+    integrates, on gathered coordinate columns, only the cells within 7w of
+    its centre (beyond, the probe is below exp(-49 pi)), and its radial
+    comparison only the radii within 7w of |c|.  A ball of (c) is counted at
+    R(1 -+ 1e-9) first and gathered only for its weights (m=1) or when an
+    anchor lies that close to the sphere.  The multiplicity is one l-inf pair
+    query of the points against the anchors.  The cost is set by the cells
+    and anchors near the probes, not by all of them, plus one tree build.
     """
     if n_probes < MIN_PROBES:
         raise ValueError(f"probe budget too small; need at least {MIN_PROBES}")
@@ -679,13 +688,15 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     # and the extremal ratios stabilize long before that.
     n_equiv = min(400, max(10, n_probes // 5))
     lo_ratios, hi_ratios = [], []
+    if radial:
+        tgrid = np.linspace(0.0, rmax + 2 * b, 4096)
+        tweight = np.maximum(1.0, tgrid)
     for _ in range(n_equiv):
         c, w = _probe_params(rng, g.window, b, radial_max=rmax if radial else None)
         lhs = equiv_lhs_for_probe(g, c, w)
         lebesgue = _gauss_plane_integral(w)
         if radial:
-            tgrid = np.linspace(0.0, rmax + 2 * b, 4096)
-            upper_ref = _radial_profile_integral(tgrid, np.maximum(1.0, tgrid), c, w)
+            upper_ref = _radial_profile_integral(tgrid, tweight, c, w)
         else:
             upper_ref = lebesgue
         lo_ratios.append(lhs / lebesgue)

@@ -472,6 +472,12 @@ class TestUsageErrors:
         self._usage_error(["geometry", "check", "--geometry", str(spec),
                            "--probes", "5"], "--probes", "x>=10")
 
+    def test_geometry_check_negative_seed(self, tmp_path):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "curve-family", "b": 0.25}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec),
+                           "--seed", "-3"], "--seed", "x>=0")
+
     def test_geometry_check_bad_spec(self, tmp_path):
         spec = tmp_path / "geom.json"
         spec.write_text(json.dumps({"variant": "moebius", "b": 0.25}))
@@ -682,6 +688,21 @@ class TestUsageErrors:
         self._usage_error(args + ["--out-dir", str(tmp_path)],
                           f"p must lie in [1, inf), got {bad}")
         assert not list(tmp_path.iterdir())
+
+    def test_negative_seed(self, tmp_path, monkeypatch):
+        def no_pipeline(t):
+            raise AssertionError("a tuple ran before the seed check")
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "intb", "seeds": [3, -1],
+                                   "out_dir": str(tmp_path / "out")}))
+        for args, bad in [(["verify", "sampling", "--seed", "-1"], "-1"),
+                          (["sweep", "pl", "--seed", "0,-2"], "-2"),
+                          (["sweep", "intb", "--config", str(cfg)], "-1")]:
+            monkeypatch.setitem(cli.PIPELINES, args[1], no_pipeline)
+            self._usage_error(args + ["--out-dir", str(tmp_path / "out")],
+                              f"seed must be a non-negative integer, got {bad}")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestReconstructGeometry:

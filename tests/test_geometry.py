@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.special import erf
 
 from besovsampling.geometry import (
     DECLARED_CONSTANTS,
@@ -13,7 +16,6 @@ from besovsampling.geometry import (
     SamplingGeometry2D,
     SamplingSequence1D,
     _ball_indices,
-    _gauss_segment_integral,
     _gauss_square_integral,
     _random_radii,
     build_geometry,
@@ -299,11 +301,26 @@ def geometry_of():
     return get
 
 
+def _segment_integral_reference(a, bpt, c, w):
+    """The exact probe integral along segments a -> bpt on (N, 2) rows, as
+    `_gauss_segment_integral` computed it before it worked on columns."""
+    d = bpt - a
+    L = np.linalg.norm(d, axis=1)
+    L = np.where(L == 0, 1e-300, L)
+    u = d / L[:, None]
+    rel = c[None, :] - a
+    t0 = np.einsum("ij,ij->i", rel, u)
+    h2 = np.einsum("ij,ij->i", rel, rel) - t0**2
+    pref = np.exp(-np.pi * np.maximum(h2, 0.0) / w**2)
+    srt = math.sqrt(math.pi) / w
+    return pref * (w / 2.0) * (erf(srt * (L - t0)) - erf(srt * (-t0)))
+
+
 def _full_scan_lhs(g, c, w):
     """The probe integral over every cell, without the index."""
     c = np.asarray(c, dtype=float)
     if g.m == 1:
-        vals = _gauss_segment_integral(g.cell_a, g.cell_b, c, w)
+        vals = _segment_integral_reference(g.cell_a, g.cell_b, c, w)
     else:
         vals = _gauss_square_integral(g.cell_centers, g.cell_radius, c, w)
     return float(np.sum(g.anchor_weights * vals))
@@ -546,6 +563,29 @@ class TestSpatialIndex:
         R = math.exp(log_r)
         assert carrier_measure(g, x, R) == _full_scan_carrier_measure(g, x, R)
 
+    def test_carrier_measure_with_anchors_on_the_sphere(self, geometry_of):
+        # anchors at distance R from x: straight curves put them on a dyadic
+        # lattice, b (and one ulp below b) from an anchor, and the nodes of a
+        # circle lie at its radius from the origin, up to their rounding
+        lattice = build_geometry("curve-family", {"b": 2.0**-3, "seed": 0,
+                                                  "straight": True, "window": WIN})
+        e = lattice.anchors[len(lattice.anchors) // 2]
+        circles = geometry_of("concentric-circles")
+        r = circles.params["radii"][20]
+        balls = [(lattice, e, lattice.b), (lattice, e, np.nextafter(lattice.b, 0.0)),
+                 (circles, np.zeros(2), r)]
+        outer_differs = []
+        for g, x, R in balls:
+            counts = [g.anchor_index.query_ball_point(x, R * f, return_length=True)
+                      for f in (1 - 1e-9, 1 + 1e-9)]
+            assert counts[0] < counts[1]  # the norm test decides
+            want = _full_scan_carrier_measure(g, x, R)
+            assert carrier_measure(g, x, R) == want
+            outer = _full_scan_carrier_measure(g, x, R * (1 + 1e-9))
+            outer_differs.append(outer != want)
+        # the larger ball alone would miscount
+        assert outer_differs == [False, True, True]
+
     def test_multiplicity_matches_full_scan(self, geometry_of):
         g = geometry_of("curve-family")
         pts = np.random.default_rng(3).uniform(WIN[0], WIN[1], size=(500, 2))
@@ -600,6 +640,56 @@ class TestSpatialIndex:
         assert equiv_ratio_for_probe(g, far, g.b) == 0.0
         assert carrier_measure(g, far, 1.0) == 0.0
         assert cover_multiplicity(g, far[None, :]).tolist() == [0]
+
+    def test_multiplicity_of_no_points(self, geometry_of):
+        mult = cover_multiplicity(geometry_of("curve-family"), np.empty((0, 2)))
+        assert mult.shape == (0,) and mult.dtype.kind == "i"
+
+
+def _bench_rule():
+    """bench/check.py's comparison: floats to rtol 1e-9 and atol 1e-12,
+    everything else exactly."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# check_conditions(g, n_probes=200, seed=1).to_dict() at b=2^-3, seed 1, on
+# the default 2D window, recorded before the probe integrals, ball measures
+# and multiplicities were computed as they are now
+CERTIFIED = {
+    "curve-family": {
+        "variant": "curve-family", "n_probes": 200, "seed": 1,
+        "declared_C0": 8.0, "declared_D": 9.0,
+        "equiv_lower": 0.23573511825890042, "equiv_upper": 0.2545776968454962,
+        "equiv_C0": 4.242049328016251,
+        "mes2_lower": 0.25, "mes2_upper": 3.1433102728800173, "mes2_C0": 4.0,
+        "mes_C0": 4.0, "multiplicity_max": 6, "diam_range": [0.0625, 0.0625],
+        "passes": {"equiv": True, "mes2": True, "mes": True, "diam": True,
+                   "cover_multiplicity": True},
+        "failures": []},
+    "concentric-circles": {
+        "variant": "concentric-circles", "n_probes": 200, "seed": 1,
+        "declared_C0": 10.0, "declared_D": 4.0,
+        "equiv_lower": 0.9995966655733529, "equiv_upper": 1.000612146442785,
+        "equiv_C0": 1.000612146442785,
+        "mes2_lower": 0.5685144784476146, "mes2_upper": 2.0000000000000018,
+        "mes2_C0": 2.0000000000000018, "mes_C0": 4.597190950328965,
+        "multiplicity_max": None,
+        "diam_range": [0.07106430980595048, 0.1409776924945674],
+        "passes": {"equiv": True, "mes2": True, "mes": True, "diam": True},
+        "failures": []},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CERTIFIED))
+def test_certificate_matches_the_recorded_report(geometry_of, variant):
+    check = _bench_rule()
+    got = check.normalise(check_conditions(geometry_of(variant), n_probes=200,
+                                           seed=1).to_dict())
+    assert check.mismatches(got, CERTIFIED[variant]) == []
 
 
 class TestGeometryJson:

@@ -716,6 +716,20 @@ class TestNoFullSizeTemporaries:
         dx, dy = (cell_b - cell_a).T
         assert same_bits(out, np.sqrt(dx * dx + dy * dy))
 
+    def test_cell_reach(self):
+        rng = np.random.default_rng(6)
+        n = 2**19
+        anchors, cell_a, cell_b = rng.uniform(-8.0, 8.0, (3, n, 2))
+        g = SamplingGeometry2D("spiral", 1, 2.0**-4, 12.0, 4.0, (-8.0, 8.0), anchors,
+                               np.ones(n), 3.0, np.zeros(n, dtype=bool),
+                               cell_a=cell_a, cell_b=cell_b)
+        # below a quarter of one float per anchor
+        peak, reach = traced_peak(lambda: g.cell_reach)
+        assert peak < self.FRACTION * anchors.nbytes / 2, (peak, anchors.nbytes)
+        # the one-pass form it replaces
+        assert reach == math.sqrt(max(float(np.max(np.einsum("ij,ij->i", d, d)))
+                                      for d in (cell_a - anchors, cell_b - anchors)))
+
     def test_interpolate(self):
         f = random_function(self.GRID, seed=2)
         rng = np.random.default_rng(3)
