@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 from functools import lru_cache
@@ -373,6 +372,7 @@ def execute_sweep(cfg: RunConfig):
     # a forked pool starts all its workers up front, so start no idle ones
     workers = min(cfg.jobs, len(packed))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_dispatch_tuple, packed))
     else:
@@ -533,7 +533,10 @@ def geometry():
 @geometry.command("check")
 @click.option("--geometry", "geom_path", type=click.Path(exists=True), required=True)
 @click.option("--probes", type=click.IntRange(min=MIN_PROBES), default=1000,
-              show_default=True)
+              show_default=True,
+              help="Probe budget N: min(400, max(10, N // 5)) Gaussian probes "
+                   "for the integral comparison (a), and max(10, N // 2) balls "
+                   "each for the cell bounds (b) and the growth bound (c).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def geometry_check_cmd(geom_path, probes, seed, out):

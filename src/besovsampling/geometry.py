@@ -27,7 +27,8 @@ Gaussian bumps of width >= b); for circles and the spiral the comparison
 integral carries the weight max(1, r) dr dsigma instead of Lebesgue measure.
 Each geometry keeps a k-d tree over its anchors, built on first use: probes
 and balls visit only the anchors and cells near them, and balls are counted
-before they are gathered.
+before they are gathered.  `scipy.spatial` is imported with the first tree,
+so a process that builds none never loads it.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.spatial import cKDTree
 from scipy.special import erf, i0e
 
 from .grid import _POINT_BLOCK, _blocks
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "SamplingSequence1D",
@@ -246,11 +249,14 @@ class SamplingGeometry2D:
 
     @cached_property
     def anchor_index(self) -> cKDTree:
-        """k-d tree over the anchors."""
-        # sliding-midpoint splits on unshrunk boxes: for the 0.5-1M anchors of
-        # a 2D geometry this builds in ~40% of the default's time, and ball
-        # queries cost the same
-        return cKDTree(self.anchors, balanced_tree=False, compact_nodes=False)
+        """k-d tree over the anchors, which it shares rather than copies."""
+        from scipy.spatial import cKDTree
+        # sliding-midpoint splits on unshrunk boxes build in ~40% of the
+        # default's time for the 0.5-1M anchors of a 2D geometry; the probe
+        # and ball queries gather whole neighbourhoods, so leaves of 64 points
+        # (a quarter of the default's nodes) cost less to visit
+        return cKDTree(self.anchors, leafsize=64, balanced_tree=False,
+                       compact_nodes=False, copy_data=False)
 
     @cached_property
     def cell_reach(self) -> float:
@@ -305,6 +311,70 @@ def _small_window_message(variant: str, b: float, window) -> str:
     return (f"{variant} with b={b:g} needs a window that reaches beyond 7b/4 = "
             f"{1.75 * b:g} from 0, and window {list(window)} reaches "
             f"{min(map(abs, window)):g}; widen the window or lower b")
+
+
+# Piecewise cubics in the floating-point operations of scipy's
+# CubicHermiteSpline, PchipInterpolator and PPoly, so their values are the
+# same bits without importing `scipy.interpolate`.
+
+def _hermite_coefficients(x, y, dydx) -> np.ndarray:
+    """(4, n-1) power coefficients, highest first, of the piece on each
+    [x_k, x_k+1] of the cubic with values y and slopes dydx at the knots."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point slope at an end, kept to the sign of m0 and
+    below 3|m0| where the data turn."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y) -> np.ndarray:
+    """Knot slopes of the monotone PCHIP interpolant: Fritsch-Butland's
+    weighted harmonic mean of the neighbouring secants, 0 where they differ
+    in sign or one vanishes."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1][~flat] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _power_sum(c, s):
+    """sum_k c[-1-k] s^k for coefficients c, highest first, added term by term
+    with s^k as repeated products (PPoly's order, not Horner's)."""
+    res, z = 0.0, 1.0
+    for ck in c[::-1]:
+        res = res + ck * z
+        z = z * s
+    return res
+
+
+def _derivative(c) -> np.ndarray:
+    """Coefficients, highest first, of the derivative of each piece."""
+    return c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
+
+
+def _piecewise_cubic(x, c, xi):
+    """Values at xi of the pieces c on the knots x: the piece of
+    [x_k, x_k+1) (the last one closed), and the end pieces beyond the ends."""
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+    return _power_sum(c[:, k], xi - x[k])
 
 
 def _radial_cells(counts, piece):
@@ -457,15 +527,20 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         radii = _random_radii(b, rmax, seed)
         if len(radii) < 2:  # one turn needs two radii
             raise ValueError(_small_window_message(variant, b, window))
-        rho = PchipInterpolator(2 * np.pi * np.arange(len(radii)), radii)
-        drho = rho.derivative()
+        # rho is the PCHIP interpolant of the radii at theta = 2*pi*k: turn k
+        # is its k-th piece, rho' that piece's derivative
+        knots = 2 * np.pi * np.arange(len(radii))
+        rho = _hermite_coefficients(knots, radii, _pchip_slopes(knots, radii))
+        drho = _derivative(rho)
         n_per_turn = max(32, int(2 * math.pi * rmax / CARRIER_STEP))
 
         def turn(k):
             th = np.linspace(2 * np.pi * k, 2 * np.pi * (k + 1), n_per_turn,
                              endpoint=False)
-            r = rho(th)
-            return (th, r[:, None], np.sqrt(r**2 + drho(th)**2) * (2 * np.pi / n_per_turn),
+            s = th - knots[k]
+            r = _power_sum(rho[:, k], s)
+            return (th, r[:, None],
+                    np.sqrt(r**2 + _power_sum(drho[:, k], s)**2) * (2 * np.pi / n_per_turn),
                     radii[k - 1] if k >= 1 else 0.0, radii[k + 1], k >= len(radii) - 2)
 
         anchors, weights, flags, cells = _radial_cells(
@@ -602,6 +677,7 @@ def _ball_indices(tree: cKDTree, x, r: float) -> np.ndarray:
     A one-point tree at x, matched against `tree`, returns the indices as
     an array; `tree.query_ball_point` returns a Python list.
     """
+    from scipy.spatial import cKDTree
     one = cKDTree(np.asarray(x, dtype=float).reshape(1, -1))
     return np.sort(one.sparse_distance_matrix(tree, r, output_type="ndarray")["j"])
 
@@ -642,6 +718,7 @@ def carrier_measure(g: SamplingGeometry2D, x, R: float) -> float:
 
 def cover_multiplicity(g: SamplingGeometry2D, pts) -> np.ndarray:
     """How many closed radius-b cubes around the anchors contain each point."""
+    from scipy.spatial import cKDTree
     pts = np.asarray(pts, dtype=float)
     pairs = cKDTree(pts).sparse_distance_matrix(g.anchor_index, g.b, p=np.inf,
                                                 output_type="ndarray")

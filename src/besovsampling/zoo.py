@@ -7,11 +7,11 @@ from dataclasses import dataclass, field, fields, asdict
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks, lp_norm,
                    smooth_lowpass, smooth_ramp01)
-from .geometry import SamplingSequence1D, random_sequence
+from .geometry import (SamplingSequence1D, _hermite_coefficients,
+                       _piecewise_cubic, random_sequence)
 from .wavelets import (
     WaveletBasis,
     WaveletCoefficients,
@@ -237,8 +237,9 @@ def make(spec: ZooSpec, grid, basis: WaveletBasis | None = None) -> ZooFunction:
         seq = _seq_for(spec, grid)
         rng = np.random.default_rng(spec.seed)
         slopes = rng.uniform(-1.0, 1.0, size=len(seq.points))
-        spl = CubicHermiteSpline(seq.points, np.zeros(len(seq.points)), slopes)
-        vals = spec.amplitude * spl(grid.x) * window_envelope(grid)
+        pieces = _hermite_coefficients(seq.points, np.zeros(len(seq.points)), slopes)
+        vals = (spec.amplitude * _piecewise_cubic(seq.points, pieces, grid.x)
+                * window_envelope(grid))
         return ZooFunction(GridFunction(grid, vals), spec,
                            {"vanishes_on": "sequence", "sequence_b": seq.b})
     if spec.kind == "gap-sine":
