@@ -90,7 +90,10 @@ def parse_value_list(text: str) -> list[float]:
                 f"range {text!r} is not a halving range: its ends must be positive "
                 "and a power of two apart, as in '2^-3..2^-7'")
         return [hi / 2.0**i for i in range(halvings + 1)]
-    return [atom(t) for t in text.split(",") if t.strip()]
+    values = [atom(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
 
 
 def fit_slope(rows) -> tuple[float, float, float]:
@@ -110,16 +113,11 @@ def fit_slope(rows) -> tuple[float, float, float]:
 
 
 def environment_fingerprint(config: dict) -> dict:
-    fp = {
-        "package": f"besovsampling {__version__}",
-        "numpy": np.__version__,
-        "csv_schema": CSV_SCHEMA_VERSION,
-        "ramp_profile": "exp(-1/t) two-sided",
-        "config": config,
-    }
-    digest = hashlib.sha256(
+    fp = {"package": f"besovsampling {__version__}", "numpy": np.__version__,
+          "csv_schema": CSV_SCHEMA_VERSION, "ramp_profile": "exp(-1/t) two-sided",
+          "config": config}
+    fp["hash"] = hashlib.sha256(
         json.dumps(fp, sort_keys=True, default=str).encode()).hexdigest()[:12]
-    fp["hash"] = digest
     return fp
 
 
@@ -127,29 +125,24 @@ def write_csv(path, header: list[str], rows: list[list], fingerprint: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header + ["fingerprint"]) + "\n")
         for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append(format(v, ".12g"))
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(str(v))
+            cells = [format(v, ".12g") if isinstance(v, float) else
+                     "" if v is None else str(v) for v in row]
             fh.write(",".join(cells + [fingerprint]) + "\n")
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True, default=str)
+
+
 def write_json(path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _emit(payload: dict, out: str | None):
     """Echo a command's JSON result, and write it to `out` when given."""
-    text = json.dumps(payload, indent=1, sort_keys=True, default=str)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    click.echo(text)
+        write_json(out, payload)
+    click.echo(_json_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -161,62 +154,57 @@ def _seq_for_tuple(b: float, seed: int, grid) -> SamplingSequence1D:
     return random_sequence(b, (x[0], x[-1]), seed, strict=True)
 
 
+def _on_default_grid(spec: ZooSpec, b: float | None = None, seq_seed: int | None = None):
+    """A 1D tuple's zoo function of `spec` on the default grid, the default
+    basis and, given `seq_seed`, the seeded strict sequence of gap bound b."""
+    grid, basis = default_grid_1d(), default_basis()
+    seq = None if seq_seed is None else _seq_for_tuple(b, seq_seed, grid)
+    return make(spec, grid, basis), basis, seq
+
+
 @lru_cache(maxsize=256)
 def _critical_norm(spec: ZooSpec, p: float) -> float:
-    """||f||_B(1/p, p, 1) of the 1D zoo function `spec`, memoized.
-
-    The key is (spec, p) alone: the grid and basis are always the defaults,
-    `default_grid_1d()` and `default_basis()`.  The norm does not depend on
-    b, so a sweep over b analyzes each function once; a hit returns the
-    float the same call made before, bit for bit.  The memo holds floats
-    only, at most 256 of them, least recently used first out.  A b-major
-    sweep visits every (seed, p) pair before the next b, so it needs one
-    entry per (seed, p) pair to hit: past 256 pairs it analyzes at every b.
-    """
-    basis = default_basis()
-    return critical_norm(make(spec, default_grid_1d(), basis).f, p, basis=basis)
+    """||f||_B(1/p, p, 1) of the 1D zoo function `spec`, memoized on (spec, p)
+    alone: the grid and basis are always the defaults, and the norm does not
+    depend on b, so a sweep over b analyzes each function once; a hit returns
+    the same float bit for bit.  The memo holds at most 256 floats, least
+    recently used first out.  A b-major sweep visits every (seed, p) pair
+    before the next b, so past 256 pairs it analyzes at every b."""
+    zf, basis, _ = _on_default_grid(spec)
+    return critical_norm(zf.f, p, basis=basis)
 
 
 def _field_on_geometry(geom_path: str, b: float, seed: int):
-    """The 2D pipelines' input: a seeded bandlimited field and the geometry."""
-    with open(geom_path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    d["b"] = b  # sweeps override the spec's gap bound per tuple
-    return (bandlimited_field_2d(default_grid_2d(), 1.0, seed),
-            geometry_from_json_dict(d))
+    """The 2D pipelines' input: a seeded bandlimited field, then the geometry
+    of the spec at `geom_path` with the tuple's gap bound b."""
+    return bandlimited_field_2d(default_grid_2d(), 1.0, seed), _geometry_spec(geom_path, b)[1]
 
 
 def run_sampling_tuple(args) -> dict:
     b, p, s_idx, seed, geom_path = args
-    basis = default_basis()
     if geom_path is None:
-        grid = default_grid_1d()
         spec = ZooSpec("bandlimited-random", band=1.0, seed=seed)
-        f = make(spec, grid, basis).f
-        sset = _seq_for_tuple(b, seed + 1, grid)
-        norm = _critical_norm(spec, p)
+        zf, basis, sset = _on_default_grid(spec, b, seed + 1)
+        f, norm = zf.f, _critical_norm(spec, p)
     else:
         f, sset = _field_on_geometry(geom_path, b, seed)
-        norm = None
+        basis, norm = default_basis(), None
     rep = sampling_ratio(f, sset, p, basis, besov_norm=norm)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
     # the cell form carries a cell-geometry factor, so the b^(m/p)-weighted
     # trace ratio is the asserted quantity
     flag = rep.in_band_cell if geom_path is None else rep.in_band_trace
     ok = (not rep.hypothesis_ok) or bool(flag)
-    return {"b": b, "p": p, "seed": seed,
-            "ratio_lo": rep.trace_ratio, "ratio_hi": rep.cell_ratio,
-            "hypothesis_ok": rep.hypothesis_ok, "N": rep.ratio_norms,
-            "ok": ok}
+    return {"b": b, "p": p, "seed": seed, "ratio_lo": rep.trace_ratio,
+            "ratio_hi": rep.cell_ratio, "hypothesis_ok": rep.hypothesis_ok,
+            "N": rep.ratio_norms, "ok": ok}
 
 
 def run_uncertainty_tuple(args) -> dict:
     b, p, s_idx, seed, _geometry = args
-    grid = default_grid_1d()
-    basis = default_basis()
-    seq = _seq_for_tuple(b, seed, grid)
-    zf = make(ZooSpec("gap-spline", sequence_b=b, sequence_seed=seed,
-                      seed=seed + 7), grid, basis)
+    zf, basis, seq = _on_default_grid(
+        ZooSpec("gap-spline", sequence_b=b, sequence_seed=seed, seed=seed + 7),
+        b, seed)
     rep = uncertainty_check(zf.f, seq, p, basis)
     ok = rep.hypothesis_met and rep.c_emp is not None and rep.c_emp > 0
     return {"b": b, "p": p, "seed": seed, "eps": rep.eps,
@@ -226,10 +214,9 @@ def run_uncertainty_tuple(args) -> dict:
 def run_heisenberg_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
     alpha = s_val if s_val is not None else 1.0
-    grid = default_grid_1d()
-    basis = default_basis()
     spec = ZooSpec("compact-bump", width=0.5 + (seed % 5) * 0.5)
-    prod = heisenberg_product(make(spec, grid, basis).f, alpha, p, basis,
+    zf, basis, _ = _on_default_grid(spec)
+    prod = heisenberg_product(zf.f, alpha, p, basis,
                               besov_norm=_critical_norm(spec, p))
     return {"b": b, "p": p, "alpha": alpha, "seed": seed, "product": prod,
             "ok": prod > 0}
@@ -237,11 +224,9 @@ def run_heisenberg_tuple(args) -> dict:
 
 def run_intb_tuple(args) -> dict:
     b, p, s_idx, seed, _geometry = args
-    grid = default_grid_1d()
-    basis = default_basis()
     spec = ZooSpec("bandlimited-random", band=2.0, seed=seed + 3)
-    seq = _seq_for_tuple(b, seed, grid)
-    lhs, rhs, ratio = intB_diagnostic(make(spec, grid, basis).f, seq, p, basis,
+    zf, basis, seq = _on_default_grid(spec, b, seed)
+    lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p, basis,
                                       besov_norm=_critical_norm(spec, p))
     return {"b": b, "p": p, "seed": seed, "lhs": lhs, "rhs": rhs,
             "ratio": ratio, "ok": math.isfinite(ratio)}
@@ -249,24 +234,19 @@ def run_intb_tuple(args) -> dict:
 
 def run_pl_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
-    grid = default_grid_1d()
-    basis = default_basis()
     s = s_val if s_val is not None else 0.5
-    zf = make(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=8,
-                      seed=seed + 11), grid, basis)
-    seq = _seq_for_tuple(b, seed, grid)
-    pl = interp_pl(trace(zf.f, seq), seq, grid)
-    err = lp_norm(GridFunction(grid, zf.f.values - pl.values), p)
+    zf, _, seq = _on_default_grid(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
+                                          j_hi=8, seed=seed + 11), b, seed)
+    pl = interp_pl(trace(zf.f, seq), seq, zf.f.grid)
+    err = lp_norm(GridFunction(zf.f.grid, zf.f.values - pl.values), p)
     return {"b": b, "p": p, "s": s, "seed": seed, "error": err, "ok": err >= 0}
 
 
 def run_split_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
-    grid = default_grid_1d()
-    basis = default_basis()
     s = s_val if s_val is not None else 0.6
-    zf = make(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=8,
-                      seed=seed + 11), grid, basis)
+    zf, _, _ = _on_default_grid(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
+                                        j_hi=8, seed=seed + 11))
     g, h, info = bandlimited_split(zf.f, b)
     return {"b": b, "p": p, "s": s, "seed": seed,
             "h_norm": lp_norm(h, p), "j0": info["j0"],
@@ -275,14 +255,11 @@ def run_split_tuple(args) -> dict:
 
 def run_reconstruct_tuple(args) -> dict:
     b, p, s_val, seed, geom_path = args
-    basis = default_basis()
     s = s_val if s_val is not None else 0.9
     if geom_path is None:
-        grid = default_grid_1d()
-        zf = make(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=7,
-                          seed=seed + 13), grid, basis)
+        spec = ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=7, seed=seed + 13)
+        zf, _, sset = _on_default_grid(spec, b, seed)
         f = zf.f
-        sset = _seq_for_tuple(b, seed, grid)
     else:
         f, sset = _field_on_geometry(geom_path, b, seed)
     cfg = ReconstructionConfig(c_factor=0.25, n_iter=12, p=p)
@@ -323,8 +300,9 @@ class RunConfig:
                 for seed in self.seeds]
 
 
-def _config_from_dict(raw: dict) -> RunConfig:
+def _read_config(path: str) -> RunConfig:
     """The RunConfig of a `sweep --config` file, with its keys checked."""
+    raw = _json(path)
     accepted = [f.name for f in fields(RunConfig)]
     unknown = sorted(set(raw) - set(accepted))
     if unknown or "command" not in raw:
@@ -334,40 +312,33 @@ def _config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(**raw)
 
 
-@dataclass
-class SweepResult:
-    """Rows per parameter tuple, optional log-log slope fit, fingerprint."""
-
-    rows: list
-    fingerprint: dict
-    slope_fit: dict | None = None
-    schema: int = CSV_SCHEMA_VERSION
-
-    def all_ok(self) -> bool:
-        return all(r.get("ok", True) for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def execute_sweep(cfg: RunConfig):
-    """Run one pipeline over the parameter grid; deterministic merge order."""
+def _config_problem(cfg: RunConfig) -> tuple[str, str] | None:
+    """The first RunConfig field that no sweep can run, as the command-line
+    option that sets it and what is wrong; None if every field is fine."""
     if cfg.command not in PIPELINES:
-        raise ValueError(f"unknown pipeline {cfg.command!r}; "
-                         f"choose from {sorted(PIPELINES)}")
+        return "PIPELINE", (f"unknown pipeline {cfg.command!r}; "
+                            f"choose from {sorted(PIPELINES)}")
     if cfg.geometry is not None and cfg.command in ONE_DIMENSIONAL:
-        raise ValueError(
+        return "--geometry", (
             f"pipeline {cfg.command} is one-dimensional; --geometry is not "
             f"supported here (only {sorted(set(PIPELINES) - ONE_DIMENSIONAL)} take it)")
     # every pipeline takes an L^p norm, and the critical Besov norm B^{1/p}_{p,1}
     bad_p = [p for p in cfg.p_list if not 1.0 <= p < math.inf]
     if bad_p:
-        raise ValueError(f"p must lie in [1, inf), got {bad_p[0]}")
+        return "--p", f"p must lie in [1, inf), got {bad_p[0]}"
     if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
-        raise ValueError(f"jobs must be a positive integer, got {cfg.jobs!r}")
+        return "--jobs", f"jobs must be a positive integer, got {cfg.jobs!r}"
     bad_seeds = [s for s in cfg.seeds if not (isinstance(s, int) and s >= 0)]
     if bad_seeds:
-        raise ValueError(f"seed must be a non-negative integer, got {bad_seeds[0]!r}")
+        return "--seed", f"seed must be a non-negative integer, got {bad_seeds[0]!r}"
+    return None
+
+
+def execute_sweep(cfg: RunConfig):
+    """Run one pipeline over the parameter grid; deterministic merge order."""
+    problem = _config_problem(cfg)
+    if problem:
+        raise ValueError(problem[1])
     packed = [(cfg.command, t) for t in cfg.tuples()]
     # a forked pool starts all its workers up front, so start no idle ones
     workers = min(cfg.jobs, len(packed))
@@ -390,12 +361,14 @@ def _dispatch_tuple(packed):
             f"(b={t[0]}, p={t[1]}, s={t[2]}, seed={t[3]}): {err}") from err
 
 
-def build_sweep_result(cfg: RunConfig, rows: list[dict]) -> SweepResult:
+def _sweep_report(cfg: RunConfig, rows: list[dict]) -> dict:
+    """A sweep's JSON report: its rows, fingerprint and CSV schema, and a
+    log-log slope fit wherever the rows hold a positive error-vs-b law."""
     # out_dir and jobs are execution details; the fingerprint must not depend
     # on where results land or how many workers produced them
     hashed = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "jobs")}
-    result = SweepResult(rows=rows, fingerprint=environment_fingerprint(hashed))
-    # slope fit wherever the sweep produced a positive error-vs-b law
+    report = {"rows": rows, "fingerprint": environment_fingerprint(hashed),
+              "slope_fit": None, "schema": CSV_SCHEMA_VERSION}
     header = list(rows[0].keys())
     err_key = next((k for k in ("error", "h_norm", "total_error") if k in header
                     and all(isinstance(r[k], float) and r[k] > 0 for r in rows)),
@@ -407,40 +380,115 @@ def build_sweep_result(cfg: RunConfig, rows: list[dict]) -> SweepResult:
         pairs = sorted((b, float(np.mean(v))) for b, v in by_b.items())
         try:
             slope, intercept, resid = fit_slope(pairs)
-            result.slope_fit = {"on": err_key, "slope": slope,
-                                "intercept": intercept, "residual": resid}
+            report["slope_fit"] = {"on": err_key, "slope": slope,
+                                   "intercept": intercept, "residual": resid}
         except ValueError:
             pass
-    return result
+    return report
 
 
 def sweep_outputs(cfg: RunConfig, rows: list[dict]):
-    result = build_sweep_result(cfg, rows)
+    report = _sweep_report(cfg, rows)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0].keys())
     csv_path = out_dir / f"sweep_{cfg.command}.csv"
     write_csv(csv_path, header, [[r[k] for k in header] for r in rows],
-              result.fingerprint["hash"])
+              report["fingerprint"]["hash"])
     json_path = out_dir / f"sweep_{cfg.command}.json"
-    write_json(json_path, result.to_dict())
-    return csv_path, json_path, result.all_ok()
+    write_json(json_path, report)
+    return csv_path, json_path, all(r.get("ok", True) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# input readers: each kind of input is read in one place, and a bad one is a
+# usage error (exit code 2, no traceback) that names its option
+
+@contextmanager
+def _input_errors(hint):
+    """Report an error of the input as a usage error naming `hint`, click's param_hint."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError) as err:
+        raise click.BadParameter(str(err), param_hint=hint) from err
+
+
+class _Reader(click.ParamType):
+    """An option that `read` reads from the file it names, or from its text."""
+
+    def __init__(self, name: str, read, file: bool = True):
+        self.name, self.read, self.file = name, read, file
+
+    def convert(self, value, param, ctx):
+        if self.file:
+            value = click.Path(exists=True, dir_okay=False).convert(value, param, ctx)
+        with _input_errors(param.get_error_hint(ctx)):
+            return self.read(value)
+
+
+def _json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _geometry_spec(path: str, b: float | None = None):
+    """The geometry spec at `path` and the geometry it builds; a sweep
+    tuple gives `b`, its own gap bound, for the spec's."""
+    spec = _json(path)
+    if b is not None:
+        spec["b"] = b
+    return spec, geometry_from_json_dict(spec)
+
+
+def _require_dyadic(f: GridFunction) -> None:
+    """Reject an `--input` grid that wavelet analysis cannot use."""
+    with _input_errors(["--input"]):
+        check_dyadic_grid(f.grid)
+
+
+def _basis(family: str, order: int):
+    """The cached basis of `--basis` and `--order`; only a Daubechies basis
+    has an order to reject."""
+    with _input_errors(["--order" if family.lower() == "daubechies" else "--basis"]):
+        return default_basis(family, order)
+
+
+_GRID_CSV = _Reader("csv", load_csv)
+_GEOMETRY = _Reader("spec", _geometry_spec)
+# `zoo make` reads the function that its spec makes on the default grid
+_ZOO_SPEC = _Reader("spec", lambda path: make(ZooSpec.from_dict(_json(path)),
+                                             default_grid_1d(), default_basis()))
+_CONFIG = _Reader("config", _read_config)
+_VALUES = _Reader("values", parse_value_list, file=False)
+_SEEDS = _Reader("seeds", lambda text: [int(t) for t in text.split(",")], file=False)
+_BASIS = click.option("--basis", "family", default="daubechies", show_default=True)
+_ORDER = click.option("--order", default=4, show_default=True)
+
+
+def _run_sweep(cfg: RunConfig, from_config: bool = False, out: str | None = None):
+    """The body of `verify` and `sweep`: check `cfg` (read from `--config` if
+    `from_config`), run it, write its CSV, JSON and `out`, set the exit code."""
+    problem = _config_problem(cfg)
+    if problem:
+        raise click.BadParameter(problem[1],
+                                 param_hint=["--config" if from_config else problem[0]])
+    if cfg.geometry is not None:
+        # a tuple builds its field, then the spec at its b: build every b first
+        with _input_errors("the 'geometry' key of '--config'" if from_config
+                           else ["--geometry"]):
+            for b in cfg.b_list:
+                _geometry_spec(cfg.geometry, b)
+    rows = execute_sweep(cfg)
+    csv_path, json_path, ok = sweep_outputs(cfg, rows)
+    if out:
+        write_json(out, {"rows": rows,
+                         "fingerprint": _sweep_report(cfg, rows)["fingerprint"]})
+    click.echo(f"wrote {csv_path} and {json_path}")
+    if not ok:
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
 # click commands
-
-@contextmanager
-def _input_errors(*options: str):
-    """Report a ValueError about the command's input as a usage error (exit
-    code 2, no traceback), naming `options` when they are its cause."""
-    try:
-        yield
-    except ValueError as err:
-        if options:
-            raise click.BadParameter(str(err), param_hint=list(options)) from err
-        raise click.UsageError(str(err)) from err
-
 
 @click.group()
 def main():
@@ -459,52 +507,45 @@ def besov():
 @click.option("--p", type=float, required=True)
 @click.option("--q", default="1", show_default=True,
               help="summability index; 'inf' for the sup form")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--basis", "family", default="daubechies", show_default=True)
-@click.option("--order", default=4, show_default=True)
+@click.option("--input", "f", type=_GRID_CSV, required=True)
+@_BASIS
+@_ORDER
 @click.option("--j-min", type=int, default=None)
 @click.option("--j-max", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-def besov_norm_cmd(definition, s, p, q, input_path, family, order, j_min, j_max, out):
+def besov_norm_cmd(definition, s, p, q, f, family, order, j_min, j_max, out):
     """Homogeneous Besov norm of a CSV grid function."""
-    qv = math.inf if str(q).lower() in ("inf", "infinity") else float(q)
-    with _input_errors("--input"):
-        f = load_csv(input_path)
-        if definition == "wavelet":
-            check_dyadic_grid(f.grid)
-    with _input_errors():  # the message names s, p or q
-        params = BesovParams(s=s, p=p, q=qv, d=f.ndim)
+    with _input_errors(["--s", "--p", "--q"]):  # the message names s, p or q
+        params = BesovParams(s=s, p=p, q=float(q), d=f.ndim)
     if definition == "wavelet":
-        basis = default_basis(family, order)
-        # the grid passed its check, so what analyze rejects is the range
-        with _input_errors("--j-min", "--j-max"):
+        _require_dyadic(f)
+        basis = _basis(family, order)
+        with _input_errors(["--j-min", "--j-max"]):  # the range against the grid
             norm, coeffs = besov_norm_via_analyze(f, params, basis, j_min, j_max)
         result = {"norm": norm, "truncation_residual": coeffs.residual_l2,
-                  "j_range": [coeffs.j_min, coeffs.j_max],
-                  "definition": "wavelet",
+                  "j_range": [coeffs.j_min, coeffs.j_max], "definition": "wavelet",
                   "basis": {"family": basis.family, "order": basis.order}}
     else:
         jr = None if j_min is None or j_max is None else (j_min, j_max)
         # the default range leaves out only the DC bin, so a leak is the range's
-        with _input_errors("--j-min", "--j-max"):
+        with _input_errors(["--j-min", "--j-max"]):
             details = besov_norm_lp_details(f, params, j_range=jr)
         result = {"norm": details["norm"],
                   "truncation_residual": details["leak_fraction"],
                   "dc_fraction": details["dc_fraction"],
                   "j_range": details["j_range"], "definition": "lp"}
     result["fingerprint"] = environment_fingerprint(
-        {"cmd": "besov norm", "def": definition, "s": s, "p": p, "q": str(q),
+        {"cmd": "besov norm", "def": definition, "s": s, "p": p, "q": q,
          "basis": family, "order": order, "j_min": j_min, "j_max": j_max})["hash"]
     _emit(result, out)
 
 
 @besov.command("filters")
-@click.option("--basis", "family", default="daubechies", show_default=True)
-@click.option("--order", default=4, show_default=True)
+@_BASIS
+@_ORDER
 def besov_filters_cmd(family, order):
     """Print the scaling filter for external validation."""
-    basis = default_basis(family, order)
-    for k, h in enumerate(basis.scaling_filter):
+    for k, h in enumerate(_basis(family, order).scaling_filter):
         click.echo(f"{k},{h:.17g}")
 
 
@@ -514,12 +555,10 @@ def zoo():
 
 
 @zoo.command("make")
-@click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
+@click.option("--spec", "zf", type=_ZOO_SPEC, required=True)
 @click.option("--out", type=click.Path(), required=True)
-def zoo_make_cmd(spec_path, out):
+def zoo_make_cmd(zf, out):
     """Instantiate a zoo spec JSON on the default grid and write CSV."""
-    with open(spec_path, encoding="utf-8") as fh, _input_errors("--spec"):
-        zf = make(ZooSpec.from_dict(json.load(fh)), default_grid_1d(), default_basis())
     save_csv(zf.f, out)
     click.echo(json.dumps({"out": out, "meta": zf.meta}, default=str,
                           sort_keys=True))
@@ -531,7 +570,7 @@ def geometry():
 
 
 @geometry.command("check")
-@click.option("--geometry", "geom_path", type=click.Path(exists=True), required=True)
+@click.option("--geometry", "spec_and_geometry", type=_GEOMETRY, required=True)
 @click.option("--probes", type=click.IntRange(min=MIN_PROBES), default=1000,
               show_default=True,
               help="Probe budget N: min(400, max(10, N // 5)) Gaussian probes "
@@ -539,10 +578,9 @@ def geometry():
                    "each for the cell bounds (b) and the growth bound (c).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def geometry_check_cmd(geom_path, probes, seed, out):
+def geometry_check_cmd(spec_and_geometry, probes, seed, out):
     """Empirical covering/measure condition report for a geometry spec."""
-    with open(geom_path, encoding="utf-8") as fh, _input_errors():
-        g = geometry_from_json_dict(json.load(fh))
+    g = spec_and_geometry[1]
     rep = check_conditions(g, n_probes=probes, seed=seed)
     payload = {"geometry": geometry_to_json_dict(g), "report": rep.to_dict(),
                "fingerprint": environment_fingerprint(
@@ -555,38 +593,22 @@ def geometry_check_cmd(geom_path, probes, seed, out):
 @main.command("verify")
 @click.argument("pipeline", type=click.Choice(["sampling", "uncertainty",
                                                "heisenberg", "intb"]))
-@click.option("--p", "p_list", default="2", show_default=True)
-@click.option("--b", "b_list", default="2^-4", show_default=True)
-@click.option("--sweep", "sweep_range", default=None,
+@click.option("--p", "p_list", type=_VALUES, default="2", show_default=True)
+@click.option("--b", "b_list", type=_VALUES, default="2^-4", show_default=True)
+@click.option("--sweep", "sweep_range", type=_VALUES, default=None,
               help="override --b with a range like 2^-3..2^-7")
-@click.option("--seed", default="0", show_default=True)
-@click.option("--geometry", "geom_path", type=click.Path(exists=True), default=None)
+@click.option("--seed", "seeds", type=_SEEDS, default="0", show_default=True)
+@click.option("--geometry", "geom_path", type=click.Path(exists=True, dir_okay=False),
+              default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--out-dir", default=".", show_default=True)
 @click.option("--jobs", default=1, show_default=True)
-def verify_cmd(pipeline, p_list, b_list, sweep_range, seed, geom_path, out,
+def verify_cmd(pipeline, p_list, b_list, sweep_range, seeds, geom_path, out,
                out_dir, jobs):
     """Measured-ratio verification runs; CSV + JSON reports."""
-    # execute_sweep checks its config before any tuple runs; a failing tuple
-    # raises RuntimeError, so only input errors arrive here as ValueError
-    with _input_errors():
-        cfg = RunConfig(
-            command=pipeline,
-            b_list=parse_value_list(sweep_range or b_list),
-            p_list=parse_value_list(p_list),
-            seeds=[int(t) for t in str(seed).split(",")],
-            geometry=geom_path,
-            out_dir=out_dir,
-            jobs=jobs,
-        )
-        rows = execute_sweep(cfg)
-    csv_path, json_path, ok = sweep_outputs(cfg, rows)
-    if out:
-        write_json(out, {"rows": rows,
-                         "fingerprint": build_sweep_result(cfg, rows).fingerprint})
-    click.echo(f"wrote {csv_path} and {json_path}")
-    if not ok:
-        sys.exit(1)
+    _run_sweep(RunConfig(command=pipeline, b_list=sweep_range or b_list,
+                         p_list=p_list, seeds=seeds, geometry=geom_path,
+                         out_dir=out_dir, jobs=jobs), out=out)
 
 
 @main.group()
@@ -595,16 +617,15 @@ def approx():
 
 
 @approx.command("pl")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--b", default="2^-4", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--input", "f", type=_GRID_CSV, required=True)
+@click.option("--b", type=_VALUES, default="2^-4", show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def approx_pl_cmd(input_path, b, seed, out):
+def approx_pl_cmd(f, b, seed, out):
     """Piecewise-linear interpolation error on a seeded strict sequence."""
     rows = []
-    with _input_errors():
-        f = load_csv(input_path)
-        for bv in parse_value_list(b):
+    with _input_errors(["--input", "--b"]):  # each b's sequence on the grid
+        for bv in b:
             seq = _seq_for_tuple(bv, seed, f.grid)
             pl = interp_pl(trace(f, seq), seq, f.grid)
             rows.append({"b": bv, "error": lp_norm(
@@ -615,17 +636,16 @@ def approx_pl_cmd(input_path, b, seed, out):
 
 
 @approx.command("split")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--b", default="2^-4", show_default=True)
+@click.option("--input", "f", type=_GRID_CSV, required=True)
+@click.option("--b", type=_VALUES, default="2^-4", show_default=True)
 @click.option("--mode", type=click.Choice(["spectrum", "wavelet"]),
               default="spectrum", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def approx_split_cmd(input_path, b, mode, out):
+def approx_split_cmd(f, b, mode, out):
     """Bandlimited split f = g + h at the scale cut for each b."""
     rows = []
-    with _input_errors():
-        f = load_csv(input_path)
-        for bv in parse_value_list(b):
+    with _input_errors(["--input", "--b"]):  # each b's cut against the grid
+        for bv in b:
             g, h, info = bandlimited_split(f, bv, mode=mode)
             rows.append({"b": bv, "h_norm": lp_norm(h, 2.0), **info})
     payload = {"rows": rows, "fingerprint": environment_fingerprint(
@@ -634,26 +654,23 @@ def approx_split_cmd(input_path, b, mode, out):
 
 
 @main.command("reconstruct")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--geometry", "geom_path", type=click.Path(exists=True), default=None)
+@click.option("--input", "f", type=_GRID_CSV, required=True)
+@click.option("--geometry", "spec_and_geometry", type=_GEOMETRY, default=None)
 @click.option("--b", default=2.0**-6, type=float, show_default=True,
               help="gap bound for the default 1D sequence when no geometry given")
 @click.option("--c", "c_factor", default=0.25, show_default=True)
 @click.option("--a", "a_factor", default=None, type=float)
-@click.option("--iters", default=12, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--iters", type=click.IntRange(min=0), default=12, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, out):
+def reconstruct_cmd(f, spec_and_geometry, b, c_factor, a_factor, iters, seed, out):
     """Neumann-series reconstruction of a grid function from its trace."""
-    spec = None
-    with _input_errors():
-        f = load_csv(input_path)
-        if geom_path is None:
+    spec, sset = spec_and_geometry or (None, None)
+    # the operator build checks the set, grid and passband together, before P runs
+    with _input_errors(["--input", "--b" if spec is None else "--geometry",
+                        "--c", "--a"]):
+        if spec is None:
             sset = _seq_for_tuple(b, seed, f.grid)
-        else:
-            spec = json.loads(Path(geom_path).read_text(encoding="utf-8"))
-            sset = geometry_from_json_dict(spec)
-        # the operator build rejects every bad input before P runs
         op = build_operator(sset, ReconstructionConfig(
             c_factor=c_factor, a_factor=a_factor, n_iter=iters), f.grid)
     rep = full_pipeline(f, op)
@@ -667,36 +684,19 @@ def reconstruct_cmd(input_path, geom_path, b, c_factor, a_factor, iters, seed, o
 
 @main.command("sweep")
 @click.argument("pipeline")
-@click.option("--b", "b_list", default="2^-3..2^-6", show_default=True)
-@click.option("--p", "p_list", default="2", show_default=True)
-@click.option("--s", "s_list", default=None,
+@click.option("--b", "b_list", type=_VALUES, default="2^-3..2^-6", show_default=True)
+@click.option("--p", "p_list", type=_VALUES, default="2", show_default=True)
+@click.option("--s", "s_list", type=_VALUES, default=None,
               help="smoothness list for pl/split/reconstruct pipelines")
-@click.option("--seed", default="0", show_default=True)
+@click.option("--seed", "seeds", type=_SEEDS, default="0", show_default=True)
 @click.option("--out-dir", default=".", show_default=True)
 @click.option("--jobs", default=1, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def sweep_cmd(pipeline, b_list, p_list, s_list, seed, out_dir, jobs, config_path):
+@click.option("--config", type=_CONFIG, default=None)
+def sweep_cmd(pipeline, b_list, p_list, s_list, seeds, out_dir, jobs, config):
     """Parameter sweep over (b, p, s, seed) tuples for a named pipeline."""
-    with _input_errors():  # as in verify_cmd
-        if config_path:
-            with open(config_path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            cfg = _config_from_dict(raw)
-        else:
-            cfg = RunConfig(
-                command=pipeline,
-                b_list=parse_value_list(b_list),
-                p_list=parse_value_list(p_list),
-                s_list=([None] if s_list is None else parse_value_list(s_list)),
-                seeds=[int(t) for t in str(seed).split(",")],
-                out_dir=out_dir,
-                jobs=jobs,
-            )
-        rows = execute_sweep(cfg)
-    csv_path, json_path, ok = sweep_outputs(cfg, rows)
-    click.echo(f"wrote {csv_path} and {json_path}")
-    if not ok:
-        sys.exit(1)
+    _run_sweep(config or RunConfig(command=pipeline, b_list=b_list, p_list=p_list,
+                                   s_list=s_list or [None], seeds=seeds,
+                                   out_dir=out_dir, jobs=jobs), config is not None)
 
 
 @main.command("fit-slope")
@@ -714,7 +714,7 @@ def fit_slope_cmd(csv_path, x_col, y_col):
                                      param_hint=missing)
         xi, yi = header.index(x_col), header.index(y_col)
         rows = [line.strip().split(",") for line in fh]
-    with _input_errors("--csv"):
+    with _input_errors(["--csv"]):  # the rows of the columns --x and --y name
         if any(len(cells) <= max(xi, yi) for cells in rows):
             raise ValueError(f"a row has fewer cells than the header {header}")
         slope, intercept, resid = fit_slope([(c[xi], c[yi]) for c in rows])
@@ -723,19 +723,17 @@ def fit_slope_cmd(csv_path, x_col, y_col):
 
 
 @main.command("coeff-dump")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--input", "f", type=_GRID_CSV, required=True)
 @click.option("--j-min", type=int, required=True)
 @click.option("--j-max", type=int, required=True)
-@click.option("--order", default=4, show_default=True)
+@_ORDER
 @click.option("--out", type=click.Path(), required=True)
-def coeff_dump_cmd(input_path, j_min, j_max, order, out):
+def coeff_dump_cmd(f, j_min, j_max, order, out):
     """Analyze a CSV grid function and dump the coefficient JSON."""
     from .wavelets import analyze
-    with _input_errors("--input"):
-        f = load_csv(input_path)
-        check_dyadic_grid(f.grid)
-    basis = default_basis("daubechies", order)
-    with _input_errors("--j-min", "--j-max"):
+    _require_dyadic(f)
+    basis = _basis("daubechies", order)
+    with _input_errors(["--j-min", "--j-max"]):  # the range against the grid
         c = analyze(f, basis, j_min, j_max)
     write_json(out, coeffs_to_json_dict(c, threshold=1e-14))
     click.echo(f"wrote {out}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -259,16 +259,27 @@ class SpectrumFunction:
         return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.freqs]))
 
 
-@lru_cache(maxsize=8)
+def _read_only_cache(maxsize: int):
+    """`lru_cache(maxsize)` whose callers share one read-only table per key."""
+    def decorate(build):
+        @lru_cache(maxsize=maxsize)
+        @wraps(build)
+        def cached(*args, **kwargs):
+            table = build(*args, **kwargs)
+            table.flags.writeable = False
+            return table
+        return cached
+    return decorate
+
+
+@_read_only_cache(maxsize=8)
 def _axis_points(origin: float, spacing: float, count: int) -> np.ndarray:
     """origin + spacing * m for m < count, cached read-only.
 
     Keyed by the axis values, not by the (mutable) Grid1D: a sweep reads the
     points of the same axis hundreds of times, often for one end point.
     """
-    x = origin + spacing * np.arange(count)
-    x.flags.writeable = False
-    return x
+    return origin + spacing * np.arange(count)
 
 
 def _along(axis: int, ndim: int, v: np.ndarray) -> np.ndarray:
@@ -337,25 +348,20 @@ def _check_pow2(n: int, what: str):
         raise ValueError(f"{what} count must be a power of two for the fast transform, got {n}")
 
 
-@lru_cache(maxsize=8)
+@_read_only_cache(maxsize=8)
 def _axis_freqs(count: int, spacing: float) -> np.ndarray:
     """`np.fft.fftfreq(count, spacing)`, cached read-only: every spectrum of
     the axis carries it."""
-    fz = np.fft.fftfreq(count, spacing)
-    fz.flags.writeable = False
-    return fz
+    return np.fft.fftfreq(count, spacing)
 
 
-@lru_cache(maxsize=8)
+@_read_only_cache(maxsize=8)
 def _axis_phase(origin: float, spacing: float, count: int, sign: int) -> np.ndarray:
     """exp(sign * 2*pi*i * z * origin) at the fft frequencies z of one axis.
 
     Cached read-only: a transform pair on the same axis reuses it.
     """
-    fz = _axis_freqs(count, spacing)
-    phase = np.exp(sign * 2j * np.pi * (fz * origin))
-    phase.flags.writeable = False
-    return phase
+    return np.exp(sign * 2j * np.pi * (_axis_freqs(count, spacing) * origin))
 
 
 def _origin_phase(grid, sign: int) -> np.ndarray:
@@ -422,7 +428,7 @@ def lowpass_profile(abs_freq, inner: float, outer: float) -> np.ndarray:
     return smooth_ramp01((outer - np.asarray(abs_freq, dtype=float)) / (outer - inner))
 
 
-@lru_cache(maxsize=32)
+@_read_only_cache(maxsize=32)
 def _axis_profile(count: int, spacing: float, inner: float, outer: float,
                   half: bool = False) -> np.ndarray:
     """`lowpass_profile` at one axis's `fftfreq` bins (`rfftfreq` with `half`).
@@ -432,9 +438,7 @@ def _axis_profile(count: int, spacing: float, inner: float, outer: float,
     of 32768 bins.  The cache holds the bands of a sweep.
     """
     fz = (np.fft.rfftfreq if half else np.fft.fftfreq)(count, spacing)
-    profile = lowpass_profile(np.abs(fz), inner, outer)
-    profile.flags.writeable = False
-    return profile
+    return lowpass_profile(np.abs(fz), inner, outer)
 
 
 def check_below_nyquist(grid, freq: float, message: str) -> None:

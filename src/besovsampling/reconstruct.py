@@ -474,7 +474,7 @@ def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
     return worst
 
 
-def calibrate_passband(sampling_set, grid, b: float | None = None,
+def calibrate_passband(sampling_set, grid,
                        cs=(0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1),
                        threshold: float = 0.9, n: int = 20, seed: int = 0):
     """Largest c_factor (a = c/2) whose family contraction estimate stays

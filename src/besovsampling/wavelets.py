@@ -281,7 +281,7 @@ def build_basis(family: str, order: int | None = None, depth: int = 12) -> Wavel
         lo = -((L - 1) // 2)
         return WaveletBasis("daubechies", K, h, depth, (lo, lo + L - 1),
                             phi, psi)
-    raise ValueError(f"unsupported wavelet family {family!r}")
+    raise ValueError(f"unsupported wavelet family {family!r}; choose haar or daubechies")
 
 
 @lru_cache(maxsize=8)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, asdict
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks, lp_norm,
-                   smooth_lowpass, smooth_ramp01)
+from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks, _read_only_cache,
+                   lp_norm, smooth_lowpass, smooth_ramp01)
 from .geometry import (SamplingSequence1D, _hermite_coefficients,
                        _piecewise_cubic, random_sequence)
 from .wavelets import (
@@ -116,16 +116,14 @@ def window_envelope(grid: Grid1D, flat: float = 0.6, zero: float = 0.85) -> np.n
     return _window_envelope(grid.origin, grid.spacing, grid.count, flat, zero)
 
 
-@lru_cache(maxsize=8)
+@_read_only_cache(maxsize=8)
 def _window_envelope(origin: float, spacing: float, count: int, flat: float,
                      zero: float) -> np.ndarray:
     grid = Grid1D(origin, spacing, count)
     mid = grid.origin + grid.length / 2.0
     half = grid.length / 2.0
     t = np.abs(grid.x - mid) / half
-    env = smooth_ramp01((zero - t) / (zero - flat))
-    env.flags.writeable = False
-    return env
+    return smooth_ramp01((zero - t) / (zero - flat))
 
 
 def _gaussian_vals(x, center, width, amplitude):

@@ -707,6 +707,108 @@ class TestUsageErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+# rows of the reader table: a command line ({name} is a file of the
+# `reader_files` fixture) and the columns, bad inputs, that it reads
+READER_ROWS = {
+    "besov-norm": ("besov norm --s 0.5 --p 2 --input {csv}",
+                   ("non-dyadic", "unknown-family", "order-out-of-range")),
+    "besov-filters": ("besov filters", ("unknown-family", "order-out-of-range")),
+    "coeff-dump": ("coeff-dump --input {csv} --j-min -2 --j-max 0 --out {out}",
+                   ("non-dyadic", "order-out-of-range")),
+    "approx-split": ("approx split --mode wavelet --b 0.5 --input {csv}",
+                     ("non-dyadic",)),
+    "approx-pl": ("approx pl --input {csv}", ("two-d",)),
+    "reconstruct": ("reconstruct --input {csv}", ("two-d",)),
+    "geometry-check": ("geometry check --geometry {spec}",
+                       ("missing-key", "mistyped-param")),
+    "reconstruct-geometry": ("reconstruct --input {grid2d} --geometry {spec}",
+                             ("missing-key", "mistyped-param")),
+    "verify-sampling": ("verify sampling --geometry {spec} --out-dir {out_dir}",
+                        ("missing-key", "mistyped-param")),
+    "sweep-config": ("sweep sampling --config {config}",
+                     ("missing-key", "mistyped-param")),
+}
+# columns: the files a bad input puts in place of good ones, the options it
+# adds, and the option that the error must name
+READER_COLUMNS = {
+    "non-dyadic": ({"csv": "non-dyadic.csv"}, "", "'--input'"),
+    "two-d": ({"csv": "grid2d.csv"}, "", "'--input'"),
+    "missing-key": ({"spec": "missing-key.json", "config": "config-missing-key.json"},
+                    "", "'--geometry'"),
+    "mistyped-param": ({"spec": "mistyped.json", "config": "config-mistyped.json"},
+                       "", "'--geometry'"),
+    "unknown-family": ({}, " --basis foo", "'--basis'"),
+    "order-out-of-range": ({}, " --order 11", "'--order'"),
+}
+READER_CELLS = [(row, column) for row, (_, columns) in READER_ROWS.items()
+                for column in columns]
+
+
+@pytest.fixture()
+def reader_files(tmp_path, monkeypatch):
+    """Small inputs, good and bad, and no heavy work: building a 2D field
+    or running P fails the test."""
+    def heavy(*args, **kwargs):
+        raise AssertionError("heavy work ran before the inputs were read")
+
+    monkeypatch.setattr(cli, "bandlimited_field_2d", heavy)
+    monkeypatch.setattr(LowpassMultiplier, "apply", heavy)
+    g1 = Grid1D(-4.0, 2.0**-3, 64)
+    save_csv(GridFunction(g1, np.exp(-np.pi * g1.x**2)), tmp_path / "good.csv")
+    save_csv(GridFunction(Grid2D(g1, g1), np.ones((64, 64))), tmp_path / "grid2d.csv")
+    odd = Grid1D(-6.0, 0.375, 32)
+    save_csv(GridFunction(odd, np.exp(-np.pi * odd.x**2)), tmp_path / "non-dyadic.csv")
+    # a sweep gives the spec its own b, so the key every reader needs is the variant
+    specs = {"missing-key": {"b": 0.5, "window": [-4.0, 4.0]},
+             "mistyped": {"variant": "curve-family", "b": 0.5, "window": [-4.0, 4.0],
+                          "params": {"seed": "x"}}}
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        (tmp_path / f"config-{name}.json").write_text(json.dumps({
+            "command": "sampling", "b_list": [0.5], "out_dir": str(tmp_path / "out"),
+            "geometry": str(tmp_path / f"{name}.json")}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("row, column", READER_CELLS,
+                         ids=[f"{row}-{column}" for row, column in READER_CELLS])
+def test_each_reader_names_its_option(reader_files, row, column):
+    """Each kind of input is read in one place: every bad one exits 2 with
+    no traceback, before any heavy work, naming the option it came in by."""
+    template, _ = READER_ROWS[row]
+    files, extra, option = READER_COLUMNS[column]
+    if row == "sweep-config":
+        option = "the 'geometry' key of '--config'"
+    paths = {"csv": "good.csv", "grid2d": "grid2d.csv", "spec": "", "config": "",
+             **files, "out": "c.json", "out_dir": "out"}
+    args = [token.format(**{k: str(reader_files / v) for k, v in paths.items()})
+            for token in (template + extra).split()]
+    res = TestUsageErrors._usage_error(args, option)
+    assert res.output.count("Error:") == 1
+    assert not (reader_files / "out").exists()
+    assert not (reader_files / "c.json").exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    ("verify heisenberg --b ,", "'--b'"),
+    ("verify heisenberg --sweep 2^-3..abc", "'--sweep'"),
+    ("verify heisenberg --p 2,x", "'--p'"),
+    ("sweep split --s abc", "'--s'"),
+    ("sweep split --seed 1,x", "'--seed'"),
+    ("approx pl --input {csv} --b 2^x", "'--b'"),
+    ("besov norm --s 0.5 --p 2 --q abc --input {csv}", "'--s' / '--p' / '--q'"),
+], ids=["empty-list", "range-end", "p-not-a-number", "s-not-a-number",
+        "seed-not-an-integer", "approx-b", "q-not-a-number"])
+def test_value_readers_name_their_option(reader_files, monkeypatch, args, option):
+    def no_pipeline(t):
+        raise AssertionError("a tuple ran before the values were read")
+
+    for name in PIPELINES:
+        monkeypatch.setitem(cli.PIPELINES, name, no_pipeline)
+    csv = str(reader_files / "good.csv")
+    TestUsageErrors._usage_error([t.format(csv=csv) for t in args.split()], option)
+
+
 class TestReconstructGeometry:
     """`reconstruct --geometry` on a 64^2 grid: the variants with a
     reconstruction lattice run; the others are usage errors naming the
@@ -806,8 +908,8 @@ class TestFingerprints:
 
 
 def test_cli_import_loads_only_the_scipy_it_uses():
-    """Importing the CLI loads `scipy.fft` (and the `scipy.special` it brings)
-    but none of the subpackages below, which cost about 25 MiB and 0.25 s of
+    """Importing the CLI loads `scipy.fft` and `scipy.special` (which
+    `geometry.py` imports) but none of the subpackages below, which cost about 25 MiB and 0.25 s of
     every start; `scipy.spatial` comes with the first geometry check.  A fresh
     interpreter shows what the import pulls in."""
     src = str(Path(cli.__file__).resolve().parents[1])
