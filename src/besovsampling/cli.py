@@ -31,6 +31,7 @@ from .besov import (
 from .geometry import (
     MIN_PROBES,
     SamplingSequence1D,
+    carrier_dimension,
     check_conditions,
     geometry_from_json_dict,
     geometry_to_json_dict,
@@ -174,12 +175,6 @@ def _critical_norm(spec: ZooSpec, p: float) -> float:
     return critical_norm(zf.f, p, basis=basis)
 
 
-def _field_on_geometry(geom_path: str, b: float, seed: int):
-    """The 2D pipelines' input: a seeded bandlimited field, then the geometry
-    of the spec at `geom_path` with the tuple's gap bound b."""
-    return bandlimited_field_2d(default_grid_2d(), 1.0, seed), _geometry_spec(geom_path, b)[1]
-
-
 def run_sampling_tuple(args) -> dict:
     b, p, s_idx, seed, geom_path = args
     if geom_path is None:
@@ -187,8 +182,12 @@ def run_sampling_tuple(args) -> dict:
         zf, basis, sset = _on_default_grid(spec, b, seed + 1)
         f, norm = zf.f, _critical_norm(spec, p)
     else:
-        f, sset = _field_on_geometry(geom_path, b, seed)
-        basis, norm = default_basis(), None
+        # the critical norm needs only the spec's carrier dimension, so the
+        # field is analyzed before the geometry exists and never beside it
+        spec = _json(geom_path)
+        f, basis = bandlimited_field_2d(default_grid_2d(), 1.0, seed), default_basis()
+        norm = critical_norm(f, p, carrier_dimension(spec.get("variant")), basis)
+        sset = geometry_from_json_dict({**spec, "b": b})
     rep = sampling_ratio(f, sset, p, basis, besov_norm=norm)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
     # the cell form carries a cell-geometry factor, so the b^(m/p)-weighted
@@ -261,7 +260,8 @@ def run_reconstruct_tuple(args) -> dict:
         zf, _, sset = _on_default_grid(spec, b, seed)
         f = zf.f
     else:
-        f, sset = _field_on_geometry(geom_path, b, seed)
+        f = bandlimited_field_2d(default_grid_2d(), 1.0, seed)
+        sset = _geometry_spec(geom_path, b)[1]
     cfg = ReconstructionConfig(c_factor=0.25, n_iter=12, p=p)
     rep = full_pipeline(f, build_operator(sset, cfg, f.grid))
     return {"b": b, "p": p, "s": s, "seed": seed,
@@ -312,25 +312,45 @@ def _read_config(path: str) -> RunConfig:
     return RunConfig(**raw)
 
 
-def _config_problem(cfg: RunConfig) -> tuple[str, str] | None:
+def _positive(v) -> bool:
+    """Whether `v` is a positive finite number (not a bool)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
+# the value lists of a RunConfig: the option and config key that set each,
+# the test an entry must pass and what the test asks
+_VALUE_LISTS = (
+    ("--b", "b_list", _positive, "b must be a positive finite number"),
+    # every pipeline takes an L^p norm, and the critical Besov norm B^{1/p}_{p,1}
+    ("--p", "p_list", lambda p: _positive(p) and p >= 1.0, "p must lie in [1, inf)"),
+    # None leaves s (the smoothness, or heisenberg's alpha) to the pipeline
+    ("--s", "s_list", lambda s: s is None or _positive(s),
+     "s must be a positive finite number"),
+    ("--seed", "seeds", lambda s: isinstance(s, int) and s >= 0,
+     "seed must be a non-negative integer"),
+)
+
+
+def _config_problem(cfg: RunConfig) -> tuple[str, str, str] | None:
     """The first RunConfig field that no sweep can run, as the command-line
-    option that sets it and what is wrong; None if every field is fine."""
+    option and the config key that set it and what is wrong; None if every
+    field is fine."""
     if cfg.command not in PIPELINES:
-        return "PIPELINE", (f"unknown pipeline {cfg.command!r}; "
-                            f"choose from {sorted(PIPELINES)}")
+        return "PIPELINE", "command", (f"unknown pipeline {cfg.command!r}; "
+                                       f"choose from {sorted(PIPELINES)}")
     if cfg.geometry is not None and cfg.command in ONE_DIMENSIONAL:
-        return "--geometry", (
+        return "--geometry", "geometry", (
             f"pipeline {cfg.command} is one-dimensional; --geometry is not "
             f"supported here (only {sorted(set(PIPELINES) - ONE_DIMENSIONAL)} take it)")
-    # every pipeline takes an L^p norm, and the critical Besov norm B^{1/p}_{p,1}
-    bad_p = [p for p in cfg.p_list if not 1.0 <= p < math.inf]
-    if bad_p:
-        return "--p", f"p must lie in [1, inf), got {bad_p[0]}"
+    for option, key, ok, rule in _VALUE_LISTS:
+        values = getattr(cfg, key)
+        if not (isinstance(values, list) and values):
+            return option, key, f"{key} must be a non-empty list, got {values!r}"
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            return option, key, f"{rule}, got {bad[0]!r}"
     if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
-        return "--jobs", f"jobs must be a positive integer, got {cfg.jobs!r}"
-    bad_seeds = [s for s in cfg.seeds if not (isinstance(s, int) and s >= 0)]
-    if bad_seeds:
-        return "--seed", f"seed must be a non-negative integer, got {bad_seeds[0]!r}"
+        return "--jobs", "jobs", f"jobs must be a positive integer, got {cfg.jobs!r}"
     return None
 
 
@@ -338,7 +358,7 @@ def execute_sweep(cfg: RunConfig):
     """Run one pipeline over the parameter grid; deterministic merge order."""
     problem = _config_problem(cfg)
     if problem:
-        raise ValueError(problem[1])
+        raise ValueError(problem[-1])
     packed = [(cfg.command, t) for t in cfg.tuples()]
     # a forked pool starts all its workers up front, so start no idle ones
     workers = min(cfg.jobs, len(packed))
@@ -467,16 +487,27 @@ _ORDER = click.option("--order", default=4, show_default=True)
 def _run_sweep(cfg: RunConfig, from_config: bool = False, out: str | None = None):
     """The body of `verify` and `sweep`: check `cfg` (read from `--config` if
     `from_config`), run it, write its CSV, JSON and `out`, set the exit code."""
+    def hint(option, key):
+        return f"the {key!r} key of '--config'" if from_config else [option]
+
     problem = _config_problem(cfg)
     if problem:
-        raise click.BadParameter(problem[1],
-                                 param_hint=["--config" if from_config else problem[0]])
+        option, key, message = problem
+        raise click.BadParameter(message, param_hint=hint(option, key))
     if cfg.geometry is not None:
-        # a tuple builds its field, then the spec at its b: build every b first
-        with _input_errors("the 'geometry' key of '--config'" if from_config
-                           else ["--geometry"]):
+        # a tuple analyzes its field before it builds the spec at its b, and
+        # then traces the field there: build every b's geometry first, check
+        # that the field's grid covers it, and drop it
+        grid = default_grid_2d()
+        with _input_errors(hint("--geometry", "geometry")):
             for b in cfg.b_list:
-                _geometry_spec(cfg.geometry, b)
+                axis = grid.uncovered_axis(_geometry_spec(cfg.geometry, b)[1].anchors)
+                if axis:
+                    (x0, x1), (y0, y1) = ((g.x[0], g.x[-1]) for g in grid.axes)
+                    raise ValueError(
+                        f"at b={b} the geometry has anchors off the 2D grid "
+                        f"[{x0}, {x1}] x [{y0}, {y1}] along {axis}; give it a "
+                        "window inside the grid")
     rows = execute_sweep(cfg)
     csv_path, json_path, ok = sweep_outputs(cfg, rows)
     if out:

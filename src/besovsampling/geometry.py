@@ -80,6 +80,14 @@ DECLARED_CONSTANTS = {
 }
 
 
+def carrier_dimension(variant: str) -> int:
+    """m, the dimension of the variant's cells: 2 for the squares of
+    curve-family, 1 for the segments of the others."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
+    return 2 if variant == "curve-family" else 1
+
+
 def window_for_grid(grid) -> tuple[float, float]:
     """Square working window matching a (half-open) 2D grid span."""
     gx, gy = grid.gx, grid.gy
@@ -403,8 +411,7 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.  A
     key that the variant neither takes nor records is rejected.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown geometry variant {variant!r}; choose from {VARIANTS}")
+    m = carrier_dimension(variant)
     unknown = sorted(set(params) - _COMMON_PARAMS - _VARIANT_PARAMS[variant])
     if unknown:
         raise ValueError(f"unknown {variant} geometry param(s) {unknown}; it takes "
@@ -548,27 +555,29 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         rec = {"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
                "rmax": rmax}
 
-    m = 2 if variant == "curve-family" else 1
     return SamplingGeometry2D(variant, m, b, C0, D, window, anchors, weights,
                               C0_equiv, flags, params=rec, **cells)
 
 
-def cell_measures(obj) -> np.ndarray:
-    """nu_a(H_a) per anchor (1D: the cell lengths b_n).
+def cell_measures(obj, blk: slice = slice(None)) -> np.ndarray:
+    """nu_a(H_a) per anchor (1D: the cell lengths b_n), or per anchor of the
+    block `blk` of anchors.
 
     Segment lengths are sqrt(dx*dx + dy*dy), `_POINT_BLOCK` cells at a time,
     so no temporary is as large as the cells.
     """
     if isinstance(obj, SamplingSequence1D):
-        return obj.cell_lengths
+        return obj.cell_lengths[blk]
     g = obj
+    n = len(g.anchors[blk])
     if g.m == 1:
-        out = np.empty(len(g.cell_a))
-        for blk in _blocks(len(out), _POINT_BLOCK):
-            dx, dy = (g.cell_b[blk] - g.cell_a[blk]).T
-            np.sqrt(dx * dx + dy * dy, out=out[blk])
+        out = np.empty(n)
+        cell_a, cell_b = g.cell_a[blk], g.cell_b[blk]
+        for sub in _blocks(n, _POINT_BLOCK):
+            dx, dy = (cell_b[sub] - cell_a[sub]).T
+            np.sqrt(dx * dx + dy * dy, out=out[sub])
         return out
-    return np.full(g.n_anchors(), (2.0 * g.cell_radius) ** 2)
+    return np.full(n, (2.0 * g.cell_radius) ** 2)
 
 
 # ---------------------------------------------------------------------------

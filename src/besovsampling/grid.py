@@ -106,6 +106,19 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.gx.count, self.gy.count)
 
+    def uncovered_axis(self, pts: np.ndarray) -> str | None:
+        """The first axis, "x" or "y", along which a point of `pts` (shape
+        (n, 2), finite) lies off the grid by more than 1e-9 spacings; None if
+        the grid covers them all.  `GridFunction.interpolate` rejects by it."""
+        for axis, (name, g) in enumerate(zip("xy", self.axes)):
+            # rounding is monotone, so these are the extremes of the cell
+            # coordinates that `interpolate` forms
+            c = pts[:, axis]
+            if c.size and not ((c.min() - g.origin) / g.spacing >= -1e-9
+                               and (c.max() - g.origin) / g.spacing <= g.count - 1 + 1e-9):
+                return name
+        return None
+
 
 def default_grid_1d() -> Grid1D:
     """Default fine grid: h = 2^-10 on [-16, 16)."""
@@ -204,14 +217,11 @@ class GridFunction:
             raise ValueError(f"2D interpolation points need shape (..., 2), "
                              f"got {pts.shape}")
         pts = pts.reshape(-1, 2)
+        axis = self.grid.uncovered_axis(pts)
+        if axis:
+            raise ValueError(f"interpolation point outside grid domain ({axis})")
         out = np.empty(len(pts))
         axes = self.grid.axes
-        for axis, (name, g) in enumerate(zip("xy", axes)):
-            # rounding is monotone, so these are the extremes of t below
-            c = pts[:, axis]
-            if c.size and not ((c.min() - g.origin) / g.spacing >= -1e-9
-                               and (c.max() - g.origin) / g.spacing <= g.count - 1 + 1e-9):
-                raise ValueError(f"interpolation point outside grid domain ({name})")
         n1 = self.grid.shape[1]
         flat = self.values.reshape(-1)
         for blk in _blocks(len(pts), _POINT_BLOCK):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .besov import critical_norm
 from .geometry import SamplingSequence1D, cell_measures
-from .grid import GridFunction, lp_norm, weighted_lp_norm
+from .grid import _POINT_BLOCK, GridFunction, _blocks, lp_norm, weighted_lp_norm
 from .wavelets import WaveletBasis
 
 __all__ = [
@@ -59,8 +59,7 @@ class TraceValues:
         if len(self.values) != len(self.carrier_weights) or \
                 len(self.values) != len(self.cell_weights):
             raise ValueError("trace arrays must share one node count")
-        if np.any(self.carrier_weights <= 0) or np.any(self.cell_weights <= 0):
-            raise ValueError("trace weights must be positive")
+        _check_weights(self.carrier_weights, self.cell_weights)
 
     def lp_carrier(self, p: float) -> float:
         """(integral_G |f|^p dH^(d-m))^(1/p)."""
@@ -73,16 +72,54 @@ class TraceValues:
                      ** (1.0 / p))
 
 
-def trace(f: GridFunction, sampling_set) -> TraceValues:
-    """Restrict f to the anchors of a sampling set, a 1D sequence (m = d = 1)
-    or a 2D carrier (linear interpolation between grid nodes)."""
+def _check_weights(carrier: np.ndarray, cells: np.ndarray) -> None:
+    if np.any(carrier <= 0) or np.any(cells <= 0):
+        raise ValueError("trace weights must be positive")
+
+
+def _trace_blocks(f: GridFunction, sampling_set):
+    """f's values, carrier weights and cell weights on the anchors of a
+    sampling set, `_POINT_BLOCK` anchors at a time, as (block, values,
+    carrier weights, cell weights).  The one body of `trace` and of
+    `sampling_ratio`'s norms: it checks the dimensions, the interpolation
+    domain (each block) and the weights (each block)."""
     s = sampling_set
     if f.ndim != s.d:
         raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid function, "
                          f"got {f.ndim}D")
-    vals = f.interpolate(s.anchors)
-    cells = s.anchor_weights * cell_measures(s)
-    return TraceValues(vals, s.anchor_weights.copy(), cells, s.m, s.d, s.b)
+    anchors, weights = s.anchors, s.anchor_weights
+    for blk in _blocks(len(anchors), _POINT_BLOCK):
+        carrier = weights[blk]
+        cells = carrier * cell_measures(s, blk)
+        _check_weights(carrier, cells)
+        yield blk, f.interpolate(anchors[blk]), carrier, cells
+
+
+def trace(f: GridFunction, sampling_set) -> TraceValues:
+    """Restrict f to the anchors of a sampling set, a 1D sequence (m = d = 1)
+    or a 2D carrier (linear interpolation between grid nodes).  The carrier
+    weights are a read-only view of the set's anchor weights."""
+    s = sampling_set
+    n = len(s.anchors)
+    vals, cells = np.empty(n), np.empty(n)
+    for blk, v, _, c in _trace_blocks(f, s):
+        vals[blk], cells[blk] = v, c
+    weights = s.anchor_weights.view()
+    weights.flags.writeable = False
+    return TraceValues(vals, weights, cells, s.m, s.d, s.b)
+
+
+def _trace_norms(f: GridFunction, sampling_set, p: float) -> tuple[float, float]:
+    """`trace(f, sampling_set)`'s `lp_carrier(p)` and `lp_cells(p)`, summed a
+    block of anchors at a time, with no array as long as the trace.  A set
+    of one block (a 1D sequence of at most `_POINT_BLOCK` points) gives the
+    two norms bit for bit."""
+    carrier_sum = cell_sum = 0.0
+    for _, vals, carrier, cells in _trace_blocks(f, sampling_set):
+        abs_pow = np.abs(vals) ** p
+        carrier_sum += np.sum(carrier * abs_pow)
+        cell_sum += np.sum(cells * abs_pow)
+    return float(carrier_sum ** (1.0 / p)), float(cell_sum ** (1.0 / p))
 
 
 @dataclass
@@ -110,23 +147,26 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
                    besov_norm: float | None = None) -> SamplingReport:
     """Two-sided trace comparison at the critical smoothness s = m/p, q = 1.
 
-    The [1/2, 5/2] band flags are only evaluated when the smallness
-    hypothesis b^(m/p) N < DEFAULT_DELTA holds; otherwise they stay None.
+    The two trace norms are taken first, `_POINT_BLOCK` anchors at a time,
+    and no trace is built: a bad sampling set fails before the analysis, and
+    the analysis, when `besov_norm` is not given, runs with nothing of the
+    trace held.  The [1/2, 5/2] band flags are only evaluated when the
+    smallness hypothesis b^(m/p) N < DEFAULT_DELTA holds; otherwise they
+    stay None.
     """
     np_norm = lp_norm(f, p)
     if np_norm == 0.0:
         raise ValueError("cannot form sampling ratios: ||f||_p = 0")
-    m = sampling_set.m
-    # the trace checks the sampling set, so a bad one fails before the analysis
-    tr = trace(f, sampling_set)
+    m, b = sampling_set.m, sampling_set.b
+    # the norms check the sampling set, so a bad one fails before the analysis
+    lp_carrier, lp_cells = _trace_norms(f, sampling_set, p)
     if besov_norm is None:
         besov_norm = critical_norm(f, p, m, basis)
-    b = tr.b
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N
     ok = bool(smallness < DEFAULT_DELTA)
-    trace_ratio = b ** (m / p) * tr.lp_carrier(p) / np_norm
-    cell_ratio = tr.lp_cells(p) / np_norm
+    trace_ratio = b ** (m / p) * lp_carrier / np_norm
+    cell_ratio = lp_cells / np_norm
     return SamplingReport(
         p=p, m=m, b=b, lp_norm=np_norm, besov_norm=besov_norm,
         ratio_norms=N, smallness=smallness, delta=DEFAULT_DELTA, hypothesis_ok=ok,

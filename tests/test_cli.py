@@ -23,12 +23,20 @@ from besovsampling.cli import (
     parse_value_list,
     sweep_outputs,
 )
-from besovsampling.geometry import VARIANTS, geometry_from_json_dict, random_sequence
+from besovsampling.geometry import (
+    VARIANTS,
+    geometry_from_json_dict,
+    random_sequence,
+    window_for_grid,
+)
 from besovsampling.grid import (
+    _POINT_BLOCK,
+    _ROW_BLOCK,
     Grid1D,
     Grid2D,
     GridFunction,
     default_grid_1d,
+    default_grid_2d,
     load_csv,
     save_csv,
 )
@@ -38,7 +46,9 @@ from besovsampling.reconstruct import (
     build_operator,
     full_pipeline,
 )
+from besovsampling.wavelets import default_basis
 from besovsampling.zoo import ZooSpec, make
+from test_grid import traced_peak
 
 # the pipelines that take their Besov norm from the (spec, p) memo
 MEMOIZED = ("sampling", "heisenberg", "intb")
@@ -691,6 +701,60 @@ class TestUsageErrors:
                           f"p must lie in [1, inf), got {bad}")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, option, bad", [
+        (["verify", "sampling", "--b", "-0.5"], "'--b'", "-0.5"),
+        (["verify", "heisenberg", "--b", "0"], "'--b'", "0.0"),
+        (["sweep", "pl", "--b", "2^-3,inf"], "'--b'", "inf"),
+        (["sweep", "split", "--s", "0.6,-1"], "'--s'", "-1.0")])
+    def test_b_and_s_not_positive(self, tmp_path, monkeypatch, args, option, bad):
+        def no_pipeline(t):
+            raise AssertionError("a tuple ran before the b and s checks")
+
+        monkeypatch.setitem(cli.PIPELINES, args[1], no_pipeline)
+        name = option.strip("'-")
+        self._usage_error(args + ["--out-dir", str(tmp_path)], option,
+                          f"{name} must be a positive finite number, got {bad}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("b_list", ["x"], "b must be a positive finite number, got 'x'"),
+        ("b_list", [], "b_list must be a non-empty list, got []"),
+        ("s_list", [0.9, 0], "s must be a positive finite number, got 0"),
+        ("p_list", ["2"], "p must lie in [1, inf), got '2'")])
+    def test_config_value_lists(self, tmp_path, monkeypatch, key, values, message):
+        def no_pipeline(t):
+            raise AssertionError("a tuple ran before the config check")
+
+        monkeypatch.setitem(cli.PIPELINES, "reconstruct", no_pipeline)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "reconstruct", key: values,
+                                   "out_dir": str(tmp_path / "out")}))
+        self._usage_error(["sweep", "reconstruct", "--config", str(cfg)],
+                          f"the '{key}' key of '--config'", message)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("variant", ["curve-family", "hyperplane-union"])
+    def test_geometry_off_the_grid_fails_before_any_field(self, tmp_path,
+                                                         monkeypatch, variant):
+        # a tuple analyzes its field before it builds and traces the geometry
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built before the geometry check")
+
+        monkeypatch.setattr(cli, "bandlimited_field_2d", no_field)
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": variant, "b": 0.5, "window": [-9, 9]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "sampling", "b_list": [0.5],
+                                   "geometry": str(spec),
+                                   "out_dir": str(tmp_path / "out")}))
+        for args, option in [
+                (["verify", "sampling", "--b", "0.5", "--geometry", str(spec),
+                  "--out-dir", str(tmp_path / "out")], "'--geometry'"),
+                (["sweep", "sampling", "--config", str(cfg)],
+                 "the 'geometry' key of '--config'")]:
+            self._usage_error(args, option, "anchors off the 2D grid", "along x")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed(self, tmp_path, monkeypatch):
         def no_pipeline(t):
             raise AssertionError("a tuple ran before the seed check")
@@ -807,6 +871,31 @@ def test_value_readers_name_their_option(reader_files, monkeypatch, args, option
         monkeypatch.setitem(cli.PIPELINES, name, no_pipeline)
     csv = str(reader_files / "good.csv")
     TestUsageErrors._usage_error([t.format(csv=csv) for t in args.split()], option)
+
+
+def test_2d_sampling_tuple_holds_the_field_and_the_geometry(tmp_path):
+    """At its peak one 2D sampling tuple on the b=2^-4 spiral holds the field,
+    the geometry and at most 2 MiB more: the L^p norm's row block (1 MiB on
+    2048 points) and 16 blocks of anchors.  It analyzes the field before it
+    builds the geometry and streams the trace norms; with the trace built and
+    held through the analysis it held about 50 MiB more."""
+    grid2 = default_grid_2d()
+    spec = {"variant": "spiral", "b": 2.0**-4, "window": list(window_for_grid(grid2)),
+            "params": {"seed": 3}}
+    path = tmp_path / "spiral.json"
+    path.write_text(json.dumps(spec))
+    g = geometry_from_json_dict(spec)
+    geometry_bytes = sum(a.nbytes for a in (g.anchors, g.anchor_weights, g.cell_a,
+                                            g.cell_b, g.boundary_flags))
+    del g
+    field_bytes = 8 * grid2.shape[0] * grid2.shape[1]
+    blocks = _ROW_BLOCK * grid2.shape[1] * 8 + 16 * _POINT_BLOCK * 2 * 8
+    default_basis()  # built once per process and cached, not the tuple's
+    peak, row = traced_peak(
+        lambda: cli.run_sampling_tuple((2.0**-4, 2.0, None, 3, str(path))))
+    assert row["ok"] and row["hypothesis_ok"]
+    assert peak < field_bytes + geometry_bytes + blocks, (
+        peak, field_bytes, geometry_bytes, blocks)
 
 
 class TestReconstructGeometry:

@@ -7,6 +7,7 @@ import pytest
 from besovsampling import besov
 from besovsampling.besov import BesovParams, besov_norm_via_analyze, besov_norm_wavelet
 from besovsampling.geometry import (
+    VARIANTS,
     SamplingSequence1D,
     build_geometry,
     cell_measures,
@@ -14,9 +15,10 @@ from besovsampling.geometry import (
     regular_sequence,
     window_for_grid,
 )
-from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm
+from besovsampling.grid import _POINT_BLOCK, Grid1D, Grid2D, GridFunction, lp_norm
 from besovsampling.inequalities import (
     BAND,
+    _trace_norms,
     heisenberg_product,
     intB_diagnostic,
     sampling_ratio,
@@ -116,6 +118,67 @@ class TestTrace:
         g = build_geometry("curve-family", {"b": 0.5, "window": (-4.0, 4.0)})
         with pytest.raises(ValueError, match="2D sampling set"):
             trace(GridFunction(small_grid, np.ones(small_grid.count)), g)
+
+
+class TestStreamedNorms:
+    """`sampling_ratio` sums its two trace norms a block of anchors at a
+    time, through the body of `trace`, and builds no trace."""
+
+    @pytest.mark.parametrize("b", [2.0**-3, 2.0**-6])
+    def test_1d_bit_for_bit(self, grid, b):
+        f = make(ZooSpec("bandlimited-random", band=2.0, seed=5), grid).f
+        seq = random_sequence(b, (grid.x[0], grid.x[-1]), 5, strict=True)
+        assert len(seq.points) <= _POINT_BLOCK  # one block, as in every 1D sweep
+        tr = trace(f, seq)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert _trace_norms(f, seq, p) == (tr.lp_carrier(p), tr.lp_cells(p))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_2d_within_1e_12(self, variant):
+        g1 = Grid1D(-8.0, 2.0**-5, 512)
+        grid2 = Grid2D(g1, g1)
+        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        f = GridFunction(grid2, np.outer(u, np.cos(g1.x) * u))
+        b = 2.0**-4 if variant == "curve-family" else 0.5
+        g = build_geometry(variant, {"b": b, "seed": 2, "window": window_for_grid(grid2)})
+        assert len(g.anchors) > 4 * _POINT_BLOCK
+        tr = trace(f, g)
+        for p in (1.0, 2.0, 3.5):
+            np.testing.assert_allclose(_trace_norms(f, g, p),
+                                       (tr.lp_carrier(p), tr.lp_cells(p)),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_carrier_weights_are_a_read_only_view(self, small_grid2d):
+        g = build_geometry("spiral", {"b": 0.5, "seed": 1,
+                                      "window": window_for_grid(small_grid2d)})
+        tr = trace(GridFunction(small_grid2d, np.ones(small_grid2d.shape)), g)
+        assert np.shares_memory(tr.carrier_weights, g.anchor_weights)
+        assert not tr.carrier_weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tr.carrier_weights[0] = 2.0
+        assert g.anchor_weights.flags.writeable
+
+    def test_every_block_is_checked_before_the_analysis(self, small_grid2d, db4,
+                                                        monkeypatch):
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analyze ran before the trace checks")
+
+        monkeypatch.setattr(besov, "analyze", no_analysis)
+        g = build_geometry("spiral", {"b": 0.5, "seed": 1,
+                                      "window": window_for_grid(small_grid2d)})
+        f = GridFunction(small_grid2d, np.ones(small_grid2d.shape))
+        assert len(g.anchors) > 4 * _POINT_BLOCK
+        anchors = g.anchors.copy()
+        anchors[-1] = (0.0, 9.0)  # in the last block only
+        with pytest.raises(ValueError, match=r"outside grid domain \(y\)"):
+            sampling_ratio(f, dataclasses.replace(g, anchors=anchors), 2.0, db4)
+        weights = g.anchor_weights.copy()
+        weights[-1] = 0.0
+        with pytest.raises(ValueError, match="trace weights must be positive"):
+            sampling_ratio(f, dataclasses.replace(g, anchor_weights=weights), 2.0, db4)
+        with pytest.raises(ValueError, match="2D sampling set"):
+            sampling_ratio(GridFunction(Grid1D(-8.0, 2.0**-5, 512), np.ones(512)),
+                           g, 2.0, db4)
 
 
 class TestSamplingRatio:
