@@ -27,8 +27,9 @@ Gaussian bumps of width >= b); for circles and the spiral the comparison
 integral carries the weight max(1, r) dr dsigma instead of Lebesgue measure.
 Each geometry keeps a k-d tree over its anchors, built on first use: probes
 and balls visit only the anchors and cells near them, and balls are counted
-before they are gathered.  `scipy.spatial` is imported with the first tree,
-so a process that builds none never loads it.
+before they are gathered.  `scipy.spatial` is imported with the first tree
+and `scipy.special` with the first probe integral, so a process that builds
+no tree and integrates no probe loads neither.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import erf, i0e
 
 from .grid import _POINT_BLOCK, _blocks
 
@@ -634,6 +634,7 @@ def _gauss_plane_integral(w: float) -> float:
 def _gauss_segment_integral(a, bpt, near, c, w):
     """Exact integral of the Gaussian probe along the segments a[near] ->
     bpt[near], on the coordinate columns of their rows gathered with `take`."""
+    from scipy.special import erf
     (ax, ay), (bx, by) = (np.take(p, near, axis=0).T for p in (a, bpt))
     dx, dy, rx, ry = bx - ax, by - ay, c[0] - ax, c[1] - ay
     L = np.sqrt(dx * dx + dy * dy)
@@ -647,6 +648,7 @@ def _gauss_segment_integral(a, bpt, near, c, w):
 
 def _gauss_square_integral(centers, radius, c, w):
     """Probe integral over axis-aligned squares (vectorized, exact erf form)."""
+    from scipy.special import erf
     srt = math.sqrt(math.pi) / w
     out = np.ones(len(centers))
     for axis in range(2):
@@ -665,6 +667,7 @@ def _radial_profile_integral(tgrid, weight, c, w):
     the outer integral against dt carries the given radial weight.  Only the
     nodes with |t - rc| <= PROBE_CUTOFF w are summed, as for the cells.
     """
+    from scipy.special import i0e
     rc = float(np.linalg.norm(c))
     keep = np.abs(tgrid - rc) <= PROBE_CUTOFF * w
     t, weight = tgrid[keep], weight[keep]

@@ -11,6 +11,8 @@ Conventions:
     is its own transform.
   * Smooth cutoffs are built from the C-infinity ramp based on exp(-1/t);
     see `smooth_ramp01`.
+
+`scipy.fft` is imported by the first `fourier` or `inverse_fourier` call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 
 import numpy as np
-from scipy import fft as sp_fft
 
 __all__ = [
     "Grid1D",
@@ -406,6 +407,7 @@ def fourier(f: GridFunction) -> SpectrumFunction:
     axes = f.grid.axes
     for g in axes:
         _check_pow2(g.count, "grid")
+    from scipy import fft as sp_fft
     freqs = tuple(_axis_freqs(g.count, g.spacing) for g in axes)
     volume = math.prod(g.spacing for g in axes)
     spec = _fftn(f.values.astype(complex), sp_fft.fft)
@@ -414,6 +416,7 @@ def fourier(f: GridFunction) -> SpectrumFunction:
 
 def inverse_fourier(F: SpectrumFunction) -> GridFunction:
     """Invert `fourier`; the (tiny) imaginary part is dropped."""
+    from scipy import fft as sp_fft
     volume = math.prod(g.spacing for g in F.grid.axes)
     spec = _origin_phase(F.grid, 1) * F.values / volume
     return GridFunction(F.grid, np.real(_fftn(spec, sp_fft.ifft)))

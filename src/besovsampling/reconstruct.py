@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, asdict
 from functools import reduce
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
@@ -127,6 +126,7 @@ class PartitionOfUnity:
         `fftconvolve(impulses, _kernel, mode="same")`, so the same bits, with
         the kernel's spectrum taken once in `build_partition`.
         """
+        from scipy.fft import irfftn, rfftn
         imp = np.zeros(self.grid.shape)
         np.add.at(imp, self._idx, coeffs)
         full = irfftn(rfftn(imp, self._fft_shape) * self._kernel_spectrum,
@@ -181,6 +181,7 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
     ty = np.arange(-nk, nk + 1) * gy.spacing / radius
     kern = np.sqrt(tx[:, None] ** 2 + ty[None, :] ** 2)
     kern = _bump01(kern)
+    from scipy.fft import next_fast_len, rfftn
     # fftconvolve's padded shape: the full linear size, rounded up per axis
     fshape = tuple(next_fast_len(n + k - 1, True)
                    for n, k in zip(grid.shape, kern.shape))

@@ -31,7 +31,8 @@ reads the tabulated profile once per table interval, not once per point.
 1D analysis keeps its earlier routes until the benchmark's 1D `residual_l2`
 reference can take a change of rounding (ROADMAP item 4(a)): an FFT
 correlation read at every stride-th lag for M < n, with phi and psi sharing
-the forward spectrum, and one product per block for M >= n.
+the forward spectrum, and one product per block for M >= n.  That FFT route
+is the module's only use of `scipy.fft`, imported by its first call.
 
 In 2D, analysis correlates axis 1 first, so the strided axis 0 sees only the
 partial results, already reduced to one value per translate.  Synthesis, its
@@ -53,7 +54,6 @@ from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import Grid1D, GridFunction, lp_norm
 
@@ -648,6 +648,7 @@ def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
                 out[k_a - k_min : k_a - k_min + len(W)] += values[sl] @ W.T
             outs.append(out)
         return outs
+    from scipy import fft as sp_fft
     L = sp_fft.next_fast_len(n + M, True)
     spectrum = sp_fft.rfft(values, L)
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
@@ -674,6 +675,7 @@ def _kernel_spectrum(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     key = (L, g.resolution_exponent, j, which)
     spectra = basis._spectra
     if key not in spectra:
+        from scipy import fft as sp_fft
         spectrum = sp_fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)
         spectrum.flags.writeable = False
         if len(spectra) >= _MAX_SPECTRA:

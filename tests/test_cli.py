@@ -791,6 +791,9 @@ READER_ROWS = {
                         ("missing-key", "mistyped-param")),
     "sweep-config": ("sweep sampling --config {config}",
                      ("missing-key", "mistyped-param")),
+    "zoo-make": ("zoo make --spec {zoo} --out {out}", ("unknown-kind", "mistyped-field")),
+    "fit-slope": ("fit-slope --csv {fit}",
+                  ("non-numeric-cell", "unknown-x", "unknown-y", "two-rows")),
 }
 # columns: the files a bad input puts in place of good ones, the options it
 # adds, and the option that the error must name
@@ -803,6 +806,12 @@ READER_COLUMNS = {
                        "", "'--geometry'"),
     "unknown-family": ({}, " --basis foo", "'--basis'"),
     "order-out-of-range": ({}, " --order 11", "'--order'"),
+    "unknown-kind": ({"zoo": "zoo-unknown-kind.json"}, "", "'--spec'"),
+    "mistyped-field": ({"zoo": "zoo-mistyped.json"}, "", "'--spec'"),
+    "non-numeric-cell": ({"fit": "fit-non-numeric.csv"}, "", "'--csv'"),
+    "unknown-x": ({}, " --x gap", "'--x'"),
+    "unknown-y": ({}, " --y err", "'--y'"),
+    "two-rows": ({"fit": "fit-two-rows.csv"}, "", "'--csv'"),
 }
 READER_CELLS = [(row, column) for row, (_, columns) in READER_ROWS.items()
                 for column in columns]
@@ -831,6 +840,15 @@ def reader_files(tmp_path, monkeypatch):
         (tmp_path / f"config-{name}.json").write_text(json.dumps({
             "command": "sampling", "b_list": [0.5], "out_dir": str(tmp_path / "out"),
             "geometry": str(tmp_path / f"{name}.json")}))
+    zoo_specs = {"unknown-kind": {"kind": "sawtooth"},
+                 "mistyped": {"kind": "gaussian", "width": "wide"}}
+    for name, spec in zoo_specs.items():
+        (tmp_path / f"zoo-{name}.json").write_text(json.dumps(spec))
+    fits = {"": "0.5,0.1\n0.25,0.05\n0.125,0.025\n",
+            "-non-numeric": "0.5,0.1\n0.25,abc\n0.125,0.025\n",
+            "-two-rows": "0.5,0.1\n0.25,0.05\n"}
+    for name, rows in fits.items():
+        (tmp_path / f"fit{name}.csv").write_text("b,error\n" + rows)
     return tmp_path
 
 
@@ -844,7 +862,7 @@ def test_each_reader_names_its_option(reader_files, row, column):
     if row == "sweep-config":
         option = "the 'geometry' key of '--config'"
     paths = {"csv": "good.csv", "grid2d": "grid2d.csv", "spec": "", "config": "",
-             **files, "out": "c.json", "out_dir": "out"}
+             "zoo": "", "fit": "fit.csv", **files, "out": "c.json", "out_dir": "out"}
     args = [token.format(**{k: str(reader_files / v) for k, v in paths.items()})
             for token in (template + extra).split()]
     res = TestUsageErrors._usage_error(args, option)
@@ -996,26 +1014,45 @@ class TestFingerprints:
         assert hashes[0] != hashes[1]
 
 
-def test_cli_import_loads_only_the_scipy_it_uses():
-    """Importing the CLI loads `scipy.fft` and `scipy.special` (which
-    `geometry.py` imports) but none of the subpackages below, which cost about 25 MiB and 0.25 s of
-    every start; `scipy.spatial` comes with the first geometry check.  A fresh
-    interpreter shows what the import pulls in."""
+def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
+    """Importing the CLI loads no part of scipy, and neither do the bench's
+    set-up tuple (`pl` at b=2^-3) and a 2D `sampling` tuple, which run on
+    numpy alone.  `scipy.special` and `scipy.spatial` come with the first
+    geometry check, and `scipy.fft` with the first 1D transform, as in a 1D
+    critical norm.  The import loads none of the `unused` subpackages, which
+    cost about 25 MiB and 0.25 s of every start.  A fresh interpreter shows
+    what each step pulls in."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spec = tmp_path / "spiral.json"
+    spec.write_text(json.dumps({
+        "variant": "spiral", "b": 2.0**-4,
+        "window": list(window_for_grid(default_grid_2d())), "params": {"seed": 3}}))
     code = """
 import sys
-import besovsampling.cli
+import numpy as np
+import besovsampling.cli as cli
+from besovsampling.besov import critical_norm
 from besovsampling.geometry import build_geometry, check_conditions
+from besovsampling.grid import GridFunction, default_grid_1d
+def scipy_modules():
+    return [name for name in sys.modules if name.split(".")[0] == "scipy"]
 unused = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.linalg",
           "scipy.sparse", "scipy.signal")
 print(*[name for name in unused if name in sys.modules])
+print(*scipy_modules())
+cli.execute_sweep(cli.RunConfig("pl", b_list=[2.0**-3], seeds=[2**40]))
+row = cli.run_sampling_tuple((2.0**-4, 2.0, None, 3, sys.argv[1]))
+print(row["ok"], *scipy_modules())
 check_conditions(build_geometry("curve-family", {"b": 0.5, "window": (-4, 4)}),
                  n_probes=10)
-print("scipy.spatial" in sys.modules)
+print("scipy.spatial" in sys.modules, "scipy.special" in sys.modules)
+g = default_grid_1d()
+critical_norm(GridFunction(g, np.exp(-np.pi * g.x**2)), 2.0)
+print("scipy.fft" in sys.modules)
 """
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code, str(spec)],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["", "True"]
+    assert res.stdout.splitlines() == ["", "", "True", "True True", "True"]
