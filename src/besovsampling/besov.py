@@ -167,7 +167,11 @@ def besov_norm_lp_details(
     terms = []
     per_scale = {}
     for j in range(j_lo, j_hi + 1):
-        mult = rho(absf * 2.0**-j)
+        # rho is exactly +0.0 off 1/2 < y < 2, so only the band is evaluated
+        y = absf * 2.0**-j
+        band = (y > 0.5) & (y < 2.0)
+        mult = np.zeros_like(y)
+        mult[band] = rho(y[band])
         if not np.any(mult * np.abs(F.values) > 0.0):
             continue
         block = inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))

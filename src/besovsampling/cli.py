@@ -387,6 +387,9 @@ def _sweep_report(cfg: RunConfig, rows: list[dict]) -> dict:
     # out_dir and jobs are execution details; the fingerprint must not depend
     # on where results land or how many workers produced them
     hashed = {k: v for k, v in asdict(cfg).items() if k not in ("out_dir", "jobs")}
+    if cfg.geometry is not None:
+        # the spec's content, not its path, as `reconstruct --geometry` hashes it
+        hashed["geometry"] = _json(cfg.geometry)
     report = {"rows": rows, "fingerprint": environment_fingerprint(hashed),
               "slope_fit": None, "schema": CSV_SCHEMA_VERSION}
     header = list(rows[0].keys())

@@ -38,6 +38,7 @@ __all__ = [
     "smooth_ramp01",
     "lowpass_profile",
     "check_below_nyquist",
+    "half_spectrum_lowpass",
     "smooth_lowpass",
     "save_csv",
     "load_csv",
@@ -462,7 +463,14 @@ def check_below_nyquist(grid, freq: float, message: str) -> None:
         raise ValueError(message.format(freq=freq, nyq=nyq))
 
 
-def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
+def _check_band(grid, inner: float, outer: float) -> None:
+    """Reject a low-pass band without 0 < inner < outer < the lowest Nyquist frequency."""
+    if not (0 < inner < outer):
+        raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
+    check_below_nyquist(grid, outer, "outer={freq} exceeds Nyquist frequency {nyq}")
+
+
+def half_spectrum_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     """Multiply the spectrum by the C-infinity low-pass profile of each axis.
 
     The multiplier is the product over the axes of
@@ -476,44 +484,26 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     real multiplier keeps the spectrum of real values Hermitian, so the
     half spectrum carries all of it.
 
-    On 2D grids the filter runs on the half spectrum and keeps only the
-    columns it can pass: `rfft` along the last axis, then the leading
-    `keep` columns, where the last-axis profile (on the `rfftfreq` bins)
-    falls to 0 past bin keep - 1 and stays 0.  The other axes take their
-    `fft`, each axis's profile is multiplied in place one axis at a time
-    (the other axes' `fftfreq` bins first, the last axis's after), the
-    other axes take their `ifft`, and `irfft` with n = count zero-pads the
-    dropped columns.  These are the transforms and products of
-    `rfftn` / `irfftn` with the profiles in between, in the same order, on
-    fewer columns, so the output is theirs bit for bit; at band 1 on the
-    2048² grid 16 of 1025 columns are kept.  It builds no phase, no
+    So the filter keeps only the bins it can pass: `rfft` along the last
+    axis, then the leading `keep` bins, where the last-axis profile (on the
+    `rfftfreq` bins) falls to 0 past bin keep - 1 and stays 0.  The other
+    axes, if any, take their `fft`, each axis's profile is multiplied in
+    place one axis at a time (the other axes' `fftfreq` bins first, the last
+    axis's after), the other axes take their `ifft`, and `irfft` with
+    n = count zero-pads the dropped bins.  These are the transforms and
+    products of `rfftn` / `irfftn` with the profiles in between, in the same
+    order, on fewer bins, so the output is theirs bit for bit; at band 1 on
+    the 2048² grid 16 of 1025 columns are kept.  It builds no phase, no
     full-grid multiplier and no complex full spectrum.
-
-    On 1D grids it still goes through `fourier`, the product with the
-    cached profile and `inverse_fourier`.  The half-spectrum route agrees with that
-    only to rounding, and a 1D figure downstream cannot take a change of
-    rounding: the benchmark's sweep-1d reference pins the `residual_l2` of
-    `analyze`, the square root of a difference of nearly equal energies, to
-    a relative 1e-9, and the half-spectrum route moves it by a few 1e-8.
     """
-    if not (0 < inner < outer):
-        raise ValueError(f"need 0 < inner < outer, got inner={inner}, outer={outer}")
+    _check_band(f.grid, inner, outer)
     axes = f.grid.axes
-    check_below_nyquist(f.grid, outer, "outer={freq} exceeds Nyquist frequency {nyq}")
-    if len(axes) == 1:
-        # Held back until ROADMAP item 4(a) replaces the `residual_l2`
-        # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
-        # this branch is then the whole 1D change.
-        F = fourier(f)
-        (g,) = axes
-        mult = _axis_profile(g.count, g.spacing, inner, outer)
-        return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
     for g in axes:
         _check_pow2(g.count, "grid")
     *others, last = range(len(axes))
     g = axes[last]
     last_profile = _axis_profile(g.count, g.spacing, inner, outer, half=True)
-    # the profile falls monotonically to 0 and stays there: the columns past
+    # the profile falls monotonically to 0 and stays there: the bins past
     # its last nonzero bin are 0 after the multiply, so they are not kept
     keep = int(np.flatnonzero(last_profile)[-1]) + 1
     spec = np.fft.fftn(np.fft.rfft(f.values, axis=last)[..., :keep], axes=others)
@@ -523,6 +513,29 @@ def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
     spec *= last_profile[:keep]
     np.fft.ifftn(spec, axes=others, out=spec)
     return GridFunction(f.grid, np.fft.irfft(spec, n=g.count, axis=last))
+
+
+def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
+    """The low-pass of `half_spectrum_lowpass`, with the same band check.
+
+    In 1D it keeps the full-spectrum route (`fourier`, the cached profile,
+    `inverse_fourier`) for the zoo's fields, `bandlimited_split` and
+    `make_passband_family`; P does not come here.  The half-spectrum route
+    differs by rounding, and that moves the ill-conditioned `residual_l2` of
+    `analyze` on a zoo field, which the benchmark's sweep-1d reference pins
+    to a relative 1e-9, by a few 1e-8.
+    """
+    axes = f.grid.axes
+    if len(axes) != 1:
+        return half_spectrum_lowpass(f, inner, outer)
+    # Held back until ROADMAP item 4(a) replaces the `residual_l2`
+    # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
+    # this route is then the whole 1D change.
+    _check_band(f.grid, inner, outer)
+    F = fourier(f)
+    (g,) = axes
+    mult = _axis_profile(g.count, g.spacing, inner, outer)
+    return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
 
 
 # ---------------------------------------------------------------------------

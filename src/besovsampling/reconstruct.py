@@ -32,7 +32,8 @@ import numpy as np
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import Grid1D, GridFunction, check_below_nyquist, lp_norm, smooth_lowpass
+from .grid import (Grid1D, GridFunction, check_below_nyquist, half_spectrum_lowpass, lp_norm,
+                   smooth_lowpass)
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
 
@@ -57,7 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LowpassMultiplier:
-    """Smooth projector P: pass below a_factor/b, stop above c_factor/b."""
+    """Smooth projector P: pass below a_factor/b, stop above c_factor/b.
+
+    P runs on the half spectrum in every dimension; only `smooth_lowpass`'s
+    own 1D callers keep its full-spectrum route (see there for why).
+    """
 
     a_factor: float
     c_factor: float
@@ -77,7 +82,7 @@ class LowpassMultiplier:
         return self.c_factor / self.b
 
     def apply(self, f: GridFunction) -> GridFunction:
-        return smooth_lowpass(f, self.inner, self.outer)
+        return half_spectrum_lowpass(f, self.inner, self.outer)
 
 
 def _bump01(t: np.ndarray) -> np.ndarray:

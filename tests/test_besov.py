@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from besovsampling.besov import (
     BesovParams,
     SpectralCoverageError,
+    _lq_sum,
     besov_norm_lp,
     besov_norm_lp_details,
     besov_norm_via_analyze,
     besov_norm_wavelet,
     critical_norm,
+    default_scale_range,
     pw_membership,
     rho,
 )
-from besovsampling.grid import GridFunction, fourier, smooth_lowpass
+from besovsampling.grid import (Grid1D, Grid2D, GridFunction, SpectrumFunction, fourier,
+                                inverse_fourier, lp_norm, smooth_lowpass)
 from besovsampling.wavelets import WaveletCoefficients, default_basis, dilate_coeffs
 from besovsampling.zoo import ZooSpec, make
 
@@ -201,6 +204,45 @@ class TestLpNormForm:
             n1, _ = besov_norm_via_analyze(GridFunction(grid, shifted),
                                            params, db4)
             assert abs(n1 - n0) / n0 < 1e-8
+
+
+def every_bin_lp_norm(f, params):
+    """`besov_norm_lp_details`'s per-scale loop before it evaluated rho only
+    on each scale's band: rho on every bin at every scale."""
+    j_lo, j_hi = default_scale_range(f)
+    F = fourier(f)
+    absf = F.abs_freq()
+    per_scale, terms = {}, []
+    for j in range(j_lo, j_hi + 1):
+        mult = rho(absf * 2.0**-j)
+        if not np.any(mult * np.abs(F.values) > 0.0):
+            continue
+        block = inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
+        per_scale[j] = lp_norm(block, params.p)
+        if per_scale[j] > 0:
+            terms.append(2.0 ** (params.s * j) * per_scale[j])
+    return per_scale, _lq_sum(terms, params.q)
+
+
+class TestLpNormBand:
+    """rho is evaluated only on each scale's band, with the same bits."""
+
+    def test_rho_is_positive_zero_off_its_band(self):
+        y = np.concatenate([np.linspace(0.0, 0.5, 1001), np.linspace(2.0, 1e6, 1001)])
+        r = rho(y)
+        assert np.all(r == 0.0) and not np.any(np.signbit(r))
+
+    @pytest.mark.parametrize("s, p, q", [(0.5, 2.0, 1.0), (0.9, 1.3, math.inf)])
+    def test_equals_the_every_bin_loop(self, grid, s, p, q):
+        g2 = Grid1D(-8.0, 2.0**-3, 128)
+        noise = np.random.default_rng(4).standard_normal((128, 128))
+        for f in (make(ZooSpec("bandlimited-random", band=1.0, seed=3), grid).f,
+                  smooth_lowpass(GridFunction(Grid2D(g2, g2), noise), 1.0, 2.0)):
+            params = BesovParams(s, p, q, f.ndim)
+            got = besov_norm_lp_details(f, params)
+            per_scale, norm = every_bin_lp_norm(f, params)
+            assert got["per_scale"] == per_scale and len(per_scale) > 3
+            assert got["norm"] == norm
 
 
 class TestPaleyWiener:

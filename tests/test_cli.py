@@ -1013,6 +1013,32 @@ class TestFingerprints:
                                       "--geometry", str(spec), "--iters", "2"]))
         assert hashes[0] != hashes[1]
 
+    def test_sweep_geometry_spec(self, tmp_path, monkeypatch):
+        """A sweep hashes its geometry spec's content, not the spec's path."""
+        # only the fingerprint is read, so the sweep's rows are a stand-in
+        monkeypatch.setattr(cli, "execute_sweep",
+                            lambda cfg: [{"b": cfg.b_list[0], "ok": True}])
+
+        def sweep_hash(spec):
+            out = tmp_path / "out.json"
+            res = CliRunner().invoke(main, ["verify", "sampling", "--b", "2^-3",
+                                            "--geometry", str(spec), "--out-dir",
+                                            str(tmp_path / "sweep"), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            return json.loads(out.read_text())["fingerprint"]["hash"]
+
+        spec = {"variant": "curve-family", "b": 0.125, "window": [-8.0, 7.9921875],
+                "params": {"seed": 1}}
+        first, copy = tmp_path / "geom.json", tmp_path / "copy" / "geom.json"
+        copy.parent.mkdir()
+        for path in (first, copy):
+            path.write_text(json.dumps(spec))
+        before = sweep_hash(first)
+        assert sweep_hash(copy) == before
+        spec["params"]["seed"] = 2
+        first.write_text(json.dumps(spec))
+        assert sweep_hash(first) != before
+
 
 def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     """Importing the CLI loads no part of scipy, and neither do the bench's

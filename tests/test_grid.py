@@ -32,6 +32,7 @@ from besovsampling.grid import (
     smooth_ramp01,
     weighted_lp_norm,
 )
+from besovsampling.reconstruct import LowpassMultiplier
 
 
 def gaussian(grid, width=1.0, center=0.0):
@@ -578,6 +579,42 @@ class TestSmoothLowpass:
             f = random_function(g, seed=5)
             assert np.array_equal(smooth_lowpass(f, 2.0, 4.0).values,
                                   full_spectrum_lowpass(f, 2.0, 4.0))
+
+    # P's bands as (a, c, b): inner a/b and outer c/b
+    P_BANDS = [(0.125, 0.25, 2.0**-4), (0.3, 0.499, 2.0**-3)]
+
+    @pytest.mark.parametrize("a, c, b", P_BANDS)
+    def test_1d_projector_is_the_half_spectrum_route(self, small_grid, grid, a, c, b):
+        # test-side reference: rfft, the leading `keep` profile bins, irfft
+        for g in (small_grid, grid):
+            f = random_function(g, seed=5)
+            profile = lowpass_profile(np.abs(np.fft.rfftfreq(g.count, g.spacing)),
+                                      a / b, c / b)
+            keep = int(np.flatnonzero(profile)[-1]) + 1
+            ref = np.fft.irfft(np.fft.rfft(f.values)[:keep] * profile[:keep], n=g.count)
+            assert np.array_equal(LowpassMultiplier(a, c, b).apply(f).values, ref)
+
+    @pytest.mark.parametrize("a, c, b", P_BANDS)
+    def test_1d_projector_matches_full_spectrum_route(self, small_grid, grid, a, c, b):
+        for g in (small_grid, grid):
+            f = random_function(g, seed=6)
+            got = LowpassMultiplier(a, c, b).apply(f).values
+            ref = full_spectrum_lowpass(f, a / b, c / b)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_projector_checks_its_band(self, small_grid, odd_grid2d):
+        # c/b = 0.625 / 2^-6 = 40, above both grids' Nyquist frequencies (32 and 4)
+        for g in (small_grid, odd_grid2d):
+            with pytest.raises(ValueError, match="Nyquist"):
+                LowpassMultiplier(0.25, 0.625, 2.0**-6).apply(random_function(g))
+        with pytest.raises(ValueError, match="0 < inner < outer"):
+            LowpassMultiplier(0.25, 0.5, -1.0).apply(random_function(small_grid))
+
+    def test_2d_projector_is_smooth_lowpass(self, odd_grid2d):
+        f = random_function(odd_grid2d, seed=7)
+        for a, c, b in self.P_BANDS:
+            assert np.array_equal(LowpassMultiplier(a, c, b).apply(f).values,
+                                  smooth_lowpass(f, a / b, c / b).values)
 
     @pytest.mark.parametrize("inner, outer", [(1.5, 3.0), (0.3, 3.99)])
     def test_2d_matches_full_spectrum_route(self, odd_grid2d, inner, outer):

@@ -9,6 +9,7 @@ from scipy.signal import fftconvolve
 from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.inequalities import trace
+from besovsampling import grid as grid_mod
 from besovsampling import reconstruct
 from besovsampling.reconstruct import (
     LowpassMultiplier,
@@ -561,6 +562,20 @@ class TestFullPipeline:
             assert want.h_norm > 1e-3 * lp_norm(f, 2.0)
             assert got.h_reconstructed_norm == pytest.approx(
                 want.h_reconstructed_norm, rel=1e-12, abs=0.0)
+
+    def test_1d_pipeline_takes_no_full_spectrum(self, grid_module, seq_and_cfg, db4,
+                                               monkeypatch):
+        # P runs on the half spectrum, so no step goes through `fourier`
+        seq, cfg = seq_and_cfg
+        f = make(ZooSpec("besov-random", s=0.9, q=np.inf, j_lo=0, j_hi=7,
+                         seed=31), grid_module, db4).f
+        op = build_operator(seq, cfg, grid_module)
+        calls = []
+        for name in ("fourier", "inverse_fourier"):
+            monkeypatch.setattr(grid_mod, name,
+                                lambda *a, name=name: calls.append(name))
+        rep = full_pipeline(f, op)
+        assert calls == [] and rep.residuals
 
     def test_input_off_the_operator_grid(self, grid_module, seq_and_cfg):
         seq, cfg = seq_and_cfg
