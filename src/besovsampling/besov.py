@@ -22,14 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    SpectrumFunction,
-    fourier,
-    inverse_fourier,
-    lp_norm,
-    smooth_ramp01,
-)
+from .grid import GridFunction, _half_spectrum, _irfftn, lp_norm, smooth_ramp01
 from .wavelets import WaveletBasis, WaveletCoefficients, analyze, default_basis
 
 __all__ = [
@@ -141,14 +134,15 @@ def besov_norm_lp_details(
     The covered band is exactly {2^j_lo <= |z| <= 2^j_hi}.  Nonzero spectral
     energy outside it beyond a relative 1e-6 is rejected; the DC bin can
     never be covered on a finite window and its energy fraction is reported
-    separately instead of counting as a leak.
+    separately instead of counting as a leak.  f is transformed once, to the
+    half spectrum of `grid._half_spectrum`, and each scale's block is one
+    inverse of it: rho(2^-j |z|) is real and even, so no phase is needed.
     """
     if params.d != f.ndim:
         raise ValueError(f"params dimension {params.d} != function dimension {f.ndim}")
     j_lo, j_hi = j_range if j_range is not None else default_scale_range(f)
-    F = fourier(f)
-    absf = F.abs_freq()
-    energy = F.energy()
+    spec, freqs, energy = _half_spectrum(f)
+    absf = np.sqrt(reduce(np.add.outer, [fz**2 for fz in freqs]))
     total = float(energy.sum())
     dc = energy[absf == 0.0]
     dc_fraction = float(dc.sum() / total) if total > 0 else 0.0
@@ -172,10 +166,9 @@ def besov_norm_lp_details(
         band = (y > 0.5) & (y < 2.0)
         mult = np.zeros_like(y)
         mult[band] = rho(y[band])
-        if not np.any(mult * np.abs(F.values) > 0.0):
+        if not np.any(mult[band] * np.abs(spec[band]) > 0.0):
             continue
-        block = inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
-        bn = lp_norm(block, params.p)
+        bn = lp_norm(_irfftn(spec * mult, f.grid), params.p)
         per_scale[j] = bn
         if bn > 0:
             terms.append(2.0 ** (params.s * j) * bn)
@@ -199,10 +192,7 @@ def default_wavelet_scales(f: GridFunction) -> tuple[int, int]:
     In 1D the cutoff is pushed further down, to -16, which keeps truncated
     homogeneous norms dilation-invariant to ~1e-5; in 2D the 4x-length rule
     is used as is.  The extra 1D scales are not free: each samples up to
-    P + 1 wavelet translates over the whole axis for its polyphase product,
-    and on the default 32,768-point grid with Daubechies-4 the nine scales
-    -16..-8 take about 12 ms of a 49 ms `analyze` over [-16, 8] (medians of
-    15 calls, one BLAS thread on a 2-core x86 machine).
+    P + 1 wavelet translates over the whole axis for its polyphase product.
     """
     axes = f.grid.axes
     j_min = math.floor(-math.log2(4.0 * max(g.length for g in axes)))
@@ -238,15 +228,14 @@ def critical_norm(f: GridFunction, p: float, m: int = 1,
 def pw_membership(f: GridFunction, b: float, tol: float = 1e-6):
     """Paley-Wiener test: spectral energy outside [-b, b] (per axis in 2D).
 
-    Returns (is_member, report) where the report itemizes the leak.
+    Returns (is_member, report) where the report itemizes the leak against
+    `total_energy`, the Plancherel energy of f's spectrum.
     """
     if b <= 0:
         raise ValueError(f"band limit must be positive, got {b}")
-    F = fourier(f)
-    energy = F.energy()
+    _, freqs, energy = _half_spectrum(f)
     total = float(energy.sum())
-    outside = reduce(np.logical_or.outer,
-                     [np.abs(fz) > b * (1 + 1e-12) for fz in F.freqs])
+    outside = reduce(np.logical_or.outer, [np.abs(fz) > b * (1 + 1e-12) for fz in freqs])
     leak = float(energy[outside].sum() / total) if total > 0 else 0.0
     report = {"b": b, "tol": tol, "leak_fraction": leak, "total_energy": total}
     return leak <= tol, report

@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .grid import (
     GridFunction,
+    check_fft_grid,
     default_grid_1d,
     default_grid_2d,
     load_csv,
@@ -462,10 +463,11 @@ def _geometry_spec(path: str, b: float | None = None):
     return spec, geometry_from_json_dict(spec)
 
 
-def _require_dyadic(f: GridFunction) -> None:
-    """Reject an `--input` grid that wavelet analysis cannot use."""
+def _require_grid(f: GridFunction, check) -> None:
+    """Reject an `--input` grid that `check` rejects, before the range
+    options are checked against it."""
     with _input_errors(["--input"]):
-        check_dyadic_grid(f.grid)
+        check(f.grid)
 
 
 def _basis(family: str, order: int):
@@ -552,7 +554,7 @@ def besov_norm_cmd(definition, s, p, q, f, family, order, j_min, j_max, out):
     with _input_errors(["--s", "--p", "--q"]):  # the message names s, p or q
         params = BesovParams(s=s, p=p, q=float(q), d=f.ndim)
     if definition == "wavelet":
-        _require_dyadic(f)
+        _require_grid(f, check_dyadic_grid)
         basis = _basis(family, order)
         with _input_errors(["--j-min", "--j-max"]):  # the range against the grid
             norm, coeffs = besov_norm_via_analyze(f, params, basis, j_min, j_max)
@@ -560,6 +562,7 @@ def besov_norm_cmd(definition, s, p, q, f, family, order, j_min, j_max, out):
                   "j_range": [coeffs.j_min, coeffs.j_max], "definition": "wavelet",
                   "basis": {"family": basis.family, "order": basis.order}}
     else:
+        _require_grid(f, check_fft_grid)
         jr = None if j_min is None or j_max is None else (j_min, j_max)
         # the default range leaves out only the DC bin, so a leak is the range's
         with _input_errors(["--j-min", "--j-max"]):
@@ -765,7 +768,7 @@ def fit_slope_cmd(csv_path, x_col, y_col):
 def coeff_dump_cmd(f, j_min, j_max, order, out):
     """Analyze a CSV grid function and dump the coefficient JSON."""
     from .wavelets import analyze
-    _require_dyadic(f)
+    _require_grid(f, check_dyadic_grid)
     basis = _basis("daubechies", order)
     with _input_errors(["--j-min", "--j-max"]):  # the range against the grid
         c = analyze(f, basis, j_min, j_max)

@@ -38,7 +38,7 @@ __all__ = [
     "smooth_ramp01",
     "lowpass_profile",
     "check_below_nyquist",
-    "half_spectrum_lowpass",
+    "check_fft_grid",
     "smooth_lowpass",
     "save_csv",
     "load_csv",
@@ -60,10 +60,10 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.spacing}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        if not self.spacing > 0:
+            raise ValueError(f"grid spacing must be positive, got {self.spacing}")
 
     @property
     def x(self) -> np.ndarray:
@@ -257,19 +257,6 @@ class SpectrumFunction:
         self.freqs = freqs
         self.values = np.asarray(values, dtype=complex)
 
-    @property
-    def ndim(self) -> int:
-        return len(self.grid.axes)
-
-    def energy(self) -> np.ndarray:
-        """|F|^2 times the frequency cell volume (discrete Plancherel weights)."""
-        dz = 1.0 / math.prod(g.count * g.spacing for g in self.grid.axes)
-        return np.abs(self.values) ** 2 * dz
-
-    def abs_freq(self) -> np.ndarray:
-        """|zeta| per bin (euclidean norm over the axes)."""
-        return np.sqrt(reduce(np.add.outer, [fz**2 for fz in self.freqs]))
-
 
 def _read_only_cache(maxsize: int):
     """`lru_cache(maxsize)` whose callers share one read-only table per key."""
@@ -355,9 +342,12 @@ def weighted_lp_norm(f: GridFunction, weight, p: float) -> float:
     return float(_trapezoid_sum(f.values, f.grid, p, wv) ** (1.0 / p))
 
 
-def _check_pow2(n: int, what: str):
-    if n & (n - 1) != 0:
-        raise ValueError(f"{what} count must be a power of two for the fast transform, got {n}")
+def check_fft_grid(grid) -> None:
+    """Reject a grid with an axis whose point count is not a power of two."""
+    for g in grid.axes:
+        if g.count & (g.count - 1):
+            raise ValueError(f"grid count must be a power of two for the fast "
+                             f"transform, got {g.count}")
 
 
 @_read_only_cache(maxsize=8)
@@ -406,8 +396,7 @@ def fourier(f: GridFunction) -> SpectrumFunction:
     come read-only from the `_axis_freqs` cache.
     """
     axes = f.grid.axes
-    for g in axes:
-        _check_pow2(g.count, "grid")
+    check_fft_grid(f.grid)
     from scipy import fft as sp_fft
     freqs = tuple(_axis_freqs(g.count, g.spacing) for g in axes)
     volume = math.prod(g.spacing for g in axes)
@@ -470,71 +459,78 @@ def _check_band(grid, inner: float, outer: float) -> None:
     check_below_nyquist(grid, outer, "outer={freq} exceeds Nyquist frequency {nyq}")
 
 
-def half_spectrum_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
-    """Multiply the spectrum by the C-infinity low-pass profile of each axis.
+def _rfftn(f: GridFunction, keep: int | None = None) -> np.ndarray:
+    """The half spectrum of f: `rfft` along the last axis, its leading `keep`
+    bins (all by default), then `fft` along the others, as `np.fft.rfftn`
+    orders them.  No origin phase and no spacing volume: a real, even
+    multiplier between `_rfftn` and `_irfftn` commutes with both."""
+    check_fft_grid(f.grid)
+    return np.fft.fftn(np.fft.rfft(f.values)[..., :keep], axes=range(f.ndim - 1))
 
-    The multiplier is the product over the axes of
-    `lowpass_profile(|z_a|, inner, outer)`: real and even in every z_a.
-    Each axis's profile comes from the read-only `_axis_profile` cache, so
-    it is built once per axis and band and then only read.
-    `fourier` multiplies the spectrum by the origin phase
-    exp(-2*pi*i * z.origin) and the spacing volume, and `inverse_fourier`
-    by their inverses.  A real multiplier in between commutes with both, so
-    they cancel exactly and the filter is ifft(m * fft(values)).  An even,
-    real multiplier keeps the spectrum of real values Hermitian, so the
-    half spectrum carries all of it.
 
-    So the filter keeps only the bins it can pass: `rfft` along the last
-    axis, then the leading `keep` bins, where the last-axis profile (on the
-    `rfftfreq` bins) falls to 0 past bin keep - 1 and stays 0.  The other
-    axes, if any, take their `fft`, each axis's profile is multiplied in
-    place one axis at a time (the other axes' `fftfreq` bins first, the last
-    axis's after), the other axes take their `ifft`, and `irfft` with
-    n = count zero-pads the dropped bins.  These are the transforms and
-    products of `rfftn` / `irfftn` with the profiles in between, in the same
-    order, on fewer bins, so the output is theirs bit for bit; at band 1 on
-    the 2048² grid 16 of 1025 columns are kept.  It builds no phase, no
-    full-grid multiplier and no complex full spectrum.
-    """
-    _check_band(f.grid, inner, outer)
-    axes = f.grid.axes
-    for g in axes:
-        _check_pow2(g.count, "grid")
-    *others, last = range(len(axes))
-    g = axes[last]
-    last_profile = _axis_profile(g.count, g.spacing, inner, outer, half=True)
-    # the profile falls monotonically to 0 and stays there: the bins past
-    # its last nonzero bin are 0 after the multiply, so they are not kept
-    keep = int(np.flatnonzero(last_profile)[-1]) + 1
-    spec = np.fft.fftn(np.fft.rfft(f.values, axis=last)[..., :keep], axes=others)
-    for axis in others:
-        profile = _axis_profile(axes[axis].count, axes[axis].spacing, inner, outer)
-        spec *= _along(axis, spec.ndim, profile)
-    spec *= last_profile[:keep]
-    np.fft.ifftn(spec, axes=others, out=spec)
-    return GridFunction(f.grid, np.fft.irfft(spec, n=g.count, axis=last))
+def _irfftn(spec: np.ndarray, grid) -> GridFunction:
+    """Invert `_rfftn`, overwriting `spec`: `ifft` along the leading axes,
+    then `irfft` to the last axis's count, which zero-pads dropped bins."""
+    np.fft.ifftn(spec, axes=range(spec.ndim - 1), out=spec)
+    return GridFunction(grid, np.fft.irfft(spec, n=grid.shape[-1]))
+
+
+def _half_spectrum(f: GridFunction):
+    """(spec, freqs, energy): `_rfftn(f)`, each axis's bin frequencies
+    (`rfftfreq` on the last axis), and each bin's share of the Plancherel
+    energy sum |F|^2 dz over the full spectrum.  A last-axis bin counts for
+    itself and its mirror, except the DC bin and an even count's Nyquist bin."""
+    spec = _rfftn(f)
+    *lead, last = f.grid.axes
+    freqs = [np.fft.fftfreq(g.count, g.spacing) for g in lead] + [
+        np.fft.rfftfreq(last.count, last.spacing)]
+    weight = np.ones(spec.shape[-1])
+    weight[1:(last.count + 1) // 2] = 2.0
+    weight *= math.prod(g.spacing / g.count for g in f.grid.axes)
+    return spec, freqs, np.abs(spec) ** 2 * weight
 
 
 def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
-    """The low-pass of `half_spectrum_lowpass`, with the same band check.
+    """Multiply the spectrum by the C-infinity low-pass profile of each axis.
 
-    In 1D it keeps the full-spectrum route (`fourier`, the cached profile,
-    `inverse_fourier`) for the zoo's fields, `bandlimited_split` and
-    `make_passband_family`; P does not come here.  The half-spectrum route
-    differs by rounding, and that moves the ill-conditioned `residual_l2` of
+    The multiplier is the product over the axes of
+    `lowpass_profile(|z_a|, inner, outer)`: real and even in every z_a, so
+    the half spectrum of `_rfftn` carries all of it, and the origin phase
+    and spacing volume of `fourier` would cancel.  Each axis's profile comes
+    read-only from the `_axis_profile` cache.  The last-axis profile (on the
+    `rfftfreq` bins) falls to 0 past bin keep - 1 and stays 0, so only the
+    leading `keep` bins are transformed back.  The other axes' profiles are
+    multiplied in first, one axis at a time, the last axis's after: the
+    transforms and products of `rfftn` / `irfftn` with the profiles in
+    between, in the same order, on fewer bins, so the output is theirs bit
+    for bit.
+    """
+    _check_band(f.grid, inner, outer)
+    *others, g = f.grid.axes
+    last_profile = _axis_profile(g.count, g.spacing, inner, outer, half=True)
+    keep = int(np.flatnonzero(last_profile)[-1]) + 1
+    spec = _rfftn(f, keep)
+    for axis, h in enumerate(others):
+        spec *= _along(axis, spec.ndim, _axis_profile(h.count, h.spacing, inner, outer))
+    spec *= last_profile[:keep]
+    return _irfftn(spec, f.grid)
+
+
+def _full_spectrum_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
+    """`smooth_lowpass`, in 1D through `fourier` and `inverse_fourier`.
+
+    Only the zoo's band-limited field comes here.  The half spectrum differs
+    by rounding, and that moves the ill-conditioned `residual_l2` of
     `analyze` on a zoo field, which the benchmark's sweep-1d reference pins
-    to a relative 1e-9, by a few 1e-8.
+    to a relative 1e-9, by a few 1e-8.  Held back until ROADMAP item 4(a)
+    replaces that reference; the zoo then calls `smooth_lowpass`.
     """
     axes = f.grid.axes
     if len(axes) != 1:
-        return half_spectrum_lowpass(f, inner, outer)
-    # Held back until ROADMAP item 4(a) replaces the `residual_l2`
-    # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
-    # this route is then the whole 1D change.
+        return smooth_lowpass(f, inner, outer)
     _check_band(f.grid, inner, outer)
     F = fourier(f)
-    (g,) = axes
-    mult = _axis_profile(g.count, g.spacing, inner, outer)
+    mult = _axis_profile(axes[0].count, axes[0].spacing, inner, outer)
     return inverse_fourier(SpectrumFunction(F.grid, F.freqs, F.values * mult))
 
 
@@ -551,6 +547,9 @@ def save_csv(f: GridFunction, path):
 
 
 def load_csv(path) -> GridFunction:
+    """Read `save_csv`'s layout: the rows must be the points of a uniform grid
+    with at least two per axis, in x-major order, each coordinate within 1e-6
+    spacings of its grid point."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     d = data.shape[1] - 1
     if d not in (1, 2):
@@ -558,8 +557,14 @@ def load_csv(path) -> GridFunction:
     axes = []
     for coords in data[:, :d].T:
         xs = np.unique(coords)
-        axes.append(Grid1D(float(xs[0]), float(xs[1] - xs[0]), len(xs)))
+        axes.append(Grid1D(float(xs[0]), float(np.ptp(xs[:2])), len(xs)))
     grid = _grid_from_axes(axes)
+    points = np.meshgrid(*(g.x for g in axes), indexing="ij", sparse=True)
+    if len(data) != math.prod(grid.shape) or not all(
+            np.all(np.abs(coords.reshape(grid.shape) - x) <= 1e-6 * g.spacing)
+            for coords, x, g in zip(data[:, :d].T, points, axes)):
+        raise ValueError(f"the CSV rows are not the points of a uniform {grid.shape} "
+                         f"grid in x-major order, as `save_csv` writes them")
     return GridFunction(grid, data[:, d].reshape(grid.shape))
 
 

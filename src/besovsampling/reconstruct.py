@@ -32,7 +32,7 @@ import numpy as np
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import (Grid1D, GridFunction, check_below_nyquist, half_spectrum_lowpass, lp_norm,
+from .grid import (Grid1D, GridFunction, check_below_nyquist, check_fft_grid, lp_norm,
                    smooth_lowpass)
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
@@ -58,11 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LowpassMultiplier:
-    """Smooth projector P: pass below a_factor/b, stop above c_factor/b.
-
-    P runs on the half spectrum in every dimension; only `smooth_lowpass`'s
-    own 1D callers keep its full-spectrum route (see there for why).
-    """
+    """Smooth projector P: pass below a_factor/b, stop above c_factor/b,
+    applied by `smooth_lowpass` on the half spectrum."""
 
     a_factor: float
     c_factor: float
@@ -82,7 +79,7 @@ class LowpassMultiplier:
         return self.c_factor / self.b
 
     def apply(self, f: GridFunction) -> GridFunction:
-        return half_spectrum_lowpass(f, self.inner, self.outer)
+        return smooth_lowpass(f, self.inner, self.outer)
 
 
 def _bump01(t: np.ndarray) -> np.ndarray:
@@ -350,10 +347,10 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     """Build L once for `sampling_set` on `grid`.
 
     Every input error is raised here, before P first runs: a grid of another
-    dimension, a passband without 0 < a < c or with c/b at or above the
-    grid's Nyquist frequency, a set with no reconstruction lattice and, on a
-    line union, node columns off the grid, named by the window shift that
-    puts them on it.
+    dimension or with an axis count that is not a power of two, a passband
+    without 0 < a < c or with c/b at or above the grid's Nyquist frequency, a
+    set with no reconstruction lattice and, on a line union, node columns off
+    the grid, named by the window shift that puts them on it.
 
     On a line union the nodes' y, the line heights, are rounded to the
     nearest grid row, at most half a grid step, so that the 2D partition
@@ -363,6 +360,7 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     if len(grid.axes) != s.d:
         raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid, "
                          f"got {len(grid.axes)}D")
+    check_fft_grid(grid)
     pchi = cfg.multiplier(s.b)
     check_below_nyquist(grid, pchi.outer, "P's stopband edge c/b = {freq} must lie "
                         "below the grid's Nyquist frequency {nyq}: lower c or raise b")

@@ -8,8 +8,8 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks, _read_only_cache,
-                   lp_norm, smooth_lowpass, smooth_ramp01)
+from .grid import (_ROW_BLOCK, Grid1D, Grid2D, GridFunction, _blocks,
+                   _full_spectrum_lowpass, _read_only_cache, lp_norm, smooth_ramp01)
 from .geometry import (SamplingSequence1D, _hermite_coefficients,
                        _piecewise_cubic, random_sequence)
 from .wavelets import (
@@ -362,7 +362,7 @@ def _bandlimited_field(grid, band: float, seed: int, amplitude: float,
                          for g in grid.axes])
     # in 1D the low-pass returns the real part of a complex array, a view
     vals = np.ascontiguousarray(
-        smooth_lowpass(GridFunction(grid, noise), 0.7 * band, band).values)
+        _full_spectrum_lowpass(GridFunction(grid, noise), 0.7 * band, band).values)
     _times_outer(vals, [window_envelope(g, 0.7, 0.9) for g in grid.axes])
     n2 = lp_norm(GridFunction(grid, vals), 2.0)
     if n2 > 0:

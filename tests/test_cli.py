@@ -775,14 +775,17 @@ class TestUsageErrors:
 # `reader_files` fixture) and the columns, bad inputs, that it reads
 READER_ROWS = {
     "besov-norm": ("besov norm --s 0.5 --p 2 --input {csv}",
-                   ("non-dyadic", "unknown-family", "order-out-of-range")),
+                   ("non-dyadic", "unknown-family", "order-out-of-range", "one-row",
+                    "missing-point", "unsorted", "y-major")),
     "besov-filters": ("besov filters", ("unknown-family", "order-out-of-range")),
     "coeff-dump": ("coeff-dump --input {csv} --j-min -2 --j-max 0 --out {out}",
                    ("non-dyadic", "order-out-of-range")),
     "approx-split": ("approx split --mode wavelet --b 0.5 --input {csv}",
                      ("non-dyadic",)),
+    "besov-norm-lp": ("besov norm --def lp --s 0.5 --p 2 --input {csv}",
+                      ("not-a-power-of-two",)),
     "approx-pl": ("approx pl --input {csv}", ("two-d",)),
-    "reconstruct": ("reconstruct --input {csv}", ("two-d",)),
+    "reconstruct": ("reconstruct --input {csv}", ("two-d", "not-a-power-of-two")),
     "geometry-check": ("geometry check --geometry {spec}",
                        ("missing-key", "mistyped-param")),
     "reconstruct-geometry": ("reconstruct --input {grid2d} --geometry {spec}",
@@ -800,6 +803,11 @@ READER_ROWS = {
 READER_COLUMNS = {
     "non-dyadic": ({"csv": "non-dyadic.csv"}, "", "'--input'"),
     "two-d": ({"csv": "grid2d.csv"}, "", "'--input'"),
+    "not-a-power-of-two": ({"csv": "300-points.csv"}, "", "'--input'"),
+    "one-row": ({"csv": "one-row.csv"}, "", "'--input'"),
+    "missing-point": ({"csv": "missing-point.csv"}, "", "'--input'"),
+    "unsorted": ({"csv": "unsorted.csv"}, "", "'--input'"),
+    "y-major": ({"csv": "y-major.csv"}, "", "'--input'"),
     "missing-key": ({"spec": "missing-key.json", "config": "config-missing-key.json"},
                     "", "'--geometry'"),
     "mistyped-param": ({"spec": "mistyped.json", "config": "config-mistyped.json"},
@@ -831,6 +839,15 @@ def reader_files(tmp_path, monkeypatch):
     save_csv(GridFunction(Grid2D(g1, g1), np.ones((64, 64))), tmp_path / "grid2d.csv")
     odd = Grid1D(-6.0, 0.375, 32)
     save_csv(GridFunction(odd, np.exp(-np.pi * odd.x**2)), tmp_path / "non-dyadic.csv")
+    g300 = Grid1D(-1.5, 0.01, 300)
+    save_csv(GridFunction(g300, np.exp(-np.pi * g300.x**2)), tmp_path / "300-points.csv")
+    # rows that are not a grid's points in x-major order, as `save_csv` writes them
+    good = (tmp_path / "good.csv").read_text().splitlines()
+    rows = {"one-row": good[:2], "missing-point": ["x,value", "0,1", "1,2", "3,4", "4,5"],
+            "unsorted": [good[0], good[2], good[1], *good[3:]],
+            "y-major": ["x,y,value"] + [f"{x},{y},{x + y}" for y in range(4) for x in range(4)]}
+    for name, lines in rows.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
     # a sweep gives the spec its own b, so the key every reader needs is the variant
     specs = {"missing-key": {"b": 0.5, "window": [-4.0, 4.0]},
              "mistyped": {"variant": "curve-family", "b": 0.5, "window": [-4.0, 4.0],

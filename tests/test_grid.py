@@ -20,6 +20,7 @@ from besovsampling.grid import (
     _axis_phase,
     _axis_points,
     _axis_profile,
+    _half_spectrum,
     _origin_phase,
     default_grid_1d,
     fourier,
@@ -236,8 +237,26 @@ class TestFourier:
         f = GridFunction(grid, rng.standard_normal(grid.count))
         F = fourier(f)
         lhs = grid.spacing * np.sum(f.values**2)
-        rhs = float(F.energy().sum())
+        rhs = float(np.sum(np.abs(F.values) ** 2)) / (grid.count * grid.spacing)
         assert abs(lhs - rhs) / rhs < 1e-10
+
+    def test_half_spectrum_energy_is_the_full_spectrum_energy(self, small_grid, odd_grid2d):
+        # each half-spectrum bin carries its mirror's |F|^2 dz too, except
+        # DC and Nyquist on the last axis, so the sums over |z| agree
+        for g in (small_grid, odd_grid2d):
+            f = random_function(g, seed=9)
+            F = fourier(f)
+            full = np.abs(F.values) ** 2 / math.prod(a.count * a.spacing for a in g.axes)
+            _, freqs, energy = _half_spectrum(f)
+            assert energy.shape == (*g.shape[:-1], g.shape[-1] // 2 + 1)
+            assert all(same_bits(fz, fresh) for fz, fresh in zip(freqs[:-1], F.freqs))
+            for band in ((0.0, 0.0), (0.0, 1.0), (1.0, 2.5), (2.5, np.inf)):
+                sums = [float(e[(r >= band[0]) & (r <= band[1])].sum())
+                        for e, r in ((energy, radii(freqs)), (full, radii(F.freqs)))]
+                assert sums[0] == pytest.approx(sums[1], rel=1e-12, abs=1e-300)
+            volume = math.prod(a.spacing for a in g.axes)
+            assert float(energy.sum()) == pytest.approx(volume * np.sum(f.values**2),
+                                                        rel=1e-12)
 
     def test_rejects_non_power_of_two(self):
         g = Grid1D(-1.0, 0.01, 300)
@@ -249,6 +268,11 @@ class TestFourier:
         f = GridFunction(small_grid2d, rng.standard_normal(small_grid2d.shape))
         back = inverse_fourier(fourier(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-10
+
+
+def radii(freqs):
+    """|z| at every bin of the frequency grid that `freqs` spans."""
+    return np.sqrt(reduce(np.add.outer, [fz**2 for fz in freqs]))
 
 
 def fftn_fourier(f):
@@ -388,10 +412,11 @@ class TestLowpassProfileCache:
         bands = [(0.5 + 0.05 * i, 2.0 + 0.05 * i) for i in range(maxsize + 3)]
         f1, f2 = random_function(small_grid, seed=7), random_function(odd_grid2d, seed=8)
         for inner, outer in bands + bands:
-            assert np.array_equal(smooth_lowpass(f1, inner, outer).values,
-                                  full_spectrum_lowpass(f1, inner, outer))
-            assert np.array_equal(smooth_lowpass(f2, inner, outer).values,
-                                  rfftn_lowpass(f2, inner, outer))
+            for f in (f1, f2):
+                got = smooth_lowpass(f, inner, outer).values
+                assert np.array_equal(got, rfftn_lowpass(f, inner, outer))
+                ref = full_spectrum_lowpass(f, inner, outer)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             for g in (small_grid, *odd_grid2d.axes):
                 for half, bins in ((False, np.fft.fftfreq), (True, np.fft.rfftfreq)):
                     fresh = lowpass_profile(np.abs(bins(g.count, g.spacing)), inner, outer)
@@ -401,8 +426,8 @@ class TestLowpassProfileCache:
 
 
 def rfftn_lowpass(f, inner, outer):
-    """`smooth_lowpass`'s 2D body before it kept only the columns the
-    last-axis profile keeps: `rfftn`, one profile per axis, `irfftn`."""
+    """`smooth_lowpass`'s body before it kept only the columns the last-axis
+    profile keeps: `rfftn`, one profile per axis, `irfftn`."""
     axes = f.grid.axes
     spec = np.fft.rfftn(f.values)
     last = len(axes) - 1
@@ -575,10 +600,13 @@ class TestSmoothLowpass:
             smooth_lowpass(f, 4.0, 2.0)
 
     def test_1d_equals_full_spectrum_route(self, small_grid, grid):
+        # bit for bit the rfft route; the full-spectrum route to rounding
         for g in (small_grid, grid):
             f = random_function(g, seed=5)
-            assert np.array_equal(smooth_lowpass(f, 2.0, 4.0).values,
-                                  full_spectrum_lowpass(f, 2.0, 4.0))
+            got = smooth_lowpass(f, 2.0, 4.0).values
+            assert np.array_equal(got, rfftn_lowpass(f, 2.0, 4.0))
+            ref = full_spectrum_lowpass(f, 2.0, 4.0)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     # P's bands as (a, c, b): inner a/b and outer c/b
     P_BANDS = [(0.125, 0.25, 2.0**-4), (0.3, 0.499, 2.0**-3)]

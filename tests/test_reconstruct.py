@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from besovsampling.besov import BesovParams, besov_norm_lp, pw_membership
 from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.inequalities import trace
@@ -28,7 +29,7 @@ from besovsampling.reconstruct import (
     reconstruction_nodes,
 )
 from besovsampling.wavelets import WaveletCoefficients, synthesize
-from besovsampling.zoo import ZooSpec, make
+from besovsampling.zoo import ZooSpec, bandlimited_field_2d, make
 
 
 @pytest.fixture(scope="module")
@@ -576,6 +577,20 @@ class TestFullPipeline:
                                 lambda *a, name=name: calls.append(name))
         rep = full_pipeline(f, op)
         assert calls == [] and rep.residuals
+
+    def test_norm_membership_and_split_take_no_full_spectrum(self, grid_module,
+                                                            small_grid2d, monkeypatch):
+        # only the zoo's 1D field still goes through `fourier`, so make the inputs first
+        fs = [make(ZooSpec("bandlimited-random", band=1.0, seed=3), grid_module).f,
+              bandlimited_field_2d(small_grid2d, 1.0, seed=5)]
+        calls = []
+        for name in ("fourier", "inverse_fourier"):
+            monkeypatch.setattr(grid_mod, name, lambda *a, name=name: calls.append(name))
+        for f in fs:
+            assert besov_norm_lp(f, BesovParams(0.5, 2.0, 1.0, f.ndim)) > 0
+            assert pw_membership(f, 2.0)[0]
+            assert lp_norm(bandlimited_split(f, 2.0)[1], 2.0) > 0
+        assert calls == []
 
     def test_input_off_the_operator_grid(self, grid_module, seq_and_cfg):
         seq, cfg = seq_and_cfg

@@ -6,7 +6,8 @@ import pytest
 
 from besovsampling.besov import BesovParams, besov_norm_wavelet
 from besovsampling.geometry import random_sequence
-from besovsampling.grid import (Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass,
+from besovsampling.grid import (Grid1D, Grid2D, GridFunction, SpectrumFunction, fourier,
+                                inverse_fourier, lowpass_profile, lp_norm, smooth_lowpass,
                                 smooth_ramp01)
 from besovsampling.zoo import (
     ZooSpec,
@@ -22,11 +23,14 @@ from besovsampling.zoo import (
 
 
 def reference_bandlimited_1d(spec, grid):
-    """The 1D `bandlimited-random` branch of `make`, as it was."""
+    """The 1D `bandlimited-random` branch of `make`, as it was: its low-pass
+    is the full-spectrum route, `fourier`, the profile, `inverse_fourier`."""
     rng = np.random.default_rng(spec.seed)
     env = _gaussian_vals(grid.x, spec.center, grid.length / 8.0, 1.0)
     noise = rng.standard_normal(grid.count) * env
-    f = smooth_lowpass(GridFunction(grid, noise), 0.7 * spec.band, spec.band)
+    F = fourier(GridFunction(grid, noise))
+    mult = lowpass_profile(np.abs(F.freqs[0]), 0.7 * spec.band, spec.band)
+    f = inverse_fourier(SpectrumFunction(grid, F.freqs, F.values * mult))
     vals = f.values * window_envelope(grid, flat=0.7, zero=0.9)
     n2 = lp_norm(GridFunction(grid, vals), 2.0)
     if n2 > 0:
