@@ -45,6 +45,7 @@ from .grid import (
     load_csv,
     lp_norm,
     save_csv,
+    uncovered_axis,
 )
 from .inequalities import (
     heisenberg_product,
@@ -506,13 +507,12 @@ def _run_sweep(cfg: RunConfig, from_config: bool = False, out: str | None = None
         grid = default_grid_2d()
         with _input_errors(hint("--geometry", "geometry")):
             for b in cfg.b_list:
-                axis = grid.uncovered_axis(_geometry_spec(cfg.geometry, b)[1].anchors)
+                axis = uncovered_axis(grid, _geometry_spec(cfg.geometry, b)[1].anchors)
                 if axis:
-                    (x0, x1), (y0, y1) = ((g.x[0], g.x[-1]) for g in grid.axes)
+                    span = " x ".join(f"[{g.x[0]}, {g.x[-1]}]" for g in grid.axes)
                     raise ValueError(
                         f"at b={b} the geometry has anchors off the 2D grid "
-                        f"[{x0}, {x1}] x [{y0}, {y1}] along {axis}; give it a "
-                        "window inside the grid")
+                        f"{span} along {axis}; give it a window inside the grid")
     rows = execute_sweep(cfg)
     csv_path, json_path, ok = sweep_outputs(cfg, rows)
     if out:

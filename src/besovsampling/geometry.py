@@ -90,8 +90,7 @@ def carrier_dimension(variant: str) -> int:
 
 def window_for_grid(grid) -> tuple[float, float]:
     """Square working window matching a (half-open) 2D grid span."""
-    gx, gy = grid.gx, grid.gy
-    return (max(gx.x[0], gy.x[0]), min(gx.x[-1], gy.x[-1]))
+    return (max(g.x[0] for g in grid.axes), min(g.x[-1] for g in grid.axes))
 
 
 # ---------------------------------------------------------------------------

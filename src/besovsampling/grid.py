@@ -108,18 +108,19 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.gx.count, self.gy.count)
 
-    def uncovered_axis(self, pts: np.ndarray) -> str | None:
-        """The first axis, "x" or "y", along which a point of `pts` (shape
-        (n, 2), finite) lies off the grid by more than 1e-9 spacings; None if
-        the grid covers them all.  `GridFunction.interpolate` rejects by it."""
-        for axis, (name, g) in enumerate(zip("xy", self.axes)):
-            # rounding is monotone, so these are the extremes of the cell
-            # coordinates that `interpolate` forms
-            c = pts[:, axis]
-            if c.size and not ((c.min() - g.origin) / g.spacing >= -1e-9
-                               and (c.max() - g.origin) / g.spacing <= g.count - 1 + 1e-9):
-                return name
-        return None
+
+def uncovered_axis(grid, pts: np.ndarray) -> str | None:
+    """The first axis, "x" or "y", along which a point of `pts` (shape
+    (n, d), finite) lies off the grid by more than 1e-9 spacings; None if
+    the grid covers them all.  `GridFunction.interpolate` rejects by it."""
+    for axis, (name, g) in enumerate(zip("xy", grid.axes)):
+        # rounding is monotone, so these are the extremes of the cell
+        # coordinates that `interpolate` forms
+        c = pts[:, axis]
+        if c.size and not ((c.min() - g.origin) / g.spacing >= -1e-9
+                           and (c.max() - g.origin) / g.spacing <= g.count - 1 + 1e-9):
+            return name
+    return None
 
 
 def default_grid_1d() -> Grid1D:
@@ -190,60 +191,57 @@ class GridFunction:
     def interpolate(self, points) -> np.ndarray:
         """Linear (1D) / bilinear (2D) interpolation at off-grid points.
 
-        1D takes an array of coordinates and returns one value per entry; 2D
-        takes points of shape (..., 2) and returns one flat value per point.
-        Points outside the domain, non-finite points and 2D points whose last
-        axis is not 2 are rejected; trace evaluation depends on it.  No points
-        give an empty array.
+        1D takes an array of coordinates, 2D points of shape (..., 2); both
+        return one flat value per point.  Points more than 1e-9 spacings off
+        the grid (`uncovered_axis`), non-finite points and 2D points whose
+        last axis is not 2 are rejected; trace evaluation depends on it.  No
+        points give an empty array.
 
-        In 2D the points are validated once and then interpolated
-        `_POINT_BLOCK` at a time.  Each corner of a point's cell is one gather
-        from the flat values, and the bilinear sum
-        v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty
-        is accumulated in place, term by term and factor by factor in that
-        order, into the output.
+        The points are validated once and then interpolated `_POINT_BLOCK` at
+        a time.  Each corner of a point's cell is one gather from the flat
+        values, and the d-linear sum (in 2D
+        v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty, the
+        first axis's offset varying fastest) is accumulated in place, term by
+        term and factor by factor in that order, into the output.
         """
         pts = np.asarray(points, dtype=float)
         # NaN and +-inf show in the extremes, so the check needs no mask
         if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
             raise ValueError(f"{np.count_nonzero(~np.isfinite(pts))} interpolation "
                              f"coordinate(s) are not finite")
-        # the domain tests are written so that a NaN would fail them
-        if self.ndim == 1:
-            g = self.grid
-            if pts.size and not (pts.min() >= g.x[0] - 1e-12
-                                 and pts.max() <= g.x[-1] + 1e-12):
-                raise ValueError("interpolation point outside grid domain")
-            return np.interp(pts, g.x, self.values)
-        if pts.ndim == 0 or pts.shape[-1] != 2:
-            raise ValueError(f"2D interpolation points need shape (..., 2), "
+        axes = self.grid.axes
+        d = len(axes)
+        if d > 1 and (pts.ndim == 0 or pts.shape[-1] != d):
+            raise ValueError(f"{d}D interpolation points need shape (..., {d}), "
                              f"got {pts.shape}")
-        pts = pts.reshape(-1, 2)
-        axis = self.grid.uncovered_axis(pts)
+        pts = pts.reshape(-1, d)
+        axis = uncovered_axis(self.grid, pts)
         if axis:
             raise ValueError(f"interpolation point outside grid domain ({axis})")
         out = np.empty(len(pts))
-        axes = self.grid.axes
-        n1 = self.grid.shape[1]
+        strides = [math.prod(self.grid.shape[a + 1:]) for a in range(d)]
+        # each corner as (flat offset, 0 or 1 per axis), the first axis
+        # varying fastest; the factor of an axis is 1 - t at 0 and t at 1
+        corners = [(sum(c * n for c, n in zip(bits, strides)), bits)
+                   for bits in (c[::-1] for c in itertools.product((0, 1), repeat=d))]
         flat = self.values.reshape(-1)
         for blk in _blocks(len(pts), _POINT_BLOCK):
             block, o = pts[blk], out[blk]
-            cells = []
-            for axis, g in enumerate(axes):
+            k, factors = 0, []
+            for axis, (g, stride) in enumerate(zip(axes, strides)):
                 t = (block[:, axis] - g.origin) / g.spacing
                 i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
-                cells.append((i, np.clip(t - i, 0.0, 1.0)))
-            (i0, tx), (j0, ty) = cells
-            sx, sy = 1 - tx, 1 - ty
-            k = i0 * n1 + j0
+                t = np.clip(t - i, 0.0, 1.0)
+                k = k + i * stride
+                factors.append((1 - t, t))
             flat.take(k, out=o)
-            o *= sx
-            o *= sy
+            for w in factors:
+                o *= w[0]
             term = np.empty_like(o)
-            for off, wx, wy in ((n1, tx, sy), (1, sx, ty), (n1 + 1, tx, ty)):
+            for off, bits in corners[1:]:
                 flat.take(k + off, out=term)
-                term *= wx
-                term *= wy
+                for w, bit in zip(factors, bits):
+                    term *= w[bit]
                 o += term
         return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .besov import critical_norm
-from .geometry import SamplingSequence1D, cell_measures
+from .geometry import cell_measures
 from .grid import _POINT_BLOCK, GridFunction, _blocks, lp_norm, weighted_lp_norm
 from .wavelets import WaveletBasis
 
@@ -66,11 +66,6 @@ class TraceValues:
         return float(np.sum(self.carrier_weights * np.abs(self.values) ** p)
                      ** (1.0 / p))
 
-    def lp_cells(self, p: float) -> float:
-        """(sum_n nu_n |f(node_n)|^p)^(1/p); the cell-weighted sample norm."""
-        return float(np.sum(self.cell_weights * np.abs(self.values) ** p)
-                     ** (1.0 / p))
-
 
 def _check_weights(carrier: np.ndarray, cells: np.ndarray) -> None:
     if np.any(carrier <= 0) or np.any(cells <= 0):
@@ -109,17 +104,17 @@ def trace(f: GridFunction, sampling_set) -> TraceValues:
     return TraceValues(vals, weights, cells, s.m, s.d, s.b)
 
 
-def _trace_norms(f: GridFunction, sampling_set, p: float) -> tuple[float, float]:
-    """`trace(f, sampling_set)`'s `lp_carrier(p)` and `lp_cells(p)`, summed a
-    block of anchors at a time, with no array as long as the trace.  A set
-    of one block (a 1D sequence of at most `_POINT_BLOCK` points) gives the
-    two norms bit for bit."""
+def _trace_sums(f: GridFunction, sampling_set, p: float) -> tuple[float, float]:
+    """(sum w |f|^p, sum nu |f|^p): the carrier integral of |f|^p against
+    H^(d-m) and its cell-weighted form, summed a block of anchors at a time
+    with no array as long as the trace.  On a set of one block (a 1D sequence
+    of at most `_POINT_BLOCK` points) they are `trace`'s sums bit for bit."""
     carrier_sum = cell_sum = 0.0
     for _, vals, carrier, cells in _trace_blocks(f, sampling_set):
         abs_pow = np.abs(vals) ** p
         carrier_sum += np.sum(carrier * abs_pow)
         cell_sum += np.sum(cells * abs_pow)
-    return float(carrier_sum ** (1.0 / p)), float(cell_sum ** (1.0 / p))
+    return float(carrier_sum), float(cell_sum)
 
 
 @dataclass
@@ -147,7 +142,7 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
                    besov_norm: float | None = None) -> SamplingReport:
     """Two-sided trace comparison at the critical smoothness s = m/p, q = 1.
 
-    The two trace norms are taken first, `_POINT_BLOCK` anchors at a time,
+    The two trace sums are taken first, `_POINT_BLOCK` anchors at a time,
     and no trace is built: a bad sampling set fails before the analysis, and
     the analysis, when `besov_norm` is not given, runs with nothing of the
     trace held.  The [1/2, 5/2] band flags are only evaluated when the
@@ -158,15 +153,15 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     if np_norm == 0.0:
         raise ValueError("cannot form sampling ratios: ||f||_p = 0")
     m, b = sampling_set.m, sampling_set.b
-    # the norms check the sampling set, so a bad one fails before the analysis
-    lp_carrier, lp_cells = _trace_norms(f, sampling_set, p)
+    # the sums check the sampling set, so a bad one fails before the analysis
+    carrier_sum, cell_sum = _trace_sums(f, sampling_set, p)
     if besov_norm is None:
         besov_norm = critical_norm(f, p, m, basis)
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N
     ok = bool(smallness < DEFAULT_DELTA)
-    trace_ratio = b ** (m / p) * lp_carrier / np_norm
-    cell_ratio = lp_cells / np_norm
+    trace_ratio = b ** (m / p) * carrier_sum ** (1.0 / p) / np_norm
+    cell_ratio = cell_sum ** (1.0 / p) / np_norm
     return SamplingReport(
         p=p, m=m, b=b, lp_norm=np_norm, besov_norm=besov_norm,
         ratio_norms=N, smallness=smallness, delta=DEFAULT_DELTA, hypothesis_ok=ok,
@@ -176,15 +171,15 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     )
 
 
-def uncertainty_deficiency(f: GridFunction, seq: SamplingSequence1D,
-                           p: float) -> float:
-    """eps = 1 - (b sum |f(a_n)|^p / ||f||_p^p)^(1/p); negative means the
-    sampled mass already exceeds the b^-1 level (hypothesis fails)."""
+def uncertainty_deficiency(f: GridFunction, sampling_set, p: float) -> float:
+    """eps = 1 - (b^m integral_G |f|^p dH^(d-m) / ||f||_p^p)^(1/p), for any
+    sampling set (b sum |f(a_n)|^p for a 1D sequence); negative means the
+    sampled mass already exceeds the b^-m level (hypothesis fails)."""
     np_norm = lp_norm(f, p)
     if np_norm == 0.0:
         raise ValueError("||f||_p = 0")
-    tr = trace(f, seq)
-    mass = seq.b * float(np.sum(np.abs(tr.values) ** p)) / np_norm**p
+    s = sampling_set
+    mass = s.b ** s.m * _trace_sums(f, s, p)[0] / np_norm**p
     return 1.0 - mass ** (1.0 / p)
 
 
@@ -200,31 +195,32 @@ class UncertaintyReport:
         return asdict(self)
 
 
-def uncertainty_check(f: GridFunction, seq: SamplingSequence1D, p: float,
+def uncertainty_check(f: GridFunction, sampling_set, p: float,
                       basis: WaveletBasis | None = None,
                       besov_norm: float | None = None) -> UncertaintyReport:
-    """Empirical constant of the concentration lower bound:
-    c_emp = ||f||_Besov * b^(1/p) / (eps ||f||_p), defined for eps > 0."""
-    eps = uncertainty_deficiency(f, seq, p)
+    """Empirical constant of the concentration lower bound, for eps > 0:
+    c_emp = ||f||_Besov(m/p, p, 1) * b^(m/p) / (eps ||f||_p)."""
+    s = sampling_set
+    eps = uncertainty_deficiency(f, s, p)
     if eps <= 0.0:
-        return UncertaintyReport(p, seq.b, eps, False, None)
+        return UncertaintyReport(p, s.b, eps, False, None)
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, basis=basis)
-    c_emp = besov_norm * seq.b ** (1.0 / p) / (eps * lp_norm(f, p))
-    return UncertaintyReport(p, seq.b, eps, True, c_emp)
+        besov_norm = critical_norm(f, p, s.m, basis)
+    c_emp = besov_norm * s.b ** (s.m / p) / (eps * lp_norm(f, p))
+    return UncertaintyReport(p, s.b, eps, True, c_emp)
 
 
-def intB_diagnostic(f: GridFunction, seq: SamplingSequence1D, p: float,
+def intB_diagnostic(f: GridFunction, sampling_set, p: float,
                     basis: WaveletBasis | None = None,
                     besov_norm: float | None = None):
-    """Key-estimate discrepancy: lhs = | ||f||_p - (sum b_n |f(a_n)|^p)^(1/p) |,
-    rhs = b^(1/p) ||f||_Besov(1/p, p, 1); returns (lhs, rhs, lhs/rhs)."""
+    """Key-estimate discrepancy: lhs = | ||f||_p - (sum nu_n |f(a_n)|^p)^(1/p) |,
+    rhs = b^(m/p) ||f||_Besov(m/p, p, 1); returns (lhs, rhs, lhs/rhs)."""
+    s = sampling_set
     np_norm = lp_norm(f, p)
-    tr = trace(f, seq)
-    lhs = abs(np_norm - tr.lp_cells(p))
+    lhs = abs(np_norm - _trace_sums(f, s, p)[1] ** (1.0 / p))
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, basis=basis)
-    rhs = seq.b ** (1.0 / p) * besov_norm
+        besov_norm = critical_norm(f, p, s.m, basis)
+    rhs = s.b ** (s.m / p) * besov_norm
     if rhs == 0.0:
         raise ValueError("Besov norm vanished; the diagnostic ratio is undefined")
     return lhs, rhs, lhs / rhs

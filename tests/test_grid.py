@@ -538,6 +538,34 @@ class TestInterpolate:
         assert got.shape == (n,)
         assert np.array_equal(got, one_pass_bilinear(f, pts))
 
+    def test_1d_is_the_one_axis_case(self, small_grid):
+        # the linear sum v0 (1-t) + v1 t, within rounding of `np.interp`
+        # (which forms v0 + t (v1 - v0)), one flat value per point
+        f = random_function(small_grid, seed=4)
+        x = small_grid.x
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.uniform(x[0], x[-1], 2 * _POINT_BLOCK + 3),
+                              [x[0], x[-1], x[-1] + 1e-12, x[0] - 1e-12]])
+        got = f.interpolate(pts)
+        assert got.shape == pts.shape
+        np.testing.assert_allclose(got, np.interp(pts, x, f.values), rtol=0,
+                                   atol=4 * np.finfo(float).eps * np.max(np.abs(f.values)))
+        assert np.array_equal(f.interpolate(x), f.values)
+        assert f.interpolate(pts.reshape(-1, 3)).shape == pts.shape
+
+    def test_1d_and_2d_share_the_off_grid_rule(self, small_grid, odd_grid2d):
+        # up to 1e-9 spacings past an end is on the grid, more is off it
+        f1 = random_function(small_grid)
+        f2 = random_function(odd_grid2d)
+        gx, gy = odd_grid2d.axes
+        for g, call in ((small_grid, lambda c: f1.interpolate([c])),
+                        (gx, lambda c: f2.interpolate([[c, gy.x[0]]]))):
+            assert call(g.x[-1] + 0.5e-9 * g.spacing).shape == (1,)
+            assert call(g.x[0] - 0.5e-9 * g.spacing).shape == (1,)
+            for c in (g.x[-1] + 2e-9 * g.spacing, g.x[0] - 2e-9 * g.spacing):
+                with pytest.raises(ValueError, match=r"outside grid domain \(x\)"):
+                    call(c)
+
     def test_2d_points_need_two_coordinates(self, odd_grid2d):
         f = random_function(odd_grid2d)
         for bad in (np.zeros((4, 3)), np.zeros(4), 0.0):

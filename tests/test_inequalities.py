@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from besovsampling import besov
+from besovsampling import besov, inequalities
 from besovsampling.besov import BesovParams, besov_norm_via_analyze, besov_norm_wavelet
+from besovsampling.cli import _on_default_grid
 from besovsampling.geometry import (
     VARIANTS,
     SamplingSequence1D,
@@ -15,10 +16,18 @@ from besovsampling.geometry import (
     regular_sequence,
     window_for_grid,
 )
-from besovsampling.grid import _POINT_BLOCK, Grid1D, Grid2D, GridFunction, lp_norm
+from besovsampling.grid import (
+    _POINT_BLOCK,
+    Grid1D,
+    Grid2D,
+    GridFunction,
+    lp_norm,
+    smooth_lowpass,
+)
 from besovsampling.inequalities import (
     BAND,
-    _trace_norms,
+    UncertaintyReport,
+    _trace_sums,
     heisenberg_product,
     intB_diagnostic,
     sampling_ratio,
@@ -43,6 +52,54 @@ def reference_trace_2d(f, g):
     return vals, g.anchor_weights.copy(), g.anchor_weights * cell_measures(g)
 
 
+def cell_norm(tr, p):
+    """(sum_n nu_n |f(node_n)|^p)^(1/p), the cell-weighted sample norm of a
+    trace (the body of the deleted `TraceValues.lp_cells`)."""
+    return float(np.sum(tr.cell_weights * np.abs(tr.values) ** p) ** (1.0 / p))
+
+
+def reference_uncertainty_deficiency(f, seq, p):
+    """`uncertainty_deficiency`'s body for a 1D sequence before it streamed
+    the trace sums: a whole trace, and b in place of b^m."""
+    np_norm = lp_norm(f, p)
+    tr = trace(f, seq)
+    mass = seq.b * float(np.sum(np.abs(tr.values) ** p)) / np_norm**p
+    return 1.0 - mass ** (1.0 / p)
+
+
+def reference_uncertainty_check(f, seq, p, basis):
+    """`uncertainty_check`'s body for a 1D sequence, as it was: b^(1/p) and
+    the B^(1/p)_(p,1) norm."""
+    eps = reference_uncertainty_deficiency(f, seq, p)
+    if eps <= 0.0:
+        return UncertaintyReport(p, seq.b, eps, False, None)
+    besov_norm = besov.critical_norm(f, p, basis=basis)
+    c_emp = besov_norm * seq.b ** (1.0 / p) / (eps * lp_norm(f, p))
+    return UncertaintyReport(p, seq.b, eps, True, c_emp)
+
+
+def reference_intB_diagnostic(f, seq, p, basis):
+    """`intB_diagnostic`'s body for a 1D sequence, as it was."""
+    np_norm = lp_norm(f, p)
+    lhs = abs(np_norm - cell_norm(trace(f, seq), p))
+    rhs = seq.b ** (1.0 / p) * besov.critical_norm(f, p, basis=basis)
+    return lhs, rhs, lhs / rhs
+
+
+def trace_built_estimates(f, sset, p, besov_norm):
+    """(eps, c_emp, lhs, rhs) of any sampling set from `trace`'s arrays:
+    the mass b^m sum w |f|^p, the gate b^(m/p) and the cell norm."""
+    tr = trace(f, sset)
+    abs_pow = np.abs(tr.values) ** p
+    np_norm = lp_norm(f, p)
+    mass = sset.b ** sset.m * np.sum(tr.carrier_weights * abs_pow) / np_norm**p
+    eps = 1.0 - mass ** (1.0 / p)
+    gate = sset.b ** (sset.m / p)
+    c_emp = besov_norm * gate / (eps * np_norm) if eps > 0 else None
+    lhs = abs(np_norm - np.sum(tr.cell_weights * abs_pow) ** (1.0 / p))
+    return eps, c_emp, lhs, gate * besov_norm
+
+
 def assert_trace_equals(tr, reference):
     for got, want in zip((tr.values, tr.carrier_weights, tr.cell_weights),
                          reference):
@@ -55,7 +112,7 @@ class TestTrace:
         f = GridFunction(grid, np.ones(grid.count))
         tr = trace(f, seq)
         # cell-weighted mass of a constant recovers the covered length
-        assert tr.lp_cells(1.0) == pytest.approx(28.0, abs=1e-10)
+        assert cell_norm(tr, 1.0) == pytest.approx(28.0, abs=1e-10)
 
     def test_zero_at_samples(self, grid, db4):
         b = 2.0**-5
@@ -121,8 +178,15 @@ class TestTrace:
 
 
 class TestStreamedNorms:
-    """`sampling_ratio` sums its two trace norms a block of anchors at a
-    time, through the body of `trace`, and builds no trace."""
+    """The estimates take their two trace sums a block of anchors at a time,
+    through the body of `trace`, and build no trace."""
+
+    @staticmethod
+    def trace_sums(tr, p):
+        """(sum w |f|^p, sum nu |f|^p) of a whole trace."""
+        abs_pow = np.abs(tr.values) ** p
+        return (float(np.sum(tr.carrier_weights * abs_pow)),
+                float(np.sum(tr.cell_weights * abs_pow)))
 
     @pytest.mark.parametrize("b", [2.0**-3, 2.0**-6])
     def test_1d_bit_for_bit(self, grid, b):
@@ -131,21 +195,18 @@ class TestStreamedNorms:
         assert len(seq.points) <= _POINT_BLOCK  # one block, as in every 1D sweep
         tr = trace(f, seq)
         for p in (1.0, 1.5, 2.0, 3.0):
-            assert _trace_norms(f, seq, p) == (tr.lp_carrier(p), tr.lp_cells(p))
+            assert _trace_sums(f, seq, p) == self.trace_sums(tr, p)
+            # the norms that `sampling_ratio` takes from the sums
+            lp_carrier, lp_cells = (s ** (1.0 / p) for s in _trace_sums(f, seq, p))
+            assert lp_carrier == tr.lp_carrier(p)
+            assert lp_cells == cell_norm(tr, p)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_2d_within_1e_12(self, variant):
-        g1 = Grid1D(-8.0, 2.0**-5, 512)
-        grid2 = Grid2D(g1, g1)
-        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
-        f = GridFunction(grid2, np.outer(u, np.cos(g1.x) * u))
-        b = 2.0**-4 if variant == "curve-family" else 0.5
-        g = build_geometry(variant, {"b": b, "seed": 2, "window": window_for_grid(grid2)})
-        assert len(g.anchors) > 4 * _POINT_BLOCK
+        f, g = many_block_set(variant)
         tr = trace(f, g)
         for p in (1.0, 2.0, 3.5):
-            np.testing.assert_allclose(_trace_norms(f, g, p),
-                                       (tr.lp_carrier(p), tr.lp_cells(p)),
+            np.testing.assert_allclose(_trace_sums(f, g, p), self.trace_sums(tr, p),
                                        rtol=1e-12, atol=0.0)
 
     def test_carrier_weights_are_a_read_only_view(self, small_grid2d):
@@ -179,6 +240,149 @@ class TestStreamedNorms:
         with pytest.raises(ValueError, match="2D sampling set"):
             sampling_ratio(GridFunction(Grid1D(-8.0, 2.0**-5, 512), np.ones(512)),
                            g, 2.0, db4)
+
+
+def many_block_set(variant):
+    """A smooth 2D field on 512^2 (h = 2^-5) and a seeded set of `variant`
+    of more than four blocks of anchors."""
+    g1 = Grid1D(-8.0, 2.0**-5, 512)
+    grid2 = Grid2D(g1, g1)
+    u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+    f = GridFunction(grid2, np.outer(u, np.cos(g1.x) * u))
+    b = 2.0**-4 if variant == "curve-family" else 0.5
+    g = build_geometry(variant, {"b": b, "seed": 2, "window": window_for_grid(grid2)})
+    assert len(g.anchors) > 4 * _POINT_BLOCK
+    return f, g
+
+
+class TestEstimatesOnAnySet:
+    """`uncertainty_deficiency`, `uncertainty_check` and `intB_diagnostic`
+    take any sampling set: the mass b^m integral_G |f|^p dH^(d-m), the gate
+    b^(m/p) and the B^(m/p)_(p,1) norm, from the streamed trace sums."""
+
+    @pytest.mark.parametrize("b", [2.0**-3, 2.0**-6])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_1d_bit_for_bit_on_sweep_sequences(self, b, p):
+        # the sequences and functions of the uncertainty and intb sweeps, seed 0
+        zf, basis, seq = _on_default_grid(
+            ZooSpec("gap-spline", sequence_b=b, sequence_seed=0, seed=7), b, 0)
+        assert len(seq.points) <= _POINT_BLOCK
+        assert uncertainty_deficiency(zf.f, seq, p) == \
+            reference_uncertainty_deficiency(zf.f, seq, p)
+        assert uncertainty_check(zf.f, seq, p, basis) == \
+            reference_uncertainty_check(zf.f, seq, p, basis)
+        zf, basis, seq = _on_default_grid(
+            ZooSpec("bandlimited-random", band=2.0, seed=3), b, 0)
+        assert intB_diagnostic(zf.f, seq, p, basis) == \
+            reference_intB_diagnostic(zf.f, seq, p, basis)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_2d_within_1e_12_of_the_trace_built_form(self, variant):
+        f, g = many_block_set(variant)
+        for p in (1.0, 2.0, 3.5):
+            eps, c_emp, lhs, rhs = trace_built_estimates(f, g, p, besov_norm=1.0)
+            # 1 - eps is the p-th root of the mass, a sum of positive terms
+            assert 1.0 - uncertainty_deficiency(f, g, p) == \
+                pytest.approx(1.0 - eps, rel=1e-12, abs=0.0)
+            rep = uncertainty_check(f, g, p, besov_norm=1.0)
+            assert rep.hypothesis_met == (eps > 0) and rep.b == g.b
+            if eps > 0:
+                # c_emp eps does not carry eps's cancellation
+                assert rep.c_emp * rep.eps == pytest.approx(c_emp * eps, rel=1e-12)
+            got = intB_diagnostic(f, g, p, besov_norm=1.0)
+            # lhs is a difference of two norms: 1e-12 of the norm
+            assert got[0] == pytest.approx(lhs, rel=0.0, abs=1e-12 * lp_norm(f, p))
+            assert got[1] == rhs
+
+    def test_the_2d_critical_norm_takes_the_carrier_dimension(self, db4, monkeypatch):
+        seen = []
+
+        def norm(f, p, m=1, basis=None):
+            seen.append((f.ndim, p, m))
+            return 1.0
+
+        monkeypatch.setattr(inequalities, "critical_norm", norm)
+        f = many_block_set("curve-family")[0]
+        for variant in ("curve-family", "spiral"):
+            g = many_block_set(variant)[1]
+            uncertainty_check(f, g, 3.5, db4)
+            intB_diagnostic(f, g, 3.5, db4)
+        # curve-family is a point set (m = 2), the spiral a curve (m = 1)
+        assert seen == [(2, 3.5, 2), (2, 3.5, 2), (2, 3.5, 1), (2, 3.5, 1)]
+
+    def test_builds_no_trace(self, monkeypatch):
+        f, g = many_block_set("spiral")
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("an estimate built a trace")
+
+        monkeypatch.setattr(inequalities, "trace", no_trace)
+        uncertainty_check(f, g, 2.0, besov_norm=1.0)
+        intB_diagnostic(f, g, 2.0, besov_norm=1.0)
+
+
+class TestLatticeParseval:
+    """A trigonometric polynomial band-limited below 1/(2b) on a period of
+    the lattice b Z^d, sampled on one period of the lattice at p = 2, has
+    b^d sum |f(lattice)|^2 = ||f||_2^2 (the subsampled DFT does not alias),
+    so `uncertainty_deficiency` is 0.
+
+    The input is white noise times a width-2 Gaussian envelope, low-passed
+    below 0.9/(2b) on 512^d points of spacing h = 2^-5: its DFT is zero past
+    the band, so the identity holds for the grid nodes, summed with weight
+    h^d, to rounding.  `lp_norm` and the sets depart from it only at the
+    window's edges: the trapezoid weights the edge nodes by less than h^d,
+    and the set may miss the lattice points within b of the far edge (the
+    straight curve family misses a row and a column of its lattice).  So
+    |eps| <= |1 - mass| <= max(missing, deficit) / ||f||_2^2 with both at
+    most 2 d L^(d-1) (b + h) M, where M is max |f|^2 over the nodes within b
+    of an edge, the envelope's tail after the low-pass; plus sqrt(n) ulp for
+    rounding over n nodes.  The aliased band 1.6/(2b) must break the bound.
+    """
+
+    H, N = 2.0**-5, 512
+
+    def field(self, d, band, seed=0):
+        g1 = Grid1D(-8.0, self.H, self.N)
+        grid = g1 if d == 1 else Grid2D(g1, Grid1D(-8.0, self.H, self.N))
+        envelope = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        if d == 2:
+            envelope = np.outer(envelope, envelope)
+        noise = np.random.default_rng(seed).standard_normal(envelope.shape)
+        return smooth_lowpass(GridFunction(grid, noise * envelope), 0.8 * band, band)
+
+    def bound(self, f, b):
+        v2 = f.values ** 2
+        d, s, length = v2.ndim, int(round(b / self.H)), self.N * self.H
+        strip = np.zeros(v2.shape, bool)
+        for axis in range(d):
+            index = [slice(None)] * d
+            index[axis] = np.r_[:s, self.N - s:self.N]
+            strip[tuple(index)] = True
+        w = np.full(self.N, self.H)
+        w[[0, -1]] *= 0.5
+        norm2 = np.sum(v2 * w) if d == 1 else w @ v2 @ w
+        edge = 2 * d * length ** (d - 1) * (b + self.H) * v2[strip].max()
+        return edge / norm2 + math.sqrt(v2.size) * np.finfo(float).eps
+
+    def sampling_set(self, f, b):
+        if f.ndim == 1:
+            g = f.grid
+            return regular_sequence(b, (g.x[0], g.x[0] + self.N * self.H - b))
+        return build_geometry("curve-family", {"b": b, "straight": True,
+                                               "window": window_for_grid(f.grid)})
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("b", [2.0**-2, 2.0**-3, 2.0**-4])
+    def test_band_limited_input_has_zero_deficiency(self, d, b):
+        f = self.field(d, 0.9 / (2 * b))
+        sset = self.sampling_set(f, b)
+        # the anchors are grid nodes, so the trace reads the values themselves
+        assert np.all(((sset.anchors + 8.0) / self.H) % 1 == 0)
+        assert sset.m == d
+        assert abs(uncertainty_deficiency(f, sset, 2.0)) <= self.bound(f, b)
+        aliased = self.field(d, 1.6 / (2 * b))
+        assert abs(uncertainty_deficiency(aliased, sset, 2.0)) > 100 * self.bound(aliased, b)
 
 
 class TestSamplingRatio:
@@ -326,7 +530,7 @@ class TestIntB:
         # restrict the norm to the covered interval: use the identity on the
         # cells directly
         tr = trace(f, seq)
-        covered = tr.lp_cells(2.0)
+        covered = cell_norm(tr, 2.0)
         # ||f||_2 over the same covered interval
         inside = (grid.x >= seq.points[0]) & (grid.x <= seq.points[-1])
         norm_cov = math.sqrt(np.sum(f.values[inside] ** 2) * grid.spacing)
