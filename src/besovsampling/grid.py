@@ -12,7 +12,7 @@ Conventions:
   * Smooth cutoffs are built from the C-infinity ramp based on exp(-1/t);
     see `smooth_ramp01`.
 
-`scipy.fft` is imported by the first `fourier` or `inverse_fourier` call.
+Every transform runs on `numpy.fft`.
 """
 
 from __future__ import annotations
@@ -376,16 +376,6 @@ def _origin_phase(grid, sign: int) -> np.ndarray:
                                       for g in grid.axes])
 
 
-def _fftn(spec: np.ndarray, transform) -> np.ndarray:
-    """`np.fft.fftn` (`ifftn`) of the complex array `spec`, which it
-    overwrites: scipy's `fft` (`ifft`) along one axis at a time, last axis
-    first, as numpy walks them.  numpy casts real input to complex first, so
-    this is its result bit for bit, with no copy between the axes."""
-    for axis in reversed(range(spec.ndim)):
-        spec = transform(spec, axis=axis, overwrite_x=True)
-    return spec
-
-
 def fourier(f: GridFunction) -> SpectrumFunction:
     """Discrete approximation of the continuous transform (2*pi convention).
 
@@ -393,21 +383,33 @@ def fourier(f: GridFunction) -> SpectrumFunction:
     F(z) = integral f exp(-2*pi*i*x*z) dx at the fft frequency bins, which
     come read-only from the `_axis_freqs` cache.
     """
-    axes = f.grid.axes
     check_fft_grid(f.grid)
-    from scipy import fft as sp_fft
-    freqs = tuple(_axis_freqs(g.count, g.spacing) for g in axes)
-    volume = math.prod(g.spacing for g in axes)
-    spec = _fftn(f.values.astype(complex), sp_fft.fft)
+    freqs = tuple(_axis_freqs(g.count, g.spacing) for g in f.grid.axes)
+    volume = math.prod(g.spacing for g in f.grid.axes)
+    spec = f.values.astype(complex)
+    np.fft.fftn(spec, out=spec)
     return SpectrumFunction(f.grid, freqs, volume * _origin_phase(f.grid, -1) * spec)
 
 
 def inverse_fourier(F: SpectrumFunction) -> GridFunction:
     """Invert `fourier`; the (tiny) imaginary part is dropped."""
-    from scipy import fft as sp_fft
     volume = math.prod(g.spacing for g in F.grid.axes)
     spec = _origin_phase(F.grid, 1) * F.values / volume
-    return GridFunction(F.grid, np.real(_fftn(spec, sp_fft.ifft)))
+    np.fft.ifftn(spec, out=spec)
+    return GridFunction(F.grid, np.real(spec))
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= target, the padded length
+    of a real transform, as `scipy.fft.next_fast_len(target, real=True)`."""
+    best, p5 = 1 << (target - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the smallest p35 * 2^a >= target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def smooth_ramp01(t) -> np.ndarray:

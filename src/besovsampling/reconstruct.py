@@ -32,8 +32,8 @@ import numpy as np
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import (Grid1D, GridFunction, check_below_nyquist, check_fft_grid, lp_norm,
-                   smooth_lowpass)
+from .grid import (Grid1D, GridFunction, _next_fast_len, check_below_nyquist,
+                   check_fft_grid, lp_norm, smooth_lowpass)
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
 
@@ -126,7 +126,8 @@ class PartitionOfUnity:
 
         The same transforms, padding and centred slice as
         `fftconvolve(impulses, _kernel, mode="same")`, so the same bits, with
-        the kernel's spectrum taken once in `build_partition`.
+        the kernel's spectrum taken once in `build_partition`.  The only
+        `scipy.fft` left: numpy's `irfftn` differs from scipy's by rounding.
         """
         from scipy.fft import irfftn, rfftn
         imp = np.zeros(self.grid.shape)
@@ -181,12 +182,10 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
     nk = int(math.floor(radius / gx.spacing))
     tx = np.arange(-nk, nk + 1) * gx.spacing / radius
     ty = np.arange(-nk, nk + 1) * gy.spacing / radius
-    kern = np.sqrt(tx[:, None] ** 2 + ty[None, :] ** 2)
-    kern = _bump01(kern)
-    from scipy.fft import next_fast_len, rfftn
+    kern = _bump01(np.sqrt(tx[:, None] ** 2 + ty[None, :] ** 2))
+    from scipy.fft import rfftn
     # fftconvolve's padded shape: the full linear size, rounded up per axis
-    fshape = tuple(next_fast_len(n + k - 1, True)
-                   for n, k in zip(grid.shape, kern.shape))
+    fshape = tuple(_next_fast_len(n + k - 1) for n, k in zip(grid.shape, kern.shape))
     pou = PartitionOfUnity(nodes, radius, grid, _idx=(ix, iy), _kernel=kern,
                            _kernel_spectrum=rfftn(kern, fshape), _fft_shape=fshape)
     pou._total = np.maximum(pou._convolve(np.ones(len(nodes))), 1e-300)

@@ -30,9 +30,8 @@ reads the tabulated profile once per table interval, not once per point.
 
 1D analysis keeps its earlier routes until the benchmark's 1D `residual_l2`
 reference can take a change of rounding (ROADMAP item 4(a)): an FFT
-correlation read at every stride-th lag for M < n, with phi and psi sharing
-the forward spectrum, and one product per block for M >= n.  That FFT route
-is the module's only use of `scipy.fft`, imported by its first call.
+correlation read at every stride-th lag for M < n, phi and psi sharing the
+forward spectrum, and one product per block against K for M >= n.
 
 In 2D, analysis correlates axis 1 first, so the strided axis 0 sees only the
 partial results, already reduced to one value per translate.  Synthesis, its
@@ -41,9 +40,9 @@ axis 1.
 
 Supports: the Daubechies tables are recentred by an integer shift (a pure
 relabeling of translates) so phi and psi share the support [-(K-1), K] and
-the radius R = K; Haar keeps [0, 1] with R = 1.  Haar jump points carry the
-right-continuous value, which makes quadrature on half-open dyadic grids
-reproduce the Haar integral identities exactly.
+the radius R = K; Haar keeps [0, 1] with R = 1.  Haar is a step function
+whose jumps carry the right-continuous value, so quadrature on half-open
+dyadic grids reproduces the Haar integral identities exactly at any scale.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, lp_norm
+from .grid import Grid1D, GridFunction, _next_fast_len, lp_norm
 
 __all__ = [
     "WaveletBasis",
@@ -197,8 +196,8 @@ class WaveletBasis:
         return self.phi_table if which == 0 else self.psi_table
 
     def eval(self, which: int, y) -> np.ndarray:
-        """psi^0 / psi^1 at arbitrary points: exact on the dyadic table lattice,
-        linear interpolation off-lattice, 0 outside the support (and at NaN).
+        """psi^0 / psi^1 at arbitrary points: exact on the table lattice, linear
+        between its nodes (Haar: a step), 0 outside the support (and at NaN).
 
         The value is tab[ti] * (1 - fr) + tab[ti + 1] * fr at table position
         t = ti + fr, computed in place over the whole array: points outside
@@ -215,6 +214,8 @@ class WaveletBasis:
         ti = t.astype(np.intp)  # t >= 0, so truncation is floor
         np.minimum(ti, len(tab) - 2, out=ti)
         t -= ti  # t is now fr
+        if self.family == "haar":
+            np.floor(t, out=t)
         nxt = tab[1:].take(ti)
         nxt *= t
         np.subtract(1.0, t, out=t)
@@ -471,17 +472,15 @@ def _kernel_samples(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     t = last takes `eval`'s clamped tab[last - 1] * 0 + tab[last] * 1.
     Each row is built in one run-shaped buffer and copied out.
 
-    The samples are not cached.  The kernels of 1D analysis at M >= n,
-    P + 1 translates over every block, take about 2 MiB a scale on the
-    default 1D grid and about 29 MiB a basis (j = -16..-3), far past the
-    benchmark's 15% bound on peak resident memory; only the FFT route's
-    spectra are kept (`_kernel_spectrum`).
+    Nothing is cached: kept, the coarse 1D scales' kernels would take about
+    28 MiB a basis on the default 1D grid; only FFT spectra are kept.
     """
     tab = basis.table(which)
     last = len(tab) - 1
     e = j - g.resolution_exponent + basis.depth
     run, step = 2 ** max(-e, 0), 2 ** max(e, 0)  # offsets per run, entries per run
-    fr = np.arange(run) / run
+    # Haar is a step function: its fractions floor to 0, as in `eval`
+    fr = np.zeros(run) if basis.family == "haar" else np.arange(run) / run
     one_minus_fr = 1.0 - fr
     end = tab[last - 1] * 0.0 + tab[last] * 1.0
     q_end = last * run // step  # the offset at t = last
@@ -516,25 +515,23 @@ def _axis_kernel(g: Grid1D, basis: WaveletBasis, j: int, which: int) -> np.ndarr
 
 
 def _polyphase_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
-                      k_lo: int, k_hi: int, edges_only: bool = False):
-    """Kernel blocks of the polyphase split: every block for 1D analysis at
-    M >= n, only the partial blocks at the axis ends otherwise.
+                      k_lo: int, k_hi: int):
+    """The blocks of the polyphase split that the axis ends cut short, each
+    with its own kernels; the whole blocks share the `_full_blocks` table.
 
     Grid index m sits at lattice position m + base = u*stride + r: block u,
     offset r.  Translate k meets block u only for u - P <= k <= u, where
-    P = hi - lo is the support length in strides, so each block couples to at
-    most P + 1 translates and the kernel is evaluated only at the block's grid
-    points.  Yields (grid slice, first translate k_a, W) for each block with
-    W[i, m - start] = w(2^j x_m - (k_a + i)), translates kept to [k_lo, k_hi].
-    With `edges_only`, only the blocks that the axis ends cut short.
+    P = hi - lo is the support length in strides.  Yields (grid slice, first
+    translate k_a, W) for each such block with W[i, m - start] =
+    w(2^j x_m - (k_a + i)), translates kept to [k_lo, k_hi].
     """
     stride, base, _M = _axis_setup(g, basis, j)
     n = g.count
     lo, hi = basis.support
     u_first, u_last = base // stride, (base + n - 1) // stride
-    for u in sorted({u_first, u_last}) if edges_only else range(u_first, u_last + 1):
+    for u in sorted({u_first, u_last}):
         m_lo, m_hi = max(0, u * stride - base), min(n, (u + 1) * stride - base)
-        if edges_only and m_hi - m_lo == stride:
+        if m_hi - m_lo == stride:
             continue
         k_a, k_b = max(u - (hi - lo), k_lo), min(u, k_hi)
         if k_a > k_b:
@@ -554,9 +551,10 @@ def _full_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     Returns (m_a, u_a, nb, K), or None when there is no such block: grid
     indices m_a..m_a + nb*stride - 1 are blocks u_a..u_a + nb - 1, and
     K[q, r] = w(lo + 2^(j-res) (r + q*stride)) is the kernel of translate
-    u - q at offset r of block u, for q = 0..P.  Row q = P samples w at
-    hi + r/stride, where every basis is 0 (`WaveletBasis.validate`); 2D
-    analysis leaves it out, and 1D and `_axis_place` keep all P + 1 rows.
+    u - q at offset r of block u, for q = 0..P, sampled a row at a time
+    (faster than one long row).  Row q = P samples w at hi + r/stride,
+    where every basis is 0 (`WaveletBasis.validate`); 2D analysis leaves it
+    out, and 1D and `_axis_place` keep all P + 1 rows.
     2D analysis expands K to the run table K_T[s + P - 1 - q, s*stride + r]
     = K[q, r] of `_axis_correlate`.
     """
@@ -566,7 +564,7 @@ def _full_blocks(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     u_b = min((base + g.count) // stride, k_hi + P + 1)
     if u_b <= u_a:
         return None
-    K = _kernel_samples(g, basis, j, which, [0], (P + 1) * stride).reshape(P + 1, stride)
+    K = _kernel_samples(g, basis, j, which, range(0, (P + 1) * stride, stride), stride)
     return u_a * stride - base, u_a, u_b - u_a, K
 
 
@@ -596,9 +594,8 @@ def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
     k_min = int(np.ceil((base - M) / stride))
     k_max = int(np.floor((base + n - 1) / stride))
     if values.ndim == 1:
-        # Held back until ROADMAP item 4(a) replaces the `residual_l2`
-        # reference (the FOUND line on `residual_l2` in CHANGES.md); deleting
-        # this branch is then the whole 1D change.
+        # held back until ROADMAP item 4(a) replaces the `residual_l2`
+        # reference; deleting this branch is then the whole 1D change
         return k_min, _correlate_1d(values, g, basis, j, whiches, k_min, k_max)
     P = M // stride
     # the axis first, the others as columns: a view in 2D, whichever axis
@@ -623,34 +620,38 @@ def _axis_correlate(values: np.ndarray, g: Grid1D, basis: WaveletBasis, j: int,
             i = u_a + u - (P - 1) - k_min
             out[:, i : i + L + P - 1] += Y.reshape(len(whiches), L + P - 1, -1)
     for o, which in zip(out, whiches):
-        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max,
-                                            edges_only=True):
+        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
             o[k_a - k_min : k_a - k_min + len(W)] += W @ v[sl]
     return k_min, [np.moveaxis(o.reshape((-1,) + cols), 0, axis) for o in out]
 
 
 def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
-    """The 1D correlation as it was before the 2D one moved to the kernel
-    table: each output of the FFT route (M < n) equals scipy's
+    """The 1D correlation.  For M < n each output equals scipy's
     `fftconvolve(values, kernel[::-1], mode="full")` at the stride lags bit
-    for bit, with the forward spectrum of `values` taken once for every
-    kernel and each kernel's spectrum built once per basis
-    (`_kernel_spectrum`); for M >= n, one product per polyphase block, with
-    its kernels sampled afresh: at about 2 MiB a scale on the default 1D
-    grid, about 29 MiB a basis, they are too large to keep."""
+    for bit; the forward spectrum is taken once for every kernel, and each
+    kernel's spectrum once per basis (`_kernel_spectrum`).  For M >= n, one
+    product per polyphase block in block order: whole block u takes the
+    rows K[u - k] of the `_full_blocks` table, an edge block its own."""
     stride, base, M = _axis_setup(g, basis, j)
     n = len(values)
     outs = []
     if M >= n:
         for which in whiches:
+            blocks = list(_polyphase_blocks(g, basis, j, which, k_min, k_max))
+            full = _full_blocks(g, basis, j, which, k_min, k_max)
+            if full is not None:
+                m_a, u_a, nb, K = full
+                for u in range(u_a, u_a + nb):
+                    ks = np.arange(max(u + 1 - len(K), k_min), min(u, k_max) + 1)
+                    m = m_a + (u - u_a) * stride
+                    blocks.append((slice(m, m + stride), ks[0], K[u - ks]))
             out = np.zeros(k_max - k_min + 1)
-            for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
+            for sl, k_a, W in sorted(blocks, key=lambda block: block[0].start):
                 out[k_a - k_min : k_a - k_min + len(W)] += values[sl] @ W.T
             outs.append(out)
         return outs
-    from scipy import fft as sp_fft
-    L = sp_fft.next_fast_len(n + M, True)
-    spectrum = sp_fft.rfft(values, L)
+    L = _next_fast_len(n + M)
+    spectrum = np.fft.rfft(values, L)
     # conv[n'] = sum_m f_m kern[M - n' + m]; translate k reads index n' = M - base + k*stride
     idx = M - base + np.arange(k_min, k_max + 1) * stride
     for which in whiches:
@@ -658,14 +659,14 @@ def _correlate_1d(values, g, basis, j, whiches, k_min, k_max):
         # bitwise commutative, and `spectrum * <temporary>` may be evaluated
         # in place in the temporary with the operands swapped
         kern_spectrum = _kernel_spectrum(g, basis, j, which, L)
-        conv = sp_fft.irfft(spectrum * kern_spectrum, L)
+        conv = np.fft.irfft(spectrum * kern_spectrum, L)
         outs.append(conv[idx])
     return outs
 
 
 def _kernel_spectrum(g: Grid1D, basis: WaveletBasis, j: int, which: int,
                      L: int) -> np.ndarray:
-    """`sp_fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)`, read-only.
+    """`np.fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)`, read-only.
 
     The kernel depends on the axis only through its resolution, so the
     spectrum is kept on the basis under (L, resolution, j, which) and dies
@@ -675,8 +676,7 @@ def _kernel_spectrum(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     key = (L, g.resolution_exponent, j, which)
     spectra = basis._spectra
     if key not in spectra:
-        from scipy import fft as sp_fft
-        spectrum = sp_fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)
+        spectrum = np.fft.rfft(_axis_kernel(g, basis, j, which)[::-1], L)
         spectrum.flags.writeable = False
         if len(spectra) >= _MAX_SPECTRA:
             del spectra[next(iter(spectra))]
@@ -712,8 +712,7 @@ def _axis_place(coeffs: np.ndarray, k0: int, g: Grid1D, basis: WaveletBasis, j: 
         windows = np.lib.stride_tricks.sliding_window_view(padded, P + 1, axis=-1)
         placed = windows @ K[::-1]
         out[..., m_a : m_a + nb * stride] = placed.reshape(c_mv.shape[:-1] + (-1,))
-    for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1,
-                                        edges_only=True):
+    for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1):
         out[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
     return np.moveaxis(out, -1, axis)
 

@@ -1059,12 +1059,14 @@ class TestFingerprints:
 
 def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     """Importing the CLI loads no part of scipy, and neither do the bench's
-    set-up tuple (`pl` at b=2^-3) and a 2D `sampling` tuple, which run on
-    numpy alone.  `scipy.special` and `scipy.spatial` come with the first
-    geometry check, and `scipy.fft` with the first 1D transform, as in a 1D
-    critical norm.  The import loads none of the `unused` subpackages, which
-    cost about 25 MiB and 0.25 s of every start.  A fresh interpreter shows
-    what each step pulls in."""
+    set-up tuple (`pl` at b=2^-3), a 2D `sampling` tuple, a 1D critical norm
+    and a 1D `sampling` and `reconstruct` tuple, which run on numpy alone
+    (every 1D transform is `numpy.fft`'s).  `scipy.special` and
+    `scipy.spatial` come with the first geometry check, and `scipy.fft` only
+    with a 2D `build_operator`, whose partition of unity convolves through
+    it.  The import loads none of the `unused` subpackages, which cost about
+    25 MiB and 0.25 s of every start.  A fresh interpreter shows what each
+    step pulls in."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1078,7 +1080,8 @@ import numpy as np
 import besovsampling.cli as cli
 from besovsampling.besov import critical_norm
 from besovsampling.geometry import build_geometry, check_conditions
-from besovsampling.grid import GridFunction, default_grid_1d
+from besovsampling.grid import Grid1D, Grid2D, GridFunction, default_grid_1d
+from besovsampling.reconstruct import ReconstructionConfig, build_operator
 def scipy_modules():
     return [name for name in sys.modules if name.split(".")[0] == "scipy"]
 unused = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.linalg",
@@ -1088,14 +1091,21 @@ print(*scipy_modules())
 cli.execute_sweep(cli.RunConfig("pl", b_list=[2.0**-3], seeds=[2**40]))
 row = cli.run_sampling_tuple((2.0**-4, 2.0, None, 3, sys.argv[1]))
 print(row["ok"], *scipy_modules())
-check_conditions(build_geometry("curve-family", {"b": 0.5, "window": (-4, 4)}),
-                 n_probes=10)
-print("scipy.spatial" in sys.modules, "scipy.special" in sys.modules)
 g = default_grid_1d()
 critical_norm(GridFunction(g, np.exp(-np.pi * g.x**2)), 2.0)
+rows = [cli.run_sampling_tuple((2.0**-3, 2.0, None, 5, None)),
+        cli.run_reconstruct_tuple((2.0**-3, 2.0, None, 5, None))]
+print(*[row["ok"] for row in rows], *scipy_modules())
+family = build_geometry("curve-family", {"b": 0.5, "window": (-4, 4)})
+check_conditions(family, n_probes=10)
+print("scipy.spatial" in sys.modules, "scipy.special" in sys.modules,
+      "scipy.fft" in sys.modules)
+axis = Grid1D(-4.0, 2.0**-4, 128)
+build_operator(family, ReconstructionConfig(), Grid2D(axis, axis))
 print("scipy.fft" in sys.modules)
 """
     res = subprocess.run([sys.executable, "-c", code, str(spec)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["", "", "True", "True True", "True"]
+    assert res.stdout.splitlines() == ["", "", "True", "True True",
+                                       "True True False", "True"]

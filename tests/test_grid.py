@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from besovsampling.geometry import SamplingGeometry2D, cell_measures
@@ -21,6 +22,7 @@ from besovsampling.grid import (
     _axis_points,
     _axis_profile,
     _half_spectrum,
+    _next_fast_len,
     _origin_phase,
     default_grid_1d,
     fourier,
@@ -276,14 +278,14 @@ def radii(freqs):
 
 
 def fftn_fourier(f):
-    """`fourier`'s values through `np.fft.fftn`, as they were before the
-    transform took one axis at a time through `scipy.fft`."""
+    """`fourier`'s values through `np.fft.fftn` on its real input, without
+    the in-place complex cast."""
     volume = math.prod(g.spacing for g in f.grid.axes)
     return volume * _origin_phase(f.grid, -1) * np.fft.fftn(f.values)
 
 
 def ifftn_inverse_fourier(F):
-    """`inverse_fourier`'s values through `np.fft.ifftn`, as they were."""
+    """`inverse_fourier`'s values through an allocating `np.fft.ifftn`."""
     volume = math.prod(g.spacing for g in F.grid.axes)
     return np.real(np.fft.ifftn(_origin_phase(F.grid, 1) * F.values / volume))
 
@@ -314,6 +316,14 @@ class TestFourierBitForBit:
         G = SpectrumFunction(grid, F.freqs, rng.standard_normal(grid.shape)
                              + 1j * rng.standard_normal(grid.shape))
         assert same_bits(inverse_fourier(G).values, ifftn_inverse_fourier(G))
+
+
+def test_next_fast_len_is_scipys_real_padded_length():
+    # every target up to 2^17, which holds the padded lengths of the 1D FFT
+    # route on the default grid, and targets just above 2^20 and 3 * 2^18
+    targets = [*range(1, 2**17 + 1), 2**20 + 1, 2**20 + 7, 3 * 2**18 + 1]
+    assert [_next_fast_len(t) for t in targets] == [
+        next_fast_len(t, real=True) for t in targets]
 
 
 class TestAxisCaches:

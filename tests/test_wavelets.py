@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import fft as sp_fft
 from scipy.optimize import least_squares
 from scipy.signal import fftconvolve
+from scipy.special import erf
 
 from besovsampling import wavelets
 from besovsampling.grid import (
@@ -141,7 +142,8 @@ class TestBasisConstruction:
 
 def masked_eval(basis, which, y):
     """`WaveletBasis.eval` in its masked form: interpolate the points inside
-    the support only, through boolean-index copies, and leave the rest 0."""
+    the support only, through boolean-index copies, and leave the rest 0.
+    Haar, a step function, floors the fraction."""
     y = np.asarray(y, dtype=float)
     lo, _hi = basis.support
     t = (y - lo) * 2.0**basis.depth
@@ -150,6 +152,8 @@ def masked_eval(basis, which, y):
     m = (t >= 0) & (t <= len(tab) - 1)
     ti = np.clip(np.floor(t[m]).astype(int), 0, len(tab) - 2)
     fr = t[m] - ti
+    if basis.family == "haar":
+        fr = np.floor(fr)
     out[m] = tab[ti] * (1.0 - fr) + tab[ti + 1] * fr
     return out
 
@@ -204,6 +208,21 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def every_block(g, basis, j, which, k_lo, k_hi):
+    """Every block of the polyphase split as (grid slice, first translate
+    k_a, W), each with its kernels sampled afresh: 1D analysis at M >= n
+    before its whole blocks shared the `_full_blocks` table."""
+    stride, base, _M = _axis_setup(g, basis, j)
+    lo, hi = basis.support
+    for u in range(base // stride, (base + g.count - 1) // stride + 1):
+        m_lo, m_hi = max(0, u * stride - base), min(g.count, (u + 1) * stride - base)
+        k_a, k_b = max(u - (hi - lo), k_lo), min(u, k_hi)
+        if k_a <= k_b:
+            q_first = [m_lo + base - k * stride for k in range(k_a, k_b + 1)]
+            yield (slice(m_lo, m_hi), k_a,
+                   _kernel_samples(g, basis, j, which, q_first, m_hi - m_lo))
+
+
 # an axis of each default grid and `small_grid`, with the scales analysed on
 # it and some coarser ones, where the kernel spans many times the axis
 KERNEL_AXES = {
@@ -228,19 +247,14 @@ class TestKernelSamples:
             stride, base, M = _axis_setup(g, basis, j)
             s = 2.0 ** (j - g.resolution_exponent)
             for which in (0, 1):
-                # all blocks where 1D analysis takes them (M >= n), the axis
-                # ends everywhere
-                routes = [True] + ([False] if M >= g.count else [])
-                for edges_only in routes:
-                    for sl, k_a, W in _polyphase_blocks(g, basis, j, which, -10**9,
-                                                        10**9, edges_only=edges_only):
-                        q_first = [sl.start + base - k * stride
-                                   for k in range(k_a, k_a + len(W))]
-                        n = sl.stop - sl.start
-                        assert same_bits(W, eval_samples(g, basis, j, which, q_first, n))
-                        seen.add("edges" if edges_only else "all blocks")
-                        if any(np.any(lo + s * (q + np.arange(n)) == hi) for q in q_first):
-                            seen.add("t = last")
+                for sl, k_a, W in _polyphase_blocks(g, basis, j, which, -10**9, 10**9):
+                    q_first = [sl.start + base - k * stride
+                               for k in range(k_a, k_a + len(W))]
+                    n = sl.stop - sl.start
+                    assert same_bits(W, eval_samples(g, basis, j, which, q_first, n))
+                    seen.add("edges")
+                    if any(np.any(lo + s * (q + np.arange(n)) == hi) for q in q_first):
+                        seen.add("t = last")
                 full = _full_blocks(g, basis, j, which, -10**9, 10**9)
                 if full is not None:
                     K = full[3]
@@ -251,7 +265,7 @@ class TestKernelSamples:
                     assert same_bits(_axis_kernel(g, basis, j, which),
                                      eval_samples(g, basis, j, which, [0], M + 1)[0])
                     seen.add("kernel")
-        assert seen == {"edges", "all blocks", "t = last", "table", "kernel"}
+        assert seen == {"edges", "t = last", "table", "kernel"}
 
     @staticmethod
     def _random_tables(db4):
@@ -441,6 +455,54 @@ class TestAnalyze:
             ks = k0 + np.arange(len(vals))
             interior = (ks > 2.0**j * (-4) + R) & (ks < 2.0**j * 4 - R)
             assert np.max(np.abs(vals[interior])) < 1e-6
+
+
+class TestHaarGaussianOracle:
+    """Haar coefficients of f(x) = exp(-pi x^2) against differences of erf.
+
+    On the default 1D grid (h = 2^-10 on [-16, 16), where f underflows to 0
+    at both ends) each half of a Haar support, [a, a + L) with L = 2^-j / 2,
+    or the whole 2^-j for the coarse phi, starts and ends on the grid, and
+    the right-continuous jumps make `analyze` 2^(j/2) times a left-endpoint
+    sum h sum f(x_m) over each piece.  That sum is the trapezoid sum plus
+    (h/2) (f(a) - f(a + L)), and the trapezoid error on [a, a + L) is at
+    most (h^2/12) times the sum over its cells of h max|f''|.  That sum is
+    at most 2 pi L, as |f''| <= 2 pi, and at most int|f''| + h int|f^(3)|
+    over the line, as max|g| on a cell is at most (1/h) int|g| plus the
+    variation of g there.  For this f, int|f''| = 4 max|f'| =
+    4 sqrt(2 pi) e^(-1/2) and int|f^(3)| = 16 pi e^(-3/2) + 4 pi.  n ulp of
+    2^(j/2) sum h |f| = 2^(j/2) covers the rounding of the sums.  Scales
+    -16..-3 take the polyphase route (M >= n), -2..8 the FFT route.
+    """
+
+    @staticmethod
+    def _expected(j, ks, signs, h, n):
+        """2^(j/2) sum over the pieces of sign * (integral + endpoint term),
+        and the bound on what is left."""
+        def f(x):
+            return np.exp(-np.pi * x**2)
+
+        piece = 2.0**-j / len(signs)
+        second = 4.0 * np.sqrt(2.0 * np.pi) * np.exp(-0.5)
+        third = 16.0 * np.pi * np.exp(-1.5) + 4.0 * np.pi
+        value, tol = np.zeros(len(ks)), np.full(len(ks), n * np.finfo(float).eps)
+        for i, sign in enumerate(signs):
+            a = ks * 2.0**-j + i * piece
+            b = a + piece
+            exact = 0.5 * (erf(np.sqrt(np.pi) * b) - erf(np.sqrt(np.pi) * a))
+            value += sign * (exact + 0.5 * h * (f(a) - f(b)))
+            tol += h**2 / 12.0 * min(2.0 * np.pi * piece, second + h * third)
+        return 2.0 ** (j / 2) * value, 2.0 ** (j / 2) * tol
+
+    def test_every_scale_matches_erf(self, haar, grid):
+        f = GridFunction(grid, np.exp(-np.pi * grid.x**2))
+        c = analyze(f, haar, -16, 8)
+        assert list(c.scales) == list(range(-16, 9))
+        pieces = [(j, c.scales[j], (1.0, -1.0)) for j in c.scales]
+        for j, (k0, vals), signs in pieces + [(-16, c.coarse, (1.0,))]:
+            ks = k0 + np.arange(len(vals))
+            value, tol = self._expected(j, ks, signs, grid.spacing, grid.count)
+            assert np.all(np.abs(vals - value) <= tol), j
 
 
 class TestSynthesize:
@@ -639,7 +701,7 @@ def _place_two_routes(coeffs, k0, g, basis, j, which, axis=0):
     if M >= n:
         c_mv = np.moveaxis(coeffs, axis, -1)
         out_mv = np.zeros(c_mv.shape[:-1] + (n,))
-        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k0, k0 + nk - 1):
+        for sl, k_a, W in every_block(g, basis, j, which, k0, k0 + nk - 1):
             out_mv[..., sl] = c_mv[..., k_a - k0 : k_a - k0 + len(W)] @ W
         return np.moveaxis(out_mv, -1, axis)
     kern = _axis_kernel(g, basis, j, which)
@@ -731,7 +793,7 @@ class TestPlacementBody:
         g, j = Grid1D(-0.5, 2.0**-6, 64), -1
         stride, _base, _M = _axis_setup(g, basis, j)
         assert stride > g.count
-        blocks = list(_polyphase_blocks(g, basis, j, 1, -100, 100, edges_only=True))
+        blocks = list(_polyphase_blocks(g, basis, j, 1, -100, 100))
         assert [sl for sl, _k_a, _W in blocks] == [slice(0, 32), slice(32, 64)]
         k_a, k_b = _translate_range(g, basis, j)
         coeffs = np.random.default_rng(9).normal(size=k_b - k_a + 1)
@@ -773,7 +835,7 @@ def _correlate_one_kernel(values, g, basis, j, which, axis):
     if M >= n:
         vals_mv = np.moveaxis(values, axis, -1)
         out = np.zeros(vals_mv.shape[:-1] + (k_max - k_min + 1,))
-        for sl, k_a, W in _polyphase_blocks(g, basis, j, which, k_min, k_max):
+        for sl, k_a, W in every_block(g, basis, j, which, k_min, k_max):
             out[..., k_a - k_min : k_a - k_min + len(W)] += vals_mv[..., sl] @ W.T
         return k_min, np.moveaxis(out, -1, axis)
     kern = _axis_kernel(g, basis, j, which)
@@ -860,6 +922,24 @@ class TestSharedSpectrum:
                                                   for j in old.scales]:
             assert a[0] == b[0] and np.array_equal(a[1], b[1])
         assert new.residual_l2 == old.residual_l2
+
+    def test_1d_whole_blocks_take_the_table_bit_for_bit(self, db4):
+        # an axis off every dyadic block: at j = -2 and -3 (M >= n) D4 meets
+        # whole blocks between two that the axis ends cut short
+        g = Grid1D(-331 / 64, 2.0**-6, 1024)
+        values = np.random.default_rng(11).normal(size=g.count)
+        mixed = set()
+        for j in range(-8, -1):
+            _stride, _base, M = _axis_setup(g, db4, j)
+            assert M >= g.count
+            k0, outs = _axis_correlate(values, g, db4, j, [0, 1])
+            for which, out in zip((0, 1), outs):
+                k0_ref, ref = _correlate_one_kernel(values, g, db4, j, which, 0)
+                assert k0 == k0_ref and np.array_equal(out, ref)
+            edges = list(_polyphase_blocks(g, db4, j, 1, -10**6, 10**6))
+            if _full_blocks(g, db4, j, 1, -10**6, 10**6) is not None and len(edges) == 2:
+                mixed.add(j)
+        assert mixed == {-3, -2}
 
     def test_2d_analyze_matches_axis0_first_order(self, db4, monkeypatch):
         grid = Grid2D(Grid1D(-4.0, 2.0**-5, 256), Grid1D(-4.0, 2.0**-6, 512))
