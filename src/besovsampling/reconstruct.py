@@ -29,11 +29,12 @@ from dataclasses import dataclass, field, asdict
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import (Grid1D, GridFunction, _next_fast_len, check_below_nyquist,
-                   check_fft_grid, lp_norm, smooth_lowpass)
+from .grid import (Grid1D, GridFunction, check_below_nyquist, check_fft_grid,
+                   lp_norm, smooth_lowpass)
 from .inequalities import TraceValues, trace
 from .wavelets import WaveletBasis, analyze, default_basis, synthesize
 
@@ -89,6 +90,9 @@ def _bump01(t: np.ndarray) -> np.ndarray:
     return out
 
 
+_ROWS_PER_PRODUCT = 4  # node rows that one matrix product of the 2D partition places
+
+
 @dataclass(eq=False)
 class PartitionOfUnity:
     """Shepard-normalized smooth bumps on B(x_j, 2b) over the node set.
@@ -97,21 +101,21 @@ class PartitionOfUnity:
     index of every window sample, `_vals` the bump value there and `_lens`
     the samples per node, so one `np.bincount` evaluates the sum.  It adds
     in input order, the node order of a per-node loop, so the sums are the
-    loop's to the last bit.  2D requires lattice-snapped nodes, keeps their
-    lattice positions in `_idx` and evaluates through one FFT convolution
-    with the common bump kernel, whose spectrum is taken once at build time.
+    loop's to the last bit.  2D requires lattice-snapped nodes and places
+    the bump kernel `_kernel` directly, by the grid rows `_rows` that hold
+    nodes; `_idx` is each node's place in its row's padded y-line.  Where no
+    node's disc reaches, the sum is an exact 0.0.
     """
 
     nodes: np.ndarray
     radius: float
     grid: object
     _total: np.ndarray | None = field(default=None, repr=False)
-    _idx: np.ndarray | tuple | None = field(default=None, repr=False)
+    _idx: np.ndarray | None = field(default=None, repr=False)
     _vals: np.ndarray | None = field(default=None, repr=False)
     _lens: np.ndarray | None = field(default=None, repr=False)
     _kernel: np.ndarray | None = field(default=None, repr=False)
-    _kernel_spectrum: np.ndarray | None = field(default=None, repr=False)
-    _fft_shape: tuple | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -119,23 +123,23 @@ class PartitionOfUnity:
             raise ValueError("one coefficient per node required")
         if isinstance(self.grid, Grid1D):
             return self._window_sum(np.repeat(coeffs, self._lens) * self._vals) / self._total
-        return self._convolve(coeffs) / self._total
+        return self._place(coeffs) / self._total
 
-    def _convolve(self, coeffs: np.ndarray) -> np.ndarray:
-        """2D: the node impulses `coeffs` convolved with the bump kernel.
-
-        The same transforms, padding and centred slice as
-        `fftconvolve(impulses, _kernel, mode="same")`, so the same bits, with
-        the kernel's spectrum taken once in `build_partition`.  The only
-        `scipy.fft` left: numpy's `irfftn` differs from scipy's by rounding.
-        """
-        from scipy.fft import irfftn, rfftn
-        imp = np.zeros(self.grid.shape)
-        np.add.at(imp, self._idx, coeffs)
-        full = irfftn(rfftn(imp, self._fft_shape) * self._kernel_spectrum,
-                      self._fft_shape)
-        lo = [(k - 1) // 2 for k in self._kernel.shape]
-        return full[lo[0]:lo[0] + imp.shape[0], lo[1]:lo[1] + imp.shape[1]]
+    def _place(self, coeffs: np.ndarray) -> np.ndarray:
+        """2D: sum_j coeffs_j K[. - ix_j, . - iy_j] on the grid.  The kernel-wide
+        windows of a node row's y-line times K give, in one product, the grid
+        rows that it reaches (K is even, so this correlation is the
+        convolution); rows past an edge land in the padding."""
+        (kx, ky), (nx, ny), rows = self._kernel.shape, self.grid.shape, self._rows
+        lines = np.bincount(self._idx, weights=coeffs,
+                            minlength=len(rows) * (ny + ky - 1)).reshape(len(rows), -1)
+        out = np.zeros((nx + kx - 1, ny))
+        for s in range(0, len(rows), _ROWS_PER_PRODUCT):
+            win = sliding_window_view(lines[s:s + _ROWS_PER_PRODUCT], ky, axis=1)
+            blk = self._kernel @ win.reshape(-1, ky).T
+            for r, i in enumerate(rows[s:s + _ROWS_PER_PRODUCT]):
+                out[i:i + kx] += blk[:, r * ny:(r + 1) * ny]
+        return out[kx // 2:kx // 2 + nx]
 
     def _window_sum(self, weights: np.ndarray) -> np.ndarray:
         """Sum of the flattened 1D window samples `weights` onto the grid."""
@@ -168,27 +172,21 @@ def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
         pou = PartitionOfUnity(nodes, radius, grid, _idx=idx, _vals=vals, _lens=lens)
         pou._total = np.maximum(pou._window_sum(vals), 1e-300)
         return pou
-    gx, gy = grid.gx, grid.gy
-    ix = np.round((nodes[:, 0] - gx.origin) / gx.spacing).astype(int)
-    iy = np.round((nodes[:, 1] - gy.origin) / gy.spacing).astype(int)
-    off = np.max(np.abs(nodes[:, 0] - (gx.origin + ix * gx.spacing)))
-    off = max(off, np.max(np.abs(nodes[:, 1] - (gy.origin + iy * gy.spacing))))
+    origin, spacing = np.array([(g.origin, g.spacing) for g in grid.axes]).T
+    lattice = np.round((nodes - origin) / spacing).astype(np.intp)
+    off = np.max(np.abs(nodes - (origin + lattice * spacing)))
     if off > 1e-9:
         raise ValueError(
             "2D partition nodes must sit on the grid lattice "
             f"(max offset {off:.2e}); snap Lambda_G first")
-    ix = np.clip(ix, 0, gx.count - 1)
-    iy = np.clip(iy, 0, gy.count - 1)
-    nk = int(math.floor(radius / gx.spacing))
-    tx = np.arange(-nk, nk + 1) * gx.spacing / radius
-    ty = np.arange(-nk, nk + 1) * gy.spacing / radius
-    kern = _bump01(np.sqrt(tx[:, None] ** 2 + ty[None, :] ** 2))
-    from scipy.fft import rfftn
-    # fftconvolve's padded shape: the full linear size, rounded up per axis
-    fshape = tuple(_next_fast_len(n + k - 1) for n, k in zip(grid.shape, kern.shape))
-    pou = PartitionOfUnity(nodes, radius, grid, _idx=(ix, iy), _kernel=kern,
-                           _kernel_spectrum=rfftn(kern, fshape), _fft_shape=fshape)
-    pou._total = np.maximum(pou._convolve(np.ones(len(nodes))), 1e-300)
+    ix, iy = np.clip(lattice, 0, np.array(grid.shape) - 1).T
+    nk = [math.floor(radius / g.spacing) for g in grid.axes]
+    tx, ty = (np.arange(-n, n + 1) * g.spacing / radius for n, g in zip(nk, grid.axes))
+    kern = _bump01(np.sqrt(np.add.outer(tx ** 2, ty ** 2)))
+    rows, row_of = np.unique(ix, return_inverse=True)
+    pou = PartitionOfUnity(nodes, radius, grid, _kernel=kern, _rows=rows,
+                           _idx=row_of * (grid.shape[1] + 2 * nk[1]) + iy + nk[1])
+    pou._total = np.maximum(pou._place(np.ones(len(nodes))), 1e-300)
     return pou
 
 

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "besovsampling"
 
 PATTERN = (r"isinstance\([^)]*(Grid[12]D|SamplingSequence1D)\)|ndim [!=]= [12]"
            r"|dim == 1|\.gx|\.gy|len\(axes\) [!=]= 1")
-CEILING = 20
+CEILING = 19
 
 
 def dimension_branches():

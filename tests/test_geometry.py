@@ -563,6 +563,22 @@ class TestSpatialIndex:
         R = math.exp(log_r)
         assert carrier_measure(g, x, R) == _full_scan_carrier_measure(g, x, R)
 
+    def test_carrier_measure_of_concentric_circles(self, geometry_of):
+        # oracle: a ball at the origin that holds the circles r_i < R whole
+        # has length 2 pi sum r_i.  Each weight 2 pi r_i / count_i is within
+        # eps relative (two roundings), a sum of n terms within (n - 1) eps / 2
+        # and the k radii are summed from n >= 8k anchors, so the two sides
+        # differ by at most (n + k + 2) eps / 2 <= n eps relative
+        g = geometry_of("concentric-circles")
+        radii = np.asarray(g.params["radii"])
+        dist = np.linalg.norm(g.anchors, axis=1)
+        eps = np.finfo(float).eps
+        for k in range(1, len(radii)):
+            R = (radii[k - 1] + radii[k]) / 2.0
+            want = 2 * np.pi * np.sum(radii[:k])
+            n = np.count_nonzero(dist <= R)
+            assert abs(carrier_measure(g, np.zeros(2), R) - want) <= n * eps * want, k
+
     def test_carrier_measure_with_anchors_on_the_sphere(self, geometry_of):
         # anchors at distance R from x: straight curves put them on a dyadic
         # lattice, b (and one ulp below b) from an anchor, and the nodes of a

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
 
 from besovsampling.besov import BesovParams, besov_norm_lp, pw_membership
 from besovsampling.geometry import build_geometry, random_sequence
@@ -181,30 +180,64 @@ class TestPartitionLoop:
 
 
 class TestPartition2D:
-    """The 2D partition's cached kernel spectrum gives fftconvolve's bits."""
+    """The 2D partition against a per-node direct sum of the bump kernel.
 
-    def test_apply_matches_fftconvolve(self):
+    At a grid point reached by m kernels, either sum of c_j K_j is within
+    gamma_m S ~ (m eps / 2) S of the exact one, S = sum_j |c_j| K_j, however
+    its terms are ordered; so the two sums differ by at most m eps S.  The
+    same holds for the total T (c = 1), so the quotients differ by at most
+    (2m + 1) eps S / T, the last eps for the two divisions.  m and S come from
+    the reference loop, not from a fit.
+    """
+
+    def test_apply_matches_the_direct_sum(self):
         g1 = Grid1D(-4.0, 2.0**-3, 100)
         grid = Grid2D(g1, Grid1D(-4.0, 2.0**-3, 72))
         rng = np.random.default_rng(5)
         ix = np.r_[0, 99, 0, 99, rng.integers(0, 100, 30)]  # corners first
         iy = np.r_[0, 0, 71, 71, rng.integers(0, 72, 30)]
         nodes = np.column_stack([g1.x[ix], grid.gy.x[iy]])
+        eps = np.finfo(float).eps
         for b in (0.5, 0.3):
             pou = build_partition(nodes, b, grid)
+            nk = math.floor(2 * b / g1.spacing)
+            t = np.arange(-nk, nk + 1) * g1.spacing / (2 * b)
+            kern = _bump01(np.sqrt(t[:, None] ** 2 + t[None, :] ** 2))
+            assert np.array_equal(pou._kernel, kern)
 
-            def reference(c):
-                imp = np.zeros(grid.shape)
-                np.add.at(imp, (ix, iy), c)
-                return fftconvolve(imp, pou._kernel, mode="same")
+            def direct(c):
+                """sum_j c_j K_j, the sum of |c_j| K_j and the terms per point."""
+                out = np.zeros((3, 100 + 2 * nk, 72 + 2 * nk))
+                for cj, i, j in zip(c, ix, iy):
+                    win = out[:, i:i + 2 * nk + 1, j:j + 2 * nk + 1]
+                    win += [cj * kern, abs(cj) * kern, kern > 0]
+                return out[:, nk:nk + 100, nk:nk + 72]
 
-            total = np.maximum(reference(np.ones(len(nodes))), 1e-300)
-            assert np.array_equal(pou._total, total)
-            assert np.array_equal(pou.partition_sum(),
-                                  reference(np.ones(len(nodes))) / total)
-            for _ in range(2):  # a second apply reuses the spectrum
+            total, _, terms = direct(np.ones(len(nodes)))
+            m = terms.max()
+            assert m >= 4 and np.any(terms == 0)
+            clamped = np.maximum(total, 1e-300)
+            assert np.all(np.abs(pou._total - clamped) <= m * eps * total)
+            got = [pou.partition_sum()]
+            want = [(total, total)]
+            for _ in range(2):
                 c = rng.normal(size=len(nodes))
-                assert np.array_equal(pou.apply(c), reference(c) / total)
+                got.append(pou.apply(c))
+                want.append(direct(c)[:2])
+            for out, (num, size) in zip(got, want):
+                assert np.all(np.abs(out - num / clamped)
+                              <= (2 * m + 1) * eps * size / clamped)
+                assert np.all(out[terms == 0] == 0.0)
+
+    def test_bump_fills_its_disc_on_unequal_spacings(self):
+        # the kernel's half width is taken per axis: y, twice as fine as x,
+        # needs twice the samples to reach the radius
+        gx, gy = Grid1D(-4.0, 2.0**-3, 64), Grid1D(-4.0, 2.0**-4, 128)
+        x0 = np.array([[gx.x[30], gy.x[70]]])
+        total = build_partition(x0, 0.5, Grid2D(gx, gy))._total
+        bump = _bump01(np.sqrt(np.add.outer((gx.x - x0[0, 0]) ** 2,
+                                            (gy.x - x0[0, 1]) ** 2)))
+        assert np.array_equal(total > 1e-300, bump > 0)
 
 
 class TestPartitionAndOperators:
@@ -233,6 +266,22 @@ class TestPartitionAndOperators:
         out = GridFunction(grid, pou.apply(c))
         support = np.abs(grid.x - seq.points[100]) <= 2 * seq.b
         assert np.max(np.abs(out.values[~support])) == 0.0
+
+    def test_quasi_interp_single_node_2d(self):
+        # the kernel is placed, not convolved: no rounding noise outside the disc
+        g1 = Grid1D(-4.0, 2.0**-4, 128)
+        grid = Grid2D(g1, g1)
+        b = 0.25
+        X, Y = np.meshgrid(np.arange(-4.0, 4.0, b), np.arange(-4.0, 4.0, b), indexing="ij")
+        nodes = np.column_stack([X.ravel(), Y.ravel()])
+        pou = build_partition(nodes, b, grid)
+        c = np.zeros(len(nodes))
+        c[len(nodes) // 2 + 9] = 1.0
+        out = pou.apply(c)
+        x0, y0 = nodes[len(nodes) // 2 + 9]
+        support = np.add.outer((g1.x - x0) ** 2, (g1.x - y0) ** 2) <= (2 * b) ** 2
+        assert np.max(out[support]) > 0.1
+        assert np.max(np.abs(out[~support])) == 0.0
 
     def test_quasi_interp_first_order_error(self, grid_module, seq_and_cfg):
         # lattice samples of a bandlimited f: ||Ac - f|| <= C b ||f'||
@@ -616,6 +665,31 @@ class TestFullPipeline:
         rep = full_pipeline(zf.f, build_operator(seq, cfg, grid))
         assert rep.total_error <= (rep.h_norm + rep.g_error
                                    + rep.h_reconstructed_norm) * (1 + 1e-9)
+
+    def test_2d_small_window_both_variants(self):
+        # nodes over [-4, 4] on a grid over [-8, 8): where no node lies
+        # within 2b, A c is exactly 0.0 and the solves stay finite
+        from scipy.spatial import cKDTree
+        g1 = Grid1D(-8.0, 2.0**-4, 256)
+        grid = Grid2D(g1, g1)
+        u = np.exp(-np.pi * (g1.x / 2.0) ** 2)
+        f = GridFunction(grid, np.outer(u, u))
+        b = 2.0**-3
+        cfg = ReconstructionConfig(c_factor=0.25, n_iter=12)
+        pts = np.stack(np.meshgrid(g1.x, g1.x, indexing="ij"), -1).reshape(-1, 2)
+        for variant in ("curve-family", "hyperplane-union"):
+            op = build_operator(build_geometry(
+                variant, {"b": b, "window": (-4.0, 4.0), "seed": 1}), cfg, grid)
+            far = cKDTree(op.nodes).query(pts)[0].reshape(grid.shape) > 2 * b
+            assert far.mean() > 0.5, variant
+            out = op.partition.apply(np.random.default_rng(0).normal(size=len(op.nodes)))
+            assert np.all(out[far] == 0.0), variant
+            rep = full_pipeline(f, op)
+            assert not rep.diverged, variant
+            assert all(math.isfinite(x) for x in (rep.total_error, rep.rel_error,
+                                                  rep.g_error, rep.h_reconstructed_norm,
+                                                  *rep.residuals)), variant
+            assert rep.rel_error < 1e-2, variant
 
     def test_2d_reconstruction_both_variants(self):
         g1 = Grid1D(-8.0, 2.0**-6, 1024)
