@@ -124,11 +124,8 @@ def default_scale_range(f: GridFunction) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def besov_norm_lp_details(
-    f: GridFunction,
-    params: BesovParams,
-    j_range: tuple[int, int] | None = None,
-) -> dict:
+def besov_norm_lp_details(f: GridFunction, params: BesovParams,
+                          j_range: tuple[int, int] | None = None) -> dict:
     """Littlewood-Paley Besov norm with the full band report.
 
     The covered band is exactly {2^j_lo <= |z| <= 2^j_hi}.  Nonzero spectral
@@ -177,11 +174,8 @@ def besov_norm_lp_details(
     return report
 
 
-def besov_norm_lp(
-    f: GridFunction,
-    params: BesovParams,
-    j_range: tuple[int, int] | None = None,
-) -> float:
+def besov_norm_lp(f: GridFunction, params: BesovParams,
+                  j_range: tuple[int, int] | None = None) -> float:
     return besov_norm_lp_details(f, params, j_range)["norm"]
 
 
@@ -202,13 +196,9 @@ def default_wavelet_scales(f: GridFunction) -> tuple[int, int]:
     return j_min, j_max
 
 
-def besov_norm_via_analyze(
-    f: GridFunction,
-    params: BesovParams,
-    basis: WaveletBasis,
-    j_min: int | None = None,
-    j_max: int | None = None,
-) -> tuple[float, WaveletCoefficients]:
+def besov_norm_via_analyze(f: GridFunction, params: BesovParams, basis: WaveletBasis,
+                           j_min: int | None = None, j_max: int | None = None
+                           ) -> tuple[float, WaveletCoefficients]:
     """Analyze f over a default (or given) scale range and take the wavelet norm."""
     d_lo, d_hi = default_wavelet_scales(f)
     c = analyze(f, basis, d_lo if j_min is None else j_min,

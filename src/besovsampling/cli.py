@@ -33,6 +33,7 @@ from .geometry import (
     SamplingSequence1D,
     carrier_dimension,
     check_conditions,
+    geometry_extent,
     geometry_from_json_dict,
     geometry_to_json_dict,
     random_sequence,
@@ -62,7 +63,7 @@ from .reconstruct import (
     interp_pl,
 )
 from .wavelets import check_dyadic_grid, coeffs_to_json_dict, default_basis
-from .zoo import ZooSpec, bandlimited_field_2d, make
+from .zoo import ZooFunction, ZooSpec, bandlimited_field_2d, make
 
 CSV_SCHEMA_VERSION = 1
 
@@ -157,24 +158,38 @@ def _seq_for_tuple(b: float, seed: int, grid) -> SamplingSequence1D:
     return random_sequence(b, (x[0], x[-1]), seed, strict=True)
 
 
+@lru_cache(maxsize=2)
+def _zoo_function(spec: ZooSpec) -> ZooFunction:
+    """The 1D zoo function of `spec` on the default grid and basis, memoized
+    on the spec with read-only values: most pipelines' functions do not depend
+    on b, so a sweep of one or two seeds makes each once."""
+    zf = make(spec, default_grid_1d(), default_basis())
+    zf.f.values.flags.writeable = False
+    return zf
+
+
 def _on_default_grid(spec: ZooSpec, b: float | None = None, seq_seed: int | None = None):
-    """A 1D tuple's zoo function of `spec` on the default grid, the default
-    basis and, given `seq_seed`, the seeded strict sequence of gap bound b."""
-    grid, basis = default_grid_1d(), default_basis()
-    seq = None if seq_seed is None else _seq_for_tuple(b, seq_seed, grid)
-    return make(spec, grid, basis), basis, seq
+    """A 1D tuple's zoo function of `spec`, the default basis and, given
+    `seq_seed`, the seeded strict sequence of gap bound b."""
+    zf = _zoo_function(spec)
+    seq = None if seq_seed is None else _seq_for_tuple(b, seq_seed, zf.f.grid)
+    return zf, default_basis(), seq
 
 
-@lru_cache(maxsize=256)
-def _critical_norm(spec: ZooSpec, p: float) -> float:
-    """||f||_B(1/p, p, 1) of the 1D zoo function `spec`, memoized on (spec, p)
-    alone: the grid and basis are always the defaults, and the norm does not
-    depend on b, so a sweep over b analyzes each function once; a hit returns
-    the same float bit for bit.  The memo holds at most 256 floats, least
-    recently used first out.  A b-major sweep visits every (seed, p) pair
-    before the next b, so past 256 pairs it analyzes at every b."""
-    zf, basis, _ = _on_default_grid(spec)
-    return critical_norm(zf.f, p, basis=basis)
+# ||f||_B(m/p, p, 1) of the sweep inputs, keyed (input, p, m): the input is a
+# 1D zoo spec or the seed of a 2D field.  No input depends on b, so a sweep
+# over b analyzes each once.  At most 256 floats, oldest first out.
+_NORMS: dict[tuple, float] = {}
+
+
+def _critical_norm(key, f: GridFunction, p: float, m: int = 1) -> float:
+    """The critical norm of `f`, the input that `key` names, bit for bit from
+    the memo; a miss analyzes `f` itself, so no input is built twice."""
+    if (key, p, m) not in _NORMS:
+        if len(_NORMS) == 256:
+            del _NORMS[next(iter(_NORMS))]
+        _NORMS[key, p, m] = critical_norm(f, p, m, default_basis())
+    return _NORMS[key, p, m]
 
 
 def run_sampling_tuple(args) -> dict:
@@ -182,13 +197,13 @@ def run_sampling_tuple(args) -> dict:
     if geom_path is None:
         spec = ZooSpec("bandlimited-random", band=1.0, seed=seed)
         zf, basis, sset = _on_default_grid(spec, b, seed + 1)
-        f, norm = zf.f, _critical_norm(spec, p)
+        f, norm = zf.f, _critical_norm(spec, zf.f, p)
     else:
         # the critical norm needs only the spec's carrier dimension, so the
         # field is analyzed before the geometry exists and never beside it
         spec = _json(geom_path)
         f, basis = bandlimited_field_2d(default_grid_2d(), 1.0, seed), default_basis()
-        norm = critical_norm(f, p, carrier_dimension(spec.get("variant")), basis)
+        norm = _critical_norm(seed, f, p, carrier_dimension(spec.get("variant")))
         sset = geometry_from_json_dict({**spec, "b": b})
     rep = sampling_ratio(f, sset, p, basis, besov_norm=norm)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
@@ -218,7 +233,7 @@ def run_heisenberg_tuple(args) -> dict:
     spec = ZooSpec("compact-bump", width=0.5 + (seed % 5) * 0.5)
     zf, basis, _ = _on_default_grid(spec)
     prod = heisenberg_product(zf.f, alpha, p, basis,
-                              besov_norm=_critical_norm(spec, p))
+                              besov_norm=_critical_norm(spec, zf.f, p))
     return {"b": b, "p": p, "alpha": alpha, "seed": seed, "product": prod,
             "ok": prod > 0}
 
@@ -228,7 +243,7 @@ def run_intb_tuple(args) -> dict:
     spec = ZooSpec("bandlimited-random", band=2.0, seed=seed + 3)
     zf, basis, seq = _on_default_grid(spec, b, seed)
     lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p, basis,
-                                      besov_norm=_critical_norm(spec, p))
+                                      besov_norm=_critical_norm(spec, zf.f, p))
     return {"b": b, "p": p, "seed": seed, "lhs": lhs, "rhs": rhs,
             "ratio": ratio, "ok": math.isfinite(ratio)}
 
@@ -263,7 +278,7 @@ def run_reconstruct_tuple(args) -> dict:
         f = zf.f
     else:
         f = bandlimited_field_2d(default_grid_2d(), 1.0, seed)
-        sset = _geometry_spec(geom_path, b)[1]
+        sset = geometry_from_json_dict({**_json(geom_path), "b": b})
     cfg = ReconstructionConfig(c_factor=0.25, n_iter=12, p=p)
     rep = full_pipeline(f, build_operator(sset, cfg, f.grid))
     return {"b": b, "p": p, "s": s, "seed": seed,
@@ -455,12 +470,9 @@ def _json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _geometry_spec(path: str, b: float | None = None):
-    """The geometry spec at `path` and the geometry it builds; a sweep
-    tuple gives `b`, its own gap bound, for the spec's."""
+def _geometry_spec(path: str):
+    """The geometry spec at `path` and the geometry it builds."""
     spec = _json(path)
-    if b is not None:
-        spec["b"] = b
     return spec, geometry_from_json_dict(spec)
 
 
@@ -481,8 +493,7 @@ def _basis(family: str, order: int):
 _GRID_CSV = _Reader("csv", load_csv)
 _GEOMETRY = _Reader("spec", _geometry_spec)
 # `zoo make` reads the function that its spec makes on the default grid
-_ZOO_SPEC = _Reader("spec", lambda path: make(ZooSpec.from_dict(_json(path)),
-                                             default_grid_1d(), default_basis()))
+_ZOO_SPEC = _Reader("spec", lambda path: _zoo_function(ZooSpec.from_dict(_json(path))))
 _CONFIG = _Reader("config", _read_config)
 _VALUES = _Reader("values", parse_value_list, file=False)
 _SEEDS = _Reader("seeds", lambda text: [int(t) for t in text.split(",")], file=False)
@@ -502,12 +513,13 @@ def _run_sweep(cfg: RunConfig, from_config: bool = False, out: str | None = None
         raise click.BadParameter(message, param_hint=hint(option, key))
     if cfg.geometry is not None:
         # a tuple analyzes its field before it builds the spec at its b, and
-        # then traces the field there: build every b's geometry first, check
-        # that the field's grid covers it, and drop it
+        # then traces the field there: check every b's spec, without building
+        # it, and that the field's grid covers the extent of its anchors
         grid = default_grid_2d()
         with _input_errors(hint("--geometry", "geometry")):
             for b in cfg.b_list:
-                axis = uncovered_axis(grid, _geometry_spec(cfg.geometry, b)[1].anchors)
+                extent = geometry_extent({**_json(cfg.geometry), "b": b})
+                axis = uncovered_axis(grid, np.column_stack([extent, extent]))
                 if axis:
                     span = " x ".join(f"[{g.x[0]}, {g.x[-1]}]" for g in grid.axes)
                     raise ValueError(

@@ -59,6 +59,7 @@ __all__ = [
     "cover_multiplicity",
     "geometry_to_json_dict",
     "geometry_from_json_dict",
+    "geometry_extent",
 ]
 
 VARIANTS = (
@@ -258,10 +259,8 @@ class SamplingGeometry2D:
     def anchor_index(self) -> cKDTree:
         """k-d tree over the anchors, which it shares rather than copies."""
         from scipy.spatial import cKDTree
-        # sliding-midpoint splits on unshrunk boxes build in ~40% of the
-        # default's time for the 0.5-1M anchors of a 2D geometry; the probe
-        # and ball queries gather whole neighbourhoods, so leaves of 64 points
-        # (a quarter of the default's nodes) cost less to visit
+        # sliding-midpoint splits, and leaves of 64 points for the queries
+        # that gather whole neighbourhoods
         return cKDTree(self.anchors, leafsize=64, balanced_tree=False,
                        compact_nodes=False, copy_data=False)
 
@@ -410,6 +409,13 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.  A
     key that the variant neither takes nor records is rejected.
     """
+    *_, geometry = _geometry_steps(variant, params)
+    return geometry
+
+
+def _geometry_steps(variant: str, params: dict):
+    """`build_geometry` in two steps: once `params` pass every check, yield an
+    interval that holds both coordinates of every anchor, then the geometry."""
     m = carrier_dimension(variant)
     unknown = sorted(set(params) - _COMMON_PARAMS - _VARIANT_PARAMS[variant])
     if unknown:
@@ -429,10 +435,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     if variant in ("hyperplane-union", "perturbed-graph"):
         # heights a_n: strict random sequence unless given explicitly
         strict = params.get("strict", True)
-        if "heights" in params:
-            heights = SamplingSequence1D(params["heights"], b, strict=strict).points
-        else:
-            heights = random_sequence(b, window, seed, strict=strict).points
+        heights = (SamplingSequence1D(params["heights"], b, strict=strict) if "heights" in params
+                   else random_sequence(b, window, seed, strict=strict)).points
         rec = {"heights": heights.tolist(), "seed": seed, "step": CARRIER_STEP,
                **({k: params[k] for k in ("amp", "freq", "drop_line", "strict")
                    if params.get(k) is not None})}
@@ -447,6 +451,10 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
             keep = np.ones(len(heights), bool)
             keep[_index_param(rec["drop_line"], "drop_line", len(heights))] = False
             heights, y_lo, y_hi = heights[keep], y_lo[keep], y_hi[keep]
+        amp, freq = float(params.get("amp", b)), float(params.get("freq", 0.5))
+        if variant == "perturbed-graph" and amp * freq > 1.0:
+            raise ValueError(f"perturbation slope {amp * freq} exceeds 1")
+        yield min(lo, heights[0]), max(hi, heights[-1])  # given heights may stick out
         # arc-length nodes along each line, half weights at the two ends
         n = max(2, int(math.ceil((hi - lo) / CARRIER_STEP)) + 1)
         w = np.full(n, (hi - lo) / (n - 1))
@@ -457,10 +465,6 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         line_idx = np.repeat(np.arange(len(heights)), n)
         bend = 0.0
         if variant == "perturbed-graph":
-            amp = float(params.get("amp", b))
-            freq = float(params.get("freq", 0.5))
-            if amp * freq > 1.0:
-                raise ValueError(f"perturbation slope {amp * freq} exceeds 1")
             bend = amp * np.sin(freq * anchors[:, 0])
             # arc length weight for y = f(x) + a_n
             slope = amp * freq * np.cos(freq * anchors[:, 0])
@@ -485,6 +489,9 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         # keep curves (lattice position +- wiggle b/4) inside the window
         ks = np.arange(math.ceil((lo + b / 4) / b), math.floor((hi - b / 4) / b) + 1)
         ys = np.arange(lo + b / 2, hi - b / 2 + 1e-12, b)
+        edges = [*(b * ks[[0, -1]] + [-b / 4, b / 4]), *ys[[0, -1]]] \
+            if len(ks) and len(ys) else window  # the outer curves and rows
+        yield min(edges), max(edges)
         xs = np.repeat(b * ks, len(ys)).reshape(len(ks), len(ys))
         if not params.get("straight", False):
             for x in xs:
@@ -513,6 +520,7 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         gaps = np.diff(radii)
         if np.any(gaps <= b / 2) or np.any(gaps >= b):
             raise ValueError("circle radii gaps must lie strictly in (b/2, b)")
+        yield -np.max(np.abs(radii)), np.max(np.abs(radii))  # centred at 0
         mids = (radii[:-1] + radii[1:]) / 2.0
         seg_lo = np.concatenate([[0.0], mids])
         seg_hi = np.concatenate([mids, [radii[-1] + gaps[-1] / 2 if len(gaps) else radii[-1] + b / 2]])
@@ -533,6 +541,7 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         radii = _random_radii(b, rmax, seed)
         if len(radii) < 2:  # one turn needs two radii
             raise ValueError(_small_window_message(variant, b, window))
+        yield -radii[-1], radii[-1]  # centred at 0, rho increasing
         # rho is the PCHIP interpolant of the radii at theta = 2*pi*k: turn k
         # is its k-th piece, rho' that piece's derivative
         knots = 2 * np.pi * np.arange(len(radii))
@@ -554,8 +563,8 @@ def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
         rec = {"radii": radii.tolist(), "seed": seed, "n_per_turn": n_per_turn,
                "rmax": rmax}
 
-    return SamplingGeometry2D(variant, m, b, C0, D, window, anchors, weights,
-                              C0_equiv, flags, params=rec, **cells)
+    yield SamplingGeometry2D(variant, m, b, C0, D, window, anchors, weights,
+                             C0_equiv, flags, params=rec, **cells)
 
 
 def cell_measures(obj, blk: slice = slice(None)) -> np.ndarray:
@@ -701,8 +710,7 @@ def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
     if g.m == 1:
         vals = _gauss_segment_integral(g.cell_a, g.cell_b, near, c, width)
     else:
-        vals = _gauss_square_integral(g.cell_centers[near], g.cell_radius, c,
-                                      width)
+        vals = _gauss_square_integral(g.cell_centers[near], g.cell_radius, c, width)
     return float(np.sum(np.take(g.anchor_weights, near) * vals))
 
 
@@ -756,8 +764,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     comparison only the radii within 7w of |c|.  A ball of (c) is counted at
     R(1 -+ 1e-9) first and gathered only for its weights (m=1) or when an
     anchor lies that close to the sphere.  The multiplicity is one l-inf pair
-    query of the points against the anchors.  The cost is set by the cells
-    and anchors near the probes, not by all of them, plus one tree build.
+    query of the points against the anchors.
     """
     if n_probes < MIN_PROBES:
         raise ValueError(f"probe budget too small; need at least {MIN_PROBES}")
@@ -771,9 +778,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     # --- (a) integral comparison
     # lower bound always against the Lebesgue integral; for circles/spiral the
     # upper bound is taken against the weighted measure max(1, r) dr dsigma.
-    # Each probe integrates the cells within 7 widths of its centre (the probe
-    # is below exp(-49 pi) beyond); the budget share is capped at 400 probes,
-    # and the extremal ratios stabilize long before that.
+    # The budget share is capped at 400 probes.
     n_equiv = min(400, max(10, n_probes // 5))
     lo_ratios, hi_ratios = [], []
     if radial:
@@ -783,10 +788,7 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
         c, w = _probe_params(rng, g.window, b, radial_max=rmax if radial else None)
         lhs = equiv_lhs_for_probe(g, c, w)
         lebesgue = _gauss_plane_integral(w)
-        if radial:
-            upper_ref = _radial_profile_integral(tgrid, tweight, c, w)
-        else:
-            upper_ref = lebesgue
+        upper_ref = _radial_profile_integral(tgrid, tweight, c, w) if radial else lebesgue
         lo_ratios.append(lhs / lebesgue)
         hi_ratios.append(lhs / upper_ref)
     equiv_lower = float(np.min(lo_ratios))
@@ -876,15 +878,14 @@ def _segment_ball_length(A, B, x, R) -> float:
         return 0.0
     # |A + t d - x|^2 <= R^2
     rel = A - x
-    a = L2
     bq = 2.0 * float(rel @ d)
     cq = float(rel @ rel) - R * R
-    disc = bq * bq - 4 * a * cq
+    disc = bq * bq - 4 * L2 * cq
     if disc <= 0:
         return 0.0
     sq = math.sqrt(disc)
-    t1 = max(0.0, (-bq - sq) / (2 * a))
-    t2 = min(1.0, (-bq + sq) / (2 * a))
+    t1 = max(0.0, (-bq - sq) / (2 * L2))
+    t2 = min(1.0, (-bq + sq) / (2 * L2))
     return max(0.0, t2 - t1) * math.sqrt(L2)
 
 
@@ -903,18 +904,12 @@ def _square_ball_area(center, radius, x, R, n: int = 129) -> float:
 # JSON round trip
 
 def geometry_to_json_dict(g: SamplingGeometry2D) -> dict:
-    return {
-        "variant": g.variant,
-        "b": g.b,
-        "C0": g.C0,
-        "C0_equiv": g.C0_equiv,
-        "D": g.D,
-        "window": list(g.window),
-        "params": g.params,
-    }
+    return {"variant": g.variant, "b": g.b, "C0": g.C0, "C0_equiv": g.C0_equiv,
+            "D": g.D, "window": list(g.window), "params": g.params}
 
 
-def geometry_from_json_dict(d: dict) -> SamplingGeometry2D:
+def _json_params(d: dict) -> tuple[str, dict]:
+    """The variant and `build_geometry` params of the geometry spec `d`."""
     missing = [key for key in ("variant", "b") if key not in d]
     if missing:
         raise ValueError(f"geometry spec lacks the required key(s) {missing}")
@@ -926,4 +921,14 @@ def geometry_from_json_dict(d: dict) -> SamplingGeometry2D:
     # constants the spec leaves out take build_geometry's per-variant defaults
     params.update({key: d[key] for key in ("C0", "C0_equiv", "D")
                    if d.get(key) is not None})
-    return build_geometry(d["variant"], params)
+    return d["variant"], params
+
+
+def geometry_from_json_dict(d: dict) -> SamplingGeometry2D:
+    return build_geometry(*_json_params(d))
+
+
+def geometry_extent(d: dict) -> tuple[float, float]:
+    """An interval that holds both coordinates of every anchor of the geometry
+    of spec `d`, checked as `geometry_from_json_dict` checks it: none is built."""
+    return next(_geometry_steps(*_json_params(d)))

@@ -470,10 +470,8 @@ def _kernel_samples(g: Grid1D, basis: WaveletBasis, j: int, which: int,
     products and the sum of `eval`, in its order.  For e > 0 a run is one
     offset with fr = 0 and c steps by 2^e.  Runs off the table are 0, and
     t = last takes `eval`'s clamped tab[last - 1] * 0 + tab[last] * 1.
-    Each row is built in one run-shaped buffer and copied out.
-
-    Nothing is cached: kept, the coarse 1D scales' kernels would take about
-    28 MiB a basis on the default 1D grid; only FFT spectra are kept.
+    Each row is built in one run-shaped buffer and copied out.  The samples
+    are not cached.
     """
     tab = basis.table(which)
     last = len(tab) - 1
@@ -670,8 +668,7 @@ def _kernel_spectrum(g: Grid1D, basis: WaveletBasis, j: int, which: int,
 
     The kernel depends on the axis only through its resolution, so the
     spectrum is kept on the basis under (L, resolution, j, which) and dies
-    with it; past `_MAX_SPECTRA` the oldest goes.  For Daubechies-4 on the
-    default 1D grid the FFT route runs at j = -2..8: 11 spectra, 3.2 MiB.
+    with it; past `_MAX_SPECTRA` the oldest goes.
     """
     key = (L, g.resolution_exponent, j, which)
     spectra = basis._spectra

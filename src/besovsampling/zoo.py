@@ -296,14 +296,9 @@ def dilate(zf: ZooFunction, m: int, grid=None) -> ZooFunction:
     spec = zf.spec
     if m == 0:
         return zf
-    if spec.kind == "gaussian":
-        new = ZooSpec("gaussian", center=spec.center * 2.0**-m,
-                      width=spec.width * 2.0**-m, amplitude=spec.amplitude)
-        out = make(new, grid)
-    elif spec.kind == "compact-bump":
-        new = ZooSpec("compact-bump", center=spec.center * 2.0**-m,
-                      width=spec.width * 2.0**-m, amplitude=spec.amplitude)
-        out = make(new, grid)
+    if spec.kind in ("gaussian", "compact-bump"):
+        out = make(ZooSpec(spec.kind, center=spec.center * 2.0**-m,
+                           width=spec.width * 2.0**-m, amplitude=spec.amplitude), grid)
     elif spec.kind == "besov-random" and zf.coeffs is not None:
         cc = dilate_coeffs(zf.coeffs, m)
         f = synthesize(cc, grid)

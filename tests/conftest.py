@@ -1,7 +1,23 @@
 import pytest
 
+from besovsampling import cli
 from besovsampling.grid import Grid1D, Grid2D, default_grid_1d
 from besovsampling.wavelets import build_basis
+
+
+def clear_cli_memos():
+    """Empty every memo of `cli`: the 1D zoo functions and the critical norms."""
+    cli._zoo_function.cache_clear()
+    cli._NORMS.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_memos():
+    """No test sees a function or a norm that another test, in any file, left
+    in a memo of `cli`."""
+    clear_cli_memos()
+    yield
+    clear_cli_memos()
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from besovsampling import besov, cli
+from besovsampling import besov, cli, geometry
 from besovsampling.cli import (
     PIPELINES,
     RunConfig,
-    _critical_norm,
     execute_sweep,
     fit_slope,
     main,
@@ -48,18 +47,13 @@ from besovsampling.reconstruct import (
 )
 from besovsampling.wavelets import default_basis
 from besovsampling.zoo import ZooSpec, make
+from conftest import clear_cli_memos
 from test_grid import traced_peak
 
 # the pipelines that take their Besov norm from the (spec, p) memo
 MEMOIZED = ("sampling", "heisenberg", "intb")
-
-
-@pytest.fixture(autouse=True)
-def fresh_norm_memo():
-    """No test sees a norm that another test left in the memo."""
-    _critical_norm.cache_clear()
-    yield
-    _critical_norm.cache_clear()
+# the pipeline whose 1D function depends on b
+B_DEPENDENT = ("uncertainty",)
 
 
 @pytest.fixture()
@@ -330,7 +324,7 @@ class TestSweeps:
         assert outs[0] == outs[1]
 
     def test_parallel_matches_serial(self, tmp_path):
-        for command in MEMOIZED:
+        for command in PIPELINES:
             base = dict(command=command, b_list=[2.0**-4, 2.0**-5],
                         p_list=[2.0], seeds=[1])
             # parallel first: forked workers must not inherit a warm memo
@@ -434,24 +428,111 @@ class TestCriticalNormMemo:
 
         memo = {command: sweep(command) for command in MEMOIZED}
         # besov_norm=None: each inequality function analyzes f itself
-        monkeypatch.setattr(cli, "_critical_norm", lambda spec, p: None)
+        monkeypatch.setattr(cli, "_critical_norm", lambda *args: None)
         for command in MEMOIZED:
             assert sweep(command) == memo[command], command
 
     def test_warm_memo_csv_equals_cold(self, tmp_path):
-        for command in MEMOIZED:
-            csvs = []
+        for command in PIPELINES:
+            csvs, runs = [], []
             for run in ("warm", "cold"):
-                cfg = RunConfig(command, b_list=self.B_LIST, seeds=[3],
+                cfg = RunConfig(command, b_list=self.B_LIST, seeds=[3, 4],
                                 out_dir=str(tmp_path / command / run))
                 rows = []
                 for t in cfg.tuples():
                     if run == "cold":
-                        _critical_norm.cache_clear()
+                        clear_cli_memos()
                     rows.append(PIPELINES[command](t))
                 csv_path, _, _ = sweep_outputs(cfg, rows)
                 csvs.append(csv_path.read_bytes())
+                runs.append(rows)
+            assert runs[0] == runs[1], command
             assert csvs[0] == csvs[1], command
+
+
+class TestZooFunctionMemo:
+    """A 1D sweep makes each function that does not depend on b once, and
+    every tuple reads it through read-only values."""
+
+    def test_one_make_per_b_independent_spec(self, monkeypatch):
+        made = []
+
+        def counted(spec, grid, basis=None):
+            made.append(spec)
+            return make(spec, grid, basis)
+
+        monkeypatch.setattr(cli, "make", counted)
+        for command in PIPELINES:
+            made.clear()
+            execute_sweep(RunConfig(command, b_list=TestCriticalNormMemo.B_LIST,
+                                    seeds=[1, 2]))
+            # one spec per seed, or one per seed and b where the function needs b
+            per_seed = 4 if command in B_DEPENDENT else 1
+            assert len(made) == len(set(made)) == 2 * per_seed, command
+
+    def test_memoized_values_are_read_only(self):
+        spec = ZooSpec("besov-random", s=0.6, q=math.inf, j_lo=0, j_hi=8, seed=12)
+        zf, _, _ = cli._on_default_grid(spec)
+        with pytest.raises(ValueError, match="read-only"):
+            zf.f.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            zf.f.values *= 2.0
+        assert cli._on_default_grid(spec)[0] is zf
+
+
+class TestFieldNormMemo:
+    """`verify sampling --geometry` analyzes each seed's 2D field once over b,
+    from the field the tuple built, and its rows are those of an analysis at
+    every tuple."""
+
+    def test_one_analysis_per_seed_and_rows_equal_cold(self, tmp_path, monkeypatch):
+        calls, fields = [], []
+        analyze, field_2d = besov.besov_norm_via_analyze, cli.bandlimited_field_2d
+
+        def counted(f, params, basis):
+            calls.append(params.s)
+            return analyze(f, params, basis)
+
+        def built(*args):
+            fields.append(args)
+            return field_2d(*args)
+
+        monkeypatch.setattr(besov, "besov_norm_via_analyze", counted)
+        monkeypatch.setattr(cli, "bandlimited_field_2d", built)
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({
+            "variant": "curve-family", "b": 0.25,
+            "window": list(window_for_grid(default_grid_2d())), "params": {"seed": 1}}))
+        cfg = RunConfig("sampling", b_list=[2.0**-3, 2.0**-4], seeds=[1],
+                        geometry=str(path))
+        warm = execute_sweep(cfg)
+        # one field per tuple, one analysis per seed (m = 2: s = 2/p = 1)
+        assert (len(fields), calls) == (2, [1.0])
+        cold = []
+        for t in cfg.tuples():
+            clear_cli_memos()
+            cold.append(PIPELINES["sampling"](t))
+        assert cold == warm
+        assert (len(fields), calls) == (4, [1.0] * 3)
+
+    def test_cli_builds_each_geometry_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = geometry.build_geometry
+
+        def counted(variant, params):
+            builds.append(params["b"])
+            return build(variant, params)
+
+        monkeypatch.setattr(geometry, "build_geometry", counted)
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({
+            "variant": "curve-family", "b": 0.25,
+            "window": list(window_for_grid(default_grid_2d())), "params": {"seed": 1}}))
+        res = CliRunner().invoke(main, ["verify", "sampling", "--b", "2^-3,2^-4",
+                                        "--geometry", str(path),
+                                        "--out-dir", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        assert builds == [2.0**-3, 2.0**-4]
 
 
 class TestUsageErrors:

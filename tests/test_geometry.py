@@ -25,6 +25,7 @@ from besovsampling.geometry import (
     cover_multiplicity,
     equiv_lhs_for_probe,
     equiv_ratio_for_probe,
+    geometry_extent,
     geometry_from_json_dict,
     geometry_to_json_dict,
     random_sequence,
@@ -523,6 +524,37 @@ def test_build_matches_the_stacked_build(variant, params):
     assert (g.m, g.cell_radius, g.params) == (ref.m, ref.cell_radius, ref.params)
     assert check_conditions(g, n_probes=40, seed=2).to_dict() == \
         check_conditions(ref, n_probes=40, seed=2).to_dict()
+
+
+@pytest.mark.parametrize("variant, params", [
+    (v, p) for v, sets in BUILDS.items() for p in sets],
+    ids=[f"{v}-{i}" for v, sets in BUILDS.items() for i in range(len(sets))])
+def test_every_anchor_lies_in_the_extent(variant, params):
+    """The command line checks that the grid covers a spec's anchors by
+    `geometry_extent`, before it builds the spec: given heights stick out of
+    the window, and the radial variants end at their outer radius."""
+    spec = {"variant": variant, "b": params["b"], "window": list(params["window"]),
+            "params": {k: v for k, v in params.items() if k not in ("b", "window")}}
+    lo, hi = geometry_extent(spec)
+    anchors = geometry_from_json_dict(spec).anchors
+    assert lo <= anchors.min() and anchors.max() <= hi
+    if variant in ("hyperplane-union", "perturbed-graph"):
+        assert (lo, hi) == (anchors.min(), anchors.max())
+
+
+def test_the_extent_checks_the_spec_without_building_it(monkeypatch):
+    def no_anchors(*args):
+        raise AssertionError("an anchor was built")
+
+    monkeypatch.setattr(np, "column_stack", no_anchors)
+    monkeypatch.setattr(np, "tile", no_anchors)
+    spec = {"variant": "spiral", "b": 0.25, "window": [-4.0, 4.0]}
+    for variant in VARIANTS:
+        geometry_extent({**spec, "variant": variant})
+    with pytest.raises(ValueError, match="seed"):
+        geometry_extent({**spec, "params": {"seed": "x"}})
+    with pytest.raises(ValueError, match="widen the window"):
+        geometry_extent({**spec, "window": [-0.3, 0.3]})
 
 
 class TestSpatialIndex:
