@@ -168,12 +168,11 @@ def _zoo_function(spec: ZooSpec) -> ZooFunction:
     return zf
 
 
-def _on_default_grid(spec: ZooSpec, b: float | None = None, seq_seed: int | None = None):
-    """A 1D tuple's zoo function of `spec`, the default basis and, given
-    `seq_seed`, the seeded strict sequence of gap bound b."""
+def _on_default_grid(spec: ZooSpec, b: float, seq_seed: int):
+    """A 1D tuple's zoo function of `spec` and the seeded strict sequence of
+    gap bound b."""
     zf = _zoo_function(spec)
-    seq = None if seq_seed is None else _seq_for_tuple(b, seq_seed, zf.f.grid)
-    return zf, default_basis(), seq
+    return zf, _seq_for_tuple(b, seq_seed, zf.f.grid)
 
 
 # ||f||_B(m/p, p, 1) of the sweep inputs, keyed (input, p, m): the input is a
@@ -196,16 +195,16 @@ def run_sampling_tuple(args) -> dict:
     b, p, s_idx, seed, geom_path = args
     if geom_path is None:
         spec = ZooSpec("bandlimited-random", band=1.0, seed=seed)
-        zf, basis, sset = _on_default_grid(spec, b, seed + 1)
+        zf, sset = _on_default_grid(spec, b, seed + 1)
         f, norm = zf.f, _critical_norm(spec, zf.f, p)
     else:
         # the critical norm needs only the spec's carrier dimension, so the
         # field is analyzed before the geometry exists and never beside it
         spec = _json(geom_path)
-        f, basis = bandlimited_field_2d(default_grid_2d(), 1.0, seed), default_basis()
+        f = bandlimited_field_2d(default_grid_2d(), 1.0, seed)
         norm = _critical_norm(seed, f, p, carrier_dimension(spec.get("variant")))
         sset = geometry_from_json_dict({**spec, "b": b})
-    rep = sampling_ratio(f, sset, p, basis, besov_norm=norm)
+    rep = sampling_ratio(f, sset, p, besov_norm=norm)
     # 1D asserts the cell-weighted band (the two explicit constants); in 2D
     # the cell form carries a cell-geometry factor, so the b^(m/p)-weighted
     # trace ratio is the asserted quantity
@@ -218,10 +217,10 @@ def run_sampling_tuple(args) -> dict:
 
 def run_uncertainty_tuple(args) -> dict:
     b, p, s_idx, seed, _geometry = args
-    zf, basis, seq = _on_default_grid(
+    zf, seq = _on_default_grid(
         ZooSpec("gap-spline", sequence_b=b, sequence_seed=seed, seed=seed + 7),
         b, seed)
-    rep = uncertainty_check(zf.f, seq, p, basis)
+    rep = uncertainty_check(zf.f, seq, p)
     ok = rep.hypothesis_met and rep.c_emp is not None and rep.c_emp > 0
     return {"b": b, "p": p, "seed": seed, "eps": rep.eps,
             "c_emp": rep.c_emp, "hypothesis_ok": rep.hypothesis_met, "ok": ok}
@@ -231,8 +230,8 @@ def run_heisenberg_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
     alpha = s_val if s_val is not None else 1.0
     spec = ZooSpec("compact-bump", width=0.5 + (seed % 5) * 0.5)
-    zf, basis, _ = _on_default_grid(spec)
-    prod = heisenberg_product(zf.f, alpha, p, basis,
+    zf = _zoo_function(spec)
+    prod = heisenberg_product(zf.f, alpha, p,
                               besov_norm=_critical_norm(spec, zf.f, p))
     return {"b": b, "p": p, "alpha": alpha, "seed": seed, "product": prod,
             "ok": prod > 0}
@@ -241,8 +240,8 @@ def run_heisenberg_tuple(args) -> dict:
 def run_intb_tuple(args) -> dict:
     b, p, s_idx, seed, _geometry = args
     spec = ZooSpec("bandlimited-random", band=2.0, seed=seed + 3)
-    zf, basis, seq = _on_default_grid(spec, b, seed)
-    lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p, basis,
+    zf, seq = _on_default_grid(spec, b, seed)
+    lhs, rhs, ratio = intB_diagnostic(zf.f, seq, p,
                                       besov_norm=_critical_norm(spec, zf.f, p))
     return {"b": b, "p": p, "seed": seed, "lhs": lhs, "rhs": rhs,
             "ratio": ratio, "ok": math.isfinite(ratio)}
@@ -251,8 +250,8 @@ def run_intb_tuple(args) -> dict:
 def run_pl_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
     s = s_val if s_val is not None else 0.5
-    zf, _, seq = _on_default_grid(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
-                                          j_hi=8, seed=seed + 11), b, seed)
+    zf, seq = _on_default_grid(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
+                                       j_hi=8, seed=seed + 11), b, seed)
     pl = interp_pl(trace(zf.f, seq), seq, zf.f.grid)
     err = lp_norm(GridFunction(zf.f.grid, zf.f.values - pl.values), p)
     return {"b": b, "p": p, "s": s, "seed": seed, "error": err, "ok": err >= 0}
@@ -261,8 +260,8 @@ def run_pl_tuple(args) -> dict:
 def run_split_tuple(args) -> dict:
     b, p, s_val, seed, _geometry = args
     s = s_val if s_val is not None else 0.6
-    zf, _, _ = _on_default_grid(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
-                                        j_hi=8, seed=seed + 11))
+    zf = _zoo_function(ZooSpec("besov-random", s=s, q=math.inf, j_lo=0,
+                               j_hi=8, seed=seed + 11))
     g, h, info = bandlimited_split(zf.f, b)
     return {"b": b, "p": p, "s": s, "seed": seed,
             "h_norm": lp_norm(h, p), "j0": info["j0"],
@@ -274,7 +273,7 @@ def run_reconstruct_tuple(args) -> dict:
     s = s_val if s_val is not None else 0.9
     if geom_path is None:
         spec = ZooSpec("besov-random", s=s, q=math.inf, j_lo=0, j_hi=7, seed=seed + 13)
-        zf, _, sset = _on_default_grid(spec, b, seed)
+        zf, sset = _on_default_grid(spec, b, seed)
         f = zf.f
     else:
         f = bandlimited_field_2d(default_grid_2d(), 1.0, seed)
@@ -644,18 +643,15 @@ def geometry_check_cmd(spec_and_geometry, probes, seed, out):
                                                "heisenberg", "intb"]))
 @click.option("--p", "p_list", type=_VALUES, default="2", show_default=True)
 @click.option("--b", "b_list", type=_VALUES, default="2^-4", show_default=True)
-@click.option("--sweep", "sweep_range", type=_VALUES, default=None,
-              help="override --b with a range like 2^-3..2^-7")
 @click.option("--seed", "seeds", type=_SEEDS, default="0", show_default=True)
 @click.option("--geometry", "geom_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--out-dir", default=".", show_default=True)
 @click.option("--jobs", default=1, show_default=True)
-def verify_cmd(pipeline, p_list, b_list, sweep_range, seeds, geom_path, out,
-               out_dir, jobs):
+def verify_cmd(pipeline, p_list, b_list, seeds, geom_path, out, out_dir, jobs):
     """Measured-ratio verification runs; CSV + JSON reports."""
-    _run_sweep(RunConfig(command=pipeline, b_list=sweep_range or b_list,
+    _run_sweep(RunConfig(command=pipeline, b_list=b_list,
                          p_list=p_list, seeds=seeds, geometry=geom_path,
                          out_dir=out_dir, jobs=jobs), out=out)
 

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import _POINT_BLOCK, _blocks
+from .grid import _POINT_BLOCK, _blocks, default_grid_2d
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -94,6 +94,9 @@ def window_for_grid(grid) -> tuple[float, float]:
     return (max(g.x[0] for g in grid.axes), min(g.x[-1] for g in grid.axes))
 
 
+_DEFAULT_WINDOW = window_for_grid(default_grid_2d())
+
+
 # ---------------------------------------------------------------------------
 # 1D sequences
 
@@ -143,19 +146,6 @@ class SamplingSequence1D:
         b_n[0] = g[0] / 2.0
         b_n[-1] = g[-1] / 2.0
         return b_n
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Cell endpoints, shape (n, 2)."""
-        p = self.points
-        mids = (p[:-1] + p[1:]) / 2.0
-        lo = np.concatenate([[p[0]], mids])
-        hi = np.concatenate([mids, [p[-1]]])
-        return np.column_stack([lo, hi])
-
-    def rescaled(self, m: int) -> "SamplingSequence1D":
-        """Dyadic rescale a_n -> 2^-m a_n (matches dilating f by 2^m)."""
-        return SamplingSequence1D(self.points * 2.0**-m, self.b * 2.0**-m, self.strict)
 
 
 def random_sequence(b: float, interval: tuple[float, float], seed: int,
@@ -403,8 +393,9 @@ def _radial_cells(counts, piece):
 def build_geometry(variant: str, params: dict) -> SamplingGeometry2D:
     """Construct a sampling geometry on the window.
 
-    Common params: b, window=(lo, hi), seed, C0, C0_equiv, D (positive;
-    defaults per variant in DECLARED_CONSTANTS).  Variant-specific parameters
+    Common params: b, window=(lo, hi) (default: the default 2D grid's span),
+    seed, C0, C0_equiv, D (positive; defaults per variant in
+    DECLARED_CONSTANTS).  Variant-specific parameters
     are documented inline.  The carrier step CARRIER_STEP and the radial
     reach rmax = min(|lo|, |hi|) - b are fixed; `params` records them.  A
     key that the variant neither takes nor records is rejected.
@@ -427,7 +418,7 @@ def _geometry_steps(variant: str, params: dict):
         raise ValueError(f"the declared constants must be positive, got "
                          f"C0={C0}, C0_equiv={C0_equiv}, D={D}")
     b = float(params["b"])
-    window = tuple(params.get("window", (-8.0, 8.0)))
+    window = tuple(params.get("window", _DEFAULT_WINDOW))
     seed = _index_param(params.get("seed", 0), "seed")
     lo, hi = window
     rmax = float(min(abs(lo), abs(hi)) - b)
@@ -889,8 +880,8 @@ def _segment_ball_length(A, B, x, R) -> float:
     return max(0.0, t2 - t1) * math.sqrt(L2)
 
 
-def _square_ball_area(center, radius, x, R, n: int = 129) -> float:
-    xs = np.linspace(center[0] - radius, center[0] + radius, n)
+def _square_ball_area(center, radius, x, R) -> float:
+    xs = np.linspace(center[0] - radius, center[0] + radius, 129)
     dx = xs - x[0]
     inside = R * R - dx * dx
     half = np.sqrt(np.maximum(inside, 0.0))
@@ -917,7 +908,10 @@ def _json_params(d: dict) -> tuple[str, dict]:
     if "seed" in d:
         params.setdefault("seed", d["seed"])
     params["b"] = d["b"]
-    params["window"] = tuple(d.get("window", (-8.0, 8.0)))
+    window = params.setdefault("window", d.get("window", _DEFAULT_WINDOW))
+    if list(window) != list(d.get("window", window)):
+        raise ValueError(f"geometry spec gives two windows, {list(d['window'])} and "
+                         f"{list(window)} in 'params'; give one")
     # constants the spec leaves out take build_geometry's per-variant defaults
     params.update({key: d[key] for key in ("C0", "C0_equiv", "D")
                    if d.get(key) is not None})

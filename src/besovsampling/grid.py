@@ -139,9 +139,9 @@ def default_grid_2d() -> Grid2D:
 class GridFunction:
     """A real-valued function tabulated on a Grid1D or Grid2D.
 
-    Values are treated as immutable after construction. `support_margin` is
-    the distance from the numerically significant support (relative threshold
-    1e-12) to the domain boundary.
+    Values are treated as immutable after construction.
+    `significant_support` is the hull of the numerically significant values
+    (relative threshold 1e-12).
     """
 
     def __init__(self, grid, values):
@@ -180,13 +180,6 @@ class GridFunction:
         # in 1D the one row is the whole function and only the columns count
         idx = [np.flatnonzero(hit) for hit in (row_hit, col_hit)[-len(axes):]]
         return tuple((g.x[i[0]], g.x[i[-1]]) for i, g in zip(idx, axes))
-
-    @property
-    def support_margin(self) -> float:
-        margins = []
-        for (lo, hi), g in zip(self.significant_support(), self.grid.axes):
-            margins.append(min(lo - g.x[0], g.x[-1] - hi))
-        return float(min(margins))
 
     def interpolate(self, points) -> np.ndarray:
         """Linear (1D) / bilinear (2D) interpolation at off-grid points.

@@ -45,21 +45,19 @@ class TraceValues:
     """f restricted to a sampling set, with the weights needed for norms.
 
     carrier_weights realize the H^(d-m) measure on the carrier (all ones for
-    point sets), cell_weights the nu_a(H_a)-weighted counterpart (b_n in 1D).
+    point sets).
     """
 
     values: np.ndarray
     carrier_weights: np.ndarray
-    cell_weights: np.ndarray
     m: int
     d: int
     b: float
 
     def __post_init__(self):
-        if len(self.values) != len(self.carrier_weights) or \
-                len(self.values) != len(self.cell_weights):
+        if len(self.values) != len(self.carrier_weights):
             raise ValueError("trace arrays must share one node count")
-        _check_weights(self.carrier_weights, self.cell_weights)
+        _check_weights(self.carrier_weights)
 
     def lp_carrier(self, p: float) -> float:
         """(integral_G |f|^p dH^(d-m))^(1/p)."""
@@ -67,8 +65,8 @@ class TraceValues:
                      ** (1.0 / p))
 
 
-def _check_weights(carrier: np.ndarray, cells: np.ndarray) -> None:
-    if np.any(carrier <= 0) or np.any(cells <= 0):
+def _check_weights(*weights: np.ndarray) -> None:
+    if any(np.any(w <= 0) for w in weights):
         raise ValueError("trace weights must be positive")
 
 
@@ -95,13 +93,12 @@ def trace(f: GridFunction, sampling_set) -> TraceValues:
     or a 2D carrier (linear interpolation between grid nodes).  The carrier
     weights are a read-only view of the set's anchor weights."""
     s = sampling_set
-    n = len(s.anchors)
-    vals, cells = np.empty(n), np.empty(n)
-    for blk, v, _, c in _trace_blocks(f, s):
-        vals[blk], cells[blk] = v, c
+    vals = np.empty(len(s.anchors))
+    for blk, v, _, _ in _trace_blocks(f, s):
+        vals[blk] = v
     weights = s.anchor_weights.view()
     weights.flags.writeable = False
-    return TraceValues(vals, weights, cells, s.m, s.d, s.b)
+    return TraceValues(vals, weights, s.m, s.d, s.b)
 
 
 def _trace_sums(f: GridFunction, sampling_set, p: float) -> tuple[float, float]:

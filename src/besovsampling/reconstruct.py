@@ -36,7 +36,7 @@ from .geometry import SamplingSequence1D
 from .grid import (Grid1D, GridFunction, check_below_nyquist, check_fft_grid,
                    lp_norm, smooth_lowpass)
 from .inequalities import TraceValues, trace
-from .wavelets import WaveletBasis, analyze, default_basis, synthesize
+from .wavelets import analyze, default_basis, synthesize
 
 __all__ = [
     "LowpassMultiplier",
@@ -145,17 +145,6 @@ class PartitionOfUnity:
         """Sum of the flattened 1D window samples `weights` onto the grid."""
         return np.bincount(self._idx, weights=weights, minlength=self.grid.count)
 
-    def partition_sum(self) -> np.ndarray:
-        """sum_j beta_j on the grid (1 wherever nodes cover)."""
-        return self.apply(np.ones(len(self.nodes)))
-
-    def interior_mask(self) -> np.ndarray:
-        """Grid points within `radius` of some node on every side."""
-        nodes = self.nodes.reshape(len(self.nodes), -1)
-        return reduce(np.logical_and.outer,
-                      [(g.x >= nodes[:, a].min()) & (g.x <= nodes[:, a].max())
-                       for a, g in enumerate(self.grid.axes)])
-
 
 def build_partition(nodes: np.ndarray, b: float, grid) -> PartitionOfUnity:
     radius = 2.0 * b
@@ -241,10 +230,10 @@ def averaging_V(t: TraceValues, op: ReconstructionOperator):
     return flat, report
 
 
-def _v_report(vvals, t: TraceValues, p: float = 2.0) -> dict:
-    num = float(np.sum(np.abs(vvals) ** p) ** (1 / p))
-    den = t.b ** ((t.m - t.d) / p) * t.lp_carrier(p)
-    return {"vnorm_ratio": num / den if den > 0 else 0.0, "p": p,
+def _v_report(vvals, t: TraceValues) -> dict:
+    num = float(np.sum(np.abs(vvals) ** 2.0) ** 0.5)
+    den = t.b ** ((t.m - t.d) / 2.0) * t.lp_carrier(2.0)
+    return {"vnorm_ratio": num / den if den > 0 else 0.0, "p": 2.0,
             "bound": 1.0}
 
 
@@ -260,9 +249,7 @@ def interp_pl(t: TraceValues, seq: SamplingSequence1D, grid: Grid1D) -> GridFunc
     return GridFunction(grid, np.interp(grid.x, seq.points, t.values))
 
 
-def bandlimited_split(f: GridFunction, b: float,
-                      basis: WaveletBasis | None = None,
-                      mode: str = "spectrum"):
+def bandlimited_split(f: GridFunction, b: float, mode: str = "spectrum"):
     """Split f = g + h at the scale cut 2^j0 <= 1/b <= 2^(j0+1).
 
     mode="spectrum" (default): g is the smooth low-pass of f with passband
@@ -283,9 +270,8 @@ def bandlimited_split(f: GridFunction, b: float,
         h = GridFunction(f.grid, f.values - g.values)
         return g, h, {"mode": "spectrum", "j0": j0, "inner": inner, "outer": outer}
     if mode == "wavelet":
-        basis = basis or default_basis()
         lo, j_adm = default_wavelet_scales(f)
-        c = analyze(f, basis, lo, min(j0, j_adm))
+        c = analyze(f, default_basis(), lo, min(j0, j_adm))
         g = synthesize(c, f.grid)
         h = GridFunction(f.grid, f.values - g.values)
         return g, h, {"mode": "wavelet", "j0": j0, "j_range": [lo, min(j0, j_adm)]}

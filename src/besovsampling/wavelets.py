@@ -120,8 +120,8 @@ def _filter_equations(h: np.ndarray, K: int) -> np.ndarray:
     return np.array(eqs)
 
 
-def _polish_filter(h: np.ndarray, K: int, sweeps: int = 3) -> np.ndarray:
-    for _ in range(sweeps):
+def _polish_filter(h: np.ndarray, K: int) -> np.ndarray:
+    for _ in range(3):
         F = _filter_equations(h, K)
         if np.max(np.abs(F)) < 1e-15:
             break
@@ -181,10 +181,6 @@ class WaveletBasis:
     phi_table: np.ndarray = field(repr=False)
     psi_table: np.ndarray = field(repr=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def R(self) -> float:
-        return float(self.support[1])
 
     @property
     def wavelet_filter(self) -> np.ndarray:
@@ -286,19 +282,18 @@ def build_basis(family: str, order: int | None = None, depth: int = 12) -> Wavel
 
 
 @lru_cache(maxsize=8)
-def _cached_basis(family: str, order: int | None, depth: int) -> WaveletBasis:
-    return build_basis(family, order, depth)
+def _cached_basis(family: str, order: int | None) -> WaveletBasis:
+    return build_basis(family, order)
 
 
-def default_basis(family: str = "daubechies", order: int = 4,
-                  depth: int = 12) -> WaveletBasis:
-    """Cached basis for the common Daubechies-4 workhorse configuration.
+def default_basis(family: str = "daubechies", order: int = 4) -> WaveletBasis:
+    """Cached depth-12 basis for the common Daubechies-4 workhorse configuration.
 
     The cache key is the basis, not the call: `default_basis()` and
-    `default_basis("daubechies", 4, 12)` return the same object.
+    `default_basis("daubechies", 4)` return the same object.
     """
     family = family.lower()
-    return _cached_basis(family, None if family == "haar" else order, depth)
+    return _cached_basis(family, None if family == "haar" else order)
 
 
 default_basis.cache_info = _cached_basis.cache_info
@@ -769,14 +764,14 @@ def _tensor_correlate(f: GridFunction, basis: WaveletBasis, j: int, types,
     return dict(sorted(partial.items()))
 
 
-def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
-            with_coarse: bool = True) -> WaveletCoefficients:
+def analyze(f: GridFunction, basis: WaveletBasis, j_min: int,
+            j_max: int) -> WaveletCoefficients:
     """Coefficients c_{j,lambda} of f over scales [j_min, j_max] by grid quadrature.
 
     Translates whose support misses the numerically significant support of f
-    are omitted (they are exact zeros for compactly supported f).  When
-    `with_coarse` is set, scaling-function coefficients at j_min are attached
-    and the relative L^2 truncation residual is reported.
+    are omitted (they are exact zeros for compactly supported f).  The
+    scaling-function coefficients at j_min are attached, and the relative
+    L^2 truncation residual is reported.
     """
     if j_min > j_max:
         raise ValueError(f"empty scale range [{j_min}, {j_max}]")
@@ -794,8 +789,8 @@ def analyze(f: GridFunction, basis: WaveletBasis, j_min: int, j_max: int,
         blocks = _tensor_correlate(f, basis, j, details, hull)
         if blocks:
             scales[j] = _pack(d, blocks)
-    coarse = _coarse_block(f, basis, j_min, hull) if with_coarse else None
-    out = WaveletCoefficients(d, j_min, j_max, scales, basis, coarse=coarse)
+    out = WaveletCoefficients(d, j_min, j_max, scales, basis,
+                              coarse=_coarse_block(f, basis, j_min, hull))
     l2 = lp_norm(f, 2.0)
     if l2 > 0:
         captured = out.total_energy() + out.coarse_energy()
@@ -818,8 +813,8 @@ def _coarse_block(f: GridFunction, basis: WaveletBasis, j: int, hull):
 def synthesize(c: WaveletCoefficients, grid) -> GridFunction:
     """Pointwise sum of tabulated wavelets weighted by the coefficients.
 
-    When the coefficient object carries a coarse scaling block (from
-    `analyze` with with_coarse), it is placed as well, so the round trip
+    When the coefficient object carries a coarse scaling block (as those of
+    `analyze` do), it is placed as well, so the round trip
     misses only the energy above j_max plus quadrature error.
     """
     axes = grid.axes

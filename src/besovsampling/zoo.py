@@ -212,8 +212,8 @@ def make(spec: ZooSpec, grid, basis: WaveletBasis | None = None) -> ZooFunction:
     if spec.kind == "tensor2d":
         if not isinstance(grid, Grid2D):
             raise ValueError("tensor2d needs a Grid2D")
-        fx = make(spec.base, grid.gx, basis)
-        fy = make(spec.base2 or spec.base, grid.gy, basis)
+        fx = make(spec.base, grid.axes[0], basis)
+        fy = make(spec.base2 or spec.base, grid.axes[1], basis)
         vals = np.outer(fx.f.values, fy.f.values)
         return ZooFunction(GridFunction(grid, vals), spec,
                            {"factors": (fx.meta, fy.meta)})
@@ -365,11 +365,10 @@ def _bandlimited_field(grid, band: float, seed: int, amplitude: float,
     return GridFunction(grid, vals)
 
 
-def bandlimited_field_2d(grid: Grid2D, band: float, seed: int,
-                         amplitude: float = 1.0) -> GridFunction:
+def bandlimited_field_2d(grid: Grid2D, band: float, seed: int) -> GridFunction:
     """The 2D input of `verify sampling --geometry`: the band-limited field of
-    the zoo's `bandlimited-random` kind, centred at the origin."""
-    return _bandlimited_field(grid, band, seed, amplitude, 0.0)
+    the zoo's `bandlimited-random` kind, centred at the origin, of L^2 norm 1."""
+    return _bandlimited_field(grid, band, seed, 1.0, 0.0)
 
 
 def calibration_zoo(grid: Grid1D, basis: WaveletBasis | None = None,

@@ -156,7 +156,7 @@ class TestCommands:
 
     def test_verify_sampling_writes_reports(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "sampling", "--p", "2",
-                                   "--sweep", "2^-5..2^-6", "--seed", "1",
+                                   "--b", "2^-5..2^-6", "--seed", "1",
                                    "--out-dir", str(tmp_path)])
         assert res.exit_code == 0, res.output
         csv = (tmp_path / "sweep_sampling.csv").read_text().splitlines()
@@ -265,6 +265,28 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         header, row = (tmp_path / "sweep_sampling.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["ok"] == "True"
+
+    @pytest.mark.parametrize("variant", ["hyperplane-union", "perturbed-graph"])
+    def test_spec_without_window_takes_the_grid_span(self, runner, tmp_path, variant):
+        # the default window is the span of the 2D grid the field lives on,
+        # so the anchors of the line variants stay on it
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": variant, "b": 0.25, "params": {"seed": 1}}))
+        res = runner.invoke(main, ["verify", "sampling", "--b", "2^-2", "--seed", "1",
+                                   "--geometry", str(spec), "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["geometry", "check", "--geometry", str(spec),
+                                   "--probes", "100"])
+        assert json.loads(res.output)["geometry"]["window"] == [-8.0, 7.9921875]
+
+    def test_spec_window_in_params_is_read(self, runner, tmp_path):
+        spec = tmp_path / "geom.json"
+        for where in ({"window": [-4, 4], "params": {}}, {"params": {"window": [-4, 4]}},
+                      {"window": [-4, 4], "params": {"window": [-4.0, 4.0]}}):
+            spec.write_text(json.dumps({"variant": "curve-family", "b": 0.5, **where}))
+            res = runner.invoke(main, ["geometry", "check", "--geometry", str(spec),
+                                       "--probes", "100"])
+            assert json.loads(res.output)["geometry"]["window"] == [-4, 4], where
 
     def test_verify_out_fingerprint_is_the_csv_fingerprint(self, runner, tmp_path):
         """--out carries the results' fingerprint, which --jobs and --out-dir
@@ -472,12 +494,12 @@ class TestZooFunctionMemo:
 
     def test_memoized_values_are_read_only(self):
         spec = ZooSpec("besov-random", s=0.6, q=math.inf, j_lo=0, j_hi=8, seed=12)
-        zf, _, _ = cli._on_default_grid(spec)
+        zf = cli._zoo_function(spec)
         with pytest.raises(ValueError, match="read-only"):
             zf.f.values[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             zf.f.values *= 2.0
-        assert cli._on_default_grid(spec)[0] is zf
+        assert cli._zoo_function(spec) is zf
 
 
 class TestFieldNormMemo:
@@ -549,7 +571,7 @@ class TestUsageErrors:
         return res
 
     def test_verify_bad_sweep_range(self, tmp_path):
-        self._usage_error(["verify", "sampling", "--sweep", "2^-3..0.1",
+        self._usage_error(["verify", "sampling", "--b", "2^-3..0.1",
                            "--out-dir", str(tmp_path)], "'2^-3..0.1'")
         assert not (tmp_path / "sweep_sampling.csv").exists()
 
@@ -617,6 +639,17 @@ class TestUsageErrors:
                                     "window": [-0.8, 0.8]}))
         self._usage_error(["geometry", "check", "--geometry", str(spec)],
                           "[-0.8, 0.8]", "b=0.5", "7b/4 = 0.875")
+
+    def test_geometry_spec_with_two_windows(self, tmp_path):
+        spec = tmp_path / "geom.json"
+        spec.write_text(json.dumps({"variant": "curve-family", "b": 0.5, "window": [-8, 7],
+                                    "params": {"window": [-4, 4]}}))
+        self._usage_error(["geometry", "check", "--geometry", str(spec)],
+                          "'--geometry'", "two windows", "[-8, 7]", "[-4, 4]")
+        self._usage_error(["verify", "sampling", "--b", "0.5", "--geometry", str(spec),
+                           "--out-dir", str(tmp_path / "out")],
+                          "'--geometry'", "two windows")
+        assert not (tmp_path / "out").exists()
 
     def test_geometry_check_non_positive_constant(self, tmp_path):
         spec = tmp_path / "geom.json"
@@ -971,7 +1004,7 @@ def test_each_reader_names_its_option(reader_files, row, column):
 
 @pytest.mark.parametrize("args, option", [
     ("verify heisenberg --b ,", "'--b'"),
-    ("verify heisenberg --sweep 2^-3..abc", "'--sweep'"),
+    ("verify heisenberg --b 2^-3..abc", "'--b'"),
     ("verify heisenberg --p 2,x", "'--p'"),
     ("sweep split --s abc", "'--s'"),
     ("sweep split --seed 1,x", "'--seed'"),

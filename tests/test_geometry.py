@@ -30,7 +30,9 @@ from besovsampling.geometry import (
     geometry_to_json_dict,
     random_sequence,
     regular_sequence,
+    window_for_grid,
 )
+from besovsampling.grid import default_grid_2d
 
 WIN = (-8.0, 8.0 - 2.0**-7)
 
@@ -92,8 +94,9 @@ class TestSequences:
     def test_cells_tile_exactly(self):
         seq = random_sequence(2.0**-3, (-16, 16), seed=5)
         assert seq.cell_lengths.sum() == pytest.approx(32.0, abs=1e-12)
-        cells = seq.cells
-        assert np.allclose(cells[1:, 0], cells[:-1, 1], atol=1e-14)
+        p = seq.points
+        edges = np.concatenate([[p[0]], (p[:-1] + p[1:]) / 2.0, [p[-1]]])
+        assert np.allclose(seq.cell_lengths, np.diff(edges), atol=1e-14)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -774,6 +777,12 @@ class TestGeometryJson:
                                         "params": {"seed": 3}})
         assert (read.C0, read.C0_equiv, read.D) == \
             (built.C0, built.C0_equiv, built.D)
+
+    def test_spec_without_window_takes_the_default_grids(self):
+        # WIN is the span of the default 2D grid
+        assert window_for_grid(default_grid_2d()) == WIN
+        assert build_geometry("curve-family", {"b": 0.5}).window == WIN
+        assert geometry_from_json_dict({"variant": "curve-family", "b": 0.5}).window == WIN
 
     def test_spec_constants_override_one_at_a_time(self):
         built = build_geometry("spiral", {"b": 0.5, "window": WIN})

@@ -777,10 +777,11 @@ class TestSerialization:
         assert f1.significant_support() == mask_hull(f1)
 
     def test_support_margin(self, small_grid):
-        f = gaussian(small_grid, width=0.5)
-        assert f.support_margin > 0.2 * small_grid.length
+        x = small_grid.x
+        ((lo, hi),) = gaussian(small_grid, width=0.5).significant_support()
+        assert min(lo - x[0], x[-1] - hi) > 0.2 * small_grid.length
         flat = GridFunction(small_grid, np.ones(small_grid.count))
-        assert flat.support_margin == 0.0
+        assert flat.significant_support() == ((x[0], x[-1]),)
 
 
 class TestNoFullSizeTemporaries:

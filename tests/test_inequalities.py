@@ -35,27 +35,33 @@ from besovsampling.inequalities import (
     uncertainty_check,
     uncertainty_deficiency,
 )
-from besovsampling.wavelets import WaveletCoefficients, dilate_coeffs, synthesize
+from besovsampling.wavelets import (WaveletCoefficients, default_basis, dilate_coeffs,
+                                   synthesize)
 from besovsampling.zoo import ZooSpec, dilate, make
 
 
 def reference_trace_1d(f, seq):
     """`trace`'s own branch for a sequence, before a sequence became the
-    m = d = 1 sampling set: (values, carrier weights, cell weights)."""
+    m = d = 1 sampling set: (values, carrier weights)."""
     vals = f.interpolate(seq.points)
-    return vals, np.ones(len(vals)), seq.cell_lengths
+    return vals, np.ones(len(vals))
 
 
 def reference_trace_2d(f, g):
     """`trace`'s branch for a 2D carrier, as it was."""
-    vals = f.interpolate(g.anchors)
-    return vals, g.anchor_weights.copy(), g.anchor_weights * cell_measures(g)
+    return f.interpolate(g.anchors), g.anchor_weights.copy()
 
 
-def cell_norm(tr, p):
-    """(sum_n nu_n |f(node_n)|^p)^(1/p), the cell-weighted sample norm of a
-    trace (the body of the deleted `TraceValues.lp_cells`)."""
-    return float(np.sum(tr.cell_weights * np.abs(tr.values) ** p) ** (1.0 / p))
+def cell_weights(s):
+    """nu_a(H_a) times the carrier weight of each anchor of a sampling set
+    (b_n in 1D): the weights of the cell-weighted sums."""
+    return s.anchor_weights * cell_measures(s)
+
+
+def cell_norm(tr, s, p):
+    """(sum_n nu_n |f(node_n)|^p)^(1/p), the cell-weighted sample norm of the
+    trace `tr` on the sampling set `s`."""
+    return float(np.sum(cell_weights(s) * np.abs(tr.values) ** p) ** (1.0 / p))
 
 
 def reference_uncertainty_deficiency(f, seq, p):
@@ -81,7 +87,7 @@ def reference_uncertainty_check(f, seq, p, basis):
 def reference_intB_diagnostic(f, seq, p, basis):
     """`intB_diagnostic`'s body for a 1D sequence, as it was."""
     np_norm = lp_norm(f, p)
-    lhs = abs(np_norm - cell_norm(trace(f, seq), p))
+    lhs = abs(np_norm - cell_norm(trace(f, seq), seq, p))
     rhs = seq.b ** (1.0 / p) * besov.critical_norm(f, p, basis=basis)
     return lhs, rhs, lhs / rhs
 
@@ -96,13 +102,12 @@ def trace_built_estimates(f, sset, p, besov_norm):
     eps = 1.0 - mass ** (1.0 / p)
     gate = sset.b ** (sset.m / p)
     c_emp = besov_norm * gate / (eps * np_norm) if eps > 0 else None
-    lhs = abs(np_norm - np.sum(tr.cell_weights * abs_pow) ** (1.0 / p))
+    lhs = abs(np_norm - np.sum(cell_weights(sset) * abs_pow) ** (1.0 / p))
     return eps, c_emp, lhs, gate * besov_norm
 
 
 def assert_trace_equals(tr, reference):
-    for got, want in zip((tr.values, tr.carrier_weights, tr.cell_weights),
-                         reference):
+    for got, want in zip((tr.values, tr.carrier_weights), reference):
         assert np.array_equal(got, want)
 
 
@@ -112,7 +117,7 @@ class TestTrace:
         f = GridFunction(grid, np.ones(grid.count))
         tr = trace(f, seq)
         # cell-weighted mass of a constant recovers the covered length
-        assert cell_norm(tr, 1.0) == pytest.approx(28.0, abs=1e-10)
+        assert cell_norm(tr, seq, 1.0) == pytest.approx(28.0, abs=1e-10)
 
     def test_zero_at_samples(self, grid, db4):
         b = 2.0**-5
@@ -182,11 +187,11 @@ class TestStreamedNorms:
     through the body of `trace`, and build no trace."""
 
     @staticmethod
-    def trace_sums(tr, p):
-        """(sum w |f|^p, sum nu |f|^p) of a whole trace."""
+    def trace_sums(tr, s, p):
+        """(sum w |f|^p, sum nu |f|^p) of a whole trace `tr` on the set `s`."""
         abs_pow = np.abs(tr.values) ** p
         return (float(np.sum(tr.carrier_weights * abs_pow)),
-                float(np.sum(tr.cell_weights * abs_pow)))
+                float(np.sum(cell_weights(s) * abs_pow)))
 
     @pytest.mark.parametrize("b", [2.0**-3, 2.0**-6])
     def test_1d_bit_for_bit(self, grid, b):
@@ -195,18 +200,18 @@ class TestStreamedNorms:
         assert len(seq.points) <= _POINT_BLOCK  # one block, as in every 1D sweep
         tr = trace(f, seq)
         for p in (1.0, 1.5, 2.0, 3.0):
-            assert _trace_sums(f, seq, p) == self.trace_sums(tr, p)
+            assert _trace_sums(f, seq, p) == self.trace_sums(tr, seq, p)
             # the norms that `sampling_ratio` takes from the sums
             lp_carrier, lp_cells = (s ** (1.0 / p) for s in _trace_sums(f, seq, p))
             assert lp_carrier == tr.lp_carrier(p)
-            assert lp_cells == cell_norm(tr, p)
+            assert lp_cells == cell_norm(tr, seq, p)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_2d_within_1e_12(self, variant):
         f, g = many_block_set(variant)
         tr = trace(f, g)
         for p in (1.0, 2.0, 3.5):
-            np.testing.assert_allclose(_trace_sums(f, g, p), self.trace_sums(tr, p),
+            np.testing.assert_allclose(_trace_sums(f, g, p), self.trace_sums(tr, g, p),
                                        rtol=1e-12, atol=0.0)
 
     def test_carrier_weights_are_a_read_only_view(self, small_grid2d):
@@ -264,16 +269,17 @@ class TestEstimatesOnAnySet:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_1d_bit_for_bit_on_sweep_sequences(self, b, p):
         # the sequences and functions of the uncertainty and intb sweeps, seed 0
-        zf, basis, seq = _on_default_grid(
+        basis = default_basis()
+        zf, seq = _on_default_grid(
             ZooSpec("gap-spline", sequence_b=b, sequence_seed=0, seed=7), b, 0)
         assert len(seq.points) <= _POINT_BLOCK
         assert uncertainty_deficiency(zf.f, seq, p) == \
             reference_uncertainty_deficiency(zf.f, seq, p)
-        assert uncertainty_check(zf.f, seq, p, basis) == \
+        assert uncertainty_check(zf.f, seq, p) == \
             reference_uncertainty_check(zf.f, seq, p, basis)
-        zf, basis, seq = _on_default_grid(
+        zf, seq = _on_default_grid(
             ZooSpec("bandlimited-random", band=2.0, seed=3), b, 0)
-        assert intB_diagnostic(zf.f, seq, p, basis) == \
+        assert intB_diagnostic(zf.f, seq, p) == \
             reference_intB_diagnostic(zf.f, seq, p, basis)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -446,7 +452,7 @@ class TestSamplingRatio:
                               besov_norm=besov_norm_wavelet(coeffs, params))
         zd = dilate(zf, 1)
         rep1 = sampling_ratio(
-            zd.f, seq.rescaled(1), 2.0, db4,
+            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0, db4,
             besov_norm=besov_norm_wavelet(dilate_coeffs(coeffs, 1), params))
         assert rep1.trace_ratio == pytest.approx(rep0.trace_ratio, rel=1e-4)
         assert rep1.cell_ratio == pytest.approx(rep0.cell_ratio, rel=1e-4)
@@ -517,7 +523,7 @@ class TestUncertainty:
                                  besov_norm=besov_norm_wavelet(coeffs, params))
         zd = dilate(zf, 1)
         rep1 = uncertainty_check(
-            zd.f, seq.rescaled(1), 2.0, db4,
+            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0, db4,
             besov_norm=besov_norm_wavelet(dilate_coeffs(coeffs, 1), params))
         assert rep0.hypothesis_met and rep1.hypothesis_met
         assert rep1.c_emp == pytest.approx(rep0.c_emp, rel=1e-6)
@@ -530,7 +536,7 @@ class TestIntB:
         # restrict the norm to the covered interval: use the identity on the
         # cells directly
         tr = trace(f, seq)
-        covered = cell_norm(tr, 2.0)
+        covered = cell_norm(tr, seq, 2.0)
         # ||f||_2 over the same covered interval
         inside = (grid.x >= seq.points[0]) & (grid.x <= seq.points[-1])
         norm_cov = math.sqrt(np.sum(f.values[inside] ** 2) * grid.spacing)

@@ -96,7 +96,7 @@ class TestRoundTrip:
         # interior scales: at least 256 points per unit, supports inside [-7, 7]
         c = random_coeffs(rng, db4, 1, 0, 2, box=7.0, density=0.2, inside=True)
         c.coarse = None
-        back = analyze(synthesize(c, grid), db4, 0, 2, with_coarse=False)
+        back = analyze(synthesize(c, grid), db4, 0, 2)
         want = entries(c)
         got = entries(back)
         err = max(abs(got.get(key, 0.0) - want.get(key, 0.0))
