@@ -165,7 +165,7 @@ def besov_norm_lp_details(f: GridFunction, params: BesovParams,
         mult[band] = rho(y[band])
         if not np.any(mult[band] * np.abs(spec[band]) > 0.0):
             continue
-        bn = lp_norm(_irfftn(spec * mult, f.grid), params.p)
+        bn = lp_norm(GridFunction(f.grid, _irfftn(spec * mult, f.grid.shape[-1])), params.p)
         per_scale[j] = bn
         if bn > 0:
             terms.append(2.0 ** (params.s * j) * bn)

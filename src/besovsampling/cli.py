@@ -163,7 +163,7 @@ def _zoo_function(spec: ZooSpec) -> ZooFunction:
     """The 1D zoo function of `spec` on the default grid and basis, memoized
     on the spec with read-only values: most pipelines' functions do not depend
     on b, so a sweep of one or two seeds makes each once."""
-    zf = make(spec, default_grid_1d(), default_basis())
+    zf = make(spec, default_grid_1d())
     zf.f.values.flags.writeable = False
     return zf
 
@@ -187,7 +187,7 @@ def _critical_norm(key, f: GridFunction, p: float, m: int = 1) -> float:
     if (key, p, m) not in _NORMS:
         if len(_NORMS) == 256:
             del _NORMS[next(iter(_NORMS))]
-        _NORMS[key, p, m] = critical_norm(f, p, m, default_basis())
+        _NORMS[key, p, m] = critical_norm(f, p, m)
     return _NORMS[key, p, m]
 
 

@@ -188,55 +188,63 @@ class GridFunction:
         return one flat value per point.  Points more than 1e-9 spacings off
         the grid (`uncovered_axis`), non-finite points and 2D points whose
         last axis is not 2 are rejected; trace evaluation depends on it.  No
-        points give an empty array.
-
-        The points are validated once and then interpolated `_POINT_BLOCK` at
-        a time.  Each corner of a point's cell is one gather from the flat
-        values, and the d-linear sum (in 2D
-        v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty, the
-        first axis's offset varying fastest) is accumulated in place, term by
-        term and factor by factor in that order, into the output.
+        points give an empty array.  The points are checked once, then
+        interpolated (`_interpolator`) `_POINT_BLOCK` at a time.
         """
-        pts = np.asarray(points, dtype=float)
-        # NaN and +-inf show in the extremes, so the check needs no mask
-        if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
-            raise ValueError(f"{np.count_nonzero(~np.isfinite(pts))} interpolation "
-                             f"coordinate(s) are not finite")
-        axes = self.grid.axes
-        d = len(axes)
-        if d > 1 and (pts.ndim == 0 or pts.shape[-1] != d):
-            raise ValueError(f"{d}D interpolation points need shape (..., {d}), "
-                             f"got {pts.shape}")
-        pts = pts.reshape(-1, d)
-        axis = uncovered_axis(self.grid, pts)
-        if axis:
-            raise ValueError(f"interpolation point outside grid domain ({axis})")
+        pts = _interpolation_points(self.grid, points)
         out = np.empty(len(pts))
-        strides = [math.prod(self.grid.shape[a + 1:]) for a in range(d)]
-        # each corner as (flat offset, 0 or 1 per axis), the first axis
-        # varying fastest; the factor of an axis is 1 - t at 0 and t at 1
-        corners = [(sum(c * n for c, n in zip(bits, strides)), bits)
-                   for bits in (c[::-1] for c in itertools.product((0, 1), repeat=d))]
-        flat = self.values.reshape(-1)
         for blk in _blocks(len(pts), _POINT_BLOCK):
-            block, o = pts[blk], out[blk]
-            k, factors = 0, []
-            for axis, (g, stride) in enumerate(zip(axes, strides)):
-                t = (block[:, axis] - g.origin) / g.spacing
-                i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
-                t = np.clip(t - i, 0.0, 1.0)
-                k = k + i * stride
-                factors.append((1 - t, t))
-            flat.take(k, out=o)
-            for w in factors:
-                o *= w[0]
-            term = np.empty_like(o)
-            for off, bits in corners[1:]:
-                flat.take(k + off, out=term)
-                for w, bit in zip(factors, bits):
-                    term *= w[bit]
-                o += term
+            out[blk] = _interpolator(self.grid, pts[blk])(self.values)
         return out
+
+
+def _interpolation_points(grid, points) -> np.ndarray:
+    """`points` as an (n, d) array, rejected as `GridFunction.interpolate` says."""
+    pts = np.asarray(points, dtype=float)
+    # NaN and +-inf show in the extremes, so the check needs no mask
+    if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(pts))} interpolation "
+                         f"coordinate(s) are not finite")
+    d = len(grid.axes)
+    if d > 1 and (pts.ndim == 0 or pts.shape[-1] != d):
+        raise ValueError(f"{d}D interpolation points need shape (..., {d}), "
+                         f"got {pts.shape}")
+    pts = pts.reshape(-1, d)
+    if axis := uncovered_axis(grid, pts):
+        raise ValueError(f"interpolation point outside grid domain ({axis})")
+    return pts
+
+
+def _interpolator(grid, pts: np.ndarray):
+    """The d-linear interpolant at points (n, d) of the grid as a function of
+    the grid values, each point's cell (first flat index, and per axis the
+    factors (1 - t, t) of its offset t) located once.  A call gathers each
+    corner from the flat values and accumulates the sum, in 2D
+    v00 (1-tx)(1-ty) + v10 tx (1-ty) + v01 (1-tx) ty + v11 tx ty (the first
+    axis's offset varying fastest), in place, term by term, factor by factor."""
+    k, factors = 0, []
+    for axis, g in enumerate(grid.axes):
+        t = (pts[:, axis] - g.origin) / g.spacing
+        i = np.clip(np.floor(t).astype(int), 0, g.count - 2)
+        t = np.clip(t - i, 0.0, 1.0)
+        k = k + i * math.prod(grid.shape[axis + 1:])
+        factors.append((1 - t, t))
+    corners = [(sum(c * math.prod(grid.shape[a + 1:]) for a, c in enumerate(bits)), bits)
+               for bits in (c[::-1] for c in itertools.product((0, 1), repeat=len(factors)))]
+
+    def interpolate(values: np.ndarray) -> np.ndarray:
+        flat = values.reshape(-1)
+        out = flat.take(k)
+        for w in factors:
+            out *= w[0]
+        term = np.empty_like(out)
+        for off, bits in corners[1:]:
+            flat.take(k + off, out=term)
+            for w, bit in zip(factors, bits):
+                term *= w[bit]
+            out += term
+        return out
+    return interpolate
 
 
 class SpectrumFunction:
@@ -270,11 +278,6 @@ def _axis_points(origin: float, spacing: float, count: int) -> np.ndarray:
     points of the same axis hundreds of times, often for one end point.
     """
     return origin + spacing * np.arange(count)
-
-
-def _along(axis: int, ndim: int, v: np.ndarray) -> np.ndarray:
-    """The 1D array v as a view that broadcasts along `axis` of an ndim array."""
-    return v.reshape([-1 if a == axis else 1 for a in range(ndim)])
 
 
 def _blocks(n: int, size: int):
@@ -452,28 +455,28 @@ def _check_band(grid, inner: float, outer: float) -> None:
     check_below_nyquist(grid, outer, "outer={freq} exceeds Nyquist frequency {nyq}")
 
 
-def _rfftn(f: GridFunction, keep: int | None = None) -> np.ndarray:
-    """The half spectrum of f: `rfft` along the last axis, its leading `keep`
-    bins (all by default), then `fft` along the others, as `np.fft.rfftn`
-    orders them.  No origin phase and no spacing volume: a real, even
-    multiplier between `_rfftn` and `_irfftn` commutes with both."""
-    check_fft_grid(f.grid)
-    return np.fft.fftn(np.fft.rfft(f.values)[..., :keep], axes=range(f.ndim - 1))
+def _rfftn(values: np.ndarray, keep: int | None = None) -> np.ndarray:
+    """The half spectrum of grid values: `rfft` along the last axis, its
+    leading `keep` bins (all by default), then `fft` along the others, as
+    `np.fft.rfftn` orders them.  No origin phase and no spacing volume: a
+    real, even multiplier between `_rfftn` and `_irfftn` commutes with both."""
+    return np.fft.fftn(np.fft.rfft(values)[..., :keep], axes=range(values.ndim - 1))
 
 
-def _irfftn(spec: np.ndarray, grid) -> GridFunction:
+def _irfftn(spec: np.ndarray, count: int) -> np.ndarray:
     """Invert `_rfftn`, overwriting `spec`: `ifft` along the leading axes,
-    then `irfft` to the last axis's count, which zero-pads dropped bins."""
+    then `irfft` to the last axis's `count`, which zero-pads dropped bins."""
     np.fft.ifftn(spec, axes=range(spec.ndim - 1), out=spec)
-    return GridFunction(grid, np.fft.irfft(spec, n=grid.shape[-1]))
+    return np.fft.irfft(spec, n=count)
 
 
 def _half_spectrum(f: GridFunction):
-    """(spec, freqs, energy): `_rfftn(f)`, each axis's bin frequencies
+    """(spec, freqs, energy): `_rfftn(f.values)`, each axis's bin frequencies
     (`rfftfreq` on the last axis), and each bin's share of the Plancherel
     energy sum |F|^2 dz over the full spectrum.  A last-axis bin counts for
     itself and its mirror, except the DC bin and an even count's Nyquist bin."""
-    spec = _rfftn(f)
+    check_fft_grid(f.grid)
+    spec = _rfftn(f.values)
     *lead, last = f.grid.axes
     freqs = [np.fft.fftfreq(g.count, g.spacing) for g in lead] + [
         np.fft.rfftfreq(last.count, last.spacing)]
@@ -483,30 +486,37 @@ def _half_spectrum(f: GridFunction):
     return spec, freqs, np.abs(spec) ** 2 * weight
 
 
-def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
-    """Multiply the spectrum by the C-infinity low-pass profile of each axis.
+def _lowpass(grid, inner: float, outer: float):
+    """`smooth_lowpass` on the grid as a function of the grid values, its band
+    and grid checked and its profiles taken once: each axis's, read-only from
+    the `_axis_profile` cache, the last axis's (on the `rfftfreq` bins) cut to
+    its leading `keep` bins, past which it is 0, so only those are
+    transformed back.  The other axes' profiles are multiplied in first, one
+    axis at a time, the last axis's after: the transforms and products of
+    `rfftn` / `irfftn` with the profiles in between, in the same order, on
+    fewer bins, so the output is theirs bit for bit."""
+    _check_band(grid, inner, outer)
+    check_fft_grid(grid)
+    *others, g = grid.axes
+    last = _axis_profile(g.count, g.spacing, inner, outer, half=True)
+    last = last[:int(np.flatnonzero(last)[-1]) + 1]
+    others = [_axis_profile(h.count, h.spacing, inner, outer) for h in others]
 
-    The multiplier is the product over the axes of
-    `lowpass_profile(|z_a|, inner, outer)`: real and even in every z_a, so
-    the half spectrum of `_rfftn` carries all of it, and the origin phase
-    and spacing volume of `fourier` would cancel.  Each axis's profile comes
-    read-only from the `_axis_profile` cache.  The last-axis profile (on the
-    `rfftfreq` bins) falls to 0 past bin keep - 1 and stays 0, so only the
-    leading `keep` bins are transformed back.  The other axes' profiles are
-    multiplied in first, one axis at a time, the last axis's after: the
-    transforms and products of `rfftn` / `irfftn` with the profiles in
-    between, in the same order, on fewer bins, so the output is theirs bit
-    for bit.
-    """
-    _check_band(f.grid, inner, outer)
-    *others, g = f.grid.axes
-    last_profile = _axis_profile(g.count, g.spacing, inner, outer, half=True)
-    keep = int(np.flatnonzero(last_profile)[-1]) + 1
-    spec = _rfftn(f, keep)
-    for axis, h in enumerate(others):
-        spec *= _along(axis, spec.ndim, _axis_profile(h.count, h.spacing, inner, outer))
-    spec *= last_profile[:keep]
-    return _irfftn(spec, f.grid)
+    def lowpass(values: np.ndarray) -> np.ndarray:
+        spec = _rfftn(values, len(last))
+        for axis, profile in enumerate(others):  # broadcast along its axis
+            spec *= profile.reshape([-1 if a == axis else 1 for a in range(spec.ndim)])
+        spec *= last
+        return _irfftn(spec, values.shape[-1])
+    return lowpass
+
+
+def smooth_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:
+    """Multiply the spectrum by `lowpass_profile(|z_a|, inner, outer)` of each
+    axis (`_lowpass`): real and even in every z_a, so the half spectrum of
+    `_rfftn` carries all of it, and the origin phase and spacing volume of
+    `fourier` would cancel."""
+    return GridFunction(f.grid, _lowpass(f.grid, inner, outer)(f.values))
 
 
 def _full_spectrum_lowpass(f: GridFunction, inner: float, outer: float) -> GridFunction:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .besov import critical_norm
 from .geometry import cell_measures
-from .grid import _POINT_BLOCK, GridFunction, _blocks, lp_norm, weighted_lp_norm
-from .wavelets import WaveletBasis
+from .grid import (_POINT_BLOCK, GridFunction, _blocks, _interpolation_points, _interpolator,
+                   lp_norm, weighted_lp_norm)
 
 __all__ = [
     "TraceValues",
@@ -45,7 +45,7 @@ class TraceValues:
     """f restricted to a sampling set, with the weights needed for norms.
 
     carrier_weights realize the H^(d-m) measure on the carrier (all ones for
-    point sets).
+    point sets); they are kept as a read-only view of the array given.
     """
 
     values: np.ndarray
@@ -58,6 +58,8 @@ class TraceValues:
         if len(self.values) != len(self.carrier_weights):
             raise ValueError("trace arrays must share one node count")
         _check_weights(self.carrier_weights)
+        self.carrier_weights = self.carrier_weights.view()
+        self.carrier_weights.flags.writeable = False
 
     def lp_carrier(self, p: float) -> float:
         """(integral_G |f|^p dH^(d-m))^(1/p)."""
@@ -88,17 +90,21 @@ def _trace_blocks(f: GridFunction, sampling_set):
         yield blk, f.interpolate(anchors[blk]), carrier, cells
 
 
+def _trace_map(sampling_set, grid):
+    """`trace`'s values as a function of grid values, its checks made once."""
+    s = sampling_set
+    _check_weights(s.anchor_weights, s.anchor_weights * cell_measures(s))
+    return _interpolator(grid, _interpolation_points(grid, s.anchors))
+
+
 def trace(f: GridFunction, sampling_set) -> TraceValues:
     """Restrict f to the anchors of a sampling set, a 1D sequence (m = d = 1)
-    or a 2D carrier (linear interpolation between grid nodes).  The carrier
-    weights are a read-only view of the set's anchor weights."""
+    or a 2D carrier (linear interpolation between grid nodes)."""
     s = sampling_set
     vals = np.empty(len(s.anchors))
     for blk, v, _, _ in _trace_blocks(f, s):
         vals[blk] = v
-    weights = s.anchor_weights.view()
-    weights.flags.writeable = False
-    return TraceValues(vals, weights, s.m, s.d, s.b)
+    return TraceValues(vals, s.anchor_weights, s.m, s.d, s.b)
 
 
 def _trace_sums(f: GridFunction, sampling_set, p: float) -> tuple[float, float]:
@@ -135,7 +141,6 @@ class SamplingReport:
 
 
 def sampling_ratio(f: GridFunction, sampling_set, p: float,
-                   basis: WaveletBasis | None = None,
                    besov_norm: float | None = None) -> SamplingReport:
     """Two-sided trace comparison at the critical smoothness s = m/p, q = 1.
 
@@ -153,7 +158,7 @@ def sampling_ratio(f: GridFunction, sampling_set, p: float,
     # the sums check the sampling set, so a bad one fails before the analysis
     carrier_sum, cell_sum = _trace_sums(f, sampling_set, p)
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, m, basis)
+        besov_norm = critical_norm(f, p, m)
     N = besov_norm / np_norm
     smallness = b ** (m / p) * N
     ok = bool(smallness < DEFAULT_DELTA)
@@ -193,7 +198,6 @@ class UncertaintyReport:
 
 
 def uncertainty_check(f: GridFunction, sampling_set, p: float,
-                      basis: WaveletBasis | None = None,
                       besov_norm: float | None = None) -> UncertaintyReport:
     """Empirical constant of the concentration lower bound, for eps > 0:
     c_emp = ||f||_Besov(m/p, p, 1) * b^(m/p) / (eps ||f||_p)."""
@@ -202,13 +206,12 @@ def uncertainty_check(f: GridFunction, sampling_set, p: float,
     if eps <= 0.0:
         return UncertaintyReport(p, s.b, eps, False, None)
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, s.m, basis)
+        besov_norm = critical_norm(f, p, s.m)
     c_emp = besov_norm * s.b ** (s.m / p) / (eps * lp_norm(f, p))
     return UncertaintyReport(p, s.b, eps, True, c_emp)
 
 
 def intB_diagnostic(f: GridFunction, sampling_set, p: float,
-                    basis: WaveletBasis | None = None,
                     besov_norm: float | None = None):
     """Key-estimate discrepancy: lhs = | ||f||_p - (sum nu_n |f(a_n)|^p)^(1/p) |,
     rhs = b^(m/p) ||f||_Besov(m/p, p, 1); returns (lhs, rhs, lhs/rhs)."""
@@ -216,7 +219,7 @@ def intB_diagnostic(f: GridFunction, sampling_set, p: float,
     np_norm = lp_norm(f, p)
     lhs = abs(np_norm - _trace_sums(f, s, p)[1] ** (1.0 / p))
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, s.m, basis)
+        besov_norm = critical_norm(f, p, s.m)
     rhs = s.b ** (s.m / p) * besov_norm
     if rhs == 0.0:
         raise ValueError("Besov norm vanished; the diagnostic ratio is undefined")
@@ -224,7 +227,6 @@ def intB_diagnostic(f: GridFunction, sampling_set, p: float,
 
 
 def heisenberg_product(f: GridFunction, alpha: float, p: float,
-                       basis: WaveletBasis | None = None,
                        besov_norm: float | None = None) -> float:
     """Scale-free uncertainty product
     |||x|^(alpha/p) f||_p * ||f||_Besov^alpha / ||f||_p^(1+alpha)."""
@@ -237,5 +239,5 @@ def heisenberg_product(f: GridFunction, alpha: float, p: float,
         raise ValueError("||f||_p = 0")
     wnorm = weighted_lp_norm(f, lambda x: np.abs(x) ** (alpha / p), p)
     if besov_norm is None:
-        besov_norm = critical_norm(f, p, basis=basis)
+        besov_norm = critical_norm(f, p)
     return wnorm * besov_norm**alpha / np_norm ** (1.0 + alpha)

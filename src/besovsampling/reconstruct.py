@@ -12,9 +12,8 @@ with u = P A V t.  The passband of P is [-a/b, a/b] with transition out to
 c/b; the constants only need to be "small enough", so they are runtime
 configuration with defaults calibrated by `calibrate_passband`.
 
-`build_operator` builds L = P A V T_G once per sampling set and grid: the
-node set, the partition of unity, P and V's bins, with every input check.
-Each Neumann step and each solve reuses it.  `full_pipeline` takes two
+`build_operator` builds L = P A V T_G once per sampling set and grid, with
+every input check, for each Neumann step to reuse.  `full_pipeline` takes two
 solves, of f and of its low-pass part g; S T h is their difference.
 
 Note on conventions: the multiplier support scales with the inverse gap,
@@ -33,9 +32,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .besov import default_wavelet_scales
 from .geometry import SamplingSequence1D
-from .grid import (Grid1D, GridFunction, check_below_nyquist, check_fft_grid,
-                   lp_norm, smooth_lowpass)
-from .inequalities import TraceValues, trace
+from .grid import (Grid1D, GridFunction, _lowpass, check_below_nyquist, lp_norm,
+                   smooth_lowpass)
+from .inequalities import TraceValues, _trace_map
 from .wavelets import analyze, default_basis, synthesize
 
 __all__ = [
@@ -203,38 +202,19 @@ def reconstruction_nodes(sampling_set) -> np.ndarray:
 
 
 def averaging_V(t: TraceValues, op: ReconstructionOperator):
-    """Nearest-node cell averages of the trace onto Lambda_G.
+    """Nearest-node cell averages of the trace onto Lambda_G, `op.average`.
 
     Point-sample sets (m = d: 1D sequences, curve-family anchor sets) make V
     the identity.  On a line union the trace is averaged over the Voronoi
-    interval of each node along its line, through the operator's bins.
-    Returns (coefficients, report) where the report records the l^p
-    boundedness ratio ||V u||_p / (b^((m-d)/p) ||u||_Lp(G)).
+    interval of each node along its line.  Returns (coefficients, report)
+    where the report records the l^p boundedness ratio
+    ||V u||_p / (b^((m-d)/p) ||u||_Lp(G)) and, on a line union, its empty cells.
     """
-    if op.bins is None:
-        vals = t.values.copy()
-        return vals, _v_report(vals, t)
-    n_lines = len(op.bins)
-    lines = np.arange(n_lines)[:, None]
-    vals = np.zeros((len(op.nodes) // n_lines, n_lines))
-    wsum = np.zeros_like(vals)
-    tw = t.carrier_weights.reshape(n_lines, -1)
-    # each cell takes the anchors of one line, in line order
-    np.add.at(vals, (op.bins, lines), tw * t.values.reshape(n_lines, -1))
-    np.add.at(wsum, (op.bins, lines), tw)
-    empty = wsum == 0
-    # in the x-major node order; a cell no anchor reaches averages to 0
-    flat = np.divide(vals, wsum, out=np.zeros_like(vals), where=~empty).ravel()
-    report = _v_report(flat, t)
-    report["empty_cells"] = int(empty.sum())
-    return flat, report
-
-
-def _v_report(vvals, t: TraceValues) -> dict:
-    num = float(np.sum(np.abs(vvals) ** 2.0) ** 0.5)
+    vals = op.average(t.values)
+    num = float(np.sum(np.abs(vals) ** 2.0) ** 0.5)
     den = t.b ** ((t.m - t.d) / 2.0) * t.lp_carrier(2.0)
-    return {"vnorm_ratio": num / den if den > 0 else 0.0, "p": 2.0,
-            "bound": 1.0}
+    cells = {} if op.empty_cells is None else {"empty_cells": op.empty_cells}
+    return vals, {"vnorm_ratio": num / den if den > 0 else 0.0, "p": 2.0, "bound": 1.0, **cells}
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +282,31 @@ class ReconstructionConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionOperator:
-    """L = P A V T_G on one sampling set and grid, built by `build_operator`.
-
-    `bins` is None where V is the identity (m = d); on a line union it holds
-    the lattice column of each anchor, one row per line.
-    """
+    """L = P A V T_G on one sampling set and grid, built by `build_operator`:
+    T_G (`sample`), V (`average`, the identity where m = d), A (`partition`)
+    and P (`lowpass`) on values; `empty_cells` counts a line union's empty nodes."""
 
     sampling_set: object
     cfg: ReconstructionConfig
     grid: object
     nodes: np.ndarray
-    partition: PartitionOfUnity
     pchi: LowpassMultiplier
-    bins: np.ndarray | None
+    sample: object
+    lowpass: object
+    partition: PartitionOfUnity
+    average: object
+    empty_cells: int | None
 
-    def project(self, coeffs: np.ndarray) -> GridFunction:
-        """P A c: the quasi-interpolant sum_j c_j beta_j, then P."""
-        return self.pchi.apply(GridFunction(self.grid, self.partition.apply(coeffs)))
+    def trace(self, f: GridFunction) -> TraceValues:
+        """T_G f, as `inequalities.trace` gives it."""
+        if f.grid != self.grid:
+            raise ValueError("f is not on the operator's grid")
+        s = self.sampling_set
+        return TraceValues(self.sample(f.values), s.anchor_weights, s.m, s.d, s.b)
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        """P A V T_G f."""
-        return self.project(averaging_V(trace(f, self.sampling_set), self)[0])
+    def step(self, values: np.ndarray) -> np.ndarray:
+        """P A V T_G on grid values."""
+        return self.lowpass(self.partition.apply(self.average(self.sample(values))))
 
 
 def build_operator(sampling_set, cfg: ReconstructionConfig,
@@ -332,23 +316,23 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
     Every input error is raised here, before P first runs: a grid of another
     dimension or with an axis count that is not a power of two, a passband
     without 0 < a < c or with c/b at or above the grid's Nyquist frequency, a
-    set with no reconstruction lattice and, on a line union, node columns off
-    the grid, named by the window shift that puts them on it.
+    set with no reconstruction lattice or that `trace` rejects and, on a line
+    union, node columns off the grid, named by the window shift that puts
+    them on it.
 
     On a line union the nodes' y, the line heights, are rounded to the
     nearest grid row, at most half a grid step, so that the 2D partition
-    sits on the grid; V's bins and the trace keep the true heights.
+    sits on the grid; V and the trace keep the true heights.
     """
     s = sampling_set
     if len(grid.axes) != s.d:
         raise ValueError(f"a {s.d}D sampling set needs a {s.d}D grid, "
                          f"got {len(grid.axes)}D")
-    check_fft_grid(grid)
     pchi = cfg.multiplier(s.b)
     check_below_nyquist(grid, pchi.outer, "P's stopband edge c/b = {freq} must lie "
                         "below the grid's Nyquist frequency {nyq}: lower c or raise b")
     nodes = reconstruction_nodes(s)
-    bins = None
+    average, empty = (lambda values: values), None
     if s.m < s.d:
         gx, gy = grid.axes
         cols = (nodes[:, 0] - gx.origin) / gx.spacing
@@ -362,12 +346,21 @@ def build_operator(sampling_set, cfg: ReconstructionConfig,
                    else f" and make b = {s.b:g} a multiple of the spacing"))
         rows = np.round((nodes[:, 1] - gy.origin) / gy.spacing)
         nodes[:, 1] = gy.origin + rows * gy.spacing
+        # the anchors run line by line; a node is x-major, column * lines + line
         n_lines = len(s.params["heights"])
         xs = nodes[::n_lines, 0]
-        bins = np.clip(np.round((s.anchors[:, 0] - xs[0]) / s.b).astype(int),
-                       0, len(xs) - 1).reshape(n_lines, -1)
-    return ReconstructionOperator(s, cfg, grid, nodes,
-                                  build_partition(nodes, s.b, grid), pchi, bins)
+        cols = np.clip(np.round((s.anchors[:, 0] - xs[0]) / s.b).astype(int),
+                       0, len(xs) - 1)
+        bins = cols * n_lines + np.repeat(np.arange(n_lines), len(cols) // n_lines)
+        wsum = np.bincount(bins, s.anchor_weights, len(nodes))
+        empty = int(np.count_nonzero(wsum == 0))
+
+        def average(values):  # each node's mean by carrier weight, summed in anchor order
+            sums = np.bincount(bins, s.anchor_weights * values, len(nodes))
+            return np.divide(sums, wsum, out=np.zeros_like(sums), where=wsum != 0)
+    return ReconstructionOperator(
+        s, cfg, grid, nodes, pchi, _trace_map(s, grid), _lowpass(grid, pchi.inner, pchi.outer),
+        build_partition(nodes, s.b, grid), average, empty)
 
 
 @dataclass
@@ -397,24 +390,25 @@ def neumann_reconstruct(t: TraceValues, op: ReconstructionOperator
     """Truncated Neumann series of `op` applied to a trace.
 
     Iterates f_{k+1} = f_k + (u - P A V T_G f_k) from f_0 = u = P A V t, so
-    the output after n_iter steps is the series truncated at k = n_iter.
-    Divergence (three consecutive growing correction norms) aborts: the
-    iterate reached so far is returned with a report marked `diverged`.
+    the output after n_iter steps is the series truncated at k = n_iter.  A
+    step is `op.step` on grid values and the L^p norm of the correction,
+    which checks that it is finite.  Three growing correction norms in a
+    row abort: the iterate reached is returned, its report `diverged`.
     """
     cfg, grid = op.cfg, op.grid
     v, vrep = averaging_V(t, op)
-    u = op.project(v)
+    u = op.lowpass(op.partition.apply(v))
     fk, residuals, grow = u, [], 0
     for _ in range(cfg.n_iter):
-        corr = u.values - op.apply(fk).values
+        corr = u - op.step(fk)
         residuals.append(lp_norm(GridFunction(grid, corr), cfg.p))
         grow = grow + 1 if len(residuals) >= 2 and residuals[-1] > residuals[-2] else 0
-        fk = GridFunction(grid, fk.values + corr)
+        fk = fk + corr
         if grow >= 3:
             break
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1) if residuals[i] > 0]
-    return fk, ReconstructionReport(
+    return GridFunction(grid, fk), ReconstructionReport(
         b=t.b, a_factor=cfg.a_factor, c_factor=cfg.c_factor, n_iter=cfg.n_iter,
         p=cfg.p, residuals=residuals, contraction_ratios=ratios,
         diverged=grow >= 3, v_report=vrep)
@@ -428,9 +422,8 @@ def make_passband_family(grid, sampling_set, cfg: ReconstructionConfig,
     env = reduce(np.multiply.outer,
                  [np.exp(-((g.x - g.origin - g.length / 2) / (g.length / 6.0)) ** 2)
                   for g in grid.axes])
-    return [smooth_lowpass(GridFunction(grid, rng.standard_normal(grid.shape) * env),
-                           0.8 * inner, inner)
-            for _ in range(n)]
+    lowpass = _lowpass(grid, 0.8 * inner, inner)
+    return [GridFunction(grid, lowpass(rng.standard_normal(grid.shape) * env)) for _ in range(n)]
 
 
 def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
@@ -444,20 +437,19 @@ def contraction_estimate(sampling_set, cfg: ReconstructionConfig, grid,
     orbit_depth > 1 the max also runs over repeated applications (the decay
     rate the Neumann iteration actually sees asymptotically).
     """
-    op = build_operator(sampling_set, cfg, grid)
     if n < 1:
         raise ValueError("contraction estimate needs a nonempty family")
+    op = build_operator(sampling_set, cfg, grid)
     worst = 0.0
     for g in make_passband_family(grid, sampling_set, cfg, n=n, seed=seed):
-        cur = g
-        norm_cur = lp_norm(cur, cfg.p)
+        cur, norm_cur = g.values, lp_norm(g, cfg.p)
         for _ in range(max(1, orbit_depth)):
             if norm_cur < 1e-13:
                 break
-            nxt = GridFunction(grid, cur.values - op.apply(cur).values)
+            nxt = GridFunction(grid, cur - op.step(cur))
             norm_nxt = lp_norm(nxt, cfg.p)
             worst = max(worst, norm_nxt / norm_cur)
-            cur, norm_cur = nxt, norm_nxt
+            cur, norm_cur = nxt.values, norm_nxt
     return worst
 
 
@@ -487,15 +479,13 @@ def full_pipeline(f: GridFunction, op: ReconstructionOperator) -> Reconstruction
     that diverges ends the pipeline: its report comes back marked `diverged`,
     with the error terms left None.
     """
-    if f.grid != op.grid:
-        raise ValueError("f is not on the operator's grid")
-    sset, p = op.sampling_set, op.cfg.p
-    g = op.pchi.apply(f)
+    t, p = op.trace(f), op.cfg.p
+    g = GridFunction(f.grid, op.lowpass(f.values))
     h = GridFunction(f.grid, f.values - g.values)
-    recon_f, rep = neumann_reconstruct(trace(f, sset), op)
+    recon_f, rep = neumann_reconstruct(t, op)
     if rep.diverged:
         return rep
-    recon_g, rep_g = neumann_reconstruct(trace(g, sset), op)
+    recon_g, rep_g = neumann_reconstruct(op.trace(g), op)
     if rep_g.diverged:
         return rep_g
     rep.total_error = lp_norm(GridFunction(f.grid, f.values - recon_f.values), p)
@@ -503,7 +493,6 @@ def full_pipeline(f: GridFunction, op: ReconstructionOperator) -> Reconstruction
     rep.rel_error = rep.total_error / fnorm if fnorm > 0 else 0.0
     rep.h_norm = lp_norm(h, p)
     rep.g_error = lp_norm(GridFunction(f.grid, g.values - recon_g.values), p)
-    rep.h_reconstructed_norm = lp_norm(
-        GridFunction(f.grid, recon_f.values - recon_g.values), p)
+    rep.h_reconstructed_norm = lp_norm(GridFunction(f.grid, recon_f.values - recon_g.values), p)
     rep.split_info = {"mode": "pchi", "inner": op.pchi.inner, "outer": op.pchi.outer}
     return rep

@@ -371,10 +371,9 @@ def bandlimited_field_2d(grid: Grid2D, band: float, seed: int) -> GridFunction:
     return _bandlimited_field(grid, band, seed, 1.0, 0.0)
 
 
-def calibration_zoo(grid: Grid1D, basis: WaveletBasis | None = None,
-                    seed: int = 2024) -> list[ZooFunction]:
+def calibration_zoo(grid: Grid1D) -> list[ZooFunction]:
     """The standard 20-function calibration family (deterministic)."""
-    basis = basis or default_basis()
+    seed = 2024
     specs = [
         ZooSpec("gaussian", width=0.5),
         ZooSpec("gaussian", width=1.0, center=1.5),
@@ -398,4 +397,4 @@ def calibration_zoo(grid: Grid1D, basis: WaveletBasis | None = None,
         ZooSpec("dilate", m_shift=1, base=ZooSpec("gaussian", width=1.0)),
         ZooSpec("translate", tau=2.0, base=ZooSpec("compact-bump", width=1.0)),
     ]
-    return [make(s, grid, basis) for s in specs]
+    return [make(s, grid) for s in specs]

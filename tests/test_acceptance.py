@@ -81,14 +81,14 @@ def grid10():
 
 @pytest.fixture(scope="module")
 def zoo10(grid10, basis):
-    zoo = calibration_zoo(grid10, basis)
+    zoo = calibration_zoo(grid10)
     return [(zf, analyze(zf.f, basis, -16, 8)) for zf in zoo]
 
 
 @pytest.fixture(scope="module")
 def zoo11(basis):
     g = Grid1D(-16.0, 2.0**-11, 65536)
-    zoo = calibration_zoo(g, basis)
+    zoo = calibration_zoo(g)
     return g, [(zf, analyze(zf.f, basis, -16, 9)) for zf in zoo]
 
 
@@ -208,7 +208,7 @@ def test_criterion_04_two_sided_band(grid10, basis):
                   basis)
         bn, _ = besov_norm_via_analyze(zf.f, params, basis)
         for seq in seqs:
-            rep = sampling_ratio(zf.f, seq, p, basis, besov_norm=bn)
+            rep = sampling_ratio(zf.f, seq, p, besov_norm=bn)
             if not rep.hypothesis_ok:
                 continue
             n_gated += 1
@@ -251,7 +251,7 @@ def test_criterion_05_uncertainty_lower_bound(basis):
                     seq.points, np.zeros(len(seq.points)),
                     rng.uniform(-1, 1, len(seq.points)))
                 f = GridFunction(fine, spl(fine.x) * env)
-                rep = uncertainty_check(f, seq, p, basis)
+                rep = uncertainty_check(f, seq, p)
                 assert rep.eps == pytest.approx(1.0, abs=1e-9)
                 assert rep.c_emp > 0
                 cs.append(rep.c_emp)
@@ -283,7 +283,7 @@ def test_criterion_06_intb_diagnostic(grid10, zoo10, basis):
                     continue
                 seq = random_sequence(b, (grid10.x[0], grid10.x[-1]),
                                       13 * i + bexp, strict=True)
-                _, _, ratio = intB_diagnostic(zf.f, seq, p, basis,
+                _, _, ratio = intB_diagnostic(zf.f, seq, p,
                                               besov_norm=bn)
                 worst = max(worst, ratio)
             assert math.isfinite(worst)
@@ -304,8 +304,8 @@ def test_criterion_07_heisenberg(grid10, basis):
     details = []
     for alpha, p in ((1.0, 2.0), (2.0, 1.0)):
         zf = make(ZooSpec("compact-bump", width=1.0), grid10)
-        p0 = heisenberg_product(zf.f, alpha, p, basis)
-        p1 = heisenberg_product(dilate(zf, 1).f, alpha, p, basis)
+        p0 = heisenberg_product(zf.f, alpha, p)
+        p1 = heisenberg_product(dilate(zf, 1).f, alpha, p)
         dev = abs(p1 - p0) / p0
         assert dev < 1e-4
         prods = []
@@ -313,7 +313,7 @@ def test_criterion_07_heisenberg(grid10, basis):
             for center in (0.0, 1.0):
                 z = make(ZooSpec("compact-bump", width=width, center=center),
                          grid10)
-                prods.append(heisenberg_product(z.f, alpha, p, basis))
+                prods.append(heisenberg_product(z.f, alpha, p))
         assert min(prods) > 0.0
         details.append(f"(a={alpha},p={p}): dilation dev {dev:.1e}, "
                        f"inf c_p {min(prods):.3f}")
@@ -431,7 +431,7 @@ def test_criterion_10_multivariate(basis):
             b = 2.0**-bexp
             g = build_geometry(variant, {"b": b, "seed": bexp, "window": win})
             for f, nn in zip(fields, norms):
-                rep = sampling_ratio(f, g, 2.0, basis, besov_norm=nn[g.m])
+                rep = sampling_ratio(f, g, 2.0, besov_norm=nn[g.m])
                 lo_r.append(rep.trace_ratio)
                 hi_r.append(rep.cell_ratio)
         for vals in (lo_r, hi_r):

@@ -237,11 +237,11 @@ class TestStreamedNorms:
         anchors = g.anchors.copy()
         anchors[-1] = (0.0, 9.0)  # in the last block only
         with pytest.raises(ValueError, match=r"outside grid domain \(y\)"):
-            sampling_ratio(f, dataclasses.replace(g, anchors=anchors), 2.0, db4)
+            sampling_ratio(f, dataclasses.replace(g, anchors=anchors), 2.0)
         weights = g.anchor_weights.copy()
         weights[-1] = 0.0
         with pytest.raises(ValueError, match="trace weights must be positive"):
-            sampling_ratio(f, dataclasses.replace(g, anchor_weights=weights), 2.0, db4)
+            sampling_ratio(f, dataclasses.replace(g, anchor_weights=weights), 2.0)
         with pytest.raises(ValueError, match="2D sampling set"):
             sampling_ratio(GridFunction(Grid1D(-8.0, 2.0**-5, 512), np.ones(512)),
                            g, 2.0, db4)
@@ -311,8 +311,8 @@ class TestEstimatesOnAnySet:
         f = many_block_set("curve-family")[0]
         for variant in ("curve-family", "spiral"):
             g = many_block_set(variant)[1]
-            uncertainty_check(f, g, 3.5, db4)
-            intB_diagnostic(f, g, 3.5, db4)
+            uncertainty_check(f, g, 3.5)
+            intB_diagnostic(f, g, 3.5)
         # curve-family is a point set (m = 2), the spiral a curve (m = 1)
         assert seen == [(2, 3.5, 2), (2, 3.5, 2), (2, 3.5, 1), (2, 3.5, 1)]
 
@@ -396,7 +396,7 @@ class TestSamplingRatio:
         # the two-constant band from the source inequality, behind the gate
         zf = make(ZooSpec("bandlimited-random", band=1.0, seed=8), grid, db4)
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 10, strict=True)
-        rep = sampling_ratio(zf.f, seq, 2.0, db4)
+        rep = sampling_ratio(zf.f, seq, 2.0)
         assert rep.hypothesis_ok
         assert rep.in_band_cell and rep.in_band_trace
         assert BAND[0] <= rep.cell_ratio <= BAND[1]
@@ -406,7 +406,7 @@ class TestSamplingRatio:
         c = WaveletCoefficients(1, 6, 6, {6: (0, np.array([1.0]))}, db4)
         f = synthesize(c, grid)
         seq = random_sequence(2.0**-2, (grid.x[0], grid.x[-1]), 3, strict=True)
-        rep = sampling_ratio(f, seq, 2.0, db4)
+        rep = sampling_ratio(f, seq, 2.0)
         assert not rep.hypothesis_ok
         assert rep.in_band_cell is None and rep.in_band_trace is None
 
@@ -414,7 +414,7 @@ class TestSamplingRatio:
         f = GridFunction(grid, np.zeros(grid.count))
         seq = random_sequence(0.25, (grid.x[0], grid.x[-1]), 1)
         with pytest.raises(ValueError):
-            sampling_ratio(f, seq, 2.0, db4)
+            sampling_ratio(f, seq, 2.0)
 
     def test_bad_geometry_fails_before_the_analysis(self, small_grid2d, db4,
                                                     monkeypatch):
@@ -431,7 +431,7 @@ class TestSamplingRatio:
 
         monkeypatch.setattr(besov, "analyze", no_analysis)
         with pytest.raises(ValueError, match="trace weights must be positive"):
-            sampling_ratio(f, geo, 2.0, db4)
+            sampling_ratio(f, geo, 2.0)
 
     def test_sample_removal_monotonicity(self, grid, db4):
         zf = make(ZooSpec("bandlimited-random", band=1.0, seed=8), grid, db4)
@@ -448,11 +448,11 @@ class TestSamplingRatio:
         _, coeffs = besov_norm_via_analyze(zf.f, params, db4)
         seq = random_sequence(2.0**-4, (grid.x[0], grid.x[-1]), 6, strict=True,
                               lattice=2.0 * grid.spacing)
-        rep0 = sampling_ratio(zf.f, seq, 2.0, db4,
+        rep0 = sampling_ratio(zf.f, seq, 2.0,
                               besov_norm=besov_norm_wavelet(coeffs, params))
         zd = dilate(zf, 1)
         rep1 = sampling_ratio(
-            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0, db4,
+            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0,
             besov_norm=besov_norm_wavelet(dilate_coeffs(coeffs, 1), params))
         assert rep1.trace_ratio == pytest.approx(rep0.trace_ratio, rel=1e-4)
         assert rep1.cell_ratio == pytest.approx(rep0.cell_ratio, rel=1e-4)
@@ -472,7 +472,7 @@ class TestUncertainty:
         f = GridFunction(grid, spl(grid.x) * window_envelope(grid))
         eps = uncertainty_deficiency(f, seq, 2.0)
         assert eps == pytest.approx(1.0, abs=1e-12)
-        rep = uncertainty_check(f, seq, 2.0, db4)
+        rep = uncertainty_check(f, seq, 2.0)
         assert rep.hypothesis_met and rep.c_emp > 0
 
     def test_boundary_case_eps_zero(self, grid, db4):
@@ -506,7 +506,7 @@ class TestUncertainty:
         # oversampled constant-ish function: sampled mass exceeds b^-1 level
         zf = make(ZooSpec("gaussian", width=4.0), grid)
         seq = regular_sequence(2.0**-6, (grid.x[0], grid.x[0] + 28.0))
-        rep = uncertainty_check(zf.f, seq, 2.0, db4)
+        rep = uncertainty_check(zf.f, seq, 2.0)
         if rep.eps <= 0:
             assert not rep.hypothesis_met and rep.c_emp is None
 
@@ -519,11 +519,11 @@ class TestUncertainty:
         params = BesovParams(0.5, 2.0, 1.0, 1)
         _, coeffs = besov_norm_via_analyze(zf.f, params, db4)
         seq = seq_probe
-        rep0 = uncertainty_check(zf.f, seq, 2.0, db4,
+        rep0 = uncertainty_check(zf.f, seq, 2.0,
                                  besov_norm=besov_norm_wavelet(coeffs, params))
         zd = dilate(zf, 1)
         rep1 = uncertainty_check(
-            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0, db4,
+            zd.f, SamplingSequence1D(seq.points / 2, seq.b / 2, seq.strict), 2.0,
             besov_norm=besov_norm_wavelet(dilate_coeffs(coeffs, 1), params))
         assert rep0.hypothesis_met and rep1.hypothesis_met
         assert rep1.c_emp == pytest.approx(rep0.c_emp, rel=1e-6)
@@ -541,14 +541,14 @@ class TestIntB:
         inside = (grid.x >= seq.points[0]) & (grid.x <= seq.points[-1])
         norm_cov = math.sqrt(np.sum(f.values[inside] ** 2) * grid.spacing)
         assert covered == pytest.approx(norm_cov, rel=1e-3)
-        lhs, rhs, ratio = intB_diagnostic(f, seq, 2.0, db4)
+        lhs, rhs, ratio = intB_diagnostic(f, seq, 2.0)
         assert rhs > 0  # window-edge wavelets make the Besov factor positive
 
     def test_single_coarse_wavelet_small_ratio(self, grid, db4):
         c = WaveletCoefficients(1, -3, -3, {-3: (0, np.array([1.0]))}, db4)
         f = synthesize(c, grid)
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 3, strict=True)
-        lhs, rhs, ratio = intB_diagnostic(f, seq, 2.0, db4)
+        lhs, rhs, ratio = intB_diagnostic(f, seq, 2.0)
         assert ratio < 0.05
 
     def test_ratio_decreases_with_b(self, grid, db4):
@@ -559,7 +559,7 @@ class TestIntB:
         for bexp in (3, 5, 7):
             seq = random_sequence(2.0**-bexp, (grid.x[0], grid.x[-1]),
                                   bexp, strict=True)
-            ratios.append(intB_diagnostic(zf.f, seq, 2.0, db4,
+            ratios.append(intB_diagnostic(zf.f, seq, 2.0,
                                           besov_norm=bn)[2])
         assert ratios[2] < ratios[0]
 
@@ -567,7 +567,7 @@ class TestIntB:
         f = GridFunction(grid, np.ones(grid.count))
         seq = regular_sequence(0.25, (grid.x[0], grid.x[0] + 28.0))
         with pytest.raises(ValueError):
-            intB_diagnostic(f, seq, 2.0, db4, besov_norm=0.0)
+            intB_diagnostic(f, seq, 2.0, besov_norm=0.0)
 
 
 class TestHeisenberg:
@@ -575,29 +575,29 @@ class TestHeisenberg:
         zf = make(ZooSpec("compact-bump", width=1.0), grid)
         params = BesovParams(0.5, 2.0, 1.0, 1)
         bn, _ = besov_norm_via_analyze(zf.f, params, db4)
-        p0 = heisenberg_product(zf.f, 1.0, 2.0, db4, besov_norm=bn)
+        p0 = heisenberg_product(zf.f, 1.0, 2.0, besov_norm=bn)
         from besovsampling.zoo import translate
         zt = translate(zf, 6.0)
         # translation-invariant Besov factor: reuse bn for the shifted copy
-        p1 = heisenberg_product(zt.f, 1.0, 2.0, db4, besov_norm=bn)
+        p1 = heisenberg_product(zt.f, 1.0, 2.0, besov_norm=bn)
         assert p1 > p0
 
     def test_positive_infimum_bump_family(self, grid, db4):
         prods = []
         for width in (0.5, 1.0, 2.0, 4.0):
             zf = make(ZooSpec("compact-bump", width=width), grid)
-            prods.append(heisenberg_product(zf.f, 1.0, 2.0, db4))
+            prods.append(heisenberg_product(zf.f, 1.0, 2.0))
         assert min(prods) > 0.1
 
     def test_rejects_zero_function(self, grid, db4):
         f = GridFunction(grid, np.zeros(grid.count))
         with pytest.raises(ValueError):
-            heisenberg_product(f, 1.0, 2.0, db4)
+            heisenberg_product(f, 1.0, 2.0)
 
     def test_rejects_2d(self, small_grid2d, db4):
         f = GridFunction(small_grid2d, np.ones(small_grid2d.shape))
         with pytest.raises(ValueError, match="one-dimensional"):
-            heisenberg_product(f, 1.0, 2.0, db4)
+            heisenberg_product(f, 1.0, 2.0)
 
 
 class Test2DConsistency:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from besovsampling.geometry import build_geometry, random_sequence
 from besovsampling.grid import Grid1D, Grid2D, GridFunction, lp_norm, smooth_lowpass
 from besovsampling.inequalities import trace
 from besovsampling import grid as grid_mod
-from besovsampling import reconstruct
+from besovsampling import inequalities, reconstruct
 from besovsampling.reconstruct import (
     LowpassMultiplier,
     ReconstructionConfig,
+    ReconstructionReport,
     _bump01,
     averaging_V,
     bandlimited_split,
@@ -507,6 +509,17 @@ class TestContraction:
         for ratio in rep.contraction_ratios:
             assert ratio <= r + 0.05
 
+    def test_empty_family_rejected_before_the_build(self, grid_module, seq_and_cfg,
+                                                   monkeypatch):
+        seq, cfg = seq_and_cfg
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the operator was built before the family check")
+
+        monkeypatch.setattr(reconstruct, "build_operator", no_build)
+        with pytest.raises(ValueError, match="nonempty family"):
+            contraction_estimate(seq, cfg, grid_module, n=0)
+
     def test_calibration(self, grid_module):
         grid = grid_module
         seq = random_sequence(2.0**-6, (grid.x[0], grid.x[-1]), 11, strict=True)
@@ -713,3 +726,144 @@ class TestFullPipeline:
             rel = lp_norm(GridFunction(grid2, fam[0].values - rec.values), 2.0) \
                 / lp_norm(fam[0], 2.0)
             assert rel < 1e-2, variant
+
+
+def reference_averaging_V(t, op):
+    """`averaging_V` as it was: a copy of the trace on point sets; on a line
+    union `np.add.at` over (lattice column, line) with the trace's weights."""
+    s = op.sampling_set
+    if s.m == s.d:
+        vals, cells = t.values.copy(), {}
+    else:
+        n_lines = len(s.params["heights"])
+        xs = op.nodes[::n_lines, 0]
+        bins = np.clip(np.round((s.anchors[:, 0] - xs[0]) / s.b).astype(int),
+                       0, len(xs) - 1).reshape(n_lines, -1)
+        lines = np.arange(n_lines)[:, None]
+        sums = np.zeros((len(xs), n_lines))
+        wsum = np.zeros_like(sums)
+        tw = t.carrier_weights.reshape(n_lines, -1)
+        np.add.at(sums, (bins, lines), tw * t.values.reshape(n_lines, -1))
+        np.add.at(wsum, (bins, lines), tw)
+        vals = np.divide(sums, wsum, out=np.zeros_like(sums), where=wsum != 0).ravel()
+        cells = {"empty_cells": int((wsum == 0).sum())}
+    num = float(np.sum(np.abs(vals) ** 2.0) ** 0.5)
+    den = t.b ** ((t.m - t.d) / 2.0) * t.lp_carrier(2.0)
+    return vals, {"vnorm_ratio": num / den if den > 0 else 0.0, "p": 2.0, "bound": 1.0,
+                  **cells}
+
+
+def public_chain(f, op):
+    """P A V T_G f through the public chain, each piece built per call:
+    `P.apply(GridFunction(grid, A(V(trace(f)))))`."""
+    v, _ = reference_averaging_V(trace(f, op.sampling_set), op)
+    return op.pchi.apply(GridFunction(op.grid, op.partition.apply(v)))
+
+
+def reference_solve(t, op):
+    """`neumann_reconstruct` as it was: grid-function iterates, every step
+    through `public_chain`."""
+    cfg, grid = op.cfg, op.grid
+    v, vrep = reference_averaging_V(t, op)
+    u = op.pchi.apply(GridFunction(grid, op.partition.apply(v)))
+    fk, residuals, grow = u, [], 0
+    for _ in range(cfg.n_iter):
+        corr = u.values - public_chain(fk, op).values
+        residuals.append(lp_norm(GridFunction(grid, corr), cfg.p))
+        grow = grow + 1 if len(residuals) >= 2 and residuals[-1] > residuals[-2] else 0
+        fk = GridFunction(grid, fk.values + corr)
+        if grow >= 3:
+            break
+    ratios = [residuals[i + 1] / residuals[i]
+              for i in range(len(residuals) - 1) if residuals[i] > 0]
+    return fk, ReconstructionReport(
+        b=t.b, a_factor=cfg.a_factor, c_factor=cfg.c_factor, n_iter=cfg.n_iter,
+        p=cfg.p, residuals=residuals, contraction_ratios=ratios,
+        diverged=grow >= 3, v_report=vrep)
+
+
+def reference_pipeline(f, op):
+    """`full_pipeline` as it was, on `reference_solve`."""
+    sset, p = op.sampling_set, op.cfg.p
+    g = op.pchi.apply(f)
+    h = GridFunction(f.grid, f.values - g.values)
+    recon_f, rep = reference_solve(trace(f, sset), op)
+    if rep.diverged:
+        return rep
+    recon_g, rep_g = reference_solve(trace(g, sset), op)
+    if rep_g.diverged:
+        return rep_g
+    rep.total_error = lp_norm(GridFunction(f.grid, f.values - recon_f.values), p)
+    fnorm = lp_norm(f, p)
+    rep.rel_error = rep.total_error / fnorm if fnorm > 0 else 0.0
+    rep.h_norm = lp_norm(h, p)
+    rep.g_error = lp_norm(GridFunction(f.grid, g.values - recon_g.values), p)
+    rep.h_reconstructed_norm = lp_norm(
+        GridFunction(f.grid, recon_f.values - recon_g.values), p)
+    rep.split_info = {"mode": "pchi", "inner": op.pchi.inner, "outer": op.pchi.outer}
+    return rep
+
+
+class TestBuiltOnce:
+    """T_G, V, A and P built once by `build_operator` give the public chain's
+    values, and the solves and the pipeline the old loop's, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_the_public_chain(f, op):
+        t, want = op.trace(f), trace(f, op.sampling_set)
+        assert np.array_equal(t.values, want.values)
+        assert np.array_equal(t.carrier_weights, want.carrier_weights)
+        assert not t.carrier_weights.flags.writeable
+        assert np.array_equal(op.step(f.values), public_chain(f, op).values)
+        assert np.array_equal(averaging_V(t, op)[0], reference_averaging_V(t, op)[0])
+        assert averaging_V(t, op)[1] == reference_averaging_V(t, op)[1]
+        assert full_pipeline(f, op).to_dict() == reference_pipeline(f, op).to_dict()
+
+    @pytest.mark.parametrize("bexp", [3, 4, 5, 6])
+    def test_1d_on_the_default_grid(self, grid_module, db4, bexp):
+        b = 2.0**-bexp
+        seq = random_sequence(b, (grid_module.x[0], grid_module.x[-1]), 11, strict=True)
+        op = build_operator(seq, ReconstructionConfig(c_factor=0.25, n_iter=12),
+                            grid_module)
+        f = make(ZooSpec("besov-random", s=0.9, q=np.inf, j_lo=0, j_hi=7, seed=31),
+                 grid_module, db4).f
+        self._assert_matches_the_public_chain(f, op)
+
+    def test_2d_curve_family_and_hyperplane_union(self, grid_module, db4):
+        cfg = ReconstructionConfig(c_factor=0.25, n_iter=8)
+        for f, sset in TestFullPipeline._cases(grid_module, db4)[1:]:
+            op = build_operator(sset, cfg, f.grid)
+            self._assert_matches_the_public_chain(f, op)
+
+    @pytest.mark.parametrize("c_factor, n_iter", [(0.25, 12), (4.0, 30)],
+                             ids=["converging", "diverging"])
+    def test_solve_is_the_old_loop(self, grid_module, seq_and_cfg, c_factor, n_iter):
+        seq, _ = seq_and_cfg
+        cfg = ReconstructionConfig(c_factor=c_factor, n_iter=n_iter)
+        op = build_operator(seq, cfg, grid_module)
+        t = trace(make_passband_family(grid_module, seq, cfg, n=1, seed=3)[0], seq)
+        (got, rep), (want, want_rep) = neumann_reconstruct(t, op), reference_solve(t, op)
+        assert np.array_equal(got.values, want.values)
+        assert rep.to_dict() == want_rep.to_dict()
+        assert rep.diverged == (c_factor == 4.0)
+
+    def test_node_set_checks_and_keep_run_once_per_solve(self, grid_module, seq_and_cfg,
+                                                         monkeypatch):
+        """In a 12-step solve the checks on the node set (`uncovered_axis`,
+        `cell_measures`, `_check_weights`) and P's profiles and `keep`
+        (`grid._lowpass`) run once, at build, and not in any step."""
+        seq, cfg = seq_and_cfg
+        t = trace(make_passband_family(grid_module, seq, cfg, n=1, seed=5)[0], seq)
+        calls = Counter()
+        for module, name in ((grid_mod, "uncovered_axis"), (inequalities, "cell_measures"),
+                             (inequalities, "_check_weights"), (grid_mod, "_lowpass"),
+                             (reconstruct, "_lowpass")):
+            monkeypatch.setattr(module, name, lambda *a, run=getattr(module, name), name=name:
+                                calls.update([name]) or run(*a))
+        op = build_operator(seq, cfg, grid_module)
+        assert calls == {"uncovered_axis": 1, "cell_measures": 1, "_check_weights": 1,
+                         "_lowpass": 1}
+        calls.clear()
+        _, rep = neumann_reconstruct(t, op)
+        assert len(rep.residuals) == cfg.n_iter == 12
+        assert calls == {}

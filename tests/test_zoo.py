@@ -246,14 +246,14 @@ class TestTransforms:
 
 class TestCalibrationZoo:
     def test_size_and_determinism(self, grid, db4):
-        zoo1 = calibration_zoo(grid, db4)
-        zoo2 = calibration_zoo(grid, db4)
+        zoo1 = calibration_zoo(grid)
+        zoo2 = calibration_zoo(grid)
         assert len(zoo1) == 20
         for a, b in zip(zoo1, zoo2):
             assert np.array_equal(a.f.values, b.f.values)
 
     def test_all_members_have_margin(self, grid, db4):
-        for zf in calibration_zoo(grid, db4):
+        for zf in calibration_zoo(grid):
             assert support_margin(zf.f) > 0.0, zf.spec.kind
 
     def test_norm_ratio_coverage(self, grid, db4):
@@ -262,7 +262,7 @@ class TestCalibrationZoo:
         from besovsampling.besov import BesovParams, besov_norm_via_analyze
         params = BesovParams(1.0, 2.0, 1.0, 1)
         ns = []
-        for zf in calibration_zoo(grid, db4):
+        for zf in calibration_zoo(grid):
             norm, _ = besov_norm_via_analyze(zf.f, params, db4)
             ns.append(norm / lp_norm(zf.f, 2.0))
         assert max(ns) / min(ns) >= 1e3
