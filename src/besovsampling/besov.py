@@ -87,12 +87,8 @@ def besov_norm_wavelet(c: WaveletCoefficients, params: BesovParams) -> float:
         warnings.warn("empty coefficient set; Besov norm reported as 0", stacklevel=2)
         return 0.0
     w = params.scale_weight_exponent
-    terms = []
-    for j in c.scale_range():
-        sj = c.per_scale_p_sum(j, params.p)
-        if sj > 0.0:
-            terms.append(2.0 ** (w * j) * sj)
-    return _lq_sum(terms, params.q)
+    return _lq_sum([2.0 ** (w * j) * sj for j in c.scale_range()
+                    if (sj := c.per_scale_p_sum(j, params.p)) > 0.0], params.q)
 
 
 def _lq_sum(terms, q: float) -> float:

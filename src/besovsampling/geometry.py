@@ -25,11 +25,9 @@ condition checks stay away from a b-collar of the boundary.
 Condition checks are Monte-Carlo over a recorded probe family (isotropic
 Gaussian bumps of width >= b); for circles and the spiral the comparison
 integral carries the weight max(1, r) dr dsigma instead of Lebesgue measure.
-Each geometry keeps a k-d tree over its anchors, built on first use: probes
-and balls visit only the anchors and cells near them, and balls are counted
-before they are gathered.  `scipy.spatial` is imported with the first tree
-and `scipy.special` with the first probe integral, so a process that builds
-no tree and integrates no probe loads neither.
+Each geometry bins its anchors in square cells of side b or wider on first
+use, so probes, balls and cubes visit only the anchors and cells near them.
+`scipy.special` is imported with the first probe integral.
 """
 
 from __future__ import annotations
@@ -37,14 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import _POINT_BLOCK, _blocks, default_grid_2d
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 __all__ = [
     "SamplingSequence1D",
@@ -217,9 +211,8 @@ class SamplingGeometry2D:
     Cells are segments (cell_a/cell_b endpoints, m=1) or l-inf balls
     (cell_centers/cell_radius, m=2), each with its Hausdorff measure.
     `boundary_flags` marks anchors whose cell was trimmed by the window.
-    `anchor_index` is a k-d tree over the anchors and `cell_reach` bounds the
-    distance from an anchor to any point of its cell; both are built on first
-    use, and the arrays are not to be changed after.
+    The anchors' cell table and `cell_reach`, the farthest an anchor is from
+    a point of its cell, are built on first use; do not change the arrays after.
     """
 
     variant: str
@@ -238,21 +231,28 @@ class SamplingGeometry2D:
     cell_radius: float | None = None
     params: dict = field(default_factory=dict)
 
-    @property
-    def d(self) -> int:
-        return 2
+    d = 2
 
     def n_anchors(self) -> int:
         return len(self.anchors)
 
     @cached_property
-    def anchor_index(self) -> cKDTree:
-        """k-d tree over the anchors, which it shares rather than copies."""
-        from scipy.spatial import cKDTree
-        # sliding-midpoint splits, and leaves of 64 points for the queries
-        # that gather whole neighbourhoods
-        return cKDTree(self.anchors, leafsize=64, balanced_tree=False,
-                       compact_nodes=False, copy_data=False)
+    def _anchor_cells(self) -> tuple:
+        """(origin, h, n, starts, order): of n x n cells of side h from the
+        lowest coordinates, cell k = i n + j holds the anchors
+        order[starts[k]:starts[k + 1]], in index order.  h is b, doubled
+        while cells outnumber anchors."""
+        x, y = self.anchors.T  # reduced column by column: axis 0 is slower
+        origin = np.array([x.min(), y.min()])
+        span = max(x.max() - origin[0], y.max() - origin[1])
+        h = self.b
+        while (int(span / h) + 1) ** 2 > max(len(x), 1):
+            h *= 2
+        n = int(span / h) + 1
+        ids = ((x - origin[0]) / h).astype(np.intp) * n + ((y - origin[1]) / h).astype(np.intp)
+        order = np.argsort(ids.astype(np.min_scalar_type(n * n - 1)), kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n * n))])
+        return origin, h, n, starts, order
 
     @cached_property
     def cell_reach(self) -> float:
@@ -605,9 +605,7 @@ class GeometryConditionsReport:
         return all(self.passes.values())
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["diam_range"] = list(self.diam_range)
-        return d
+        return {**self.__dict__, "diam_range": list(self.diam_range)}
 
 
 def _probe_params(rng, window, b, radial_max=None):
@@ -623,11 +621,6 @@ def _probe_params(rng, window, b, radial_max=None):
     else:
         c = rng.uniform(lo + pad, hi - pad, size=2)
     return c, w
-
-
-def _gauss_plane_integral(w: float) -> float:
-    # integral over R^2 of exp(-pi |x-c|^2 / w^2)
-    return w * w
 
 
 def _gauss_segment_integral(a, bpt, near, c, w):
@@ -681,23 +674,59 @@ def _radial_profile_integral(tgrid, weight, c, w):
 PROBE_CUTOFF = 7.0
 
 
-def _ball_indices(tree: cKDTree, x, r: float) -> np.ndarray:
-    """Sorted indices of the tree points within distance r of x (may be
-    empty: still an integer index array).
+def _runs(first, stop) -> np.ndarray:
+    """The indices first[k] <= i < stop[k] of every k, k by k."""
+    count = stop - first
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
-    A one-point tree at x, matched against `tree`, returns the indices as
-    an array; `tree.query_ball_point` returns a Python list.
+
+def _box_cells(g: SamplingGeometry2D, centers, r: float):
+    """Per centre of `centers` (P, 2), the first and last cell (i, j) that
+    the square of half side r around it meets.  The square's edges are
+    binned in the anchors' roundings, so no anchor inside is missed."""
+    origin, h, n, *_ = g._anchor_cells
+    return (np.clip(np.floor((v - origin) / h), 0, n - 1).astype(np.intp)
+            for v in (centers - r, centers + r))
+
+
+def _ball_indices(g: SamplingGeometry2D, x, r: float, shell: float = 0.0) -> np.ndarray:
+    """Sorted indices of the anchors within distance r of x (may be empty:
+    still an integer index array): dx*dx + dy*dy against r*r, but the norm
+    between the balls at r(1 -+ shell), where the two may round apart.
+
+    In each row of cells that the ball's square meets, [A, B) holds the
+    cells that may meet the outer ball and [C, D) those whole inside the
+    inner one, each with a cell to spare against rounding: only the anchors
+    of the cells between are tested.
     """
-    from scipy.spatial import cKDTree
-    one = cKDTree(np.asarray(x, dtype=float).reshape(1, -1))
-    return np.sort(one.sparse_distance_matrix(tree, r, output_type="ndarray")["j"])
+    origin, h, n, starts, order = g._anchor_cells
+    x = np.asarray(x, dtype=float)
+    r_in, r_out = r * (1 - shell), r * (1 + shell)
+    (i0, j0), (i1, j1) = (v[0] for v in _box_cells(g, x[None], r_out * (1 + 1e-9)))
+    i = np.arange(i0, i1 + 1)
+    a = origin[0] + i * h - x[0]  # a row's offsets from x run from a to a + h
+    near_x, far_x = np.maximum(np.maximum(a, -a - h), 0.0), np.maximum(-a, a + h)
+    out, inn = np.sqrt(np.maximum(np.square([[r_out], [r_in]]) - np.square([near_x, far_x]), 0)) / h
+    t = (x[1] - origin[1]) / h
+    bounds = np.floor([t - out, t + out, inn - t, t + inn]) + [[-1], [2], [0], [-1]]
+    bounds[2] = 1 - bounds[2]  # ceil(t - inn) + 1
+    A, B, C, D = starts[i * n + np.clip(bounds, j0, j1 + 1).astype(np.intp)]
+    D = np.maximum(C, D)  # A <= C <= D <= B, so the runs below do not overlap
+    inner = np.take(order, _runs(C, D))
+    near = np.take(order, _runs(np.concatenate([A, D]), np.concatenate([C, B])))
+    dx, dy = (np.take(g.anchors, near, axis=0) - x).T
+    d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    keep = d2 <= r_out * r_out
+    near_sphere = keep & (d2 > r_in * r_in)
+    keep[near_sphere] = np.sqrt(d2[near_sphere]) <= r
+    return np.sort(np.concatenate([inner, near[keep]]))
 
 
 def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
     """Carrier/cell double integral of the Gaussian probe (exact erf forms),
     over the cells that come within PROBE_CUTOFF widths of the centre."""
     c = np.asarray(center, dtype=float)
-    near = _ball_indices(g.anchor_index, c, PROBE_CUTOFF * width + g.cell_reach)
+    near = _ball_indices(g, c, PROBE_CUTOFF * width + g.cell_reach)
     if g.m == 1:
         vals = _gauss_segment_integral(g.cell_a, g.cell_b, near, c, width)
     else:
@@ -706,33 +735,28 @@ def equiv_lhs_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
 
 
 def equiv_ratio_for_probe(g: SamplingGeometry2D, center, width: float) -> float:
-    """LHS / Lebesgue-integral ratio for one probe (the eq. (ii) lower side)."""
-    return equiv_lhs_for_probe(g, center, width) / _gauss_plane_integral(width)
+    """LHS over the probe's integral width^2 over R^2 (the eq. (ii) lower side)."""
+    return equiv_lhs_for_probe(g, center, width) / (width * width)
 
 
 def carrier_measure(g: SamplingGeometry2D, x, R: float) -> float:
     """H^(d-m)(G cap B(x, R)) by the anchor quadrature: the weights of the
-    anchors in the closed ball (their count for m=2)."""
-    x = np.asarray(x, dtype=float)
-    # the tree compares squared distances, which may round the other way at
-    # |a - x| = R; the norm test runs only if the balls at R(1 -+ 1e-9) differ
-    inner, outer = (g.anchor_index.query_ball_point(x, R * f, return_length=True)
-                    for f in (1 - 1e-9, 1 + 1e-9))
-    if inner == outer and g.m == 2:
-        return float(outer)
-    near = _ball_indices(g.anchor_index, x, R * (1 + 1e-9))
-    if inner != outer:
-        near = near[np.linalg.norm(g.anchors[near] - x[None, :], axis=1) <= R]
-    return float(np.sum(g.anchor_weights[near])) if g.m == 1 else float(len(near))
+    anchors in the closed ball (their count for m=2), in index order."""
+    near = _ball_indices(g, x, R, shell=1e-9)
+    return float(np.sum(np.take(g.anchor_weights, near))) if g.m == 1 else float(len(near))
 
 
 def cover_multiplicity(g: SamplingGeometry2D, pts) -> np.ndarray:
     """How many closed radius-b cubes around the anchors contain each point."""
-    from scipy.spatial import cKDTree
-    pts = np.asarray(pts, dtype=float)
-    pairs = cKDTree(pts).sparse_distance_matrix(g.anchor_index, g.b, p=np.inf,
-                                                output_type="ndarray")
-    return np.bincount(pairs["i"], minlength=len(pts))
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    _, _, n, starts, order = g._anchor_cells
+    lo, hi = _box_cells(g, pts, g.b * (1 + 1e-9))
+    rows = _runs(lo[:, 0], hi[:, 0] + 1)
+    k = np.repeat(np.arange(len(pts)), hi[:, 0] - lo[:, 0] + 1)
+    first, stop = starts[rows * n + lo[k, 1]], starts[rows * n + hi[k, 1] + 1]
+    k, near = np.repeat(k, stop - first), np.take(order, _runs(first, stop))
+    inside = np.all(np.abs(np.take(g.anchors, near, axis=0) - pts[k]) <= g.b, axis=1)
+    return np.bincount(k[inside], minlength=len(pts))
 
 
 MIN_PROBES = 10
@@ -749,13 +773,12 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
         H^(d-m)(G cap B(x,R)) <= C0 R^(d-m) max(1, R/b)^m, and, for m=2, the
         covering multiplicity of the radius-b cubes.
 
-    The geometry's anchor tree keeps each check local: a probe of width w
+    The geometry's cell table keeps each check local: a probe of width w
     integrates, on gathered coordinate columns, only the cells within 7w of
     its centre (beyond, the probe is below exp(-49 pi)), and its radial
-    comparison only the radii within 7w of |c|.  A ball of (c) is counted at
-    R(1 -+ 1e-9) first and gathered only for its weights (m=1) or when an
-    anchor lies that close to the sphere.  The multiplicity is one l-inf pair
-    query of the points against the anchors.
+    comparison only the radii within 7w of |c|.  A ball of (c) tests only
+    the anchors of the cells on its rim, a radius-b cube of the multiplicity
+    those of the cells it meets.
     """
     if n_probes < MIN_PROBES:
         raise ValueError(f"probe budget too small; need at least {MIN_PROBES}")
@@ -778,12 +801,11 @@ def check_conditions(g: SamplingGeometry2D, n_probes: int = 1000, seed: int = 0
     for _ in range(n_equiv):
         c, w = _probe_params(rng, g.window, b, radial_max=rmax if radial else None)
         lhs = equiv_lhs_for_probe(g, c, w)
-        lebesgue = _gauss_plane_integral(w)
+        lebesgue = w * w  # the probe's integral over R^2
         upper_ref = _radial_profile_integral(tgrid, tweight, c, w) if radial else lebesgue
         lo_ratios.append(lhs / lebesgue)
         hi_ratios.append(lhs / upper_ref)
-    equiv_lower = float(np.min(lo_ratios))
-    equiv_upper = float(np.max(hi_ratios))
+    equiv_lower, equiv_upper = float(np.min(lo_ratios)), float(np.max(hi_ratios))
     equiv_C0 = max(equiv_upper, 1.0 / max(equiv_lower, 1e-300))
 
     # --- (b) cell Ahlfors regularity

@@ -285,6 +285,14 @@ def _blocks(n: int, size: int):
     return (slice(s, s + size) for s in range(0, n, size))
 
 
+@_read_only_cache(maxsize=8)
+def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
+    """One axis's trapezoid weights (the spacing, halved at the ends), read-only."""
+    w = np.full(count, spacing)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def _trapezoid_sum(values: np.ndarray, grid, p: float, weight=None) -> float:
     """Composite-trapezoid integral of |values|^p, or (weight |values|)^p.
 
@@ -294,10 +302,7 @@ def _trapezoid_sum(values: np.ndarray, grid, p: float, weight=None) -> float:
     weighted by the other axes' weights and summed.  1D is the single-row
     case, bit for bit.  No BLAS product reduces, so no thread count shows.
     """
-    ws = [np.full(g.count, g.spacing) for g in grid.axes]
-    for w in ws:
-        w[[0, -1]] *= 0.5
-    *w_lead, w_last = ws
+    *w_lead, w_last = (_trapezoid_weights(g.count, g.spacing) for g in grid.axes)
     rows = values.reshape(-1, len(w_last))
     w_rows = None if weight is None else weight.reshape(rows.shape)
     sums = np.empty(len(rows))

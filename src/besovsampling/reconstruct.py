@@ -458,15 +458,10 @@ def calibrate_passband(sampling_set, grid,
                        threshold: float = 0.9, n: int = 20, seed: int = 0):
     """Largest c_factor (a = c/2) whose family contraction estimate stays
     below `threshold`; returns (c, estimates dict)."""
-    estimates = {}
-    best = None
-    for c in sorted(cs, reverse=True):
-        cfg = ReconstructionConfig(c_factor=c)
-        est = contraction_estimate(sampling_set, cfg, grid, n=n, seed=seed)
-        estimates[c] = est
-        if est < threshold and best is None:
-            best = c
-    return best, estimates
+    estimates = {c: contraction_estimate(sampling_set, ReconstructionConfig(c_factor=c),
+                                         grid, n=n, seed=seed)
+                 for c in sorted(cs, reverse=True)}
+    return next((c for c, est in estimates.items() if est < threshold), None), estimates
 
 
 def full_pipeline(f: GridFunction, op: ReconstructionOperator) -> ReconstructionReport:

@@ -364,10 +364,7 @@ class WaveletCoefficients:
         return peak * tot ** (1.0 / p)
 
     def total_energy(self) -> float:
-        tot = 0.0
-        for j in self.scales:
-            tot += self.per_scale_p_sum(j, 2.0) ** 2
-        return tot
+        return sum((self.per_scale_p_sum(j, 2.0) ** 2 for j in self.scales), 0.0)
 
     def coarse_energy(self) -> float:
         if self.coarse is None:

@@ -60,16 +60,8 @@ class ZooSpec:
 
     def to_dict(self) -> dict:
         def clean(d: dict) -> dict:
-            out = {}
-            for k, v in d.items():
-                if v is None:
-                    continue
-                if k == "q" and math.isinf(v):
-                    v = "inf"
-                elif isinstance(v, dict):
-                    v = clean(v)
-                out[k] = v
-            return out
+            return {k: "inf" if k == "q" and math.isinf(v) else clean(v) if isinstance(v, dict)
+                    else v for k, v in d.items() if v is not None}
 
         return clean(asdict(self))
 
@@ -120,9 +112,8 @@ def window_envelope(grid: Grid1D, flat: float = 0.6, zero: float = 0.85) -> np.n
 def _window_envelope(origin: float, spacing: float, count: int, flat: float,
                      zero: float) -> np.ndarray:
     grid = Grid1D(origin, spacing, count)
-    mid = grid.origin + grid.length / 2.0
     half = grid.length / 2.0
-    t = np.abs(grid.x - mid) / half
+    t = np.abs(grid.x - (grid.origin + half)) / half
     return smooth_ramp01((zero - t) / (zero - flat))
 
 
@@ -160,25 +151,17 @@ def _besov_random(spec: ZooSpec, grid: Grid1D, basis: WaveletBasis) -> ZooFuncti
     S = grid.length / 4.0
     mid = grid.origin + grid.length / 2.0
     R = basis.support[1]
-    scales = {}
-    pops = {}
+    n_scales = hi - lo + 1
+    data, per_scale_term = {}, {}
     for j in range(lo, hi + 1):
         k_min = math.ceil(2.0**j * (mid - S))
         k_max = math.floor(2.0**j * (mid + S) - R)
         if k_max < k_min:
             raise ValueError(
                 f"support overflow: no translate of scale {j} fits the window quarter")
-        avail = k_max - k_min + 1
-        n_j = min(avail, max(1, round(2.0 ** (0.5 * j))))
+        n_j = min(k_max - k_min + 1, max(1, round(2.0 ** (0.5 * j))))
         ks = np.sort(rng.choice(np.arange(k_min, k_max + 1), size=n_j, replace=False))
         signs = rng.choice([-1.0, 1.0], size=n_j)
-        pops[j] = n_j
-        scales[j] = (ks, signs)
-    n_scales = hi - lo + 1
-    data = {}
-    per_scale_term = {}
-    for j, (ks, signs) in scales.items():
-        n_j = pops[j]
         if math.isinf(spec.q):
             w_j = spec.amplitude / n_j ** (1.0 / spec.p)
         else:

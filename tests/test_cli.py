@@ -1195,8 +1195,9 @@ def test_cli_import_loads_only_the_scipy_it_uses(tmp_path):
     """Importing the CLI loads no part of scipy, and neither do the bench's
     set-up tuple (`pl` at b=2^-3), a 2D `sampling` tuple, a 1D critical norm
     and a 1D `sampling` and `reconstruct` tuple, which run on numpy alone
-    (every 1D transform is `numpy.fft`'s).  `scipy.special` and
-    `scipy.spatial` come with the first geometry check.  A 2D `build_operator`
+    (every 1D transform is `numpy.fft`'s).  `scipy.special` comes with the
+    first geometry check, and `scipy.spatial` with none: the check's
+    neighbourhoods come from the geometry's own cell table.  A 2D `build_operator`
     and one apply of its partition of unity, which places its kernel
     directly, load no `scipy.fft`.  The import loads none of the `unused`
     subpackages, which cost about 25 MiB and 0.25 s of every start.  A fresh
@@ -1243,4 +1244,4 @@ print("scipy.fft" in sys.modules)
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["", "", "True", "True True",
-                                       "True True False", "False"]
+                                       "False True False", "False"]

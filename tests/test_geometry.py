@@ -337,6 +337,13 @@ def _full_scan_carrier_measure(g, x, R):
     return float(np.count_nonzero(inside))
 
 
+def _full_scan_ball(g, x, r):
+    """Indices of the anchors whose squared distance dx*dx + dy*dy from x is
+    at most r*r: `_ball_indices`' rule, over every anchor."""
+    dx, dy = (g.anchors - x).T
+    return np.flatnonzero(dx * dx + dy * dy <= r * r)
+
+
 def _full_scan_multiplicity(g, pts):
     mult = np.zeros(len(pts), dtype=int)
     for e in g.anchors:
@@ -627,8 +634,8 @@ class TestSpatialIndex:
                  (circles, np.zeros(2), r)]
         outer_differs = []
         for g, x, R in balls:
-            counts = [g.anchor_index.query_ball_point(x, R * f, return_length=True)
-                      for f in (1 - 1e-9, 1 + 1e-9)]
+            # squared distances put anchors between the balls at R(1 -+ 1e-9)
+            counts = [len(_full_scan_ball(g, x, R * f)) for f in (1 - 1e-9, 1 + 1e-9)]
             assert counts[0] < counts[1]  # the norm test decides
             want = _full_scan_carrier_measure(g, x, R)
             assert carrier_measure(g, x, R) == want
@@ -657,7 +664,7 @@ class TestSpatialIndex:
         assert np.array_equal(mult, _full_scan_multiplicity(g, pts))
         assert np.all(mult > strict)
 
-    def test_ball_indices_match_query_ball_point(self, geometry_of):
+    def test_ball_indices_match_full_scan(self, geometry_of):
         # straight curves put the anchors on a dyadic lattice, so a lattice
         # neighbour sits at distance exactly b
         lattice = build_geometry("curve-family", {"b": 2.0**-3, "seed": 0,
@@ -667,21 +674,57 @@ class TestSpatialIndex:
         g = geometry_of("concentric-circles")
         balls = [(g, np.array([100.0, -100.0]), 1.0),  # empty
                  (g, g.anchors[1234], 0.0),  # an anchor at the centre, r = 0
-                 (lattice, e, lattice.b)]  # anchors at distance exactly r
+                 (lattice, e, lattice.b),  # anchors at distance exactly r
+                 (lattice, e, np.nextafter(lattice.b, 0.0))]  # one ulp beyond r
         balls += [(g, rng.uniform(WIN[0], WIN[1], size=2), r)
                   for r in rng.uniform(0.0, 2.0, size=20)]
         sizes = []
         for geo, x, r in balls:
-            got = _ball_indices(geo.anchor_index, x, r)
-            want = sorted(geo.anchor_index.query_ball_point(x, r))
+            got = _ball_indices(geo, x, r)
             assert got.dtype == np.intp
-            assert np.array_equal(got, np.array(want, dtype=np.intp))
+            assert np.array_equal(got, _full_scan_ball(geo, x, r))
             sizes.append(len(got))
-        assert sizes[0] == 0 and sizes[1] >= 1 and max(sizes[3:]) > 1000
-        exact = np.linalg.norm(lattice.anchors - e, axis=1) == lattice.b
-        assert np.all(np.isin(np.flatnonzero(exact),
-                              _ball_indices(lattice.anchor_index, e, lattice.b)))
-        assert np.count_nonzero(exact) >= 2
+        assert sizes[0] == 0 and sizes[1] >= 1 and max(sizes[4:]) > 1000
+        exact = np.flatnonzero(np.linalg.norm(lattice.anchors - e, axis=1) == lattice.b)
+        assert len(exact) >= 2
+        assert np.all(np.isin(exact, _ball_indices(lattice, e, lattice.b)))
+        assert not np.any(np.isin(exact, _ball_indices(lattice, e, balls[3][2])))
+
+    @staticmethod
+    def _assert_queries_match_full_scan(g, centers, radii):
+        """Balls, carrier measures and radius-b cubes at each centre and
+        radius against full scans of the anchors."""
+        for x, r in zip(centers, radii):
+            assert np.array_equal(_ball_indices(g, x, r), _full_scan_ball(g, x, r))
+            assert carrier_measure(g, x, r) == _full_scan_carrier_measure(g, x, r)
+        assert np.array_equal(cover_multiplicity(g, centers),
+                              _full_scan_multiplicity(g, centers))
+
+    def test_anchors_outside_the_window(self):
+        # given heights put a line beyond each edge of the window [-4, 4]
+        # whose cell reaches into it, so the table's cells extend past it
+        heights = np.linspace(-4.2, 4.2, 19)
+        g = build_geometry("hyperplane-union", {"b": 0.5, "window": (-4.0, 4.0),
+                                                "heights": heights.tolist()})
+        assert g.anchors[:, 1].min() < -4.0 and g.anchors[:, 1].max() > 4.0
+        rng = np.random.default_rng(7)
+        centers = np.vstack([[[0.0, -4.2], [1.0, 4.4], [-3.9, 4.3], [0.0, 20.0]],
+                             rng.uniform(-5.5, 5.5, size=(40, 2))])
+        radii = np.concatenate([[0.3, 0.5, 0.2, 1.0], rng.uniform(0.0, 3.0, size=40)])
+        self._assert_queries_match_full_scan(g, centers, radii)
+        assert cover_multiplicity(g, centers[:3]).min() >= 1
+
+    def test_tiny_b_on_a_wide_window(self):
+        # three lines b apart on the default window: at b = 2^-9 cells of
+        # side b would number (16 / b)^2 ~ 6.7e7, far more than the anchors
+        b = 2.0**-9
+        g = build_geometry("hyperplane-union", {"b": b, "heights": [0.0, 0.75 * b, 1.5 * b]})
+        origin, h, n, starts, *_ = g._anchor_cells
+        assert n * n <= len(g.anchors) and len(starts) == n * n + 1 and h > b
+        rng = np.random.default_rng(8)
+        centers = np.column_stack([rng.uniform(*WIN, size=30), rng.uniform(-4 * b, 6 * b, 30)])
+        radii = b * rng.uniform(0.0, 4.0, size=30)
+        self._assert_queries_match_full_scan(g, centers, radii)
 
     @pytest.mark.parametrize("variant", ["curve-family", "concentric-circles"])
     def test_empty_neighbourhoods(self, geometry_of, variant):

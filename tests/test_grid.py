@@ -24,6 +24,7 @@ from besovsampling.grid import (
     _half_spectrum,
     _next_fast_len,
     _origin_phase,
+    _trapezoid_weights,
     default_grid_1d,
     fourier,
     inverse_fourier,
@@ -344,6 +345,19 @@ class TestAxisCaches:
         F = fourier(random_function(small_grid2d))
         assert all(fz is _axis_freqs(g.count, g.spacing)
                    for fz, g in zip(F.freqs, small_grid2d.axes))
+
+    def test_trapezoid_weights(self, small_grid2d):
+        # one read-only table per axis, shared by every norm on that axis
+        for g in (default_grid_1d(), *small_grid2d.axes):
+            lp_norm(GridFunction(g, np.ones(g.count)), 2.0)
+            w = _trapezoid_weights(g.count, g.spacing)
+            fresh = np.full(g.count, g.spacing)
+            fresh[[0, -1]] *= 0.5
+            assert same_bits(w, fresh) and not w.flags.writeable
+            assert w is _trapezoid_weights(g.count, g.spacing)
+        hits = _trapezoid_weights.cache_info().hits
+        lp_norm(random_function(small_grid2d), 1.5)
+        assert _trapezoid_weights.cache_info().hits == hits + 2
 
     def test_points_follow_a_changed_axis(self):
         g = Grid1D(-1.0, 0.25, 8)
@@ -833,6 +847,21 @@ class TestNoFullSizeTemporaries:
         # the one-pass form it replaces
         assert reach == math.sqrt(max(float(np.max(np.einsum("ij,ij->i", d, d)))
                                       for d in (cell_a - anchors, cell_b - anchors)))
+
+    def test_anchor_cells(self):
+        # 1024 anchors on the default window at b = 2^-9: cells of side b
+        # would number (16 / b)^2 ~ 6.7e7, a table of 512 MiB
+        rng = np.random.default_rng(7)
+        n = 1024
+        anchors = rng.uniform(-8.0, 8.0 - 2.0**-7, (n, 2))
+        g = SamplingGeometry2D("curve-family", 2, 2.0**-9, 8.0, 9.0, (-8.0, 8.0 - 2.0**-7),
+                               anchors, np.ones(n), 6.0, np.zeros(n, dtype=bool),
+                               cell_centers=anchors, cell_radius=2.0**-11)
+        # below 8 floats per anchor
+        peak, (_, _, cells, starts, order) = traced_peak(lambda: g._anchor_cells)
+        assert peak < 8 * anchors.nbytes / 2, (peak, anchors.nbytes)
+        assert cells**2 <= n and starts[-1] == n
+        assert np.array_equal(np.sort(order), np.arange(n))
 
     def test_interpolate(self):
         f = random_function(self.GRID, seed=2)
